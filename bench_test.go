@@ -15,6 +15,7 @@ import (
 
 	"nocs/internal/bench"
 	"nocs/internal/machine"
+	"nocs/internal/serve"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -61,6 +62,26 @@ func BenchmarkA4_StatePinning(b *testing.B)         { runExperiment(b, "A4") }
 // bounds how big an experiment the harness can afford.
 func BenchmarkCoreInstructionRate(b *testing.B) {
 	benchmarkInstructionRate(b)
+}
+
+// BenchmarkServeCell builds and drains one nocs serving cell (Poisson
+// arrivals, load 0.8, 1000 connections) on the serial oracle. Every request
+// crosses several monitor arm/wait/wake cycles, so its allocs/op, gated in
+// scripts/ci.sh, catches a monitor or netstack hot path that allocates again.
+func BenchmarkServeCell(b *testing.B) {
+	cfg := serve.Config{
+		Conns: 1000, Load: 0.8, Arrival: serve.ArrivalPoisson, Flavor: serve.FlavorNocs,
+		Seed: bench.DefaultConfig().Seed, Workers: 1,
+	}
+	for i := 0; i < b.N; i++ {
+		c, err := serve.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // snapshotBenchMachine builds a warmed-up sharded endurance machine plus one

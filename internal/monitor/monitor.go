@@ -32,44 +32,49 @@ type Waiter interface {
 	MonitorWake(addr, val int64, src mem.WriteSource)
 }
 
-type watcherState struct {
-	addrs   map[int64]bool
-	order   []int64 // arm order, for MaxWatches eviction
-	waiting bool    // blocked in mwait
-	pending bool    // a watched write arrived after arm, before (or instead of) wait
+// watcher is one waiter's watch state. Watchers live as long as the engine:
+// a wake resets a watcher instead of freeing it, so a waiter cycling through
+// arm, wait and wake allocates nothing once its slices have grown.
+type watcher struct {
+	w Waiter
+	// watches is the watch set in arm order; MaxWatches evicts watches[0].
+	// A wake truncates it but keeps the backing array, so re-arming the
+	// previous cycle's set in the same order finds each address's list in
+	// place instead of looking it up.
+	watches []watch
+	waiting bool // blocked in mwait
+	pending bool // a watched write arrived after arm, before (or instead of) wait
 	pAddr   int64
 	pVal    int64
 	pSrc    mem.WriteSource
 }
 
-// addrWatchers is the per-address waiter list, kept in global arm order so
-// that a write waking several waiters delivers the wakeups deterministically
-// (map iteration order would make racy multi-waiter programs diverge between
-// otherwise identical runs).
-type addrWatchers struct {
-	set  map[Waiter]bool
-	list []Waiter // arm order; entries removed on disarm
+// watch is one armed address and its waiter list.
+type watch struct {
+	addr int64
+	list *addrList
 }
 
-func (aw *addrWatchers) add(w Waiter) {
-	if aw.set[w] {
-		return
-	}
-	aw.set[w] = true
-	aw.list = append(aw.list, w)
-}
-
-func (aw *addrWatchers) remove(w Waiter) {
-	if !aw.set[w] {
-		return
-	}
-	delete(aw.set, w)
-	for i, x := range aw.list {
-		if x == w {
-			aw.list = append(aw.list[:i], aw.list[i+1:]...)
-			break
+// armed reports whether addr is in the watch set. Watch sets are a handful
+// of doorbells, so a scan beats hashing.
+func (s *watcher) armed(addr int64) bool {
+	for _, x := range s.watches {
+		if x.addr == addr {
+			return true
 		}
 	}
+	return false
+}
+
+// addrList holds the watchers armed on one address, in global arm order, so
+// that a write waking several waiters delivers the wakeups deterministically
+// (map iteration order would make racy multi-waiter programs diverge between
+// otherwise identical runs). A list stays in the engine once created, empty
+// while nobody watches its address: like the word store, the engine grows
+// with the addresses a program touches, and service loops re-arm the same
+// doorbells without rebuilding anything.
+type addrList struct {
+	ids []int32
 }
 
 // Engine is the machine-wide monitor filter. It observes every write to
@@ -88,8 +93,18 @@ type Engine struct {
 	// poll multiple memory locations").
 	MaxWatches int
 
-	watchers map[Waiter]*watcherState
-	byAddr   map[int64]*addrWatchers
+	// ids gives every waiter the engine has seen a dense index into ws;
+	// entries are never removed. lastW/lastID cache the latest lookup, since
+	// a service arms its whole watch set for one waiter in a row.
+	ids    map[Waiter]int32
+	ws     []watcher
+	lastW  Waiter
+	lastID int32
+
+	byAddr map[int64]*addrList
+	// woken is the stack of wake batches being delivered: a wake handler
+	// may write memory and start a nested batch above its caller's.
+	woken []int32
 
 	// Tracing (nil tr = off). Each delivered wakeup starts a flow on the
 	// monitor track and stashes its ID in the tracer; the core's synchronous
@@ -121,8 +136,8 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{
 		DMAVisible: true,
-		watchers:   make(map[Waiter]*watcherState),
-		byAddr:     make(map[int64]*addrWatchers),
+		ids:        make(map[Waiter]int32),
+		byAddr:     make(map[int64]*addrList),
 	}
 }
 
@@ -177,7 +192,9 @@ func (p *pendingInj) OnEvent() {
 		return
 	}
 	p.e.coalesced++
-	p.e.deliverBatch(p.batch, p.addr, p.val, p.src)
+	for _, w := range p.batch {
+		p.e.wakeIfWaiting(p.e.id(w), p.addr, p.val, p.src)
+	}
 }
 
 func (e *Engine) unlink(p *pendingInj) {
@@ -203,55 +220,64 @@ func (e *Engine) traceFire(addr int64, src mem.WriteSource, immediate bool) {
 	e.tr.StashFlow(f)
 }
 
-func (e *Engine) state(w Waiter) *watcherState {
-	s := e.watchers[w]
-	if s == nil {
-		s = &watcherState{addrs: make(map[int64]bool)}
-		e.watchers[w] = s
+// id returns w's watcher index, registering w on first sight.
+func (e *Engine) id(w Waiter) int32 {
+	if e.lastW != nil && w == e.lastW {
+		return e.lastID
 	}
-	return s
+	id, ok := e.ids[w]
+	if !ok {
+		id = int32(len(e.ws))
+		e.ids[w] = id
+		e.ws = append(e.ws, watcher{w: w})
+	}
+	e.lastW, e.lastID = w, id
+	return id
 }
 
 // Arm adds addr to w's watch set (MONITOR). Multiple addresses may be armed
 // before a single Wait; any of them triggers the wake. With MaxWatches set,
 // arming beyond the budget evicts the waiter's oldest watch.
 func (e *Engine) Arm(w Waiter, addr int64) {
-	s := e.state(w)
-	if s.addrs[addr] {
+	id := e.id(w)
+	s := &e.ws[id]
+	if s.armed(addr) {
 		return
 	}
-	if e.MaxWatches > 0 && len(s.addrs) >= e.MaxWatches {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		delete(s.addrs, victim)
-		if aw := e.byAddr[victim]; aw != nil {
-			aw.remove(w)
-			if len(aw.list) == 0 {
-				delete(e.byAddr, victim)
-			}
-		}
+	if e.MaxWatches > 0 && len(s.watches) >= e.MaxWatches {
+		s.watches[0].list.remove(id)
+		s.watches = append(s.watches[:0], s.watches[1:]...)
 		e.evicted++
 	}
-	s.addrs[addr] = true
-	s.order = append(s.order, addr)
-	aw := e.byAddr[addr]
-	if aw == nil {
-		aw = &addrWatchers{set: make(map[Waiter]bool)}
-		e.byAddr[addr] = aw
+	var l *addrList
+	if k := len(s.watches); k < cap(s.watches) && s.watches[:k+1][k].addr == addr {
+		l = s.watches[:k+1][k].list
 	}
-	aw.add(w)
+	if l == nil {
+		if l = e.byAddr[addr]; l == nil {
+			l = &addrList{}
+			e.byAddr[addr] = l
+		}
+	}
+	l.ids = append(l.ids, id)
+	s.watches = append(s.watches, watch{addr, l})
 	if e.tr != nil {
 		e.tr.InstantArg(e.trTrack, "arm", "0x"+strconv.FormatInt(addr, 16), e.trNow())
 	}
 }
 
-// Armed reports how many addresses w currently watches.
-func (e *Engine) Armed(w Waiter) int {
-	if s := e.watchers[w]; s != nil {
-		return len(s.addrs)
+// remove takes watcher id off the list.
+func (l *addrList) remove(id int32) {
+	for i, x := range l.ids {
+		if x == id {
+			l.ids = append(l.ids[:i], l.ids[i+1:]...)
+			return
+		}
 	}
-	return 0
 }
+
+// Armed reports how many addresses w currently watches.
+func (e *Engine) Armed(w Waiter) int { return len(e.ws[e.id(w)].watches) }
 
 // Wait transitions w into the blocked state (MWAIT). If a watched write
 // already arrived since arming, the wait completes immediately: Wait returns
@@ -261,20 +287,16 @@ func (e *Engine) Armed(w Waiter) int {
 // Waiting with no armed addresses returns false immediately (like x86, an
 // mwait without a monitor does not block) and delivers nothing.
 func (e *Engine) Wait(w Waiter) (blocked bool) {
-	s := e.state(w)
-	if len(s.addrs) == 0 {
+	id := e.id(w)
+	s := &e.ws[id]
+	if len(s.watches) == 0 {
 		return false
 	}
 	if s.pending {
 		addr, val, src := s.pAddr, s.pVal, s.pSrc
-		e.disarm(w, s)
+		e.disarm(id)
 		e.immediate++
-		e.wakeups++
-		if e.tr != nil {
-			e.traceFire(addr, src, true)
-		}
-		w.MonitorWake(addr, val, src)
-		e.tr.StashFlow(0) // drop the flow if the waiter didn't consume it
+		e.fire(w, addr, val, src, true)
 		return false
 	}
 	s.waiting = true
@@ -296,110 +318,103 @@ func (e *Engine) Wait(w Waiter) (blocked bool) {
 // left alone (returns false). Plan-driven injection (SetFaultInjector) and
 // the differential harness's precomputed fault schedules both land here.
 func (e *Engine) InjectWake(w Waiter) bool {
-	s := e.watchers[w]
-	if s == nil || !s.waiting || len(s.order) == 0 {
+	id := e.id(w)
+	s := &e.ws[id]
+	if !s.waiting {
 		return false
 	}
-	addr := s.order[0]
-	e.disarm(w, s)
-	e.wakeups++
+	addr := s.watches[0].addr
+	e.disarm(id)
 	e.spurious++
-	if e.tr != nil {
-		e.traceFire(addr, mem.SrcCPU, false)
-	}
-	w.MonitorWake(addr, 0, mem.SrcCPU)
-	e.tr.StashFlow(0)
+	e.fire(w, addr, 0, mem.SrcCPU, false)
 	return true
 }
 
 // CancelWait removes w from the blocked state without a wake (used when a
 // ptid blocked in mwait is stopped/disabled by another thread: the paper
 // allows stop on waiting threads).
-func (e *Engine) CancelWait(w Waiter) {
-	if s := e.watchers[w]; s != nil {
-		e.disarm(w, s)
+func (e *Engine) CancelWait(w Waiter) { e.disarm(e.id(w)) }
+
+// disarm clears all watches and flags of watcher id. A wake consumes the
+// whole watch set: like x86, the monitor must be re-armed after every wakeup.
+func (e *Engine) disarm(id int32) {
+	s := &e.ws[id]
+	for _, x := range s.watches {
+		x.list.remove(id)
 	}
+	*s = watcher{w: s.w, watches: s.watches[:0]}
 }
 
-// disarm clears all watches and flags for w. A wake consumes the whole
-// watch set: like x86, the monitor must be re-armed after every wakeup.
-func (e *Engine) disarm(w Waiter, s *watcherState) {
-	for a := range s.addrs {
-		if aw := e.byAddr[a]; aw != nil {
-			aw.remove(w)
-			if len(aw.list) == 0 {
-				delete(e.byAddr, a)
-			}
-		}
+// fire counts one wakeup and delivers it to w.
+func (e *Engine) fire(w Waiter, addr, val int64, src mem.WriteSource, immediate bool) {
+	e.wakeups++
+	if e.tr != nil {
+		e.traceFire(addr, src, immediate)
 	}
-	delete(e.watchers, w)
+	w.MonitorWake(addr, val, src)
+	e.tr.StashFlow(0) // drop the flow if the waiter didn't consume it
+}
+
+// wakeIfWaiting wakes watcher id if it is still blocked: an earlier wake in
+// the same batch may have disturbed it.
+func (e *Engine) wakeIfWaiting(id int32, addr, val int64, src mem.WriteSource) {
+	s := &e.ws[id]
+	if !s.waiting {
+		return
+	}
+	w := s.w
+	e.disarm(id)
+	e.fire(w, addr, val, src, false)
 }
 
 // ObserveWrite implements mem.WriteObserver: the engine is attached to
 // physical memory and sees every write in the machine.
 func (e *Engine) ObserveWrite(addr, val int64, src mem.WriteSource) {
-	if !e.DMAVisible && src != mem.SrcCPU {
-		if aw := e.byAddr[addr]; aw != nil && len(aw.list) > 0 {
-			e.dropped++
-			if e.tr != nil {
-				e.tr.InstantArg(e.trTrack, "dropped",
-					"0x"+strconv.FormatInt(addr, 16)+" "+src.String(), e.trNow())
-			}
-		}
+	l := e.byAddr[addr]
+	if l == nil || len(l.ids) == 0 {
 		return
 	}
-	aw := e.byAddr[addr]
-	if aw == nil || len(aw.list) == 0 {
+	if !e.DMAVisible && src != mem.SrcCPU {
+		e.dropped++
+		if e.tr != nil {
+			e.tr.InstantArg(e.trTrack, "dropped",
+				"0x"+strconv.FormatInt(addr, 16)+" "+src.String(), e.trNow())
+		}
 		return
 	}
 	// Collect first (in arm order, so wake delivery is deterministic): Wake
 	// handlers may re-arm, mutating the watch structures.
-	var toWake []Waiter
-	for _, w := range aw.list {
-		s := e.watchers[w]
-		if s == nil {
-			continue
-		}
+	start := len(e.woken)
+	for _, id := range l.ids {
+		s := &e.ws[id]
 		if s.waiting {
-			toWake = append(toWake, w)
+			e.woken = append(e.woken, id)
 		} else {
 			s.pending = true
 			s.pAddr, s.pVal, s.pSrc = addr, val, src
 		}
 	}
-	if len(toWake) > 0 && e.inj != nil && e.after != nil {
+	end := len(e.woken)
+	if end > start && e.inj != nil && e.after != nil {
 		if d, ok := e.inj.CoalesceWake(); ok {
 			// Deferred delivery: the monitor batches this notification and
 			// releases it late. Waiters woken by another write in the
-			// meantime are skipped inside deliverBatch — the wake is
-			// coalesced with that one, never lost.
-			p := &pendingInj{
-				e: e, batch: append([]Waiter(nil), toWake...),
-				addr: addr, val: val, src: src,
+			// meantime are skipped at delivery — the wake is coalesced with
+			// that one, never lost.
+			p := &pendingInj{e: e, batch: make([]Waiter, 0, end-start), addr: addr, val: val, src: src}
+			for _, id := range e.woken[start:end] {
+				p.batch = append(p.batch, e.ws[id].w)
 			}
+			e.woken = e.woken[:start]
 			p.h = e.after(d, EvCoalescedWake, p)
 			e.pending = append(e.pending, p)
 			return
 		}
 	}
-	e.deliverBatch(toWake, addr, val, src)
-}
-
-// deliverBatch wakes every still-waiting waiter in the batch.
-func (e *Engine) deliverBatch(batch []Waiter, addr, val int64, src mem.WriteSource) {
-	for _, w := range batch {
-		s := e.watchers[w]
-		if s == nil || !s.waiting {
-			continue // a previous wake in this batch may have disturbed it
-		}
-		e.disarm(w, s)
-		e.wakeups++
-		if e.tr != nil {
-			e.traceFire(addr, src, false)
-		}
-		w.MonitorWake(addr, val, src)
-		e.tr.StashFlow(0) // drop the flow if the waiter didn't consume it
+	for i := start; i < end; i++ {
+		e.wakeIfWaiting(e.woken[i], addr, val, src)
 	}
+	e.woken = e.woken[:start]
 }
 
 // Stats returns (delivered wakeups, immediate-completion waits, writes
@@ -418,7 +433,4 @@ func (e *Engine) InjectedWakes() (spurious, coalesced uint64) {
 }
 
 // Waiting reports whether w is currently blocked in mwait.
-func (e *Engine) Waiting(w Waiter) bool {
-	s := e.watchers[w]
-	return s != nil && s.waiting
-}
+func (e *Engine) Waiting(w Waiter) bool { return e.ws[e.id(w)].waiting }

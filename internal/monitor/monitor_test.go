@@ -1,12 +1,18 @@
 package monitor
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"nocs/internal/faultinject"
 	"nocs/internal/mem"
 	"nocs/internal/sim"
+	"nocs/internal/snapshot"
 )
 
 type fakeWaiter struct {
@@ -506,5 +512,210 @@ func TestCoalescedWakeDeliveredLate(t *testing.T) {
 	}
 	if _, co := e.InjectedWakes(); co != 1 {
 		t.Fatalf("coalesced counter %d", co)
+	}
+}
+
+// countingWaiter counts wakeups without allocating.
+type countingWaiter struct{ n int }
+
+func (w *countingWaiter) MonitorWake(int64, int64, mem.WriteSource) { w.n++ }
+
+// TestArmWaitWakeAllocFree pins the engine's allocation-free steady state:
+// once watch sets and address lists have grown, a kernel service's cycle —
+// re-arm a multi-address set, wait, wake on a DMA write — plus an immediate
+// completion and a two-waiter fan-out allocate nothing.
+func TestArmWaitWakeAllocFree(t *testing.T) {
+	e := NewEngine()
+	svc, a, b := &countingWaiter{}, &countingWaiter{}, &countingWaiter{}
+	doorbells := []int64{0x100, 0x108, 0x110}
+	cycle := func() {
+		for _, d := range doorbells {
+			e.Arm(svc, d)
+		}
+		e.Wait(svc)
+		e.ObserveWrite(0x108, 1, mem.SrcDMA)
+		e.Arm(a, 0x200)
+		e.ObserveWrite(0x200, 2, mem.SrcCPU) // lands before mwait
+		e.Wait(a)
+		e.Arm(a, 0x300)
+		e.Arm(b, 0x300)
+		e.Wait(a)
+		e.Wait(b)
+		e.ObserveWrite(0x300, 3, mem.SrcCPU)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state monitor cycle allocates %.1f times, want 0", allocs)
+	}
+	const cycles = 102 // the warm-up call, AllocsPerRun's own warm-up, 100 runs
+	if svc.n != cycles || a.n != 2*cycles || b.n != cycles {
+		t.Fatalf("wakes svc=%d a=%d b=%d, want %d/%d/%d", svc.n, a.n, b.n, cycles, 2*cycles, cycles)
+	}
+}
+
+// orderWaiter logs its name on every wake into a shared log.
+type orderWaiter struct {
+	name string
+	log  *[]string
+}
+
+func (w *orderWaiter) MonitorWake(addr, val int64, src mem.WriteSource) {
+	*w.log = append(*w.log, w.name+"@"+strconv.FormatInt(val, 10))
+}
+
+// checkpoint encodes e's state as a one-section snapshot and returns the
+// section's bytes and a reader over them.
+func checkpoint(t *testing.T, e *Engine, ws []Waiter) ([]byte, *snapshot.R) {
+	t.Helper()
+	b := snapshot.NewBuilder()
+	err := e.SnapshotState(b.Section("monitor"), func(w Waiter) (int64, bool) {
+		i := slices.Index(ws, w)
+		return int64(i), i >= 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Section("monitor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), r
+}
+
+func waiterOf(ws []Waiter) func(int64) (Waiter, error) {
+	return func(id int64) (Waiter, error) {
+		if id < 0 || id >= int64(len(ws)) {
+			return nil, fmt.Errorf("no waiter %d", id)
+		}
+		return ws[id], nil
+	}
+}
+
+// TestSnapshotRestoreEquivalence: a restored engine re-encodes to the same
+// bytes and then behaves exactly like the original — the same wake order on
+// a shared address, the same buffered pending write, the same counters.
+func TestSnapshotRestoreEquivalence(t *testing.T) {
+	var log1, log2 []string
+	mk := func(log *[]string) []Waiter {
+		return []Waiter{&orderWaiter{"w0", log}, &orderWaiter{"w1", log}, &orderWaiter{"w2", log}}
+	}
+	ws1, ws2 := mk(&log1), mk(&log2)
+	e1 := NewEngine()
+	e1.Arm(ws1[1], 0x40)
+	e1.Arm(ws1[0], 0x40)
+	e1.Arm(ws1[0], 0x80)
+	e1.Arm(ws1[2], 0x40)
+	e1.Arm(ws1[2], 0x90)
+	e1.Wait(ws1[0])
+	e1.Wait(ws1[1])
+	e1.ObserveWrite(0x90, 5, mem.SrcDMA) // w2 not waiting: buffered
+	b1, r := checkpoint(t, e1, ws1)
+
+	e2 := NewEngine()
+	e2.Arm(ws2[2], 0x999) // stale state the restore must replace
+	if err := e2.RestoreState(r, waiterOf(ws2)); err != nil {
+		t.Fatal(err)
+	}
+	if b2, _ := checkpoint(t, e2, ws2); !bytes.Equal(b1, b2) {
+		t.Fatal("restored engine re-encodes to different bytes")
+	}
+	for i, run := range []struct {
+		e  *Engine
+		ws []Waiter
+	}{{e1, ws1}, {e2, ws2}} {
+		run.e.ObserveWrite(0x999, 1, mem.SrcCPU)
+		run.e.ObserveWrite(0x40, 7, mem.SrcCPU)
+		if run.e.Wait(run.ws[2]) {
+			t.Fatalf("engine %d: w2 blocked despite its pending write", i)
+		}
+	}
+	if want := []string{"w1@7", "w0@7", "w2@7"}; !slices.Equal(log1, want) || !slices.Equal(log2, want) {
+		t.Fatalf("wake logs %v / %v, want %v", log1, log2, want)
+	}
+	w1, i1, _ := e1.Stats()
+	w2, i2, _ := e2.Stats()
+	if w1 != w2 || i1 != i2 {
+		t.Fatalf("counters diverged: %d/%d vs %d/%d", w1, i1, w2, i2)
+	}
+}
+
+// monitorSection hand-encodes a monitor section: watchers as (id, addrs,
+// waiting) and per-address lists as (addr, ids), counters zero.
+func monitorSection(t *testing.T, watchers [][]int64, waiting []bool, lists [][]int64) *snapshot.R {
+	t.Helper()
+	b := snapshot.NewBuilder()
+	w := b.Section("monitor")
+	w.Len(len(watchers))
+	for i, addrs := range watchers {
+		w.I64(int64(i)).I64s(addrs).Bool(waiting[i]).Bool(false)
+		w.I64(0).I64(0).U8(0)
+	}
+	w.Len(len(lists))
+	for _, l := range lists {
+		w.I64(l[0]).I64s(l[1:])
+	}
+	for range 6 {
+		w.U64(0)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Section("monitor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRestoreRejectsInconsistentLists: the per-address lists must name each
+// armed (waiter, address) pair exactly once. A section that breaks this is
+// refused with a named error and the live engine keeps its state.
+func TestRestoreRejectsInconsistentLists(t *testing.T) {
+	cases := []struct {
+		name     string
+		watchers [][]int64
+		waiting  []bool
+		lists    [][]int64
+		want     string
+	}{
+		{"unarmed pair", [][]int64{{0x40}}, []bool{true}, [][]int64{{0x80, 0}}, "has not armed"},
+		{"missing pair", [][]int64{{0x40, 0x80}}, []bool{true}, [][]int64{{0x40, 0}}, "arms 2 watches but lists 1"},
+		{"repeated pair", [][]int64{{0x40}}, []bool{false}, [][]int64{{0x40, 0, 0}}, "has not armed"},
+		{"repeated address", [][]int64{{0x40}, {0x40}}, []bool{false, false}, [][]int64{{0x40, 0}, {0x40, 1}}, "listed twice"},
+		{"duplicate waiter", [][]int64{{0x40}, {0x40}}, []bool{false, false}, nil, "duplicate waiter"},
+		{"wait without watch", [][]int64{{}}, []bool{true}, nil, "no armed address"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &fakeWaiter{}
+			ws := []Waiter{w, w}
+			if tc.name != "duplicate waiter" {
+				ws[1] = &fakeWaiter{}
+			}
+			e := NewEngine()
+			e.Arm(w, 0x500)
+			e.Wait(w)
+			err := e.RestoreState(monitorSection(t, tc.watchers, tc.waiting, tc.lists), waiterOf(ws))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+			e.ObserveWrite(0x500, 1, mem.SrcCPU)
+			if len(w.wakes) != 1 {
+				t.Fatal("a refused restore disturbed the live watch set")
+			}
+		})
 	}
 }

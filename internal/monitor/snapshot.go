@@ -1,8 +1,9 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nocs/internal/mem"
 	"nocs/internal/sim"
@@ -67,45 +68,48 @@ func (e *Engine) RestoreCoalescedInjection(batch []Waiter, addr, val int64, src 
 
 // SnapshotState writes the watch sets, per-address arm orders, and counters.
 // id translates a live waiter to its stable checkpoint id; a waiter it does
-// not know makes the state non-checkpointable.
+// not know makes the state non-checkpointable. Only waiters with armed
+// watches carry state; the rest are left out.
 func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) error {
-	type watcherRec struct {
-		id int64
-		s  *watcherState
-	}
-	recs := make([]watcherRec, 0, len(e.watchers))
-	for wt, s := range e.watchers {
-		wid, ok := id(wt)
-		if !ok {
-			return fmt.Errorf("monitor: waiter %T is not checkpointable", wt)
+	cid := make([]int64, len(e.ws))
+	var armed []int32
+	for i := range e.ws {
+		s := &e.ws[i]
+		if len(s.watches) == 0 {
+			continue
 		}
-		recs = append(recs, watcherRec{wid, s})
+		wid, ok := id(s.w)
+		if !ok {
+			return fmt.Errorf("monitor: waiter %T is not checkpointable", s.w)
+		}
+		cid[i] = wid
+		armed = append(armed, int32(i))
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
-	w.Len(len(recs))
-	for _, rec := range recs {
-		w.I64(rec.id)
-		w.I64s(rec.s.order)
-		w.Bool(rec.s.waiting).Bool(rec.s.pending)
-		w.I64(rec.s.pAddr).I64(rec.s.pVal).U8(uint8(rec.s.pSrc))
+	slices.SortFunc(armed, func(a, b int32) int { return cmp.Compare(cid[a], cid[b]) })
+	w.Len(len(armed))
+	for _, i := range armed {
+		s := &e.ws[i]
+		w.I64(cid[i]).Len(len(s.watches))
+		for _, x := range s.watches {
+			w.I64(x.addr)
+		}
+		w.Bool(s.waiting).Bool(s.pending)
+		w.I64(s.pAddr).I64(s.pVal).U8(uint8(s.pSrc))
 	}
 
 	addrs := make([]int64, 0, len(e.byAddr))
-	for a := range e.byAddr {
-		addrs = append(addrs, a)
+	for a, l := range e.byAddr {
+		if len(l.ids) > 0 {
+			addrs = append(addrs, a)
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	w.Len(len(addrs))
 	for _, a := range addrs {
-		w.I64(a)
-		aw := e.byAddr[a]
-		w.Len(len(aw.list))
-		for _, wt := range aw.list {
-			wid, ok := id(wt)
-			if !ok {
-				return fmt.Errorf("monitor: waiter %T is not checkpointable", wt)
-			}
-			w.I64(wid)
+		ids := e.byAddr[a].ids
+		w.I64(a).Len(len(ids))
+		for _, i := range ids {
+			w.I64(cid[i])
 		}
 	}
 
@@ -115,51 +119,82 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 }
 
 // RestoreState replaces the watch sets and counters with the checkpoint's.
-// waiter translates a checkpoint id back to the live waiter object. Pending
-// injections are restored separately by the machine's event restore.
+// waiter translates a checkpoint id back to the live waiter object. The
+// per-address lists must name each armed (waiter, address) pair exactly
+// once; any other section is rejected with an error and leaves the engine's
+// state unchanged. Pending injections are restored separately by the
+// machine's event restore.
 func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error)) error {
+	idOf := func(wid int64) (int32, error) {
+		wt, err := waiter(wid)
+		if err != nil {
+			return 0, err
+		}
+		return e.id(wt), nil
+	}
+
 	nw := r.Len(8)
-	watchers := make(map[Waiter]*watcherState, nw)
+	watchers := make(map[int32]watcher, nw)
+	armed := 0
 	for i := 0; i < nw; i++ {
 		wid := r.I64()
-		order := r.I64s()
-		s := &watcherState{addrs: make(map[int64]bool, len(order)), order: order}
+		var s watcher
+		for _, a := range r.I64s() {
+			s.watches = append(s.watches, watch{addr: a}) // lists are linked below
+		}
 		s.waiting, s.pending = r.Bool(), r.Bool()
 		s.pAddr, s.pVal, s.pSrc = r.I64(), r.I64(), mem.WriteSource(r.U8())
-		if r.Err() != nil {
-			return r.Err()
+		if err := r.Err(); err != nil {
+			return err
 		}
-		wt, err := waiter(wid)
+		id, err := idOf(wid)
 		if err != nil {
 			return err
 		}
-		for _, a := range order {
-			s.addrs[a] = true
-		}
-		if _, dup := watchers[wt]; dup {
+		if _, dup := watchers[id]; dup {
 			return fmt.Errorf("monitor: duplicate waiter id %d in snapshot", wid)
 		}
-		watchers[wt] = s
+		if len(s.watches) == 0 && (s.waiting || s.pending) {
+			return fmt.Errorf("monitor: waiter id %d waits with no armed address", wid)
+		}
+		watchers[id] = s
+		armed += len(s.watches)
 	}
 
 	na := r.Len(12)
-	byAddr := make(map[int64]*addrWatchers, na)
+	lists := make(map[int64][]int32, na)
+	listed := 0
 	for i := 0; i < na; i++ {
 		a := r.I64()
 		n := r.Len(8)
-		aw := &addrWatchers{set: make(map[Waiter]bool, n)}
+		ids := make([]int32, 0, n)
 		for j := 0; j < n; j++ {
 			wid := r.I64()
-			if r.Err() != nil {
-				return r.Err()
+			if err := r.Err(); err != nil {
+				return err
 			}
-			wt, err := waiter(wid)
+			id, err := idOf(wid)
 			if err != nil {
 				return err
 			}
-			aw.add(wt)
+			if s, ok := watchers[id]; !ok || !s.armed(a) || slices.Contains(ids, id) {
+				return fmt.Errorf("monitor: snapshot lists waiter id %d on %#x, which it has not armed", wid, a)
+			}
+			ids = append(ids, id)
 		}
-		byAddr[a] = aw
+		if n == 0 {
+			continue
+		}
+		if _, dup := lists[a]; dup {
+			return fmt.Errorf("monitor: address %#x listed twice in snapshot", a)
+		}
+		lists[a] = ids
+		listed += n
+	}
+	// Every listed pair is distinct and armed, so equal counts mean the lists
+	// cover the watch sets exactly.
+	if err := r.Err(); err == nil && listed != armed {
+		return fmt.Errorf("monitor: snapshot arms %d watches but lists %d", armed, listed)
 	}
 
 	wakeups, immediate, dropped := r.U64(), r.U64(), r.U64()
@@ -168,8 +203,22 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 		return err
 	}
 
-	e.watchers = watchers
-	e.byAddr = byAddr
+	// Fresh lists and watch sets: no watcher may keep a pointer to a list
+	// of the replaced map.
+	clear(e.byAddr)
+	for a, ids := range lists {
+		e.byAddr[a] = &addrList{ids: ids}
+	}
+	for i := range e.ws {
+		e.ws[i] = watcher{w: e.ws[i].w}
+	}
+	for id, s := range watchers {
+		s.w = e.ws[id].w
+		for k := range s.watches {
+			s.watches[k].list = e.byAddr[s.watches[k].addr]
+		}
+		e.ws[id] = s
+	}
 	e.pending = nil
 	e.wakeups, e.immediate, e.dropped = wakeups, immediate, dropped
 	e.evicted, e.spurious, e.coalesced = evicted, spurious, coalesced

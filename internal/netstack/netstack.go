@@ -227,8 +227,11 @@ func New(k *kernel.Nocs, nic *device.NIC, cfg Config) (*Stack, error) {
 	cfg.setDefaults()
 	s := &Stack{cfg: cfg, k: k, nic: nic, sockets: make(map[int64]*Socket)}
 	s.inj = k.Core().FaultInjector()
+	// The kernel arms the watch set as soon as it is returned, so one buffer
+	// serves every pass.
+	var addrs []int64
 	watch := func() []int64 {
-		addrs := []int64{nic.TailAddr(), cfg.SendMailbox}
+		addrs = append(addrs[:0], nic.TailAddr(), cfg.SendMailbox)
 		// While a ring is full the stack stalls; watching the blocked
 		// socket's consumer count wakes it the moment the application
 		// catches up. The bind-order slice keeps the set deterministic.

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // This file is the redesigned scheduling surface (DESIGN.md §12). The raw
@@ -117,14 +121,14 @@ type xmsg struct {
 	cb   Callback
 }
 
-func xmsgLess(a, b xmsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func xmsgCompare(a, b xmsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	if a.src != b.src {
-		return a.src < b.src
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // windowed is the shared core of SerialScheduler and ShardedScheduler: the
@@ -285,7 +289,7 @@ func (w *windowed) deliver(winEnd Cycles) {
 	if len(w.due) == 0 {
 		return
 	}
-	sort.Slice(w.due, func(i, j int) bool { return xmsgLess(w.due[i], w.due[j]) })
+	slices.SortFunc(w.due, xmsgCompare)
 	for _, m := range w.due {
 		w.shards[m.to].Engine.AtCallback(m.at, m.name, m.cb)
 	}
@@ -381,40 +385,74 @@ func (w *windowed) runWindows(deadline Cycles, bounded bool) int {
 // workerPool executes one window across a fixed worker set. Shards are
 // statically partitioned (contiguous ranges), so each shard's state —
 // including its outbox and count slot — is touched by exactly one
-// goroutine; the channel send and WaitGroup form the happens-before edges
-// that publish queue state to workers and results back to the barrier.
+// goroutine. The driving goroutine runs the first range itself and pool
+// goroutines run the others. Windows last tens of microseconds in the
+// serving cells, less than parking and waking a goroutine costs, so each
+// side of the handoff spins (yielding the processor) for up to spinFor
+// before it parks. The start and done counters are the happens-before
+// edges that publish queue state to the pool and results back to the
+// barrier.
 type workerPool struct {
-	w    *windowed
-	cmds []chan Cycles
-	wg   sync.WaitGroup
+	w      *windowed
+	ranges [][2]int // shard range per goroutine; ranges[0] is the driver's
+	winEnd Cycles   // the window being run, published by start
+
+	start  atomic.Uint64 // windows started
+	done   atomic.Int64  // pool goroutines finished with the current window
+	quit   atomic.Bool
+	parked atomic.Int32 // goroutines parked in await
+	mu     sync.Mutex
+	cond   sync.Cond
+	exited sync.WaitGroup
 }
 
+// spinFor bounds a handoff's spin: longer than a typical window, short
+// enough that an idle pool parks instead of burning its CPUs.
+const spinFor = 100 * time.Microsecond
+
 func (w *windowed) startPool() *workerPool {
-	p := &workerPool{w: w}
 	nw := w.workers
+	p := &workerPool{w: w}
+	p.cond.L = &p.mu
 	for i := 0; i < nw; i++ {
-		lo := i * len(w.shards) / nw
-		hi := (i + 1) * len(w.shards) / nw
-		ch := make(chan Cycles, 1)
-		p.cmds = append(p.cmds, ch)
-		go func(lo, hi int, ch chan Cycles) {
-			for winEnd := range ch {
-				for s := lo; s < hi; s++ {
-					w.counts[s] = w.shards[s].Engine.RunUntil(winEnd)
-				}
-				p.wg.Done()
-			}
-		}(lo, hi, ch)
+		p.ranges = append(p.ranges, [2]int{i * len(w.shards) / nw, (i + 1) * len(w.shards) / nw})
+	}
+	p.exited.Add(nw - 1)
+	for _, r := range p.ranges[1:] {
+		go p.work(r[0], r[1])
 	}
 	return p
 }
 
-func (p *workerPool) run(winEnd Cycles) int {
-	p.wg.Add(len(p.cmds))
-	for _, ch := range p.cmds {
-		ch <- winEnd
+// work runs one pool goroutine's shard range for every window until stop.
+func (p *workerPool) work(lo, hi int) {
+	defer p.exited.Done()
+	for seen := uint64(0); ; seen++ {
+		p.await(func() bool { return p.start.Load() > seen || p.quit.Load() })
+		if p.quit.Load() {
+			return
+		}
+		p.w.runRange(lo, hi, p.winEnd)
+		p.done.Add(1)
+		p.wake()
 	}
-	p.wg.Wait()
+}
+
+// runRange runs shards [lo, hi) to winEnd, recording each one's event count.
+func (w *windowed) runRange(lo, hi int, winEnd Cycles) {
+	for s := lo; s < hi; s++ {
+		w.counts[s] = w.shards[s].Engine.RunUntil(winEnd)
+	}
+}
+
+func (p *workerPool) run(winEnd Cycles) int {
+	p.winEnd = winEnd
+	p.done.Store(0)
+	p.start.Add(1)
+	p.wake()
+	p.w.runRange(p.ranges[0][0], p.ranges[0][1], winEnd)
+	others := int64(len(p.ranges) - 1)
+	p.await(func() bool { return p.done.Load() == others })
 	total := 0
 	for _, c := range p.w.counts {
 		total += c
@@ -422,9 +460,40 @@ func (p *workerPool) run(winEnd Cycles) int {
 	return total
 }
 
+// stop ends the pool goroutines and returns once they have exited.
 func (p *workerPool) stop() {
-	for _, ch := range p.cmds {
-		close(ch)
+	p.quit.Store(true)
+	p.wake()
+	p.exited.Wait()
+}
+
+// await returns once ready reports true: it spins for up to spinFor, then
+// parks until a wake.
+func (p *workerPool) await(ready func() bool) {
+	deadline := time.Now().Add(spinFor)
+	for !ready() {
+		if time.Now().After(deadline) {
+			p.mu.Lock()
+			p.parked.Add(1)
+			for !ready() {
+				p.cond.Wait()
+			}
+			p.parked.Add(-1)
+			p.mu.Unlock()
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// wake unparks every goroutine parked in await; callers change the state
+// await checks first. A goroutine about to park counts itself in parked
+// before its last check, so either wake sees it or it sees the change.
+func (p *workerPool) wake() {
+	if p.parked.Load() > 0 {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -192,10 +193,8 @@ func (w *windowed) SnapshotXMsgs() []XMsgRec {
 	for _, m := range w.inflight {
 		out = append(out, XMsgRec{At: m.at, Src: m.src, Seq: m.seq, To: m.to, Name: m.name, CB: m.cb})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return xmsgLess(
-			xmsg{at: out[i].At, src: out[i].Src, seq: out[i].Seq},
-			xmsg{at: out[j].At, src: out[j].Src, seq: out[j].Seq})
+	slices.SortFunc(out, func(a, b XMsgRec) int {
+		return xmsgCompare(xmsg{at: a.At, src: a.Src, seq: a.Seq}, xmsg{at: b.At, src: b.Src, seq: b.Seq})
 	})
 	return out
 }

@@ -20,7 +20,7 @@
 #   8. fault package   — go vet + race-enabled unit tests for
 #                        internal/faultinject
 #   9. allocation gate — CoreInstructionRate + F7_TailLatency +
-#                        UncontendedLock allocs/op must stay within 10% of
+#                        UncontendedLock + ServeCell allocs/op must stay within 10% of
 #                        scripts/alloc_baseline.txt (the zero-alloc hot
 #                        paths must not silently regrow heap traffic)
 #  10. sharded golden  — a small `nocsim -scale -quick` run; RunScale fails
@@ -89,7 +89,7 @@ go vet ./internal/faultinject
 go test -race -count=1 ./internal/faultinject
 
 echo "== allocation gate (allocs/op within 10% of scripts/alloc_baseline.txt) =="
-go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock)$' \
+go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell)$' \
     -benchmem -benchtime 1x . > "$TMP/allocgate.txt"
 awk '
     NR==FNR { if ($0 !~ /^#/ && NF == 2) base[$1] = $2; next }
