@@ -6,37 +6,37 @@
 //	nocsim -list
 //	nocsim -exp F1            # one experiment
 //	nocsim -exp F1,F7,T2      # several
-//	nocsim -all               # the full suite (EXPERIMENTS.md input)
+//	nocsim -all               # the paper suite (EXPERIMENTS.md input)
 //	nocsim -all -quick        # reduced sample counts
 //	nocsim -seed 7 -exp F7    # alternate workload seed
 //	nocsim -all -parallel 8   # concurrent experiments, identical output
+//	nocsim -all -format json  # tables, notes and metrics as one JSON array
 //	nocsim -all -cpuprofile cpu.pb.gz   # profile the simulator itself
 //	nocsim -exp F1 -trace f1.json       # cycle trace, open at ui.perfetto.dev
-//	nocsim -scale             # S1: one 64-core machine across real CPUs
-//	nocsim -scale -cores 256 -workers 8 # bigger machine, explicit workers
-//	nocsim -locks             # L1: lock contention, nocs vs legacy parking
-//	nocsim -locks -quick      # CI-sized contention sweep
-//	nocsim -serve             # SV1: datacenter serving cells, load × arrival × flavor
-//	nocsim -serve -quick      # CI-sized serving grid incl. overload cells
-//	nocsim -endurance -checkpoint-every 100000 -checkpoint run.ckpt
-//	                          # E1 endurance run, periodic machine checkpoints
-//	nocsim -endurance -resume run.ckpt  # warm-start from the last checkpoint
+//	nocsim -exp S1            # one 64-core machine, serial vs sharded
+//	nocsim -exp L1 -quick     # CI-sized lock-contention sweep
+//	nocsim -exp SV1           # datacenter serving cells, load × arrival × flavor
+//	nocsim -exp E1 -checkpoint-every 100000 -checkpoint run.ckpt
+//	                          # endurance run, periodic machine checkpoints
+//	nocsim -exp E1 -resume run.ckpt     # warm-start from the last checkpoint
 //
-// Two parallelism axes, one rule (DESIGN.md §12): `-parallel` runs
-// independent experiments/sweep points concurrently (coarse, zero
-// cross-talk); `-workers`/`-shards`/`-lookahead` parallelize INSIDE one
-// machine via the sharded scheduler (S1 and any sharded machine). Both are
-// clamped to GOMAXPROCS, and neither changes a byte of output — worker
-// count is a wall-clock knob only.
+// -all runs the paper suite only; the system suite (S1, L1, SV1, E1)
+// reports host wall times and runs by ID. `-parallel` runs independent
+// experiments and sweep points concurrently; the identity-checked
+// experiments also drive each sharded machine with one worker per host
+// CPU (DESIGN.md §12). Neither changes a byte of the paper suite's output.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 
 	"nocs/internal/bench"
 	"nocs/internal/faultinject"
@@ -45,33 +45,41 @@ import (
 	"nocs/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes results to stdout and
+// diagnostics to stderr, and returns the exit status (2 for usage errors).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		exp        = flag.String("exp", "", "comma-separated experiment IDs (e.g. F1,T2)")
-		all        = flag.Bool("all", false, "run every experiment")
-		quick      = flag.Bool("quick", false, "reduced sample counts")
-		seed       = flag.Uint64("seed", bench.DefaultConfig().Seed, "workload RNG seed")
-		format     = flag.String("format", "table", "output format: table or csv")
-		parallel   = flag.Int("parallel", 1, "run up to N experiments (and sweep points within them) concurrently, clamped to the usable CPU count; every run uses isolated engines and results merge in registry order, so output is identical at any setting")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (after all runs) to this file")
-		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file (open at ui.perfetto.dev); forces -parallel 1")
-		faults     = flag.String("faults", "", `fault-injection plan for fault-aware experiments (F2, F16): "default" arms the standard seeded plan, "" runs fault-free`)
-		scale      = flag.Bool("scale", false, "run S1, the sharded-scheduler scaling experiment: one many-core machine executed serially, then across -workers real CPUs, with a byte-identity check between the two")
-		locks      = flag.Bool("locks", false, "run L1, the lock-contention experiment: every internal/sync primitive×flavor cell swept across ptid counts, hold lengths, and SMT slots, plus a shard-determinism check")
-		serveFlag  = flag.Bool("serve", false, "run SV1, the datacenter serving sweep: multi-tier serving cells (LB → app pool → storage) across load × arrival × flavor, each cell byte-identical between the serial oracle and the sharded scheduler")
-		endurance  = flag.Bool("endurance", false, "run E1, the checkpointed endurance workload: a snapshot-complete token-ring machine whose full state can be serialized mid-run (-checkpoint-every) and warm-started later (-resume)")
-		horizon    = flag.Int64("horizon", 0, "simulated cycles for -endurance (default 400000, or 100000 with -quick)")
-		ckptEvery  = flag.Int64("checkpoint-every", 0, "serialize a machine checkpoint every N simulated cycles during -endurance (0 disables)")
-		ckptFile   = flag.String("checkpoint", "nocs.ckpt", "checkpoint file -checkpoint-every overwrites (atomically) and -resume reads")
-		resume     = flag.String("resume", "", "warm-start -endurance from this checkpoint file instead of cold boot; the run continues to -horizon and must reproduce the straight-through hash")
-		cores      = flag.Int("cores", 0, "simulated core count for -scale (default 64, or 16 with -quick)")
-		workers    = flag.Int("workers", 0, "worker goroutines driving one sharded machine (-scale), clamped to GOMAXPROCS; 0 means GOMAXPROCS")
-		shards     = flag.Int("shards", 0, "event-queue shards for -scale (default one per simulated core)")
-		lookahead  = flag.Int64("lookahead", 0, "cross-shard synchronization horizon in cycles for -scale (default 400, the IPI cost)")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		exp        = fs.String("exp", "", "comma-separated experiment IDs (e.g. F1,T2,S1)")
+		all        = fs.Bool("all", false, "run every paper-suite experiment")
+		quick      = fs.Bool("quick", false, "reduced sample counts")
+		seed       = fs.Uint64("seed", bench.DefaultConfig().Seed, "workload RNG seed")
+		format     = fs.String("format", "table", "output format: table, csv or json")
+		parallel   = fs.Int("parallel", 1, "run up to N experiments (and sweep points within them) concurrently, clamped to the usable CPU count; every run uses isolated engines and results merge in registry order, so output is identical at any setting")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile (after all runs) to this file")
+		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON file (open at ui.perfetto.dev); forces -parallel 1")
+		faults     = fs.String("faults", "", `fault-injection plan for fault-aware experiments (F2, F16): "default" arms the standard seeded plan, "" runs fault-free`)
+		ckptEvery  = fs.Int64("checkpoint-every", 0, "serialize a machine checkpoint every N simulated cycles in checkpoint-aware experiments (E1); 0 disables")
+		ckptFile   = fs.String("checkpoint", "nocs.ckpt", "checkpoint file -checkpoint-every overwrites (atomically) and -resume reads")
+		resume     = fs.String("resume", "", "warm-start checkpoint-aware experiments (E1) from this checkpoint file; the run continues to its horizon and must reproduce the straight-through result")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	switch *format {
+	case "table", "csv", "json":
+	default:
+		fmt.Fprintf(stderr, "unknown -format %q (want table, csv or json)\n", *format)
+		return 2
+	}
 
 	// More workers than usable CPUs is pure overhead for this CPU-bound
 	// simulator: the goroutines time-slice the same cores while the extra
@@ -85,144 +93,13 @@ func main() {
 	}
 
 	if *list {
-		for _, id := range bench.IDs() {
-			e, _ := bench.Get(id)
-			fmt.Printf("%-4s %s\n", id, e.Title)
-		}
-		return
-	}
-
-	if *endurance {
-		ec := bench.DefaultEnduranceConfig(*quick)
-		if *cores > 0 {
-			ec.Cores = *cores
-		}
-		if *shards > 0 {
-			ec.Shards = *shards
-		}
-		if *workers > 0 {
-			ec.Workers = *workers
-		}
-		if *horizon > 0 {
-			ec.Horizon = sim.Cycles(*horizon)
-		}
-		if max := runtime.GOMAXPROCS(0); ec.Workers > max {
-			ec.Workers = max
-		}
-		cfg := bench.RunConfig{Seed: *seed, Quick: *quick}
-		if *resume != "" {
-			data, err := os.ReadFile(*resume)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "resume: %v\n", err)
-				os.Exit(1)
-			}
-			snap, err := snapshot.Decode(data)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "resume: %s: %v\n", *resume, err)
-				os.Exit(1)
-			}
-			cfg.FromSnapshot = snap
-		}
-		var sink func(at sim.Cycles, ckpt []byte) error
-		if *ckptEvery > 0 {
-			sink = func(at sim.Cycles, ckpt []byte) error {
-				// Write-then-rename so a crash mid-write never truncates the
-				// previous good checkpoint.
-				tmp := *ckptFile + ".tmp"
-				if err := os.WriteFile(tmp, ckpt, 0o644); err != nil {
-					return err
-				}
-				if err := os.Rename(tmp, *ckptFile); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "checkpoint: cycle %d -> %s (%d bytes)\n", at, *ckptFile, len(ckpt))
-				return nil
+		for _, suite := range []string{bench.SuitePaper, bench.SuiteSystem} {
+			for _, id := range bench.SuiteIDs(suite) {
+				e, _ := bench.Get(id)
+				fmt.Fprintf(stdout, "%-4s %-6s %s\n", id, suite, e.Title)
 			}
 		}
-		sum, stats, err := bench.RunEndurance(cfg, ec, sim.Cycles(*ckptEvery), sink)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "endurance: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(sum)
-		fmt.Printf("E1 stats: cores=%d shards=%d workers=%d horizon=%d checkpoints=%d ckpt_bytes=%d resumed=%v hash=%016x\n",
-			stats.Cores, stats.Shards, stats.Workers, stats.Horizon,
-			stats.Checkpoints, stats.CheckpointBytes, stats.Resumed, stats.Hash)
-		return
-	}
-
-	if *locks {
-		res, stats, err := bench.RunLocks(bench.RunConfig{Seed: *seed, Quick: *quick},
-			bench.DefaultLockConfig(*quick))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "locks: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res)
-		for _, r := range stats.Rows {
-			fmt.Printf("L1 stats: cell=%s ptids=%d slots=%d hold=%s acq=%d p50=%d p99=%d handoff=%.1f starve=%d spread=%d done=%d\n",
-				r.Cell, r.Ptids, r.Slots, r.Hold, r.Acq, r.P50, r.P99,
-				r.HandoffMean, r.StarveMax, r.Spread, r.DoneAt)
-		}
-		fmt.Printf("L1 shards: shards=1,2,4 workers=%d identical=true hash=%016x speedup=%.2f\n",
-			stats.ShardWorkers, stats.ShardHash, stats.ShardSpeedup)
-		return
-	}
-
-	if *serveFlag {
-		sc := bench.DefaultServeConfig(*quick)
-		if *workers > 0 {
-			sc.Workers = *workers
-		}
-		if max := runtime.GOMAXPROCS(0); sc.Workers > max {
-			sc.Workers = max
-		}
-		res, cells, err := bench.RunServe(bench.RunConfig{Seed: *seed, Quick: *quick}, sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res)
-		for _, c := range cells {
-			fmt.Printf("SV1 stats: flavor=%s arrival=%s load=%.2f gen=%d done=%d refused=%d refused_conns=%d peak=%d p50=%d p99=%d p999=%d mean=%.1f goodput=%.2f lockw=%d busy=%d stalls=%d pump=%d dram=%d hash=%016x\n",
-				c.Flavor, c.Arrival, c.Load, c.Generated, c.Completed, c.Refused,
-				c.RefusedConns, c.OpenPeak, c.P50, c.P99, c.P999, c.MeanLat,
-				c.GoodputKRPS, c.LockWaits, c.SendBusy, c.RingStalls, c.PumpStalls,
-				c.DRAMStarts, c.Hash)
-		}
-		return
-	}
-
-	if *scale {
-		sc := bench.DefaultScaleConfig(*quick)
-		if *cores > 0 {
-			sc.Cores = *cores
-		}
-		if *shards > 0 {
-			sc.Shards = *shards
-		}
-		if *lookahead > 0 {
-			sc.Lookahead = sim.Cycles(*lookahead)
-		}
-		if *workers > 0 {
-			sc.Workers = *workers
-		}
-		// Same rule as -parallel: extra workers beyond real CPUs only add
-		// scheduling overhead to a CPU-bound simulator, so clamp.
-		if max := runtime.GOMAXPROCS(0); sc.Workers > max {
-			sc.Workers = max
-		}
-		res, stats, err := bench.RunScale(bench.RunConfig{Seed: *seed, Quick: *quick}, sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res)
-		fmt.Printf("S1 stats: cores=%d shards=%d workers=%d serial_ms=%.3f parallel_ms=%.3f speedup=%.4f instrs_per_sec=%.0f hash=%016x\n",
-			stats.Cores, stats.Shards, stats.Workers,
-			stats.SerialWallSec*1e3, stats.ParallelWallSec*1e3,
-			stats.Speedup, stats.InstrsPerSec, stats.Hash)
-		return
+		return 0
 	}
 
 	var ids []string
@@ -234,22 +111,8 @@ func main() {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+		fs.Usage()
+		return 2
 	}
 
 	cfg := bench.RunConfig{Seed: *seed, Quick: *quick, Parallel: *parallel}
@@ -259,64 +122,124 @@ func main() {
 		plan := faultinject.Default()
 		cfg.Faults = &plan
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -faults plan %q (want \"default\" or empty)\n", *faults)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -faults plan %q (want \"default\" or empty)\n", *faults)
+		return 2
+	}
+	if *resume != "" {
+		data, err := os.ReadFile(*resume)
+		if err == nil {
+			cfg.FromSnapshot, err = snapshot.Decode(data)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "resume: %v\n", err)
+			return 1
+		}
+	}
+	var checkpoints atomic.Int64
+	if *ckptEvery > 0 {
+		cfg.Checkpoint.Every = sim.Cycles(*ckptEvery)
+		cfg.Checkpoint.Sink = func(at sim.Cycles, ckpt []byte) error {
+			// Write-then-rename so a crash mid-write never truncates the
+			// previous good checkpoint.
+			tmp := *ckptFile + ".tmp"
+			if err := os.WriteFile(tmp, ckpt, 0o644); err != nil {
+				return err
+			}
+			if err := os.Rename(tmp, *ckptFile); err != nil {
+				return err
+			}
+			checkpoints.Add(1)
+			return nil
+		}
 	}
 	if *traceOut != "" {
 		cfg.Tracer = trace.New()
 		if requestedParallel > 1 {
-			fmt.Fprintln(os.Stderr, "note: -trace forces serial execution for a deterministic event order")
+			fmt.Fprintln(stderr, "note: -trace forces serial execution for a deterministic event order")
 		}
 	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+
 	failed := 0
+	results := []*bench.Result{}
 	for _, o := range bench.RunAll(ids, cfg, *parallel) {
 		if o.Err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", o.ID, o.Err)
+			fmt.Fprintf(stderr, "experiment %s failed: %v\n", o.ID, o.Err)
 			failed++
 			continue
 		}
 		switch *format {
 		case "csv":
 			for i, t := range o.Res.Tables {
-				fmt.Printf("# %s table %d: %s\n%s\n", o.Res.ID, i+1, t.Title, t.CSV())
+				fmt.Fprintf(stdout, "# %s table %d: %s\n%s\n", o.Res.ID, i+1, t.Title, t.CSV())
 			}
+		case "json":
+			results = append(results, o.Res)
 		default:
-			fmt.Println(o.Res)
+			fmt.Fprintln(stdout, o.Res)
 		}
+	}
+	if *format == "json" {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(results); err != nil {
+			fmt.Fprintf(stderr, "json: %v\n", err)
+			return 1
+		}
+	}
+	if n := checkpoints.Load(); n > 0 {
+		fmt.Fprintf(stderr, "wrote %d checkpoints to %s\n", n, *ckptFile)
 	}
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		if err := writeTrace(*traceOut, cfg.Tracer); err != nil {
+			fmt.Fprintf(stderr, "trace: %v\n", err)
+			return 1
 		}
-		if err := cfg.Tracer.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", cfg.Tracer.Len(), *traceOut)
+		fmt.Fprintf(stderr, "wrote %d trace events to %s\n", cfg.Tracer.Len(), *traceOut)
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			return 1
 		}
 	}
 
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+func writeTrace(path string, tr *trace.Tracer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

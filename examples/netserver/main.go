@@ -53,7 +53,7 @@ func arrivals(m *machine.Machine, n *device.NIC) []sim.Cycles {
 	for i := 0; i < packets; i++ {
 		at += arr.Next()
 		i := i
-		m.Engine().At(at, "pkt", func() { times[i] = n.Deliver([]int64{int64(i)}) })
+		m.Shard(0).At(at, "pkt", func() { times[i] = n.Deliver([]int64{int64(i)}) })
 	}
 	return times
 }

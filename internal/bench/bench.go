@@ -1,19 +1,22 @@
 // Package bench is the experiment harness: one registered experiment per
-// table/figure in DESIGN.md §3, each producing paper-style tables. The CLI
-// (cmd/nocsim) and the repository-root benchmarks both drive this registry,
-// so the printed rows and the testing.B measurements come from the same
-// code.
+// table/figure in DESIGN.md §3, plus the simulator-system experiments (S1,
+// L1, SV1, E1), each producing one typed Result. The CLI (cmd/nocsim) and
+// the repository-root benchmarks both drive this registry, so the printed
+// rows and the testing.B measurements come from the same code.
 package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"nocs/internal/faultinject"
 	"nocs/internal/machine"
 	"nocs/internal/metrics"
+	"nocs/internal/sim"
 	"nocs/internal/snapshot"
 	"nocs/internal/trace"
 )
@@ -48,6 +51,14 @@ type RunConfig struct {
 	// The construction must rebuild the topology the checkpoint was taken
 	// on (cores, shards, threads, devices, attached components).
 	FromSnapshot *snapshot.Snapshot
+	// Checkpoint, when Every > 0 and Sink is non-nil, pauses
+	// checkpoint-aware experiments (E1) every Every simulated cycles and
+	// hands Sink the serialized machine checkpoint taken there. The zero
+	// value checkpoints nothing.
+	Checkpoint struct {
+		Every sim.Cycles
+		Sink  func(at sim.Cycles, ckpt []byte) error
+	}
 }
 
 // NewMachine builds an experiment machine, threading the config's fault
@@ -84,11 +95,19 @@ func DefaultConfig() RunConfig { return RunConfig{Seed: 20210531} } // HotOS '21
 
 // Result is an experiment's output.
 type Result struct {
-	ID     string
-	Title  string
-	Claim  string
-	Tables []*metrics.Table
-	Notes  []string
+	ID      string           `json:"id"`
+	Title   string           `json:"title"`
+	Claim   string           `json:"claim,omitempty"`
+	Tables  []*metrics.Table `json:"tables"`
+	Notes   []string         `json:"notes,omitempty"`
+	Metrics []Metric         `json:"metrics,omitempty"`
+}
+
+// Metric is one named scalar an experiment reports beside its tables.
+type Metric struct {
+	Name  string  `json:"name"`
+	Unit  string  `json:"unit"`
+	Value float64 `json:"value"`
 }
 
 // String renders the result for terminal output.
@@ -105,14 +124,27 @@ func (r *Result) String() string {
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
+	for _, m := range r.Metrics {
+		fmt.Fprintf(&b, "metric: %s = %s %s\n", m.Name, strconv.FormatFloat(m.Value, 'f', -1, 64), m.Unit)
+	}
 	return b.String()
 }
+
+// Experiment suites. The paper suite is what -all runs and
+// results_full.txt holds. The system suite measures the simulator itself
+// (scaling, lock contention, serving, checkpointed endurance); its results
+// carry host wall times, so it stays out of the golden file.
+const (
+	SuitePaper  = "paper"
+	SuiteSystem = "system"
+)
 
 // Experiment is one reproducible table/figure.
 type Experiment struct {
 	ID    string
 	Title string
 	Claim string
+	Suite string // SuitePaper when empty
 	Run   func(cfg RunConfig) (*Result, error)
 }
 
@@ -123,6 +155,9 @@ func Register(e *Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic(fmt.Sprintf("bench: duplicate experiment %q", e.ID))
 	}
+	if e.Suite == "" {
+		e.Suite = SuitePaper
+	}
 	registry[e.ID] = e
 }
 
@@ -132,21 +167,32 @@ func Get(id string) (*Experiment, bool) {
 	return e, ok
 }
 
-// IDs returns all registered experiment IDs in a stable order.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+// IDs returns the paper suite's experiment IDs in a stable order.
+func IDs() []string { return SuiteIDs(SuitePaper) }
+
+// SuiteIDs returns one suite's experiment IDs, grouped by letter prefix
+// (A, F, T, …) and numeric within a prefix.
+func SuiteIDs(suite string) []string {
+	var ids []string
+	for id, e := range registry {
+		if e.Suite == suite {
+			ids = append(ids, id)
+		}
+	}
+	key := func(id string) (string, int) {
+		i := strings.IndexAny(id, "0123456789")
+		if i < 0 {
+			return id, 0
+		}
+		n, _ := strconv.Atoi(id[i:])
+		return id[:i], n
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		// Group by prefix letter (A, F, T), numeric within.
-		pi, pj := ids[i][0], ids[j][0]
+		pi, ni := key(ids[i])
+		pj, nj := key(ids[j])
 		if pi != pj {
 			return pi < pj
 		}
-		var ni, nj int
-		fmt.Sscanf(ids[i][1:], "%d", &ni)
-		fmt.Sscanf(ids[j][1:], "%d", &nj)
 		return ni < nj
 	})
 	return ids
@@ -156,7 +202,8 @@ func IDs() []string {
 func Run(id string, cfg RunConfig) (*Result, error) {
 	e, ok := Get(id)
 	if !ok {
-		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, IDs())
+		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id,
+			append(IDs(), SuiteIDs(SuiteSystem)...))
 	}
 	res, err := e.Run(cfg)
 	if err != nil {
@@ -173,6 +220,22 @@ func MustRun(id string, cfg RunConfig) *Result {
 		panic(err)
 	}
 	return r
+}
+
+// shardedWorkers is the worker count of the sharded pass in every
+// serial-vs-sharded identity check (S1, L1, SV1): one per host CPU, but
+// never fewer than two, because machine.New drives a one-worker machine
+// with the SerialScheduler and the check would compare the oracle with
+// itself.
+func shardedWorkers() int { return max(2, runtime.GOMAXPROCS(0)) }
+
+// requireSharded fails a sharded pass whose machine fell back to the
+// serial scheduler, which would make its identity check vacuous.
+func requireSharded(m *machine.Machine) error {
+	if _, ok := m.Scheduler().(*sim.ShardedScheduler); !ok {
+		return fmt.Errorf("sharded pass runs on %T, so it would be compared with itself", m.Scheduler())
+	}
+	return nil
 }
 
 // Outcome pairs one experiment's result with its error.

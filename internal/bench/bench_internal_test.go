@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,23 +22,44 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("missing experiment %s", id)
 		}
 	}
-	// IDs are sorted by prefix then number (F10 after F9).
+	// IDs are the paper suite, sorted by prefix then number (F10 after F9).
 	for i, id := range ids {
-		if i > 0 && ids[i-1][0] == id[0] {
-			var a, b int
-			strconvAtoi(ids[i-1][1:], &a)
-			strconvAtoi(id[1:], &b)
-			if a >= b {
-				t.Fatalf("IDs not numerically sorted: %v", ids)
-			}
+		if id != want[i] {
+			t.Fatalf("IDs() = %v, want %v", ids, want)
+		}
+	}
+	// The system suite is registered but stays out of IDs() and -all.
+	system := []string{"E1", "L1", "S1", "SV1"}
+	if got := SuiteIDs(SuiteSystem); strings.Join(got, ",") != strings.Join(system, ",") {
+		t.Fatalf("SuiteIDs(system) = %v, want %v", got, system)
+	}
+	for _, id := range system {
+		if e, ok := Get(id); !ok || e.Suite != SuiteSystem {
+			t.Errorf("experiment %s missing from the system suite", id)
 		}
 	}
 }
 
-func strconvAtoi(s string, out *int) {
-	v, err := strconv.Atoi(s)
-	if err == nil {
-		*out = v
+// TestResultJSONRoundTrip: every registered experiment's quick Result
+// survives a JSON encode/decode round trip and renders identically after
+// it, so `nocsim -format json` carries everything the table output does.
+func TestResultJSONRoundTrip(t *testing.T) {
+	ids := append(IDs(), SuiteIDs(SuiteSystem)...)
+	for _, o := range RunAll(ids, quickCfg, runtime.GOMAXPROCS(0)) {
+		if o.Err != nil {
+			t.Fatalf("%s: %v", o.ID, o.Err)
+		}
+		data, err := json.Marshal(o.Res)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", o.ID, err)
+		}
+		var back Result
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%s: decode: %v", o.ID, err)
+		}
+		if got, want := back.String(), o.Res.String(); got != want {
+			t.Fatalf("%s: JSON round trip changed the result:\n got %s\nwant %s", o.ID, got, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"strings"
 
@@ -10,18 +11,34 @@ import (
 	"nocs/internal/core"
 	"nocs/internal/hwthread"
 	"nocs/internal/machine"
+	"nocs/internal/metrics"
 	"nocs/internal/sim"
 )
 
-// E1 — the checkpointed endurance run (DESIGN.md §13). The same many-core
-// token-ring regime as S1, but built checkpoint-safe: every piece of dynamic
-// state the pacer natives touch lives in simulated memory words rather than
-// Go closure variables, so a machine.Snapshot taken at any cycle rebuilds the
-// run exactly. This is what `nocsim -endurance -checkpoint-every N` drives,
-// and what `-resume FILE` warm-starts.
-//
-// Like S1, E1 is not in the experiment registry: the golden `-all` output is
-// unchanged.
+// E1 — the checkpointed endurance run (DESIGN.md §13). A many-core token
+// ring built checkpoint-safe: every piece of dynamic state the pacer
+// natives touch lives in simulated memory words rather than Go closure
+// variables, so a machine.Snapshot taken at any cycle rebuilds the run
+// exactly. RunConfig.Checkpoint (`nocsim -exp E1 -checkpoint-every N`)
+// takes the checkpoints, and RunConfig.FromSnapshot (`-resume FILE`)
+// warm-starts from one; either way the Result is the straight-through
+// run's. S1 times the same machine serial vs sharded.
+
+func init() {
+	Register(&Experiment{
+		ID:    "E1",
+		Suite: SuiteSystem,
+		Title: "checkpointed endurance run",
+		Claim: "a run checkpointed at any cycle and resumed later ends in the straight-through run's exact state",
+		Run: func(cfg RunConfig) (*Result, error) {
+			ec := EnduranceConfig{Cores: 16, Horizon: 400_000}
+			if cfg.Quick {
+				ec = EnduranceConfig{Cores: 4, Horizon: 100_000}
+			}
+			return runEndurance(cfg, ec)
+		},
+	})
+}
 
 const enduranceMailboxBase = 0x700000
 
@@ -35,21 +52,6 @@ type EnduranceConfig struct {
 	Workers int
 	// Horizon is the simulated time to run (default 400k cycles).
 	Horizon sim.Cycles
-}
-
-// DefaultEnduranceConfig returns the standard E1 sizing, or a CI-sized one
-// when quick is set.
-func DefaultEnduranceConfig(quick bool) EnduranceConfig {
-	ec := EnduranceConfig{
-		Cores:   16,
-		Workers: runtime.GOMAXPROCS(0),
-		Horizon: 400_000,
-	}
-	if quick {
-		ec.Cores = 4
-		ec.Horizon = 100_000
-	}
-	return ec
 }
 
 func (ec *EnduranceConfig) fill() {
@@ -134,82 +136,92 @@ func BuildEndurance(cfg RunConfig, ec EnduranceConfig) (*machine.Machine, error)
 	return m, nil
 }
 
+// ringSeen returns the last token core i's pacer handled.
+func ringSeen(m *machine.Machine, i int) int64 {
+	return m.MemOf(m.ShardOfCore(i)).Read(enduranceMailboxBase + int64(i)*16 + 8)
+}
+
+// ringHops returns how far the token has travelled: the highest token any
+// of the first `cores` pacers handled.
+func ringHops(m *machine.Machine, cores int) int64 {
+	var hops int64
+	for i := 0; i < cores; i++ {
+		hops = max(hops, ringSeen(m, i))
+	}
+	return hops
+}
+
 // EnduranceSummary renders the run's observable state: the clock, each
 // core's last-handled token, and its retired-instruction count. Byte
-// equality of two summaries is the restore-equivalence check the CLI's
-// resume path relies on.
+// equality of two summaries is the serial-vs-sharded and
+// restore-equivalence check.
 func EnduranceSummary(ec EnduranceConfig, m *machine.Machine) string {
 	ec.fill()
 	var b strings.Builder
 	fmt.Fprintf(&b, "cores=%d shards=%d horizon=%d now=%d\n",
 		ec.Cores, ec.Shards, ec.Horizon, m.Now())
 	for i := 0; i < ec.Cores; i++ {
-		seen := m.MemOf(m.ShardOfCore(i)).Read(enduranceMailboxBase + int64(i)*16 + 8)
-		fmt.Fprintf(&b, "core%03d seen=%d retired=%d\n", i, seen, m.Core(i).Retired())
+		fmt.Fprintf(&b, "core%03d seen=%d retired=%d\n", i, ringSeen(m, i), m.Core(i).Retired())
 	}
 	return b.String()
 }
 
-// EnduranceStats is the machine-readable outcome of RunEndurance.
-type EnduranceStats struct {
-	Cores, Shards, Workers int
-	Horizon                sim.Cycles
-	// Checkpoints is how many checkpoints the run serialized.
-	Checkpoints int
-	// CheckpointBytes is the size of the last serialized checkpoint.
-	CheckpointBytes int
-	// Resumed reports whether the machine warm-started from a snapshot.
-	Resumed bool
-	// Hash is the fnv64a of the final summary; a resumed run must reproduce
-	// the straight-through run's hash exactly.
-	Hash uint64
+func summaryHash(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }
 
-// RunEndurance drives the E1 machine to ec.Horizon. When cfg.FromSnapshot is
-// set the machine warm-starts from it (the `-resume` path) and continues
-// from the checkpoint's cycle. When every > 0 and sink != nil, the run
-// pauses every `every` cycles and hands a serialized checkpoint to sink (the
-// `-checkpoint-every` path). Returns the final summary and stats.
-func RunEndurance(cfg RunConfig, ec EnduranceConfig, every sim.Cycles,
-	sink func(at sim.Cycles, ckpt []byte) error) (string, *EnduranceStats, error) {
+// runEndurance drives the E1 machine to ec.Horizon, warm-starting from
+// cfg.FromSnapshot when set and handing a checkpoint to cfg.Checkpoint.Sink
+// every cfg.Checkpoint.Every cycles. Neither changes the Result.
+func runEndurance(cfg RunConfig, ec EnduranceConfig) (*Result, error) {
 	ec.fill()
 	m, err := BuildEndurance(cfg, ec)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	stats := &EnduranceStats{
-		Cores: ec.Cores, Shards: ec.Shards, Workers: ec.Workers,
-		Horizon: ec.Horizon, Resumed: cfg.FromSnapshot != nil,
+	every, sink := cfg.Checkpoint.Every, cfg.Checkpoint.Sink
+	if sink == nil {
+		every = 0
 	}
-
-	next := m.Now()
-	for next < ec.Horizon {
-		if every <= 0 || sink == nil {
-			next = ec.Horizon
+	for next := m.Now(); next < ec.Horizon; {
+		if every > 0 {
+			next = min(next+every, ec.Horizon)
 		} else {
-			next += every
-			if next > ec.Horizon {
-				next = ec.Horizon
-			}
+			next = ec.Horizon
 		}
 		m.RunUntil(next)
 		if err := m.Fatal(); err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		if every > 0 && sink != nil && next < ec.Horizon {
+		if every > 0 && next < ec.Horizon {
 			var buf bytes.Buffer
 			if err := m.Snapshot(&buf); err != nil {
-				return "", nil, fmt.Errorf("checkpoint at cycle %d: %w", next, err)
+				return nil, fmt.Errorf("checkpoint at cycle %d: %w", next, err)
 			}
-			stats.Checkpoints++
-			stats.CheckpointBytes = buf.Len()
 			if err := sink(next, buf.Bytes()); err != nil {
-				return "", nil, err
+				return nil, err
 			}
 		}
 	}
 
-	sum := EnduranceSummary(ec, m)
-	stats.Hash = summaryHash(sum)
-	return sum, stats, nil
+	t := metrics.NewTable(
+		fmt.Sprintf("token ring after %d cycles (%d cores, %d shards)", ec.Horizon, ec.Cores, ec.Shards),
+		"core", "last token", "retired")
+	for i := 0; i < ec.Cores; i++ {
+		t.Row(i, ringSeen(m, i), m.Core(i).Retired())
+	}
+	return &Result{
+		Tables: []*metrics.Table{t},
+		Notes: []string{
+			fmt.Sprintf("summary fnv64a %016x: a run resumed from any checkpoint must reproduce it",
+				summaryHash(EnduranceSummary(ec, m))),
+		},
+		Metrics: []Metric{
+			{"horizon", "cycles", float64(ec.Horizon)},
+			{"token_hops", "hops", float64(ringHops(m, ec.Cores))},
+			{"retired", "instrs", float64(m.Retired())},
+		},
+	}, nil
 }

@@ -15,18 +15,18 @@ func enduranceTestConfig() EnduranceConfig {
 }
 
 // TestEnduranceCheckpointResume is the CLI contract end to end: a
-// checkpointed run must match the straight-through run byte for byte, and
-// resuming from any emitted checkpoint must land on the same final summary.
+// checkpointed run must render the straight-through run's Result byte for
+// byte, and resuming from any emitted checkpoint must too.
 func TestEnduranceCheckpointResume(t *testing.T) {
 	cfg := RunConfig{Seed: 1}
 	ec := enduranceTestConfig()
 
-	straight, stats0, err := RunEndurance(cfg, ec, 0, nil)
+	straight, err := runEndurance(cfg, ec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats0.Checkpoints != 0 || stats0.Resumed {
-		t.Fatalf("plain run recorded checkpoints=%d resumed=%v", stats0.Checkpoints, stats0.Resumed)
+	if metric(t, straight, "token_hops") == 0 {
+		t.Fatalf("token ring never advanced:\n%s", straight)
 	}
 
 	type ckpt struct {
@@ -34,18 +34,21 @@ func TestEnduranceCheckpointResume(t *testing.T) {
 		data []byte
 	}
 	var ckpts []ckpt
-	sum, stats, err := RunEndurance(cfg, ec, 20_000, func(at sim.Cycles, data []byte) error {
+	ccfg := cfg
+	ccfg.Checkpoint.Every = 20_000
+	ccfg.Checkpoint.Sink = func(at sim.Cycles, data []byte) error {
 		ckpts = append(ckpts, ckpt{at, append([]byte(nil), data...)})
 		return nil
-	})
+	}
+	res, err := runEndurance(ccfg, ec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum != straight {
-		t.Fatalf("checkpointing perturbed the run:\n got %q\nwant %q", sum, straight)
+	if res.String() != straight.String() {
+		t.Fatalf("checkpointing perturbed the run:\n got %s\nwant %s", res, straight)
 	}
-	if stats.Checkpoints != len(ckpts) || len(ckpts) == 0 {
-		t.Fatalf("checkpoints=%d sunk=%d, want >0 and equal", stats.Checkpoints, len(ckpts))
+	if len(ckpts) != 2 {
+		t.Fatalf("%d checkpoints over 60k cycles every 20k, want 2", len(ckpts))
 	}
 
 	for _, ck := range ckpts {
@@ -55,18 +58,12 @@ func TestEnduranceCheckpointResume(t *testing.T) {
 		}
 		rcfg := cfg
 		rcfg.FromSnapshot = snap
-		rsum, rstats, err := RunEndurance(rcfg, ec, 0, nil)
+		rres, err := runEndurance(rcfg, ec)
 		if err != nil {
 			t.Fatalf("resume from cycle %d: %v", ck.at, err)
 		}
-		if !rstats.Resumed {
-			t.Fatal("resumed run did not record Resumed")
-		}
-		if rsum != straight {
-			t.Fatalf("resume from cycle %d diverged:\n got %q\nwant %q", ck.at, rsum, straight)
-		}
-		if rstats.Hash != stats.Hash {
-			t.Fatalf("resume hash %016x != straight hash %016x", rstats.Hash, stats.Hash)
+		if rres.String() != straight.String() {
+			t.Fatalf("resume from cycle %d diverged:\n got %s\nwant %s", ck.at, rres, straight)
 		}
 	}
 }

@@ -2,283 +2,122 @@ package bench
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"strings"
 	"time"
 
-	"nocs/internal/asm"
-	"nocs/internal/core"
-	"nocs/internal/hwthread"
-	"nocs/internal/machine"
-	"nocs/internal/mem"
 	"nocs/internal/metrics"
-	"nocs/internal/sim"
 )
 
-// S1 — the scaling experiment (DESIGN.md §12). One machine with 64–256
-// simulated cores is run twice over the same horizon: once on the
-// SerialScheduler (the determinism oracle) and once on the
-// ShardedScheduler with worker goroutines. The workload is the paper's
-// regime in miniature: every core runs a spinning compute thread plus a
-// parked pacer thread in monitor/mwait, and a token travels a ring of
-// cross-shard remote writes — each hop a monitor wake on another shard, the
-// cheapest cross-core interaction the lookahead is derived from.
-//
-// S1 is deliberately NOT in the experiment registry: `-all` output (the
-// golden file) is unchanged. Run it with `nocsim -scale`.
+// S1 — the scaling experiment (DESIGN.md §12). E1's token-ring machine
+// (BuildEndurance: per core, a spinning compute thread plus a pacer parked
+// in monitor/mwait, with a token hopping cores by cross-shard remote
+// writes — the cheapest cross-core interaction the lookahead is derived
+// from) runs twice over the same horizon: once on the SerialScheduler, the
+// determinism oracle, and once on the ShardedScheduler with one worker per
+// host CPU. The two summaries must match byte for byte before any wall time
+// is reported.
 
-const scaleMailboxBase = 0x600000
-
-// ScaleConfig sizes the scaling experiment.
-type ScaleConfig struct {
-	// Cores is the simulated core count (default 64).
-	Cores int
-	// Ptids is the number of spinning compute threads per core (default 1;
-	// each core also gets one pacer thread, so the machine carries
-	// Cores*(Ptids+1) hardware threads).
-	Ptids int
-	// Shards is the event-queue shard count (default = Cores).
-	Shards int
-	// Workers is the worker-goroutine count for the sharded run (default =
-	// GOMAXPROCS, clamped to Shards by the machine).
-	Workers int
-	// Lookahead is the cross-shard horizon (default machine.DefaultLookahead).
-	Lookahead sim.Cycles
-	// Horizon is the simulated time to run (default 400k cycles).
-	Horizon sim.Cycles
-}
-
-// DefaultScaleConfig returns the standard S1 sizing (64 cores), or a
-// CI-sized one when quick is set.
-func DefaultScaleConfig(quick bool) ScaleConfig {
-	sc := ScaleConfig{
-		Cores:   64,
-		Ptids:   1,
-		Workers: runtime.GOMAXPROCS(0),
-		Horizon: 400_000,
-	}
-	if quick {
-		sc.Cores = 16
-		sc.Horizon = 100_000
-	}
-	return sc
-}
-
-func (sc *ScaleConfig) fill() {
-	if sc.Cores <= 0 {
-		sc.Cores = 64
-	}
-	if sc.Ptids <= 0 {
-		sc.Ptids = 1
-	}
-	if sc.Shards <= 0 {
-		sc.Shards = sc.Cores
-	}
-	if sc.Workers <= 0 {
-		sc.Workers = runtime.GOMAXPROCS(0)
-	}
-	if sc.Lookahead <= 0 {
-		sc.Lookahead = machine.DefaultLookahead
-	}
-	if sc.Horizon <= 0 {
-		sc.Horizon = 400_000
-	}
-}
-
-// scaleRing is the per-core token counter array. pings[i] is written only
-// by core i's shard, so parallel windows append race-free.
-type scaleRing struct {
-	pings []uint64
-}
-
-// buildScale constructs the S1 machine: per-core compute spinners, a parked
-// pacer service thread per core, and a construction-time kick that starts
-// the token ring at cycle 1 — before any core has run, which is exactly the
-// time-zero horizon edge case the scheduler must handle.
-func buildScale(sc ScaleConfig, workers int) (*machine.Machine, *scaleRing, error) {
-	m := machine.New(
-		machine.WithCores(sc.Cores),
-		machine.WithShards(sc.Shards),
-		machine.WithWorkers(workers),
-		machine.WithLookahead(sc.Lookahead),
-		machine.WithThreads(sc.Ptids+1),
-		machine.WithSMTSlots(2),
-	)
-	ring := &scaleRing{pings: make([]uint64, sc.Cores)}
-
-	spin := asm.MustAssemble("spin",
-		"main:\n\tmovi r1, 0\nloop:\n\taddi r1, r1, 1\n\txor r2, r2, r1\n\tjmp loop")
-	pacerProg := asm.MustAssemble("pacer", "loop:\n\tnative scale.pacer\n\tjmp loop")
-
-	for i := 0; i < sc.Cores; i++ {
-		i := i
-		c := m.Core(i)
-		mb := scaleMailboxBase + int64(i)*8
-		next := (i + 1) % sc.Cores
-		nextMB := scaleMailboxBase + int64(next)*8
-		var lastSeen int64
-		c.RegisterNative("scale.pacer", func(c *core.Core, t *hwthread.Context) sim.Cycles {
-			// Arm before draining (the kernel service idiom): a token that
-			// lands while this pass runs is caught by the pending flag.
-			c.ArmWatches(t, mb)
-			if v := c.ReadWord(mb); v > lastSeen {
-				lastSeen = v
-				ring.pings[i]++
-				m.RemoteWrite(m.ShardOfCore(i), m.ShardOfCore(next), nextMB, v+1, 0)
-				return 60 // token handling occupies the thread
-			}
-			c.WaitArmed(t)
-			return 0
-		})
-
-		for p := 0; p < sc.Ptids; p++ {
-			if err := c.BindProgram(hwthread.PTID(p), spin, "main"); err != nil {
-				return nil, nil, err
-			}
-			if err := c.BootStart(hwthread.PTID(p)); err != nil {
-				return nil, nil, err
-			}
-		}
-		pacer := hwthread.PTID(sc.Ptids)
-		if err := c.BindProgram(pacer, pacerProg, "loop"); err != nil {
-			return nil, nil, err
-		}
-		c.Threads().Context(pacer).Regs.Mode = 1
-		if err := c.BootStart(pacer); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Inject the first token toward core 0 at cycle 1, before any core has
-	// executed an instruction.
-	m.Shard(0).At(1, "scale-kick", func() {
-		m.MemOf(0).Write(scaleMailboxBase, 1, mem.SrcCPU)
+func init() {
+	Register(&Experiment{
+		ID:    "S1",
+		Suite: SuiteSystem,
+		Title: "sharded scheduler scaling",
+		Claim: "one experiment can use every host CPU without giving up determinism",
+		Run:   runScale,
 	})
-	return m, ring, nil
 }
 
-// scaleSummary renders the run's complete observable state as one string:
-// per-core token counts and retired instructions. Byte-equality of two
-// summaries is the determinism check.
-func scaleSummary(sc ScaleConfig, m *machine.Machine, ring *scaleRing) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cores=%d shards=%d lookahead=%d horizon=%d\n",
-		sc.Cores, sc.Shards, sc.Lookahead, sc.Horizon)
-	for i := 0; i < sc.Cores; i++ {
-		fmt.Fprintf(&b, "core%03d pings=%d retired=%d\n",
-			i, ring.pings[i], m.Core(i).Retired())
+// scaleConfig sizes S1: 64 cores over 400k cycles, or 16 cores over 100k
+// cycles when quick.
+func scaleConfig(quick bool, workers int) EnduranceConfig {
+	if quick {
+		return EnduranceConfig{Cores: 16, Shards: 16, Workers: workers, Horizon: 100_000}
 	}
-	return b.String()
+	return EnduranceConfig{Cores: 64, Shards: 64, Workers: workers, Horizon: 400_000}
 }
 
-func summaryHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// scalePass is one timed run of the S1 machine.
+type scalePass struct {
+	summary string
+	wall    time.Duration
+	retired uint64
+	hops    int64
 }
 
-// ScaleStats is the machine-readable output of RunScale, consumed by
-// scripts/bench.sh for BENCH_3.json.
-type ScaleStats struct {
-	Cores, Shards, Workers int
-	SerialWallSec          float64
-	ParallelWallSec        float64
-	// Speedup is sharded wall-clock speedup over the serial oracle at equal
-	// seeds and byte-identical output. Bounded by min(Workers, GOMAXPROCS).
-	Speedup      float64
-	InstrsPerSec float64 // sustained sim-instrs/sec of the sharded run
-	Retired      uint64
-	Pings        uint64
-	Hash         uint64
-}
-
-// RunScale executes the S1 scaling experiment: the same machine and horizon
-// under the SerialScheduler and then under the ShardedScheduler with
-// sc.Workers goroutines. It fails (rather than report a speedup) if the two
-// runs' summaries differ in any byte.
-func RunScale(cfg RunConfig, sc ScaleConfig) (*Result, *ScaleStats, error) {
-	sc.fill()
-	if cfg.Quick && sc.Horizon > 100_000 {
-		sc.Horizon = 100_000
+func runScalePass(cfg RunConfig, ec EnduranceConfig) (scalePass, error) {
+	m, err := BuildEndurance(cfg, ec)
+	if err != nil {
+		return scalePass{}, err
 	}
-
-	run := func(workers int) (string, time.Duration, uint64, uint64, error) {
-		m, ring, err := buildScale(sc, workers)
-		if err != nil {
-			return "", 0, 0, 0, err
+	if ec.Workers > 1 {
+		if err := requireSharded(m); err != nil {
+			return scalePass{}, err
 		}
-		t0 := time.Now()
-		m.RunUntil(sc.Horizon)
-		wall := time.Since(t0)
-		if err := m.Fatal(); err != nil {
-			return "", 0, 0, 0, err
-		}
-		var pings uint64
-		for _, p := range ring.pings {
-			pings += p
-		}
-		return scaleSummary(sc, m, ring), wall, m.Retired(), pings, nil
 	}
+	t0 := time.Now()
+	m.RunUntil(ec.Horizon)
+	wall := time.Since(t0)
+	if err := m.Fatal(); err != nil {
+		return scalePass{}, err
+	}
+	return scalePass{EnduranceSummary(ec, m), wall, m.Retired(), ringHops(m, ec.Cores)}, nil
+}
+
+func runScale(cfg RunConfig) (*Result, error) {
+	serial, sharded := scaleConfig(cfg.Quick, 1), scaleConfig(cfg.Quick, shardedWorkers())
+	// The tracer is single-threaded and would put the sharded pass on the
+	// serial scheduler, so only the oracle is traced.
+	untraced := cfg
+	untraced.Tracer = nil
 
 	// Warm-up pass (untimed, half horizon): page in the code and heap so the
 	// serial-first measurement order doesn't hand the sharded run a warm
 	// cache and inflate the speedup.
-	warm := sc
-	warm.Horizon = sc.Horizon / 2
-	wm, _, err := buildScale(warm, 1)
+	warm := serial
+	warm.Horizon /= 2
+	if _, err := runScalePass(untraced, warm); err != nil {
+		return nil, fmt.Errorf("S1 warm-up: %w", err)
+	}
+	ser, err := runScalePass(cfg, serial)
 	if err != nil {
-		return nil, nil, fmt.Errorf("S1 warm-up: %w", err)
+		return nil, fmt.Errorf("S1 serial: %w", err)
 	}
-	wm.RunUntil(warm.Horizon)
-
-	serSum, serWall, serRetired, _, err := run(1)
+	par, err := runScalePass(untraced, sharded)
 	if err != nil {
-		return nil, nil, fmt.Errorf("S1 serial: %w", err)
+		return nil, fmt.Errorf("S1 sharded: %w", err)
 	}
-	parSum, parWall, parRetired, parPings, err := run(sc.Workers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("S1 sharded: %w", err)
+	if ser.summary != par.summary {
+		return nil, fmt.Errorf("S1: DETERMINISM VIOLATION — serial and sharded summaries differ (hashes %x vs %x)",
+			summaryHash(ser.summary), summaryHash(par.summary))
 	}
-	if serSum != parSum {
-		return nil, nil, fmt.Errorf("S1: DETERMINISM VIOLATION — serial and sharded summaries differ (serial %d bytes, sharded %d bytes, hashes %x vs %x)",
-			len(serSum), len(parSum), summaryHash(serSum), summaryHash(parSum))
-	}
-	if serRetired == 0 || parPings == 0 {
-		return nil, nil, fmt.Errorf("S1: degenerate run (retired=%d pings=%d)", serRetired, parPings)
+	if par.retired == 0 || par.hops == 0 {
+		return nil, fmt.Errorf("S1: degenerate run (retired=%d hops=%d)", par.retired, par.hops)
 	}
 
-	stats := &ScaleStats{
-		Cores:           sc.Cores,
-		Shards:          sc.Shards,
-		Workers:         sc.Workers,
-		SerialWallSec:   serWall.Seconds(),
-		ParallelWallSec: parWall.Seconds(),
-		Speedup:         serWall.Seconds() / parWall.Seconds(),
-		InstrsPerSec:    float64(parRetired) / parWall.Seconds(),
-		Retired:         parRetired,
-		Pings:           parPings,
-		Hash:            summaryHash(parSum),
-	}
-
+	speedup := ser.wall.Seconds() / par.wall.Seconds()
+	ips := float64(par.retired) / par.wall.Seconds()
 	t := metrics.NewTable(
 		fmt.Sprintf("one machine across real CPUs (%d cores, %d shards, horizon %d cycles)",
-			sc.Cores, sc.Shards, sc.Horizon),
+			sharded.Cores, sharded.Shards, sharded.Horizon),
 		"scheduler", "workers", "wall ms", "speedup", "Minstr/s")
-	t.Row("serial (oracle)", 1, serWall.Seconds()*1e3, 1.0,
-		float64(serRetired)/serWall.Seconds()/1e6)
-	t.Row("sharded", sc.Workers, parWall.Seconds()*1e3, stats.Speedup,
-		stats.InstrsPerSec/1e6)
+	t.Row("serial (oracle)", 1, ser.wall.Seconds()*1e3, 1.0,
+		float64(ser.retired)/ser.wall.Seconds()/1e6)
+	t.Row("sharded", sharded.Workers, par.wall.Seconds()*1e3, speedup, ips/1e6)
 
-	res := &Result{
-		ID:     "S1",
-		Title:  "sharded scheduler scaling",
-		Claim:  "one experiment can use every host CPU without giving up determinism",
+	return &Result{
 		Tables: []*metrics.Table{t},
 		Notes: []string{
-			fmt.Sprintf("outputs byte-identical (fnv64a %016x): %d ring wakeups, %d instructions retired", stats.Hash, parPings, parRetired),
+			fmt.Sprintf("outputs byte-identical (fnv64a %016x): %d ring hops, %d instructions retired",
+				summaryHash(par.summary), par.hops, par.retired),
 			fmt.Sprintf("host GOMAXPROCS=%d — speedup is bounded by real CPUs, not by the scheduler", runtime.GOMAXPROCS(0)),
 		},
-	}
-	return res, stats, nil
+		Metrics: []Metric{
+			{"cores", "cores", float64(sharded.Cores)},
+			{"workers", "goroutines", float64(sharded.Workers)},
+			{"serial_wall", "ms", ser.wall.Seconds() * 1e3},
+			{"sharded_wall", "ms", par.wall.Seconds() * 1e3},
+			{"speedup", "x", speedup},
+			{"instrs_per_sec", "instrs/s", ips},
+		},
+	}, nil
 }

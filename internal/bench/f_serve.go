@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"nocs/internal/metrics"
 	"nocs/internal/serve"
@@ -18,12 +17,22 @@ import (
 // byte-identity of the full observable state required before any number is
 // reported. The conservation invariant (generated == completed + refused +
 // in-flight) is audited inside serve.Run on every chunk.
-//
-// SV1 is deliberately NOT in the experiment registry: `-all` output (the
-// golden file) is unchanged. Run it with `nocsim -serve`.
 
-// ServeConfig sizes the SV1 sweep.
-type ServeConfig struct {
+func init() {
+	Register(&Experiment{
+		ID:    "SV1",
+		Suite: SuiteSystem,
+		Title: "datacenter-scale serving scenarios",
+		Claim: "a serving cell built on nocs threads degrades gracefully under overload; the legacy flavor's tail collapses first",
+		Run: func(cfg RunConfig) (*Result, error) {
+			return runServe(cfg, defaultServeConfig(cfg.Quick))
+		},
+	})
+}
+
+// serveConfig sizes the SV1 sweep; every other cell parameter takes its
+// serve.Config default.
+type serveConfig struct {
 	// Loads are the offered-load points (fraction of pool capacity; values
 	// above 1 are deliberate overload).
 	Loads []float64
@@ -33,26 +42,17 @@ type ServeConfig struct {
 	Flavors []string
 	// Conns is the connection count per cell.
 	Conns int
-	// ReqsPerConn is the requests each connection issues.
-	ReqsPerConn int
-	// AppServers is the app-server pool size.
-	AppServers int
-	// Slots is the worker-thread count per app server.
-	Slots int
-	// Workers is the worker-goroutine count for the sharded run.
-	Workers int
 }
 
-// DefaultServeConfig returns the standard SV1 sweep — 10^5 connections per
+// defaultServeConfig returns the standard SV1 sweep — 10^5 connections per
 // cell across load {0.5, 0.8, 0.95, 1.1, 1.3} × {poisson, pareto} ×
 // {nocs, legacy} — or a CI-sized one when quick is set.
-func DefaultServeConfig(quick bool) ServeConfig {
-	sc := ServeConfig{
+func defaultServeConfig(quick bool) serveConfig {
+	sc := serveConfig{
 		Loads:    []float64{0.5, 0.8, 0.95, 1.1, 1.3},
 		Arrivals: []string{serve.ArrivalPoisson, serve.ArrivalPareto},
 		Flavors:  []string{serve.FlavorNocs, serve.FlavorLegacy},
 		Conns:    100_000,
-		Workers:  runtime.GOMAXPROCS(0),
 	}
 	if quick {
 		// One saturated and one overload point keep the smoke run honest:
@@ -63,131 +63,90 @@ func DefaultServeConfig(quick bool) ServeConfig {
 	return sc
 }
 
-func (sc *ServeConfig) fill() {
-	if len(sc.Loads) == 0 {
-		sc.Loads = []float64{0.8}
+// runServeCell runs one grid cell to completion with the given worker count
+// and returns its summary and stats.
+func runServeCell(c serve.Config, workers int) (string, serve.Stats, error) {
+	c.Workers = workers
+	cl, err := serve.New(c)
+	if err != nil {
+		return "", serve.Stats{}, err
 	}
-	if len(sc.Arrivals) == 0 {
-		sc.Arrivals = []string{serve.ArrivalPoisson}
+	if workers > 1 {
+		if err := requireSharded(cl.Machine()); err != nil {
+			return "", serve.Stats{}, err
+		}
 	}
-	if len(sc.Flavors) == 0 {
-		sc.Flavors = []string{serve.FlavorNocs}
+	if err := cl.Run(); err != nil {
+		return "", serve.Stats{}, err
 	}
-	if sc.Conns <= 0 {
-		sc.Conns = 100_000
-	}
-	if sc.ReqsPerConn <= 0 {
-		sc.ReqsPerConn = 2
-	}
-	if sc.AppServers <= 0 {
-		sc.AppServers = 8
-	}
-	if sc.Slots <= 0 {
-		sc.Slots = 2
-	}
-	if sc.Workers <= 0 {
-		sc.Workers = runtime.GOMAXPROCS(0)
-	}
+	return cl.Summary(), cl.CollectStats(), nil
 }
 
-// ServeCellStats is one grid cell's machine-readable result, consumed by
-// scripts/bench.sh for BENCH_6.json.
-type ServeCellStats struct {
-	Load            float64
-	Arrival, Flavor string
-	serve.Stats
-	Hash uint64
-}
-
-// RunServe executes the SV1 sweep. Every cell runs under the serial oracle
+// runServe executes the SV1 sweep. Every cell runs under the serial oracle
 // and then sharded; it fails (rather than report a number) if the two runs'
 // summaries differ in any byte, if conservation breaks, or if no overload
 // cell ever refused a request.
-func RunServe(cfg RunConfig, sc ServeConfig) (*Result, []ServeCellStats, error) {
-	sc.fill()
-
-	var cells []ServeCellStats
+func runServe(cfg RunConfig, sc serveConfig) (*Result, error) {
+	t := metrics.NewTable(
+		fmt.Sprintf("serving cell: %d conns, serial-vs-sharded byte-identical per cell", sc.Conns),
+		"flavor", "arrival", "load", "gen", "done", "refused", "refused conns", "peak",
+		"p50", "p99", "p999", "mean", "goodput kr/Gcyc", "lock waits",
+		"send busy", "ring stalls", "pump stalls", "dram starts", "hash")
 	var overloadRefused uint64
 	for _, flavor := range sc.Flavors {
 		for _, arrival := range sc.Arrivals {
 			for _, load := range sc.Loads {
 				base := serve.Config{
-					AppServers:  sc.AppServers,
-					Slots:       sc.Slots,
-					Conns:       sc.Conns,
-					ReqsPerConn: sc.ReqsPerConn,
-					Load:        load,
-					Arrival:     arrival,
-					Flavor:      flavor,
-					Seed:        cfg.Seed,
+					Conns:   sc.Conns,
+					Load:    load,
+					Arrival: arrival,
+					Flavor:  flavor,
+					Seed:    cfg.Seed,
 				}
 				cell := fmt.Sprintf("%s/%s/%.2f", flavor, arrival, load)
-
-				run := func(workers int) (string, serve.Stats, error) {
-					c := base
-					c.Workers = workers
-					cl, err := serve.New(c)
-					if err != nil {
-						return "", serve.Stats{}, err
-					}
-					if err := cl.Run(); err != nil {
-						return "", serve.Stats{}, err
-					}
-					return cl.Summary(), cl.CollectStats(), nil
-				}
-
-				serSum, _, err := run(1)
+				serSum, _, err := runServeCell(base, 1)
 				if err != nil {
-					return nil, nil, fmt.Errorf("SV1 %s serial: %w", cell, err)
+					return nil, fmt.Errorf("SV1 %s serial: %w", cell, err)
 				}
-				parSum, st, err := run(sc.Workers)
+				parSum, st, err := runServeCell(base, shardedWorkers())
 				if err != nil {
-					return nil, nil, fmt.Errorf("SV1 %s sharded: %w", cell, err)
+					return nil, fmt.Errorf("SV1 %s sharded: %w", cell, err)
 				}
 				if serSum != parSum {
-					return nil, nil, fmt.Errorf("SV1 %s: DETERMINISM VIOLATION — serial and sharded summaries differ (hashes %x vs %x)",
+					return nil, fmt.Errorf("SV1 %s: DETERMINISM VIOLATION — serial and sharded summaries differ (hashes %x vs %x)",
 						cell, summaryHash(serSum), summaryHash(parSum))
 				}
 				if st.Generated != st.Completed+st.Refused {
-					return nil, nil, fmt.Errorf("SV1 %s: conservation broke after drain — generated %d != completed %d + refused %d",
+					return nil, fmt.Errorf("SV1 %s: conservation broke after drain — generated %d != completed %d + refused %d",
 						cell, st.Generated, st.Completed, st.Refused)
 				}
 				if st.Completed == 0 {
-					return nil, nil, fmt.Errorf("SV1 %s: degenerate cell — nothing completed", cell)
+					return nil, fmt.Errorf("SV1 %s: degenerate cell — nothing completed", cell)
 				}
 				if load > 1 {
 					overloadRefused += st.Refused
 				}
-				cells = append(cells, ServeCellStats{
-					Load: load, Arrival: arrival, Flavor: flavor,
-					Stats: st, Hash: summaryHash(parSum),
-				})
+				t.Row(flavor, arrival, load, st.Generated, st.Completed, st.Refused,
+					st.RefusedConns, st.OpenPeak, st.P50, st.P99, st.P999, st.MeanLat,
+					st.GoodputKRPS, st.LockWaits, st.SendBusy, st.RingStalls,
+					st.PumpStalls, st.DRAMStarts, fmt.Sprintf("%016x", summaryHash(parSum)))
 			}
 		}
 	}
 	if overloadRefused == 0 {
-		return nil, nil, fmt.Errorf("SV1: no overload cell refused a request — admission control never engaged across the sweep")
+		return nil, fmt.Errorf("SV1: no overload cell refused a request — admission control never engaged across the sweep")
 	}
 
-	t := metrics.NewTable(
-		fmt.Sprintf("serving cell: %d conns × %d reqs, %d app servers × %d threads, serial-vs-sharded byte-identical per cell",
-			sc.Conns, sc.ReqsPerConn, sc.AppServers, sc.Slots),
-		"flavor", "arrival", "load", "done", "refused", "p99", "p999", "goodput kr/Gcyc", "lock waits")
-	for _, c := range cells {
-		t.Row(c.Flavor, c.Arrival, c.Load, c.Completed, c.Refused, c.P99, c.P999,
-			c.GoodputKRPS, c.LockWaits)
-	}
-
-	res := &Result{
-		ID:     "SV1",
-		Title:  "datacenter-scale serving scenarios",
-		Claim:  "a serving cell built on nocs threads degrades gracefully under overload; the legacy flavor's tail collapses first",
+	return &Result{
 		Tables: []*metrics.Table{t},
 		Notes: []string{
-			fmt.Sprintf("%d cells, each byte-identical between the serial oracle and the sharded scheduler", len(cells)),
+			fmt.Sprintf("%d cells, each byte-identical between the serial oracle and the sharded scheduler", t.Len()),
 			"conservation (generated == completed + refused + in-flight) audited every chunk of every run",
 			fmt.Sprintf("overload cells refused %d requests through the admission window — the backpressure path, not a drop counter", overloadRefused),
 		},
-	}
-	return res, cells, nil
+		Metrics: []Metric{
+			{"cells", "cells", float64(t.Len())},
+			{"overload_refused", "requests", float64(overloadRefused)},
+		},
+	}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -25,9 +24,18 @@ import (
 // (max starvation and per-ptid acquisition spread) per cell. A final
 // shard-count sweep runs per-core independent locks under 1, 2, and 4 event
 // shards and requires byte-identical merged recorders.
-//
-// L1 is deliberately NOT in the experiment registry: `-all` output (the
-// golden file) is unchanged. Run it with `nocsim -locks`.
+
+func init() {
+	Register(&Experiment{
+		ID:    "L1",
+		Suite: SuiteSystem,
+		Title: "lock contention: nocs parking vs legacy spin and syscall paths",
+		Claim: "monitor/mwait parking keeps handoff near the release store; spin and trap paths pay for contention twice",
+		Run: func(cfg RunConfig) (*Result, error) {
+			return runLocks(defaultLockConfig(cfg.Quick))
+		},
+	})
+}
 
 // Memory layout of one lock cell. In the shard sweep, core i's windows are
 // offset by i*l1CoreStride so cells never interact across cores regardless
@@ -87,8 +95,8 @@ var lockCells = []lockCell{
 	{"barrier/legacy", shapeBarrier, nsync.Barrier, nsync.Legacy, false},
 }
 
-// LockConfig sizes the lock-contention experiment.
-type LockConfig struct {
+// lockConfig sizes the lock-contention experiment.
+type lockConfig struct {
 	// Ptids are the contention sweep points for the lock-shaped cells
 	// (default 1, 2, 8, 32, 128).
 	Ptids []int
@@ -107,10 +115,10 @@ type LockConfig struct {
 	Deadline sim.Cycles
 }
 
-// DefaultLockConfig returns the standard L1 sizing, or a CI-sized one when
+// defaultLockConfig returns the standard L1 sizing, or a CI-sized one when
 // quick is set.
-func DefaultLockConfig(quick bool) LockConfig {
-	lc := LockConfig{
+func defaultLockConfig(quick bool) lockConfig {
+	lc := lockConfig{
 		Ptids:     []int{1, 2, 8, 32, 128},
 		TotalAcq:  256,
 		HoldIters: 200,
@@ -127,24 +135,9 @@ func DefaultLockConfig(quick bool) LockConfig {
 	return lc
 }
 
-func (lc *LockConfig) fill() {
-	if len(lc.Ptids) == 0 {
-		lc.Ptids = []int{1, 2, 8, 32, 128}
-	}
-	if lc.TotalAcq <= 0 {
-		lc.TotalAcq = 256
-	}
-	if lc.HoldIters <= 0 {
-		lc.HoldIters = 200
-	}
-	if lc.Deadline <= 0 {
-		lc.Deadline = 100_000_000
-	}
-}
-
 // midPtids picks the contention point used for the long-hold, SMT, and
 // cond/barrier rows: 8 when swept, else the largest sweep point.
-func (lc *LockConfig) midPtids() int {
+func (lc *lockConfig) midPtids() int {
 	best := lc.Ptids[0]
 	for _, p := range lc.Ptids {
 		if p == 8 {
@@ -302,9 +295,8 @@ func barrierProgSource(b nsync.SyncBarrier, workers, rounds int) string {
 	return g.Source()
 }
 
-// LockRow is one measured cell configuration, consumed by scripts/bench.sh
-// for BENCH_5.json's lock_contention block.
-type LockRow struct {
+// lockRow is one measured cell configuration: one row of L1's table.
+type lockRow struct {
 	Cell        string
 	Ptids       int
 	Slots       int
@@ -318,8 +310,8 @@ type LockRow struct {
 }
 
 // runLockRow builds a one-core machine for the cell and measures it.
-func runLockRow(lc LockConfig, cell lockCell, ptids, slots, holdIters int) (LockRow, error) {
-	row := LockRow{Cell: cell.Name, Ptids: ptids, Slots: slots, Hold: "short"}
+func runLockRow(lc lockConfig, cell lockCell, ptids, slots, holdIters int) (lockRow, error) {
+	row := lockRow{Cell: cell.Name, Ptids: ptids, Slots: slots, Hold: "short"}
 	if holdIters > 0 {
 		row.Hold = "long"
 	}
@@ -466,8 +458,9 @@ func lockShardSummary(recs []*lockRecorder, m *machine.Machine) string {
 // runLockShardSweep runs 4 cores, each with an independent mcs/nocs cell at
 // per-core offset addresses, under shard counts 1, 2, and 4 — the 1-shard
 // serial run is the oracle; every sharded run must produce a byte-identical
-// summary. Returns the oracle hash and the best sharded speedup.
-func runLockShardSweep(lc LockConfig) (hash uint64, workers int, speedup float64, err error) {
+// summary. Returns the oracle hash, the sharded passes' worker count, and
+// the best sharded speedup.
+func runLockShardSweep(lc lockConfig) (hash uint64, workers int, speedup float64, err error) {
 	const cores, perCore = 4, 4
 	iters := lc.TotalAcq / (cores * perCore)
 	if iters < 1 {
@@ -487,6 +480,11 @@ func runLockShardSweep(lc LockConfig) (hash uint64, workers int, speedup float64
 			machine.WithThreads(perCore),
 			machine.WithSMTSlots(2),
 		)
+		if workers > 1 {
+			if err := requireSharded(m); err != nil {
+				return "", 0, err
+			}
+		}
 		recs := make([]*lockRecorder, cores)
 		for i := 0; i < cores; i++ {
 			c := m.Core(i)
@@ -527,10 +525,7 @@ func runLockShardSweep(lc LockConfig) (hash uint64, workers int, speedup float64
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("L1 shard oracle: %w", err)
 	}
-	workers = runtime.GOMAXPROCS(0)
-	if workers > 4 {
-		workers = 4
-	}
+	workers = min(shardedWorkers(), 4)
 	bestWall := serWall
 	for _, shards := range []int{2, 4} {
 		sum, wall, err := run(shards, workers)
@@ -548,32 +543,18 @@ func runLockShardSweep(lc LockConfig) (hash uint64, workers int, speedup float64
 	return summaryHash(oracle), workers, serWall.Seconds() / bestWall.Seconds(), nil
 }
 
-// LockStats is the machine-readable output of RunLocks, consumed by
-// scripts/bench.sh for BENCH_5.json.
-type LockStats struct {
-	Rows         []LockRow
-	ShardHash    uint64
-	ShardWorkers int
-	ShardSpeedup float64
-}
-
-// RunLocks executes the L1 contention sweep: every primitive×flavor cell
+// runLocks executes the L1 contention sweep: every primitive×flavor cell
 // across the ptid ladder, long-hold and SMT variants at the mid contention
 // point, parking-flavor extreme rows, and the shard-determinism sweep.
-func RunLocks(cfg RunConfig, lc LockConfig) (*Result, *LockStats, error) {
-	lc.fill()
-	if cfg.Quick && lc.TotalAcq > 64 {
-		lc.TotalAcq = 64
-	}
+func runLocks(lc lockConfig) (*Result, error) {
 	mid := lc.midPtids()
-	stats := &LockStats{}
-
+	var rows []lockRow
 	add := func(cell lockCell, ptids, slots, hold int) error {
 		row, err := runLockRow(lc, cell, ptids, slots, hold)
 		if err != nil {
 			return err
 		}
-		stats.Rows = append(stats.Rows, row)
+		rows = append(rows, row)
 		return nil
 	}
 	for _, cell := range lockCells {
@@ -581,16 +562,16 @@ func RunLocks(cfg RunConfig, lc LockConfig) (*Result, *LockStats, error) {
 		case shapeLock:
 			for _, p := range lc.Ptids {
 				if err := add(cell, p, 2, 0); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			if err := add(cell, mid, 2, lc.HoldIters); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		default:
 			// Cond and barrier cells run at the mid contention point only.
 			if err := add(cell, mid, 2, 0); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -599,7 +580,7 @@ func RunLocks(cfg RunConfig, lc LockConfig) (*Result, *LockStats, error) {
 	for _, cell := range lockCells[2:4] {
 		for _, slots := range []int{1, 4} {
 			if err := add(cell, mid, slots, 0); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -611,7 +592,7 @@ func RunLocks(cfg RunConfig, lc LockConfig) (*Result, *LockStats, error) {
 			for _, cell := range lockCells {
 				if cell.Name == name {
 					if err := add(cell, lc.Extreme, 2, 0); err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 				}
 			}
@@ -620,29 +601,26 @@ func RunLocks(cfg RunConfig, lc LockConfig) (*Result, *LockStats, error) {
 
 	hash, workers, speedup, err := runLockShardSweep(lc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	stats.ShardHash = hash
-	stats.ShardWorkers = workers
-	stats.ShardSpeedup = speedup
 
 	t := metrics.NewTable(
 		fmt.Sprintf("contended critical sections, %d target acquisitions per row", lc.TotalAcq),
-		"cell", "ptids", "slots", "hold", "acq", "p50", "p99", "handoff", "starve", "spread")
-	for _, r := range stats.Rows {
+		"cell", "ptids", "slots", "hold", "acq", "p50", "p99", "handoff", "starve", "spread", "done")
+	for _, r := range rows {
 		t.Row(r.Cell, r.Ptids, r.Slots, r.Hold, r.Acq, r.P50, r.P99,
-			fmt.Sprintf("%.1f", r.HandoffMean), r.StarveMax, r.Spread)
+			fmt.Sprintf("%.1f", r.HandoffMean), r.StarveMax, r.Spread, r.DoneAt)
 	}
-	res := &Result{
-		ID:     "L1",
-		Title:  "lock contention: nocs parking vs legacy spin and syscall paths",
-		Claim:  "monitor/mwait parking keeps handoff near the release store; spin and trap paths pay for contention twice",
+	return &Result{
 		Tables: []*metrics.Table{t},
 		Notes: []string{
 			fmt.Sprintf("shard sweep byte-identical under 1/2/4 shards (fnv64a %016x), %d workers, best speedup %.2fx",
-				stats.ShardHash, stats.ShardWorkers, stats.ShardSpeedup),
+				hash, workers, speedup),
 			"acquire latency and handoff measured by zero-cost probe natives around the emitted acquire/release",
 		},
-	}
-	return res, stats, nil
+		Metrics: []Metric{
+			{"shard_workers", "goroutines", float64(workers)},
+			{"shard_speedup", "x", speedup},
+		},
+	}, nil
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"nocs/internal/asm"
@@ -153,36 +155,54 @@ func TestLockShardedWakeDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunLocksExperiment exercises the full L1 entry point the CLI uses
-// with a trimmed sweep, including its internal mutual-exclusion and
-// shard-determinism checks.
+// TestRunLocksExperiment exercises the full L1 entry point with a trimmed
+// sweep, including its internal mutual-exclusion and shard-determinism
+// checks, and reads every row back from the Result's table.
 func TestRunLocksExperiment(t *testing.T) {
-	lc := LockConfig{Ptids: []int{1, 4}, TotalAcq: 16, HoldIters: 40,
+	lc := lockConfig{Ptids: []int{1, 4}, TotalAcq: 16, HoldIters: 40,
 		Extreme: 0, Deadline: 10_000_000}
-	res, stats, err := RunLocks(RunConfig{Seed: 1, Quick: true}, lc)
+	res, err := runLocks(lc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Tables) != 1 {
+		t.Fatalf("want 1 table, got %d", len(res.Tables))
+	}
+	tbl := res.Tables[0]
 	// 10 lock cells × (2 ptid points + 1 long-hold row) + cond×2 +
 	// barrier×2 + ttas slot rows ×4.
-	if want := 10*3 + 4 + 4; len(stats.Rows) != want {
-		t.Fatalf("got %d rows, want %d", len(stats.Rows), want)
+	if want := 10*3 + 4 + 4; tbl.Len() != want {
+		t.Fatalf("got %d rows, want %d", tbl.Len(), want)
 	}
-	for _, r := range stats.Rows {
-		if r.Acq == 0 {
-			t.Fatalf("cell %s ptids=%d recorded no acquisitions", r.Cell, r.Ptids)
+	col := map[string]int{}
+	for i, h := range tbl.Headers {
+		col[h] = i
+	}
+	num := func(row []string, h string) int64 {
+		v, err := strconv.ParseInt(row[col[h]], 10, 64)
+		if err != nil {
+			t.Fatalf("column %s: %v", h, err)
 		}
-		if r.P99 < r.P50 {
-			t.Fatalf("cell %s: p99 %d < p50 %d", r.Cell, r.P99, r.P50)
+		return v
+	}
+	for _, r := range tbl.Rows {
+		if num(r, "acq") == 0 {
+			t.Fatalf("cell %s ptids=%s recorded no acquisitions", r[0], r[1])
 		}
-		if r.StarveMax < r.P99 {
-			t.Fatalf("cell %s: starve %d < p99 %d", r.Cell, r.StarveMax, r.P99)
+		if p50, p99 := num(r, "p50"), num(r, "p99"); p99 < p50 {
+			t.Fatalf("cell %s: p99 %d < p50 %d", r[0], p99, p50)
+		}
+		if p99, starve := num(r, "p99"), num(r, "starve"); starve < p99 {
+			t.Fatalf("cell %s: starve %d < p99 %d", r[0], starve, p99)
+		}
+		if num(r, "done") == 0 {
+			t.Fatalf("cell %s: no probe fired", r[0])
 		}
 	}
-	if stats.ShardHash == 0 {
-		t.Fatal("shard sweep produced no hash")
+	if !strings.Contains(res.Notes[0], "fnv64a") {
+		t.Fatalf("shard sweep note carries no hash: %q", res.Notes[0])
 	}
-	if len(res.Tables) != 1 || res.Tables[0].Len() != len(stats.Rows) {
-		t.Fatalf("table mismatch: %d rows in stats", len(stats.Rows))
+	if metric(t, res, "shard_workers") < 2 || metric(t, res, "shard_speedup") <= 0 {
+		t.Fatalf("degenerate shard sweep metrics: %+v", res.Metrics)
 	}
 }

@@ -276,13 +276,6 @@ func (c *Core) ID() int { return c.id }
 // (or machine.RemoteWrite).
 func (c *Core) Shard() *sim.Shard { return c.sh }
 
-// Engine returns the shard's raw event engine.
-//
-// Deprecated: use Shard — it exposes the same scheduling methods plus
-// cross-shard send, and code holding the raw engine cannot be placed on a
-// sharded machine safely.
-func (c *Core) Engine() *sim.Engine { return c.eng }
-
 // Now returns current simulated time.
 func (c *Core) Now() sim.Cycles { return c.eng.Now() }
 

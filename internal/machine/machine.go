@@ -343,14 +343,6 @@ func (m *Machine) shardTracePrefix(s sim.ShardID) string {
 	return fmt.Sprintf("%s/s%d", m.name, s)
 }
 
-// NewDefault builds a single-core machine with paper-default settings and
-// DMA-visible monitoring.
-//
-// Deprecated: use New() — the zero-option call builds the same machine.
-func NewDefault() *Machine {
-	return New()
-}
-
 // Scheduler returns the machine's scheduler — the redesigned driving
 // surface (RunUntil, shard handles, horizon queries).
 func (m *Machine) Scheduler() sim.Scheduler { return m.sched }
@@ -372,12 +364,6 @@ func (m *Machine) ShardOfCore(i int) sim.ShardID { return m.coreShard[i] }
 
 // Lookahead returns the cross-shard synchronization horizon.
 func (m *Machine) Lookahead() sim.Cycles { return m.look }
-
-// Engine returns shard 0's raw event engine.
-//
-// Deprecated: use Shard(0) (or Scheduler for run control) — the raw engine
-// bypasses the sharding model and is only safe on a single-shard machine.
-func (m *Machine) Engine() *sim.Engine { return m.shards[0].sh.Engine }
 
 // Now returns the committed global simulated time.
 func (m *Machine) Now() sim.Cycles { return m.sched.Now() }

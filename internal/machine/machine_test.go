@@ -14,8 +14,8 @@ import (
 	"nocs/internal/trace"
 )
 
-func TestNewDefault(t *testing.T) {
-	m := NewDefault()
+func TestNewZeroOptions(t *testing.T) {
+	m := New()
 	if m.Cores() != 1 || m.Core(0) == nil {
 		t.Fatal("default machine shape")
 	}
@@ -130,7 +130,7 @@ func TestDMAInvisibleMachine(t *testing.T) {
 }
 
 func TestMachineNICDelivery(t *testing.T) {
-	m := NewDefault()
+	m := New()
 	nic, err := m.NewNIC(device.NICConfig{
 		RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000,
 	}, device.Signal{})
@@ -156,7 +156,7 @@ main:
 }
 
 func TestMachineTimerWakesSchedulerThread(t *testing.T) {
-	m := NewDefault()
+	m := New()
 	tm, err := m.NewTimer(device.TimerConfig{CounterAddr: 0x100, Period: 500}, device.Signal{})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ loop:
 }
 
 func TestMachineSSDAttachAndDoorbellViaStore(t *testing.T) {
-	m := NewDefault()
+	m := New()
 	ssd, err := m.NewSSD(device.SSDConfig{
 		SQBase: 0x40000, CQBase: 0x50000,
 		DoorbellAddr: 0x9000_0000, CQTailAddr: 0x60000,
@@ -216,7 +216,7 @@ main:
 }
 
 func TestMachineSSDDoorbellCollision(t *testing.T) {
-	m := NewDefault()
+	m := New()
 	if _, err := m.NewSSD(device.SSDConfig{
 		SQBase: 0x40000, CQBase: 0x50000,
 		DoorbellAddr: 0x9000_0000, CQTailAddr: 0x60000,
@@ -247,7 +247,7 @@ func TestIRQPathOnMachine(t *testing.T) {
 	// Legacy-mode NIC: vector delivery steals time from the victim thread
 	// and slows its progress relative to an undisturbed run.
 	elapsed := func(withIRQs bool) int64 {
-		m := NewDefault()
+		m := New()
 		prog := asm.MustAssemble("busy", `
 main:
 	movi r1, 0

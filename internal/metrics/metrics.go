@@ -196,11 +196,12 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Table renders paper-style aligned tables.
+// Table renders paper-style aligned tables. Cells are stored formatted, so
+// a JSON round trip reproduces the rendering exactly.
 type Table struct {
-	Title   string
-	Headers []string
-	rows    [][]string
+	Title   string     `json:"title"`
+	Headers []string   `json:"headers"`
+	Rows    [][]string `json:"rows"`
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -219,7 +220,7 @@ func (t *Table) Row(cells ...any) {
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}
-	t.rows = append(t.rows, row)
+	t.Rows = append(t.Rows, row)
 }
 
 func formatFloat(v float64) string {
@@ -234,7 +235,7 @@ func formatFloat(v float64) string {
 }
 
 // Len returns the number of data rows.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return len(t.Rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
@@ -242,7 +243,7 @@ func (t *Table) String() string {
 	for i, hd := range t.Headers {
 		widths[i] = len(hd)
 	}
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		for i, c := range r {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
@@ -268,7 +269,7 @@ func (t *Table) String() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		line(r)
 	}
 	return b.String()
@@ -294,7 +295,7 @@ func (t *Table) CSV() string {
 		b.WriteByte('\n')
 	}
 	writeRow(t.Headers)
-	for _, r := range t.rows {
+	for _, r := range t.Rows {
 		writeRow(r)
 	}
 	return b.String()

@@ -4,35 +4,25 @@
 # 1. Proves determinism: `nocsim -all` (serial AND -parallel 8) must be
 #    byte-identical to the committed golden results_full.txt.
 # 2. Times `nocsim -all` wall clock.
-# 3. Runs the S1 scaling experiment (64 simulated cores, sharded scheduler
-#    across the host's CPUs) and records parallel_speedup: sharded wall
-#    clock vs the serial oracle at equal seeds and byte-identical output.
-#    The speedup is bounded by the host's real CPU count (GOMAXPROCS).
-# 4. Runs the L1 lock-contention experiment (every internal/sync
-#    primitive×flavor cell swept over ptids, hold length, and SMT slots,
-#    plus the shard-determinism sweep) and records every row.
-# 5. Runs the SV1 serving sweep (multi-tier serving cells across load ×
-#    arrival × flavor, every cell byte-identical between the serial oracle
-#    and the sharded scheduler, overload cells shedding through the
-#    admission window) and records every cell. SERVE_QUICK=1 substitutes
-#    the CI-sized grid when the full 10^5-connection sweep is too slow.
-# 6. Runs the repository testing.B benchmarks with -benchmem.
-# 7. Emits BENCH_6.json: per-experiment ns/op, B/op, allocs/op (plus
+# 3. Runs the system suite with `nocsim -exp S1,L1,SV1 -format json`: S1's
+#    sharded speedup over the serial oracle (bounded by the host's CPU
+#    count), every L1 lock-contention row, and every SV1 serving cell, each
+#    self-verified serial vs sharded. SERVE_QUICK=1 adds -quick when the
+#    full 10^5-connection serving sweep is too slow.
+# 4. Runs the repository testing.B benchmarks with -benchmem.
+# 5. Emits BENCH_6.json: per-experiment ns/op, B/op, allocs/op (plus
 #    sim-instrs/op and sim-instrs/sec where a benchmark reports them), the
 #    wall times, the headline instructions_per_sec figure (sustained
-#    simulated-instruction rate from CoreInstructionRate), the
-#    parallel_speedup block, the snapshot block (checkpoint
-#    serialize/restore throughput in MB/s and ns per checkpoint, from
-#    BenchmarkSnapshotEncode/BenchmarkSnapshotRestore), and the
-#    lock_contention block (acquire p50/p99, handoff, starvation, and
-#    fairness per cell), and the serving block (per-cell tail latency,
-#    goodput, and refusals from SV1), so the next hot-path PR starts from
+#    simulated-instruction rate from CoreInstructionRate), the snapshot
+#    block (checkpoint serialize/restore throughput in MB/s and ns per
+#    checkpoint, from BenchmarkSnapshotEncode/BenchmarkSnapshotRestore),
+#    and the experiments block: step 3's JSON verbatim (tables, notes and
+#    named metrics per experiment), so the next hot-path PR starts from
 #    numbers, not guesses.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=1x (default) controls -benchtime; set e.g. BENCHTIME=2s for
-#   steadier numbers on a quiet machine. SCALE_WORKERS (default: all CPUs)
-#   sets the sharded run's worker count.
+#   steadier numbers on a quiet machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,91 +61,19 @@ if ! cmp -s "$GOLDEN" "$TMP/all_par.txt"; then
 fi
 echo "   -parallel 8: identical, ${wall_par_ms} ms"
 
-echo "== S1 scaling: sharded scheduler vs serial oracle =="
-SCALE_ARGS=(-scale)
-if [ -n "${SCALE_WORKERS:-}" ]; then
-    SCALE_ARGS+=(-workers "$SCALE_WORKERS")
-fi
-"$TMP/nocsim" "${SCALE_ARGS[@]}" | tee "$TMP/scale.txt"
-scale_stats=$(grep '^S1 stats:' "$TMP/scale.txt")
-scale_field() { echo "$scale_stats" | tr ' ' '\n' | awk -F= -v k="$1" '$1==k {print $2}'; }
-speedup=$(scale_field speedup)
-scale_workers=$(scale_field workers)
-scale_shards=$(scale_field shards)
-scale_cores=$(scale_field cores)
-scale_serial_ms=$(scale_field serial_ms)
-scale_parallel_ms=$(scale_field parallel_ms)
-scale_ips=$(scale_field instrs_per_sec)
-
-echo "== L1 lock contention: nocsim -locks =="
-"$TMP/nocsim" -locks > "$TMP/locks.txt"
-grep -E '^L1 (stats|shards):' "$TMP/locks.txt" | sed 's/^/   /' | tail -6
-# Render the L1 rows and shard-sweep line as the lock_contention JSON block.
-awk '
-/^L1 stats:/ {
-    row = ""
-    for (i = 3; i <= NF; i++) {
-        split($i, kv, "=")
-        v = kv[2]
-        if (kv[1] == "cell" || kv[1] == "hold") v = "\"" v "\""
-        row = row (row == "" ? "" : ", ") "\"" kv[1] "\": " v
-    }
-    rows[nr++] = "      {" row "}"
-}
-/^L1 shards:/ {
-    for (i = 3; i <= NF; i++) {
-        split($i, kv, "=")
-        if (kv[1] == "workers") sw = kv[2]
-        if (kv[1] == "hash") sh = kv[2]
-        if (kv[1] == "speedup") sp = kv[2]
-    }
-}
-END {
-    printf "  \"lock_contention\": {\n"
-    printf "    \"shard_sweep\": {\"shards\": [1, 2, 4], \"workers\": %s, \"output\": \"byte-identical\", \"hash\": \"%s\", \"best_speedup\": %s},\n", \
-        sw == "" ? "null" : sw, sh, sp == "" ? "null" : sp
-    printf "    \"rows\": [\n"
-    for (i = 0; i < nr; i++) printf "%s%s\n", rows[i], i < nr-1 ? "," : ""
-    printf "    ]\n  },\n"
-}' "$TMP/locks.txt" > "$TMP/locks.json"
-
-echo "== SV1 serving sweep: nocsim -serve =="
-SERVE_ARGS=(-serve)
+echo "== system suite: nocsim -exp S1,L1,SV1 -format json =="
+SYSTEM_ARGS=(-exp S1,L1,SV1 -format json)
 if [ "${SERVE_QUICK:-0}" = "1" ]; then
-    SERVE_ARGS+=(-quick)
+    SYSTEM_ARGS+=(-quick)
 fi
-"$TMP/nocsim" "${SERVE_ARGS[@]}" > "$TMP/serve.txt"
-grep '^SV1 stats:' "$TMP/serve.txt" | sed 's/^/   /' | tail -6
-# Render the SV1 cells as the serving JSON block.
-awk '
-/^SV1 stats:/ {
-    row = ""
-    for (i = 3; i <= NF; i++) {
-        split($i, kv, "=")
-        v = kv[2]
-        if (kv[1] == "flavor" || kv[1] == "arrival" || kv[1] == "hash") v = "\"" v "\""
-        row = row (row == "" ? "" : ", ") "\"" kv[1] "\": " v
-    }
-    rows[nr++] = "      {" row "}"
-}
-END {
-    printf "  \"serving\": {\n"
-    printf "    \"determinism\": \"every cell byte-identical, serial oracle vs sharded\",\n"
-    printf "    \"cells\": [\n"
-    for (i = 0; i < nr; i++) printf "%s%s\n", rows[i], i < nr-1 ? "," : ""
-    printf "    ]\n  },\n"
-}' "$TMP/serve.txt" > "$TMP/serve.json"
+"$TMP/nocsim" "${SYSTEM_ARGS[@]}" > "$TMP/experiments.json"
 
 echo "== benchmarks (-benchmem -benchtime $BENCHTIME) =="
 go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" . | tee "$TMP/bench.txt"
 
 echo "== writing $OUT =="
 awk -v wall_ms="$wall_ms" -v wall_par_ms="$wall_par_ms" \
-    -v speedup="$speedup" -v scale_workers="$scale_workers" \
-    -v scale_shards="$scale_shards" -v scale_cores="$scale_cores" \
-    -v scale_serial_ms="$scale_serial_ms" -v scale_parallel_ms="$scale_parallel_ms" \
-    -v scale_ips="$scale_ips" -v lockjson="$TMP/locks.json" \
-    -v servejson="$TMP/serve.json" '
+    -v expjson="$TMP/experiments.json" '
 BEGIN { n = 0; ips = "" }
 /^Benchmark/ && /ns\/op/ {
     name = $1
@@ -182,21 +100,14 @@ END {
     printf "  \"nocsim_all_parallel8_wall_ms\": %d,\n", wall_par_ms
     printf "  \"golden_diff\": \"identical\",\n"
     printf "  \"instructions_per_sec\": %s,\n", ips == "" ? "null" : ips
-    printf "  \"parallel_speedup\": %s,\n", speedup == "" ? "null" : speedup
-    printf "  \"scale\": {\"cores\": %s, \"shards\": %s, \"workers\": %s, \"serial_wall_ms\": %s, \"parallel_wall_ms\": %s, \"sim_instrs_per_sec\": %s, \"output\": \"byte-identical\"},\n", \
-        scale_cores == "" ? "null" : scale_cores, \
-        scale_shards == "" ? "null" : scale_shards, \
-        scale_workers == "" ? "null" : scale_workers, \
-        scale_serial_ms == "" ? "null" : scale_serial_ms, \
-        scale_parallel_ms == "" ? "null" : scale_parallel_ms, \
-        scale_ips == "" ? "null" : scale_ips
     printf "  \"snapshot\": {\"encode_mb_per_sec\": %s, \"encode_ns_per_checkpoint\": %s, \"restore_mb_per_sec\": %s, \"restore_ns_per_checkpoint\": %s},\n", \
         snap_enc_mbs == "" ? "null" : snap_enc_mbs, \
         snap_enc_ns == "" ? "null" : snap_enc_ns, \
         snap_res_mbs == "" ? "null" : snap_res_mbs, \
         snap_res_ns == "" ? "null" : snap_res_ns
-    while ((getline lockline < lockjson) > 0) print lockline
-    while ((getline serveline < servejson) > 0) print serveline
+    printf "  \"experiments\": "
+    while ((getline line < expjson) > 0) { if (prev != "") print prev; prev = line }
+    print prev ","
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) {
         printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
@@ -208,4 +119,4 @@ END {
     printf "  ]\n}\n"
 }' "$TMP/bench.txt" > "$OUT"
 
-echo "wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks, nocsim -all ${wall_ms} ms)"
+echo "wrote $OUT ($(grep -c '"ns_per_op"' "$OUT") benchmarks, nocsim -all ${wall_ms} ms)"

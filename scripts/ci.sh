@@ -23,26 +23,20 @@
 #                        UncontendedLock + ServeCell allocs/op must stay within 10% of
 #                        scripts/alloc_baseline.txt (the zero-alloc hot
 #                        paths must not silently regrow heap traffic)
-#  10. sharded golden  — a small `nocsim -scale -quick` run; RunScale fails
-#                        internally unless the sharded scheduler's output is
-#                        byte-identical to the serial oracle, so scheduler
-#                        regressions fail fast here
-#  11. lock sweep      — a CI-sized `nocsim -locks -quick` contention run
-#                        (RunLocks fails internally on any exclusion
-#                        violation, lost wakeup, or shard-determinism
-#                        break), plus a 60-seed lock-ordering differential
-#                        sweep with the planted LIFO-handoff mutation that
-#                        the sweep must catch (DESIGN.md §14)
-#  12. snapshot golden — a quick checkpointed endurance run (`nocsim
-#                        -endurance`): resuming from the last emitted
-#                        checkpoint must reproduce the straight-through
-#                        run's summary and hash exactly
-#  13. serving smoke   — a CI-sized `nocsim -serve -quick` sweep, including
-#                        overload cells (load 1.3): RunServe fails
-#                        internally on any serial-vs-sharded byte
-#                        difference, conservation break, or if no overload
-#                        cell ever refused a request (DESIGN.md §15)
-#  14. golden diff     — `nocsim -all` must be byte-identical to the
+#  10. system suite    — `nocsim -exp S1,L1,SV1 -quick`; the exit status is
+#                        the check. S1, L1 and SV1 each fail unless their
+#                        sharded pass is byte-identical to the serial
+#                        oracle; L1 also fails on any exclusion violation or
+#                        lost wakeup, SV1 on a conservation break or if no
+#                        overload cell refused a request (DESIGN.md §12,
+#                        §14, §15)
+#  11. lock ordering   — a 60-seed lock-ordering differential sweep with the
+#                        planted LIFO-handoff mutation that the sweep must
+#                        catch (DESIGN.md §14)
+#  12. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
+#                        resumed from the last checkpoint: one plain diff of
+#                        the two outputs (DESIGN.md §13)
+#  13. golden diff     — `nocsim -all` must be byte-identical to the
 #                        committed results_full.txt (skip with SKIP_GOLDEN=1
 #                        when the caller performs its own golden run)
 #
@@ -109,38 +103,22 @@ awk '
     }
 ' scripts/alloc_baseline.txt "$TMP/allocgate.txt"
 
-echo "== sharded golden: nocsim -scale -quick (serial vs sharded byte-identity) =="
+echo "== system suite: nocsim -exp S1,L1,SV1 -quick (self-verifying) =="
 go build -o "$TMP/nocsim" ./cmd/nocsim
-"$TMP/nocsim" -scale -quick -shards 4 -workers 4 | grep '^S1 stats:'
+"$TMP/nocsim" -exp S1,L1,SV1 -quick > "$TMP/system.txt"
+sed -n 's/^note: /   /p' "$TMP/system.txt"
 
-echo "== lock sweep smoke: nocsim -locks -quick + lock-ordering differential sweep =="
-"$TMP/nocsim" -locks -quick | grep '^L1 shards:' | sed 's/^/   /'
+echo "== lock-ordering differential sweep (60 seeds) + planted mutation =="
 NOCS_DIFF_N=60 go test -count=1 \
     -run '^(TestLockDifferentialSweep|TestHandoffMutationIsCaught)$' \
     ./internal/refmodel/diff
 
-echo "== snapshot golden: nocsim -endurance checkpoint/resume hash identity =="
-"$TMP/nocsim" -endurance -quick -checkpoint-every 30000 \
-    -checkpoint "$TMP/e1.ckpt" > "$TMP/e1.txt" 2>/dev/null
-"$TMP/nocsim" -endurance -quick -resume "$TMP/e1.ckpt" > "$TMP/e1_resume.txt" 2>/dev/null
-grep '^E1 stats:' "$TMP/e1.txt" "$TMP/e1_resume.txt" | sed 's/^/   /'
-if ! diff -u <(grep -v '^E1 stats:' "$TMP/e1.txt") \
-             <(grep -v '^E1 stats:' "$TMP/e1_resume.txt"); then
-    echo "FAIL: resumed endurance summary differs from straight-through run" >&2
-    exit 1
-fi
-h0=$(grep -o 'hash=[0-9a-f]*' "$TMP/e1.txt")
-h1=$(grep -o 'hash=[0-9a-f]*' "$TMP/e1_resume.txt")
-if [ -z "$h0" ] || [ "$h0" != "$h1" ]; then
-    echo "FAIL: resume hash ${h1:-<none>} != straight-through hash ${h0:-<none>}" >&2
-    exit 1
-fi
-
-echo "== serving smoke: nocsim -serve -quick (sweep incl. overload cells) =="
-"$TMP/nocsim" -serve -quick > "$TMP/serve.txt"
-grep '^SV1 stats:' "$TMP/serve.txt" | sed 's/^/   /'
-if ! grep '^SV1 stats:' "$TMP/serve.txt" | grep -q 'load=1\.30'; then
-    echo "FAIL: serving smoke ran no overload cell" >&2
+echo "== snapshot golden: nocsim -exp E1 checkpoint/resume identity =="
+"$TMP/nocsim" -exp E1 -quick -checkpoint-every 30000 \
+    -checkpoint "$TMP/e1.ckpt" > "$TMP/e1.txt"
+"$TMP/nocsim" -exp E1 -quick -resume "$TMP/e1.ckpt" > "$TMP/e1_resume.txt"
+if ! diff -u "$TMP/e1.txt" "$TMP/e1_resume.txt"; then
+    echo "FAIL: resumed E1 output differs from the straight-through run" >&2
     exit 1
 fi
 
