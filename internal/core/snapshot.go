@@ -153,7 +153,7 @@ func (c *Core) RestoreState(r *snapshot.R, prog func(int64) (*isa.Program, error
 		c.execEv[p] = sim.NoEvent
 	}
 	for _, e := range execs {
-		c.execEv[e.ptid] = c.eng.RestoreEvent(e.at, e.seq, "exec", &c.execCBs[e.ptid])
+		c.execEv[e.ptid] = c.eng.AtSeq(e.at, e.seq, "exec", &c.execCBs[e.ptid])
 	}
 
 	c.guests = ptidSet(guests)

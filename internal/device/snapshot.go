@@ -68,12 +68,12 @@ func (t *Timer) RestoreState(r *snapshot.R) error {
 	t.ticks = ticks
 	t.ev = sim.NoEvent
 	if hasEv {
-		t.ev = t.eng.RestoreEvent(evAt, evSeq, "timer", t)
+		t.ev = t.eng.AtSeq(evAt, evSeq, "timer", t)
 	}
 	t.msis = t.msis[:0]
 	for _, s := range msis {
 		m := &timerMSI{t: t}
-		m.h = t.eng.RestoreEvent(s.at, s.seq, "fault-msi", m)
+		m.h = t.eng.AtSeq(s.at, s.seq, "fault-msi", m)
 		t.msis = append(t.msis, m)
 	}
 	return nil
@@ -143,12 +143,12 @@ func (n *NIC) RestoreState(r *snapshot.R) error {
 	n.txHead, n.txTail, n.transmitted = txHead, txTail, transmitted
 	n.rx = n.rx[:0]
 	for i, rx := range rxs {
-		rx.h = n.eng.RestoreEvent(rxSlots[i].at, rxSlots[i].seq, "nic-rx", rx)
+		rx.h = n.eng.AtSeq(rxSlots[i].at, rxSlots[i].seq, "nic-rx", rx)
 		n.rx = append(n.rx, rx)
 	}
 	n.tx = n.tx[:0]
 	for i, tx := range txs {
-		tx.h = n.eng.RestoreEvent(txSlots[i].at, txSlots[i].seq, "nic-tx", tx)
+		tx.h = n.eng.AtSeq(txSlots[i].at, txSlots[i].seq, "nic-tx", tx)
 		n.tx = append(n.tx, tx)
 	}
 	return nil
@@ -202,7 +202,7 @@ func (s *SSD) RestoreState(r *snapshot.R) error {
 	s.inFlight = n
 	s.ops = s.ops[:0]
 	for i, d := range ops {
-		d.h = s.eng.RestoreEvent(slots[i].at, slots[i].seq, "ssd-done", d)
+		d.h = s.eng.AtSeq(slots[i].at, slots[i].seq, "ssd-done", d)
 		s.ops = append(s.ops, d)
 	}
 	return nil

@@ -117,7 +117,7 @@ func (c *Controller) RestoreState(r *snapshot.R, core func(int64) (CoreTarget, e
 			c: c, v: p.v, e: e, pend: p.pend,
 			key: victimKey{core: e.core, victim: e.victim},
 		}
-		d.h = c.eng.RestoreEvent(p.at, p.seq, name, d)
+		d.h = c.eng.AtSeq(p.at, p.seq, name, d)
 		c.pending = append(c.pending, d)
 	}
 	c.raised, c.delivered, c.spurious, c.ipis = raised, delivered, spurious, ipis

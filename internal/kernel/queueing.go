@@ -20,8 +20,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"nocs/internal/faultinject"
@@ -59,6 +61,129 @@ func (q *ring[T]) pop() T {
 		q.head = 0
 	}
 	return v
+}
+
+// arrival is one queued open-loop arrival: the request plus the engine
+// sequence number reserved for it at submission. Its event key is
+// (r.Arrival, seq).
+type arrival struct {
+	seq uint64
+	r   workload.Request
+}
+
+func compareArrivals(a, b arrival) int {
+	if c := cmp.Compare(a.r.Arrival, b.r.Arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// arrivalSink is the server side of an arrival stream: arrive runs when a
+// request's arrival event fires.
+type arrivalSink interface {
+	arrive(r workload.Request)
+}
+
+// arrivals is a queueing server's open-loop arrival stream. Submitted
+// requests wait in one queue sorted by (arrival time, reserved seq), and
+// only a prefix of it — normally just the head — sits in the engine's heap,
+// each entry under the key it would have had if it had been scheduled at
+// submission (sim.Engine.ReserveSeqs). When the head fires it arms the next
+// entry and then delivers its request, so the dispatch order, Ran and the
+// batch horizon match scheduling every arrival up front, while a 40k-request
+// batch costs one heap entry instead of 40k.
+type arrivals struct {
+	eng  *sim.Shard
+	name string
+	sink arrivalSink
+	q    []arrival
+	head int
+	// armed counts the entries q[head:head+armed] that are in the heap.
+	armed int
+}
+
+// add queues reqs under consecutive reserved sequence numbers. In-order
+// requests (every batch workload.Generate builds, every serve submission)
+// are a plain append; an out-of-order one is sorted into place, and armed
+// at once if it lands ahead of an entry already in the heap, which keeps
+// the armed entries a prefix of the queue.
+func (a *arrivals) add(reqs []workload.Request) {
+	if len(reqs) == 0 {
+		return
+	}
+	base := a.eng.ReserveSeqs(len(reqs))
+	var last arrival
+	if a.armed > 0 {
+		last = a.q[a.head+a.armed-1]
+	}
+	start := a.grow(len(reqs))
+	for i, r := range reqs {
+		a.q = append(a.q, arrival{seq: base + uint64(i), r: r})
+	}
+	if !slices.IsSortedFunc(a.q[max(a.head, start-1):], compareArrivals) {
+		slices.SortFunc(a.q[a.head:], compareArrivals)
+	}
+	if a.armed == 0 {
+		a.arm(a.head)
+		return
+	}
+	for i := a.head; i < len(a.q) && compareArrivals(a.q[i], last) < 0; i++ {
+		if a.q[i].seq >= base {
+			a.arm(i)
+		}
+	}
+}
+
+// grow makes room for n more entries with at most one allocation, whatever
+// n is, and returns the index the first of them will take.
+func (a *arrivals) grow(n int) int {
+	if cap(a.q)-len(a.q) < n && a.head > 0 {
+		live := copy(a.q, a.q[a.head:])
+		a.q = a.q[:live]
+		a.head = 0
+	}
+	if cap(a.q)-len(a.q) < n {
+		q := make([]arrival, len(a.q), max(2*cap(a.q), len(a.q)+n))
+		copy(q, a.q)
+		a.q = q
+	}
+	return len(a.q)
+}
+
+func (a *arrivals) arm(i int) {
+	a.eng.AtSeq(a.q[i].r.Arrival, a.q[i].seq, a.name, a)
+	a.armed++
+}
+
+// restore replaces the queue with checkpointed entries (already in key
+// order) and arms the head. The engine must be mid-restore.
+func (a *arrivals) restore(q []arrival) {
+	a.q, a.head, a.armed = q, 0, 0
+	if len(q) > 0 {
+		a.arm(0)
+	}
+}
+
+// claim marks the armed entries' sequence numbers in the engine's claimed
+// set; they are the stream's only live events.
+func (a *arrivals) claim(claimed map[uint64]bool) {
+	for _, e := range a.q[a.head : a.head+a.armed] {
+		claimed[e.seq] = true
+	}
+}
+
+// OnEvent delivers the head arrival (sim.Callback): the head's key is the
+// smallest armed one, so it is always the event that fired.
+func (a *arrivals) OnEvent() {
+	r := a.q[a.head].r
+	a.head++
+	a.armed--
+	if a.head == len(a.q) {
+		a.q, a.head = a.q[:0], 0
+	} else if a.armed == 0 {
+		a.arm(a.head)
+	}
+	a.sink.arrive(r)
 }
 
 // laneSet places request spans onto "req-lane-N" tracks. Requests overlap
@@ -105,8 +230,10 @@ type Completion struct {
 
 // QueueServer is a request service discipline running on the event engine.
 type QueueServer interface {
-	// Submit schedules a request's arrival (Req.Arrival must be ≥ now).
+	// Submit queues a request's arrival (Req.Arrival must be ≥ now).
 	Submit(r workload.Request)
+	// SubmitAll queues a batch of arrivals, each as if by Submit in order.
+	SubmitAll(reqs []workload.Request)
 	// Name identifies the discipline in reports.
 	Name() string
 }
@@ -126,6 +253,7 @@ type FCFSServer struct {
 	// liveness is deterministic, not probabilistic.
 	Faults *faultinject.Injector
 
+	arr         arrivals
 	queue       ring[workload.Request]
 	busy        int
 	done        uint64
@@ -135,18 +263,6 @@ type FCFSServer struct {
 	// donePool recycles completion-event callbacks: at most K are in flight,
 	// so the steady state schedules completions with zero allocations.
 	donePool []*fcfsDone
-}
-
-// fcfsArrival is an allocation-free arrival event body (sim.Callback).
-// SubmitAll builds one arena of these per request batch.
-type fcfsArrival struct {
-	s *FCFSServer
-	r workload.Request
-}
-
-func (a *fcfsArrival) OnEvent() {
-	a.s.queue.push(a.r)
-	a.s.dispatch()
 }
 
 // fcfsDone is a pooled completion/fault event body: one per busy server.
@@ -172,7 +288,9 @@ func NewFCFS(eng *sim.Shard, k int, overhead sim.Cycles, onComplete func(Complet
 	if k < 1 {
 		k = 1
 	}
-	return &FCFSServer{eng: eng, K: k, Overhead: overhead, OnComplete: onComplete}
+	s := &FCFSServer{eng: eng, K: k, Overhead: overhead, OnComplete: onComplete}
+	s.arr = arrivals{eng: eng, name: "fcfs-arrival", sink: s}
+	return s
 }
 
 // Name identifies the discipline.
@@ -187,19 +305,16 @@ func (s *FCFSServer) EnableTrace(tr *trace.Tracer, process string) {
 	}
 }
 
-// Submit schedules the arrival.
-func (s *FCFSServer) Submit(r workload.Request) {
-	s.eng.AtCallback(r.Arrival, "fcfs-arrival", &fcfsArrival{s: s, r: r})
-}
+// Submit queues the arrival on the server's arrival stream.
+func (s *FCFSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
 
-// SubmitAll schedules every arrival in order with a single allocation (one
-// arena of arrival callbacks), replacing a closure per request.
-func (s *FCFSServer) SubmitAll(reqs []workload.Request) {
-	arr := make([]fcfsArrival, len(reqs))
-	for i, r := range reqs {
-		arr[i] = fcfsArrival{s: s, r: r}
-		s.eng.AtCallback(r.Arrival, "fcfs-arrival", &arr[i])
-	}
+// SubmitAll queues every arrival with at most one allocation, however many
+// there are.
+func (s *FCFSServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
+
+func (s *FCFSServer) arrive(r workload.Request) {
+	s.queue.push(r)
+	s.dispatch()
 }
 
 // Completed returns the number of finished requests.
@@ -300,7 +415,8 @@ type PSServer struct {
 	// penalty. At most one fault per request: completion is guaranteed.
 	Faults *faultinject.Injector
 
-	active     map[int]*psReq
+	arr        arrivals
+	active     []*psReq
 	pending    ring[workload.Request]
 	lastUpdate sim.Cycles
 	nextEv     sim.Handle
@@ -317,15 +433,6 @@ type PSServer struct {
 	activeTk trace.TrackID
 }
 
-// psArrival is an allocation-free arrival event body; SubmitAll builds one
-// arena of these per request batch.
-type psArrival struct {
-	s *PSServer
-	r workload.Request
-}
-
-func (a *psArrival) OnEvent() { a.s.arrive(a.r) }
-
 type psReq struct {
 	r         workload.Request
 	remaining float64
@@ -339,8 +446,9 @@ func NewPS(eng *sim.Shard, c int, overhead sim.Cycles, onComplete func(Completio
 	if c < 1 {
 		c = 1
 	}
-	return &PSServer{eng: eng, C: c, Overhead: overhead, OnComplete: onComplete,
-		active: make(map[int]*psReq)}
+	s := &PSServer{eng: eng, C: c, Overhead: overhead, OnComplete: onComplete}
+	s.arr = arrivals{eng: eng, name: "ps-arrival", sink: s}
+	return s
 }
 
 // Name identifies the discipline.
@@ -371,20 +479,12 @@ func (s *PSServer) Faulted() uint64 { return s.faulted }
 // Active returns the number of in-service requests.
 func (s *PSServer) Active() int { return len(s.active) }
 
-// Submit schedules the arrival.
-func (s *PSServer) Submit(r workload.Request) {
-	s.eng.AtCallback(r.Arrival, "ps-arrival", &psArrival{s: s, r: r})
-}
+// Submit queues the arrival on the server's arrival stream.
+func (s *PSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
 
-// SubmitAll schedules every arrival in order with a single allocation (one
-// arena of arrival callbacks), replacing a closure per request.
-func (s *PSServer) SubmitAll(reqs []workload.Request) {
-	arr := make([]psArrival, len(reqs))
-	for i, r := range reqs {
-		arr[i] = psArrival{s: s, r: r}
-		s.eng.AtCallback(r.Arrival, "ps-arrival", &arr[i])
-	}
-}
+// SubmitAll queues every arrival with at most one allocation, however many
+// there are.
+func (s *PSServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
 
 // arrive is the arrival-event body.
 func (s *PSServer) arrive(r workload.Request) {
@@ -424,7 +524,7 @@ func (s *PSServer) admit(r workload.Request) {
 			a.faultPen = pen
 		}
 	}
-	s.active[r.ID] = a
+	s.active = append(s.active, a)
 }
 
 // rate returns the current per-request service rate.
@@ -484,11 +584,13 @@ func (s *PSServer) OnEvent() {
 	s.nextEv = sim.NoEvent
 	s.nextTarget = nil
 	s.advance()
-	// Complete everything at or below zero (simultaneous finishers). Collect
-	// first and sort by ID: map order must not leak into completion order or
-	// the trace would be nondeterministic.
+	// Complete everything at or below zero (simultaneous finishers),
+	// removing them from the active set in place. Collect first and sort by
+	// ID: completion order depends on request identity, never on where a
+	// request sits in the active set.
 	finished := s.finBuf[:0]
-	for id, a := range s.active {
+	kept := s.active[:0]
+	for _, a := range s.active {
 		if a.remaining <= 1e-9 || a == target {
 			if a.faultPen > 0 {
 				// Mid-request fault: exception descriptor written, thread
@@ -498,12 +600,16 @@ func (s *PSServer) OnEvent() {
 				a.remaining = float64(s.Overhead + a.r.Demand + a.faultPen)
 				a.faultPen = 0
 				s.faulted++
+				kept = append(kept, a)
 				continue
 			}
-			delete(s.active, id)
 			finished = append(finished, a)
+			continue
 		}
+		kept = append(kept, a)
 	}
+	clear(s.active[len(kept):])
+	s.active = kept
 	s.finBuf = finished
 	// Insertion sort by ID (IDs unique, so the order matches what sort.Slice
 	// produced) on the reused buffer: no comparator closure, no allocation.
@@ -548,6 +654,7 @@ type TimesliceServer struct {
 	SwitchCost sim.Cycles
 	OnComplete func(Completion)
 
+	arr    arrivals
 	queue  ring[*tsReq]
 	busy   int
 	done   uint64
@@ -562,22 +669,6 @@ type TimesliceServer struct {
 type tsReq struct {
 	r         workload.Request
 	remaining sim.Cycles
-}
-
-// tsArrival is an allocation-free arrival event body; SubmitAll builds one
-// arena of these per request batch.
-type tsArrival struct {
-	s *TimesliceServer
-	r workload.Request
-}
-
-func (a *tsArrival) OnEvent() {
-	s := a.s
-	req := s.getReq()
-	req.r = a.r
-	req.remaining = a.r.Demand
-	s.queue.push(req)
-	s.dispatch()
 }
 
 // tsSlice is a pooled quantum-expiry event body: one per busy server.
@@ -613,7 +704,9 @@ func NewTimeslice(eng *sim.Shard, k int, quantum, switchCost sim.Cycles, onCompl
 	if quantum < 1 {
 		quantum = 1
 	}
-	return &TimesliceServer{eng: eng, K: k, Quantum: quantum, SwitchCost: switchCost, OnComplete: onComplete}
+	s := &TimesliceServer{eng: eng, K: k, Quantum: quantum, SwitchCost: switchCost, OnComplete: onComplete}
+	s.arr = arrivals{eng: eng, name: "ts-arrival", sink: s}
+	return s
 }
 
 // Name identifies the discipline.
@@ -634,19 +727,19 @@ func (s *TimesliceServer) Completed() uint64 { return s.done }
 // Switches returns the number of context switches performed.
 func (s *TimesliceServer) Switches() uint64 { return s.sswaps }
 
-// Submit schedules the arrival.
-func (s *TimesliceServer) Submit(r workload.Request) {
-	s.eng.AtCallback(r.Arrival, "ts-arrival", &tsArrival{s: s, r: r})
-}
+// Submit queues the arrival on the server's arrival stream.
+func (s *TimesliceServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
 
-// SubmitAll schedules every arrival in order with a single allocation (one
-// arena of arrival callbacks), replacing a closure per request.
-func (s *TimesliceServer) SubmitAll(reqs []workload.Request) {
-	arr := make([]tsArrival, len(reqs))
-	for i, r := range reqs {
-		arr[i] = tsArrival{s: s, r: r}
-		s.eng.AtCallback(r.Arrival, "ts-arrival", &arr[i])
-	}
+// SubmitAll queues every arrival with at most one allocation, however many
+// there are.
+func (s *TimesliceServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
+
+func (s *TimesliceServer) arrive(r workload.Request) {
+	req := s.getReq()
+	req.r = r
+	req.remaining = r.Demand
+	s.queue.push(req)
+	s.dispatch()
 }
 
 func (s *TimesliceServer) dispatch() {
@@ -729,13 +822,7 @@ func RunOpenLoop(eng *sim.Shard, srv QueueServer, reqs []workload.Request) []Com
 	default:
 		panic(fmt.Sprintf("kernel: unknown server type %T", srv))
 	}
-	if bs, ok := srv.(interface{ SubmitAll([]workload.Request) }); ok {
-		bs.SubmitAll(reqs)
-	} else {
-		for _, r := range reqs {
-			srv.Submit(r)
-		}
-	}
+	srv.SubmitAll(reqs)
 	eng.Run(0)
 	return out
 }

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nocs/internal/faultinject"
@@ -12,13 +14,16 @@ import (
 )
 
 // Checkpoint support (DESIGN.md §13) for the queueing servers. Each server
-// serializes its ring FIFO, counters, and every live event it owns: pending
+// serializes its ring FIFO, counters, and every event it owns: pending
 // arrivals, in-flight completions or quantum slices, and the PS next-finisher.
-// Arrival bodies are arena-allocated without retained handles, so the codec
-// reclaims them through the engine's VisitLiveEvents enumeration — the owner
-// recognizes its own payload types among the live events — instead of paying
-// per-event handle bookkeeping on the hot path. Freelists and event pools are
-// capacity, not state: they restore empty and re-grow.
+// Pending arrivals are written as (at, seq, request) records in key order
+// straight from the arrival stream, whose head is the only one in the heap;
+// restore re-arms that head. Pooled completion and slice bodies carry no
+// retained handles, so the codec reclaims them through the engine's
+// VisitLiveEvents enumeration — the owner recognizes its own payload types
+// among the live events — instead of paying per-event handle bookkeeping on
+// the hot path. Freelists and event pools are capacity, not state: they
+// restore empty and re-grow.
 //
 // Trace lanes (EnableTrace) are wiring and re-base like every other tracer;
 // OnComplete callbacks are re-attached by the restore target's driver.
@@ -155,6 +160,38 @@ type eventRec struct {
 	seq uint64
 }
 
+func snapshotArrivals(w *snapshot.W, a *arrivals) {
+	q := a.q[a.head:]
+	w.Len(len(q))
+	for _, e := range q {
+		w.I64(int64(e.r.Arrival)).U64(e.seq)
+		e.r.SnapshotState(w)
+	}
+}
+
+// restoreArrivals reads the records snapshotArrivals wrote. An arrival
+// fires at its request's own arrival time, and the stream arms only its
+// head, so a record whose event time disagrees with its request, or that is
+// out of (at, seq) order, is corrupt.
+func restoreArrivals(r *snapshot.R) ([]arrival, error) {
+	n := r.Len(40)
+	q := make([]arrival, n)
+	for i := range q {
+		at, seq := sim.Cycles(r.I64()), r.U64()
+		q[i] = arrival{seq: seq, r: workload.RestoreRequest(r)}
+		if r.Err() != nil {
+			break
+		}
+		if q[i].r.Arrival != at {
+			return nil, fmt.Errorf("kernel: arrival event at cycle %d carries a request arriving at %d", at, q[i].r.Arrival)
+		}
+		if i > 0 && compareArrivals(q[i-1], q[i]) >= 0 {
+			return nil, fmt.Errorf("kernel: arrival records out of (at, seq) order at record %d", i)
+		}
+	}
+	return q, nil
+}
+
 // ---- FCFS ----
 
 // SnapshotState writes the FCFS server's dynamic state.
@@ -170,28 +207,15 @@ func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 	sort.Slice(once, func(i, j int) bool { return once[i] < once[j] })
 	w.I64s(once)
 
-	var arrivals []*fcfsArrival
-	var arrEvs, doneEvs []eventRec
+	var doneEvs []eventRec
 	var dones []*fcfsDone
 	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *fcfsArrival:
-			if v.s == s {
-				arrivals = append(arrivals, v)
-				arrEvs = append(arrEvs, eventRec{at, seq})
-			}
-		case *fcfsDone:
-			if v.s == s {
-				dones = append(dones, v)
-				doneEvs = append(doneEvs, eventRec{at, seq})
-			}
+		if v, ok := cb.(*fcfsDone); ok && v.s == s {
+			dones = append(dones, v)
+			doneEvs = append(doneEvs, eventRec{at, seq})
 		}
 	})
-	w.Len(len(arrivals))
-	for i, a := range arrivals {
-		w.I64(int64(arrEvs[i].at)).U64(arrEvs[i].seq)
-		a.r.SnapshotState(w)
-	}
+	snapshotArrivals(w, &s.arr)
 	w.Len(len(dones))
 	for i, d := range dones {
 		w.I64(int64(doneEvs[i].at)).U64(doneEvs[i].seq)
@@ -208,14 +232,9 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 	queued := restoreRequests(r)
 	busy, done, faulted := r.U64(), r.U64(), r.U64()
 	once := r.I64s()
-	na := r.Len(40)
-	type arrRec struct {
-		ev eventRec
-		r  workload.Request
-	}
-	arrs := make([]arrRec, na)
-	for i := range arrs {
-		arrs[i] = arrRec{eventRec{sim.Cycles(r.I64()), r.U64()}, workload.RestoreRequest(r)}
+	arrs, err := restoreArrivals(r)
+	if err != nil {
+		return err
 	}
 	nd := r.Len(57)
 	type doneRec struct {
@@ -246,17 +265,13 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 		}
 	}
 	s.donePool = nil
-	arena := make([]fcfsArrival, na)
-	for i, a := range arrs {
-		arena[i] = fcfsArrival{s: s, r: a.r}
-		s.eng.RestoreEvent(a.ev.at, a.ev.seq, "fcfs-arrival", &arena[i])
-	}
+	s.arr.restore(arrs)
 	for _, d := range dones {
 		name := "fcfs-done"
 		if d.fault {
 			name = "fcfs-fault"
 		}
-		s.eng.RestoreEvent(d.ev.at, d.ev.seq, name,
+		s.eng.AtSeq(d.ev.at, d.ev.seq, name,
 			&fcfsDone{s: s, r: d.r, total: d.total, pen: d.pen, fault: d.fault})
 	}
 	return nil
@@ -264,16 +279,10 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 
 // ClaimEvents marks the server's live events in the engine's claimed set.
 func (s *FCFSServer) ClaimEvents(claimed map[uint64]bool) {
+	s.arr.claim(claimed)
 	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *fcfsArrival:
-			if v.s == s {
-				claimed[seq] = true
-			}
-		case *fcfsDone:
-			if v.s == s {
-				claimed[seq] = true
-			}
+		if v, ok := cb.(*fcfsDone); ok && v.s == s {
+			claimed[seq] = true
 		}
 	})
 }
@@ -285,14 +294,10 @@ func (s *FCFSServer) ClaimEvents(claimed map[uint64]bool) {
 // time would reassociate the floating-point arithmetic and perturb the
 // continued run by an ulp.
 func (s *PSServer) SnapshotState(w *snapshot.W) error {
-	ids := make([]int, 0, len(s.active))
-	for id := range s.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.Len(len(ids))
-	for _, id := range ids {
-		a := s.active[id]
+	active := slices.Clone(s.active)
+	slices.SortFunc(active, func(a, b *psReq) int { return cmp.Compare(a.r.ID, b.r.ID) })
+	w.Len(len(active))
+	for _, a := range active {
 		a.r.SnapshotState(w)
 		w.F64(a.remaining).I64(int64(a.faultPen))
 	}
@@ -308,19 +313,7 @@ func (s *PSServer) SnapshotState(w *snapshot.W) error {
 		w.I64(int64(at)).U64(seq).I64(int64(s.nextTarget.r.ID))
 	}
 
-	var arrivals []*psArrival
-	var arrEvs []eventRec
-	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*psArrival); ok && v.s == s {
-			arrivals = append(arrivals, v)
-			arrEvs = append(arrEvs, eventRec{at, seq})
-		}
-	})
-	w.Len(len(arrivals))
-	for i, a := range arrivals {
-		w.I64(int64(arrEvs[i].at)).U64(arrEvs[i].seq)
-		a.r.SnapshotState(w)
-	}
+	snapshotArrivals(w, &s.arr)
 	return nil
 }
 
@@ -346,53 +339,40 @@ func (s *PSServer) RestoreState(r *snapshot.R) error {
 		next = eventRec{sim.Cycles(r.I64()), r.U64()}
 		nextID = r.I64()
 	}
-	na := r.Len(40)
-	type arrRec struct {
-		ev eventRec
-		r  workload.Request
-	}
-	arrs := make([]arrRec, na)
-	for i := range arrs {
-		arrs[i] = arrRec{eventRec{sim.Cycles(r.I64()), r.U64()}, workload.RestoreRequest(r)}
+	arrs, err := restoreArrivals(r)
+	if err != nil {
+		return err
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
 
-	s.active = make(map[int]*psReq, nact)
-	for _, a := range acts {
-		s.active[a.r.ID] = &psReq{r: a.r, remaining: a.remaining, faultPen: a.faultPen}
+	s.active = make([]*psReq, nact)
+	for i, a := range acts {
+		s.active[i] = &psReq{r: a.r, remaining: a.remaining, faultPen: a.faultPen}
 	}
 	s.pending = ring[workload.Request]{buf: pending}
 	s.lastUpdate, s.done, s.faulted = lastUpdate, done, faulted
 	s.free, s.finBuf = nil, nil
 	s.nextEv, s.nextTarget = sim.NoEvent, nil
 	if hasNext {
-		target, ok := s.active[int(nextID)]
-		if !ok {
+		i := slices.IndexFunc(s.active, func(a *psReq) bool { return int64(a.r.ID) == nextID })
+		if i < 0 {
 			return fmt.Errorf("kernel: ps next-finisher targets unknown request %d", nextID)
 		}
-		s.nextTarget = target
-		s.nextEv = s.eng.RestoreEvent(next.at, next.seq, "ps-done", s)
+		s.nextTarget = s.active[i]
+		s.nextEv = s.eng.AtSeq(next.at, next.seq, "ps-done", s)
 	}
-	arena := make([]psArrival, na)
-	for i, a := range arrs {
-		arena[i] = psArrival{s: s, r: a.r}
-		s.eng.RestoreEvent(a.ev.at, a.ev.seq, "ps-arrival", &arena[i])
-	}
+	s.arr.restore(arrs)
 	return nil
 }
 
 // ClaimEvents marks the server's live events in the engine's claimed set.
 func (s *PSServer) ClaimEvents(claimed map[uint64]bool) {
-	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*psArrival); ok && v.s == s {
-			claimed[seq] = true
-		}
-		if v, ok := cb.(*PSServer); ok && v == s {
-			claimed[seq] = true
-		}
-	})
+	s.arr.claim(claimed)
+	if _, seq, ok := s.eng.EventInfo(s.nextEv); ok {
+		claimed[seq] = true
+	}
 }
 
 // ---- Timeslice ----
@@ -407,28 +387,15 @@ func (s *TimesliceServer) SnapshotState(w *snapshot.W) error {
 	}
 	w.U64(uint64(s.busy)).U64(s.done).U64(s.sswaps)
 
-	var arrivals []*tsArrival
-	var arrEvs, sliceEvs []eventRec
+	var sliceEvs []eventRec
 	var slices []*tsSlice
 	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *tsArrival:
-			if v.s == s {
-				arrivals = append(arrivals, v)
-				arrEvs = append(arrEvs, eventRec{at, seq})
-			}
-		case *tsSlice:
-			if v.s == s {
-				slices = append(slices, v)
-				sliceEvs = append(sliceEvs, eventRec{at, seq})
-			}
+		if v, ok := cb.(*tsSlice); ok && v.s == s {
+			slices = append(slices, v)
+			sliceEvs = append(sliceEvs, eventRec{at, seq})
 		}
 	})
-	w.Len(len(arrivals))
-	for i, a := range arrivals {
-		w.I64(int64(arrEvs[i].at)).U64(arrEvs[i].seq)
-		a.r.SnapshotState(w)
-	}
+	snapshotArrivals(w, &s.arr)
 	w.Len(len(slices))
 	for i, e := range slices {
 		w.I64(int64(sliceEvs[i].at)).U64(sliceEvs[i].seq)
@@ -451,14 +418,9 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 		queued[i] = reqRec{workload.RestoreRequest(r), sim.Cycles(r.I64())}
 	}
 	busy, done, sswaps := r.U64(), r.U64(), r.U64()
-	na := r.Len(40)
-	type arrRec struct {
-		ev eventRec
-		r  workload.Request
-	}
-	arrs := make([]arrRec, na)
-	for i := range arrs {
-		arrs[i] = arrRec{eventRec{sim.Cycles(r.I64()), r.U64()}, workload.RestoreRequest(r)}
+	arrs, err := restoreArrivals(r)
+	if err != nil {
+		return err
 	}
 	ns := r.Len(56)
 	type sliceRec struct {
@@ -483,13 +445,9 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 	s.queue = ring[*tsReq]{buf: buf}
 	s.busy, s.done, s.sswaps = int(busy), done, sswaps
 	s.free, s.slicePool = nil, nil
-	arena := make([]tsArrival, na)
-	for i, a := range arrs {
-		arena[i] = tsArrival{s: s, r: a.r}
-		s.eng.RestoreEvent(a.ev.at, a.ev.seq, "ts-arrival", &arena[i])
-	}
+	s.arr.restore(arrs)
 	for _, e := range slices {
-		s.eng.RestoreEvent(e.ev.at, e.ev.seq, "ts-slice",
+		s.eng.AtSeq(e.ev.at, e.ev.seq, "ts-slice",
 			&tsSlice{s: s, req: &tsReq{r: e.r, remaining: e.remaining}, slice: e.slice})
 	}
 	return nil
@@ -497,16 +455,10 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 
 // ClaimEvents marks the server's live events in the engine's claimed set.
 func (s *TimesliceServer) ClaimEvents(claimed map[uint64]bool) {
+	s.arr.claim(claimed)
 	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		switch v := cb.(type) {
-		case *tsArrival:
-			if v.s == s {
-				claimed[seq] = true
-			}
-		case *tsSlice:
-			if v.s == s {
-				claimed[seq] = true
-			}
+		if v, ok := cb.(*tsSlice); ok && v.s == s {
+			claimed[seq] = true
 		}
 	})
 }

@@ -2,6 +2,9 @@ package kernel
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,82 +63,123 @@ func queueReqs() []workload.Request {
 	return workload.Generate(300, 0, arr, svc)
 }
 
+// queueCases lists the discipline variants the checkpoint tests cover.
+var queueCases = []struct {
+	kind   string
+	faults bool
+}{{"fcfs", false}, {"fcfs", true}, {"ps", false}, {"ps", true}, {"ts", false}}
+
+func queueCaseName(kind string, faults bool) string {
+	if faults {
+		return kind + "-faulted"
+	}
+	return kind
+}
+
+// submitQueue hands reqs to srv in one SubmitAll, or one Submit per request.
+func submitQueue(srv QueueServer, reqs []workload.Request, each bool) {
+	if !each {
+		srv.SubmitAll(reqs)
+		return
+	}
+	for _, r := range reqs {
+		srv.Submit(r)
+	}
+}
+
+// checkQueueRoundTrip runs one discipline straight through, then again with
+// a checkpoint at the given cycle restored into a freshly built engine and
+// server, and requires the continued completion stream to exactly extend
+// the straight-through run's. Re-serializing the restored shard must give
+// the original bytes (tombstones from PS's cancel-heavy rescheduling
+// included).
+func checkQueueRoundTrip(t *testing.T, kind string, faults bool, checkpoint sim.Cycles, each bool) {
+	t.Helper()
+	reqs := queueReqs()
+
+	// Straight-through reference stream.
+	var full []compRec
+	engR := sim.SoloShard(sim.NewEngine(nil))
+	srvR, _ := buildQueueCase(kind, engR, faults, &full)
+	submitQueue(srvR, reqs, each)
+	engR.Run(0)
+
+	// Checkpointed run: prefix on A, snapshot, suffix on B.
+	var prefix []compRec
+	engA := sim.SoloShard(sim.NewEngine(nil))
+	srvA, compsA := buildQueueCase(kind, engA, faults, &prefix)
+	submitQueue(srvA, reqs, each)
+	engA.RunUntil(checkpoint)
+
+	b := snapshot.NewBuilder()
+	if err := SnapshotShard(b, engA, compsA...); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var suffix []compRec
+	engB := sim.SoloShard(sim.NewEngine(nil))
+	_, compsB := buildQueueCase(kind, engB, faults, &suffix)
+	if err := RestoreShard(snap, engB, compsB...); err != nil {
+		t.Fatal(err)
+	}
+
+	b2 := snapshot.NewBuilder()
+	if err := SnapshotShard(b2, engB, compsB...); err != nil {
+		t.Fatal(err)
+	}
+	var buf2 bytes.Buffer
+	if _, err := b2.WriteTo(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatalf("restored shard re-serializes to different bytes (%d vs %d)", buf.Len(), buf2.Len())
+	}
+
+	engB.Run(0)
+	got := append(append([]compRec(nil), prefix...), suffix...)
+	if !reflect.DeepEqual(got, full) {
+		t.Fatalf("restored completion stream diverged: prefix %d + suffix %d vs full %d",
+			len(prefix), len(suffix), len(full))
+	}
+	if engB.Now() != engR.Now() || engB.Ran() != engR.Ran() {
+		t.Fatalf("restored run ended at cycle %d after %d events, straight-through at %d after %d",
+			engB.Now(), engB.Ran(), engR.Now(), engR.Ran())
+	}
+}
+
 // TestQueueServerSnapshotRoundTrip checkpoints each discipline mid-run —
 // requests queued, in service, and still arriving; for the faulted variants
-// the injector RNG cursor mid-stream — restores into a freshly built engine
-// and server, and requires the continued completion stream to exactly extend
-// the straight-through run's. Re-serializing the restored shard must give the
-// original bytes (tombstones from PS's cancel-heavy rescheduling included).
+// the injector RNG cursor mid-stream — and requires restore + run to equal
+// the straight-through run.
 func TestQueueServerSnapshotRoundTrip(t *testing.T) {
-	const checkpoint = 120_000
-	for _, kind := range []string{"fcfs", "ps", "ts"} {
-		for _, faults := range []bool{false, true} {
-			if kind == "ts" && faults {
-				continue // timeslicing has no fault hook
+	for _, c := range queueCases {
+		t.Run(queueCaseName(c.kind, c.faults), func(t *testing.T) {
+			checkQueueRoundTrip(t, c.kind, c.faults, 120_000, false)
+		})
+	}
+}
+
+// TestQueueServerSnapshotMidStream checkpoints each discipline at other
+// points of its arrival stream — before the first arrival fires (the whole
+// batch still queued), early, and with only the tail left — for bulk and
+// per-request submission alike.
+func TestQueueServerSnapshotMidStream(t *testing.T) {
+	for _, c := range queueCases {
+		for _, checkpoint := range []sim.Cycles{0, 40_000, 250_000} {
+			for _, each := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%d/each=%v", queueCaseName(c.kind, c.faults), checkpoint, each)
+				t.Run(name, func(t *testing.T) {
+					checkQueueRoundTrip(t, c.kind, c.faults, checkpoint, each)
+				})
 			}
-			name := kind
-			if faults {
-				name += "-faulted"
-			}
-			t.Run(name, func(t *testing.T) {
-				reqs := queueReqs()
-
-				// Straight-through reference stream.
-				var full []compRec
-				engR := sim.SoloShard(sim.NewEngine(nil))
-				srvR, _ := buildQueueCase(kind, engR, faults, &full)
-				srvR.(interface{ SubmitAll([]workload.Request) }).SubmitAll(reqs)
-				engR.Run(0)
-
-				// Checkpointed run: prefix on A, snapshot, suffix on B.
-				var prefix []compRec
-				engA := sim.SoloShard(sim.NewEngine(nil))
-				srvA, compsA := buildQueueCase(kind, engA, faults, &prefix)
-				srvA.(interface{ SubmitAll([]workload.Request) }).SubmitAll(reqs)
-				engA.RunUntil(checkpoint)
-
-				b := snapshot.NewBuilder()
-				if err := SnapshotShard(b, engA, compsA...); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if _, err := b.WriteTo(&buf); err != nil {
-					t.Fatal(err)
-				}
-				snap, err := snapshot.Decode(buf.Bytes())
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				var suffix []compRec
-				engB := sim.SoloShard(sim.NewEngine(nil))
-				_, compsB := buildQueueCase(kind, engB, faults, &suffix)
-				if err := RestoreShard(snap, engB, compsB...); err != nil {
-					t.Fatal(err)
-				}
-
-				b2 := snapshot.NewBuilder()
-				if err := SnapshotShard(b2, engB, compsB...); err != nil {
-					t.Fatal(err)
-				}
-				var buf2 bytes.Buffer
-				if _, err := b2.WriteTo(&buf2); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-					t.Fatalf("restored shard re-serializes to different bytes (%d vs %d)", buf.Len(), buf2.Len())
-				}
-
-				engB.Run(0)
-				got := append(append([]compRec(nil), prefix...), suffix...)
-				if !reflect.DeepEqual(got, full) {
-					t.Fatalf("restored completion stream diverged: prefix %d + suffix %d vs full %d",
-						len(prefix), len(suffix), len(full))
-				}
-				if engB.Now() != engR.Now() {
-					t.Fatalf("restored run ended at cycle %d, straight-through at %d", engB.Now(), engR.Now())
-				}
-			})
 		}
 	}
 }
@@ -150,5 +194,95 @@ func TestSnapshotShardUnclaimedEvent(t *testing.T) {
 	err := SnapshotShard(snapshot.NewBuilder(), eng, comps...)
 	if err == nil || !strings.Contains(err.Error(), "bench-glue") {
 		t.Fatalf("want unclaimed-event error naming bench-glue, got %v", err)
+	}
+}
+
+// queueSnapshotGolden pins the NOCSNAP1 encoding of a mid-batch queue
+// server: SHA-256 of the checkpoint written at cycle 120000 of the
+// queueReqs batch. The hashes were recorded when every arrival was its own
+// heap event. Pending arrivals are encoded as sorted (at, seq, request)
+// records however the server holds them internally, so a change to the
+// arrival bookkeeping must leave these hashes alone.
+var queueSnapshotGolden = map[string]string{
+	"fcfs":         "892a801127f13491be05ff89a910afd50bb89866ea441d1661623a17aac872b6", // 7088 bytes
+	"fcfs-faulted": "68ee6183bbbc34d3315ad0091ef49be2563a6a407f91fcba19bbd1180149a8b9", // 7439 bytes
+	"ps":           "37eb456128e74fd5a0e1718f0eaf456af87d717c7f054a0e2b5022a6f1d347c2", // 7173 bytes
+	"ps-faulted":   "be2debace7dd323c150a9e071b9b91cddfd52fea557a5bfce207ed952c35750b", // 7184 bytes
+	"ts":           "84bffb761f49ab83b9e205492cd1ef472406597621f35a6a03b279736e71ac10", // 7256 bytes
+}
+
+func TestQueueServerSnapshotGolden(t *testing.T) {
+	for _, c := range queueCases {
+		// Per-request Submit reserves the same sequence numbers as one
+		// SubmitAll, so both must write the pinned bytes.
+		for _, each := range []bool{false, true} {
+			name := queueCaseName(c.kind, c.faults)
+			var sink []compRec
+			eng := sim.SoloShard(sim.NewEngine(nil))
+			srv, comps := buildQueueCase(c.kind, eng, c.faults, &sink)
+			submitQueue(srv, queueReqs(), each)
+			eng.RunUntil(120_000)
+			b := snapshot.NewBuilder()
+			if err := SnapshotShard(b, eng, comps...); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := b.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != queueSnapshotGolden[name] {
+				t.Errorf("%s (each=%v): NOCSNAP1 checkpoint hash %s, want %s", name, each, got, queueSnapshotGolden[name])
+			}
+		}
+	}
+}
+
+// TestRestoreArrivalsRejectsCorruptRecords: the stream arms only its head on
+// restore, so arrival records out of (at, seq) order, or whose event time is
+// not their request's arrival, must fail with a named error.
+func TestRestoreArrivalsRejectsCorruptRecords(t *testing.T) {
+	type rec struct {
+		at  sim.Cycles
+		seq uint64
+		r   workload.Request
+	}
+	req := func(id int, at sim.Cycles) workload.Request {
+		return workload.Request{ID: id, Arrival: at, Demand: 10}
+	}
+	for name, recs := range map[string][]rec{
+		"out of order":   {{50, 1, req(1, 50)}, {40, 2, req(2, 40)}},
+		"duplicate key":  {{50, 1, req(1, 50)}, {50, 1, req(2, 50)}},
+		"time mismatch":  {{50, 1, req(1, 60)}},
+		"in order (ok)":  {{40, 2, req(2, 40)}, {50, 1, req(1, 50)}, {50, 3, req(3, 50)}},
+		"empty (ok)":     nil,
+		"single (ok)":    {{7, 0, req(0, 7)}},
+		"seq order (ok)": {{9, 4, req(4, 9)}, {9, 5, req(5, 9)}},
+	} {
+		b := snapshot.NewBuilder()
+		w := b.Section("arr")
+		w.Len(len(recs))
+		for _, e := range recs {
+			w.I64(int64(e.at)).U64(e.seq)
+			e.r.SnapshotState(w)
+		}
+		var buf bytes.Buffer
+		if _, err := b.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := snap.Section("arr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := restoreArrivals(r)
+		if ok := strings.HasSuffix(name, "(ok)"); ok != (err == nil) {
+			t.Errorf("%s: err = %v", name, err)
+		} else if ok && len(q) != len(recs) {
+			t.Errorf("%s: restored %d of %d records", name, len(q), len(recs))
+		}
 	}
 }

@@ -507,7 +507,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 					return err
 				}
 				st.mon.RestoreSpuriousInjection(wt, func(cb sim.Callback) sim.Handle {
-					return st.sh.RestoreEvent(at, seq, monitor.EvSpuriousWake, cb)
+					return st.sh.AtSeq(at, seq, monitor.EvSpuriousWake, cb)
 				})
 				continue
 			}
@@ -524,7 +524,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 				return err
 			}
 			st.mon.RestoreCoalescedInjection(batch, addr, val, src, func(cb sim.Callback) sim.Handle {
-				return st.sh.RestoreEvent(at, seq, monitor.EvCoalescedWake, cb)
+				return st.sh.AtSeq(at, seq, monitor.EvCoalescedWake, cb)
 			})
 		}
 		if err := monR.Err(); err != nil {
@@ -588,7 +588,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 				return fmt.Errorf("machine: snapshot wake injection for unknown core %d", rec.core)
 			}
 		}
-		j.h = m.shards[rec.s].sh.RestoreEvent(rec.at, rec.seq, name, j)
+		j.h = m.shards[rec.s].sh.AtSeq(rec.at, rec.seq, name, j)
 		m.injects = append(m.injects, j)
 	}
 

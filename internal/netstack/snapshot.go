@@ -142,7 +142,7 @@ func (s *Stack) RestoreState(r *snapshot.R) error {
 		}
 		e := &stackEv{st: s, idx: len(s.live), kind: rec.kind, sock: int(rec.sock),
 			val: rec.val, addr: rec.addr, wait: rec.wait, max: rec.max}
-		e.h = sh.RestoreEvent(rec.at, rec.seq, stackEvNames[rec.kind], e)
+		e.h = sh.AtSeq(rec.at, rec.seq, stackEvNames[rec.kind], e)
 		s.live = append(s.live, e)
 	}
 	return nil

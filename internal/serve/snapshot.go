@@ -226,7 +226,7 @@ func (c *Cluster) RestoreState(r *snapshot.R) error {
 	c.stor.fetchOps, c.stor.wbOps = fetchOps, wbOps
 
 	if c.arrLive {
-		c.arrH = c.m.Shard(c.lbShard).RestoreEvent(arrAt, arrSeq, "serve-arrival", &arrivalEv{c})
+		c.arrH = c.m.Shard(c.lbShard).AtSeq(arrAt, arrSeq, "serve-arrival", &arrivalEv{c})
 	}
 	return nil
 }

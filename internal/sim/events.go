@@ -264,8 +264,12 @@ func (e *Engine) siftDown(en heapEntry) {
 	h[i] = en
 }
 
-// schedule is the common body of At/AtCallback.
-func (e *Engine) schedule(t Cycles, name string, fn func(), cb Callback) Handle {
+// schedule is the one scheduling body: At, AtCallback, AtSeq, and the
+// checkpoint restore of live events and tombstones all queue through it
+// under an explicit (t, seq) key. A seq at or past the counter advances the
+// counter beyond it, so the plain At path (seq == e.seq) is a post-increment
+// and a restored event can never collide with a later one.
+func (e *Engine) schedule(t Cycles, seq uint64, name string, fn func(), cb Callback, cancelled bool) Handle {
 	if t < e.clock.Now() {
 		panic(fmt.Sprintf("sim: event %q scheduled at %d, before now=%d", name, t, e.clock.Now()))
 	}
@@ -275,14 +279,39 @@ func (e *Engine) schedule(t Cycles, name string, fn func(), cb Callback) Handle 
 	sl.cb = cb
 	sl.name = name
 	sl.queued = true
-	e.push(heapEntry{at: t, seq: e.seq, slot: s})
-	e.seq++
+	sl.cancelled = cancelled
+	e.push(heapEntry{at: t, seq: seq, slot: s})
+	if seq >= e.seq {
+		e.seq = seq + 1
+	}
 	return handleOf(s, sl.gen)
+}
+
+// ReserveSeqs takes n consecutive sequence numbers off the engine's counter
+// and returns the first. An event later queued with AtSeq under one of them
+// sorts exactly where it would have if it had been scheduled at reservation
+// time. A component with a long, pre-known event train (open-loop arrivals,
+// periodic ticks) reserves the whole train's numbers up front and keeps only
+// its next event in the heap: dispatch order, same-cycle tie-breaks,
+// NextEventAt, BatchHorizon and Ran are those of the up-front schedule,
+// while the heap stays small.
+func (e *Engine) ReserveSeqs(n int) uint64 {
+	base := e.seq
+	e.seq += uint64(n)
+	return base
+}
+
+// AtSeq schedules cb.OnEvent at absolute time t under an explicit sequence
+// number: one taken by ReserveSeqs, or a checkpointed event's original
+// number when restoring it. Scheduling in the past panics (machine restore
+// wraps the whole sequence in a recover).
+func (e *Engine) AtSeq(t Cycles, seq uint64, name string, cb Callback) Handle {
+	return e.schedule(t, seq, name, nil, cb, false)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics.
 func (e *Engine) At(t Cycles, name string, fn func()) Handle {
-	return e.schedule(t, name, fn, nil)
+	return e.schedule(t, e.seq, name, fn, nil, false)
 }
 
 // After schedules fn to run d cycles from now.
@@ -290,14 +319,14 @@ func (e *Engine) After(d Cycles, name string, fn func()) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: event %q scheduled %d cycles in the past", name, d))
 	}
-	return e.schedule(e.clock.Now()+d, name, fn, nil)
+	return e.schedule(e.clock.Now()+d, e.seq, name, fn, nil, false)
 }
 
 // AtCallback schedules cb.OnEvent to run at absolute time t. Unlike At, the
 // caller allocates nothing per event: the slot comes from the engine's arena
 // and cb is a preexisting object.
 func (e *Engine) AtCallback(t Cycles, name string, cb Callback) Handle {
-	return e.schedule(t, name, nil, cb)
+	return e.schedule(t, e.seq, name, nil, cb, false)
 }
 
 // AfterCallback schedules cb.OnEvent to run d cycles from now.
@@ -305,7 +334,7 @@ func (e *Engine) AfterCallback(d Cycles, name string, cb Callback) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: event %q scheduled %d cycles in the past", name, d))
 	}
-	return e.schedule(e.clock.Now()+d, name, nil, cb)
+	return e.schedule(e.clock.Now()+d, e.seq, name, nil, cb, false)
 }
 
 // Cancel marks the event so it will be skipped when popped. Cancelling an

@@ -14,7 +14,7 @@ import (
 //   - Components OWN their pending events. Every component that schedules
 //     an event and needs it to survive a checkpoint keeps its Handle plus a
 //     serializable payload, and at restore time re-creates the event with
-//     RestoreEvent, pinning the original (timestamp, sequence) pair so
+//     AtSeq, pinning the original (timestamp, sequence) pair so
 //     same-cycle tie-breaking is byte-identical.
 //   - The engine owns cancelled-but-unpopped events. A cancelled entry's
 //     only observable effects are advancing the clock when popped and
@@ -52,10 +52,10 @@ func (e *Engine) EventInfo(h Handle) (at Cycles, seq uint64, ok bool) {
 // VisitLiveEvents calls visit for every live (non-cancelled) queued event in
 // deterministic (timestamp, sequence) order. cb is the event's callback body,
 // or nil for closure events. This is the reclamation path for components that
-// schedule arena-allocated event bodies without retaining handles (the
-// queueing servers' arrival arenas): at checkpoint time the owner recognizes
-// its own payload types among the live events instead of tracking a handle
-// per event on the hot path.
+// schedule pooled event bodies without retaining handles (the queueing
+// servers' completion and quantum-slice events): at checkpoint time the owner
+// recognizes its own payload types among the live events instead of tracking
+// a handle per event on the hot path.
 func (e *Engine) VisitLiveEvents(visit func(at Cycles, seq uint64, name string, cb Callback)) {
 	ents := append([]heapEntry(nil), e.heap...)
 	sort.Slice(ents, func(i, j int) bool { return entryLess(ents[i], ents[j]) })
@@ -108,47 +108,16 @@ func (e *Engine) BeginRestore(now Cycles) {
 	e.clock.now = now
 }
 
-// RestoreEvent re-queues a live event with its original timestamp and
-// sequence number, preserving same-cycle tie-break order exactly. cb is the
-// owner's re-created event body. Restoring into the past panics (machine
-// restore wraps the whole sequence in a recover).
-func (e *Engine) RestoreEvent(at Cycles, seq uint64, name string, cb Callback) Handle {
-	if at < e.clock.Now() {
-		panic(fmt.Sprintf("sim: restored event %q at %d, before now=%d", name, at, e.clock.Now()))
-	}
-	s := e.alloc()
-	sl := &e.slots[s]
-	sl.cb = cb
-	sl.name = name
-	sl.queued = true
-	e.push(heapEntry{at: at, seq: seq, slot: s})
-	if seq >= e.seq {
-		e.seq = seq + 1
-	}
-	return handleOf(s, sl.gen)
-}
-
 // RestoreTombstone re-queues a cancelled event. When popped it advances the
 // clock and is discarded without running or counting toward Ran — exactly
 // the observable behavior of the original cancelled entry (including its
-// effect on BatchHorizon while queued).
+// effect on BatchHorizon while queued). Live events are restored with AtSeq.
 func (e *Engine) RestoreTombstone(at Cycles, seq uint64, name string) {
-	if at < e.clock.Now() {
-		panic(fmt.Sprintf("sim: restored tombstone %q at %d, before now=%d", name, at, e.clock.Now()))
-	}
-	s := e.alloc()
-	sl := &e.slots[s]
-	sl.name = name
-	sl.queued = true
-	sl.cancelled = true
-	e.push(heapEntry{at: at, seq: seq, slot: s})
-	if seq >= e.seq {
-		e.seq = seq + 1
-	}
+	e.schedule(at, seq, name, nil, nil, true)
 }
 
 // FinishRestore sets the sequence and ran counters to the checkpoint's
-// values, after every RestoreEvent/RestoreTombstone call. seq must be at
+// values, after every AtSeq/RestoreTombstone call. seq must be at
 // least one past every restored sequence number, or future events could
 // collide with restored ones and break the total order.
 func (e *Engine) FinishRestore(seq, ran uint64) error {
