@@ -155,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" {
 		cfg.Tracer = trace.New()
 		if requestedParallel > 1 {
-			fmt.Fprintln(stderr, "note: -trace forces serial execution for a deterministic event order")
+			fmt.Fprintln(stderr, "note: -trace runs experiments and sweep points one at a time (sharded machines keep their workers)")
 		}
 	}
 

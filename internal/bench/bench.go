@@ -33,9 +33,11 @@ type RunConfig struct {
 	// state; results are merged in point order, which keeps the rendered
 	// tables byte-identical at any setting. 0 or 1 means serial.
 	Parallel int
-	// Tracer, when non-nil, is attached to the machines that tracing-aware
-	// experiments build (F1, F7). The tracer is single-threaded, so a
-	// non-nil Tracer forces serial execution regardless of Parallel.
+	// Tracer, when non-nil, is attached to the machines and queueing
+	// servers that tracing-aware experiments build. Machines fork one trace
+	// buffer per shard and run sharded as usual, but experiments and sweep
+	// points run one at a time regardless of Parallel, so buffers are
+	// forked and filled in a deterministic order.
 	Tracer *trace.Tracer
 	// Faults, when non-nil, arms deterministic seeded fault injection
 	// (DESIGN.md §10) on the machines built by fault-aware experiments

@@ -65,24 +65,19 @@ func runScalePass(cfg RunConfig, ec EnduranceConfig) (scalePass, error) {
 
 func runScale(cfg RunConfig) (*Result, error) {
 	serial, sharded := scaleConfig(cfg.Quick, 1), scaleConfig(cfg.Quick, shardedWorkers())
-	// The tracer is single-threaded and would put the sharded pass on the
-	// serial scheduler, so only the oracle is traced.
-	untraced := cfg
-	untraced.Tracer = nil
-
 	// Warm-up pass (untimed, half horizon): page in the code and heap so the
 	// serial-first measurement order doesn't hand the sharded run a warm
 	// cache and inflate the speedup.
 	warm := serial
 	warm.Horizon /= 2
-	if _, err := runScalePass(untraced, warm); err != nil {
+	if _, err := runScalePass(cfg, warm); err != nil {
 		return nil, fmt.Errorf("S1 warm-up: %w", err)
 	}
 	ser, err := runScalePass(cfg, serial)
 	if err != nil {
 		return nil, fmt.Errorf("S1 serial: %w", err)
 	}
-	par, err := runScalePass(untraced, sharded)
+	par, err := runScalePass(cfg, sharded)
 	if err != nil {
 		return nil, fmt.Errorf("S1 sharded: %w", err)
 	}

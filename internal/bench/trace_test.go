@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -180,8 +181,59 @@ func TestF7TraceInterleaving(t *testing.T) {
 	}
 }
 
-// TestTracerForcesSerialExecution: determinism requires that an attached
-// tracer serializes sweep points even when the caller asked for parallelism.
+// TestTracedRingRunsSharded: a traced machine runs exactly what an untraced
+// one runs. E1's ring, traced, stays on the sharded scheduler at 2 workers,
+// executes the untraced run's events on every shard, and records the same
+// trace bytes as the 1-worker oracle.
+func TestTracedRingRunsSharded(t *testing.T) {
+	ec := EnduranceConfig{Cores: 4, Shards: 4, Horizon: 100_000}
+	run := func(workers int, tr *trace.Tracer) ([]uint64, []byte) {
+		cfg := DefaultConfig()
+		cfg.Tracer = tr
+		ec := ec
+		ec.Workers = workers
+		m, err := BuildEndurance(cfg, ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers > 1 {
+			if err := requireSharded(m); err != nil {
+				t.Fatalf("traced=%v: %v", tr != nil, err)
+			}
+		}
+		m.RunUntil(ec.Horizon)
+		if err := m.Fatal(); err != nil {
+			t.Fatal(err)
+		}
+		ran := make([]uint64, m.Shards())
+		for i := range ran {
+			ran[i] = m.Shard(sim.ShardID(i)).Ran()
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.CheckNesting(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return ran, buf.Bytes()
+	}
+	plainRan, _ := run(2, nil)
+	serialRan, serialTrace := run(1, trace.New())
+	shardedRan, shardedTrace := run(2, trace.New())
+	for name, ran := range map[string][]uint64{"traced 1-worker": serialRan, "traced 2-worker": shardedRan} {
+		if !slices.Equal(ran, plainRan) {
+			t.Fatalf("%s run executed %v events per shard, untraced %v", name, ran, plainRan)
+		}
+	}
+	if !bytes.Equal(serialTrace, shardedTrace) {
+		t.Fatalf("trace differs between 1 and 2 workers (%d vs %d bytes)", len(serialTrace), len(shardedTrace))
+	}
+}
+
+// TestTracerForcesSerialExecution: an attached tracer runs sweep points one
+// at a time even when the caller asked for parallelism, so their machines
+// fork trace buffers in a deterministic order.
 func TestTracerForcesSerialExecution(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Parallel = 8

@@ -109,8 +109,9 @@ type Config struct {
 	Store statestore.Config
 	// Hier configures the data cache hierarchy.
 	Hier mem.HierarchyConfig
-	// Tracer, when non-nil, records per-ptid state spans, syscall/VM-exit
-	// spans, and pipeline occupancy counters. TraceName prefixes this core's
+	// Tracer, when non-nil, records per-ptid state spans, exec batch spans,
+	// syscall/VM-exit spans, and pipeline occupancy counters. It must be
+	// written only from this core's shard. TraceName prefixes this core's
 	// track group (default "core<ID>").
 	Tracer    *trace.Tracer
 	TraceName string
@@ -170,12 +171,15 @@ type Core struct {
 	halted map[hwthread.PTID]bool // parked by legacy HLT, not monitor
 
 	// Tracing (nil tr = off; one pointer compare on the hot paths). Each
-	// ptid's track carries a span per runnable/waiting period and an instant
-	// (with cause) per transition to disabled; trOpen tracks whether a state
-	// span is currently open on each ptid's track.
-	tr     *trace.Tracer
-	trName string
-	trOpen []bool
+	// ptid's track carries a span per runnable/waiting period, a span per
+	// exec batch, and an instant (with cause) per transition to disabled;
+	// trOpen tracks whether a state span is currently open on each ptid's
+	// track. batchAt/batchRetired mark where the running batch began.
+	tr           *trace.Tracer
+	trName       string
+	trOpen       []bool
+	batchAt      sim.Cycles
+	batchRetired uint64
 
 	// inj is the machine's fault injector (nil = off); kernel services and
 	// the state store reach it through the core.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+
 	"nocs/internal/hwthread"
 	"nocs/internal/isa"
 	"nocs/internal/sim"
@@ -26,8 +28,8 @@ func (c *Core) decodedFor(t *hwthread.Context) []isa.Decoded {
 // fault ticks, RunUntil quantum expiry) surface through the engine's horizon
 // check — the batch continues only while the next issue stays strictly ahead
 // of every queued event, so batching can never reorder a wakeup relative to
-// per-event dispatch. With a tracer attached the loop degrades to one event
-// per instruction so per-dispatch trace output is unchanged.
+// per-event dispatch. A tracer only watches: each batch becomes one "batch"
+// span on t's track (traceBatch), and the batches are the untraced run's.
 //
 // Determinism argument: in unbatched execution the exec event for the next
 // instruction is always the last event scheduled at its timestamp (execOne
@@ -36,12 +38,14 @@ func (c *Core) decodedFor(t *hwthread.Context) []isa.Decoded {
 // (and at RunUntil deadlines), falling back to a real event; otherwise
 // executing inline at `next` is observationally identical.
 func (c *Core) execBatch(t *hwthread.Context) {
+	if c.tr != nil {
+		c.batchAt, c.batchRetired = c.eng.Now(), t.Retired
+	}
 	// The fast inner loop requires that no per-instruction observer is
-	// attached: tracing wants one event per dispatch, and OnExec (the diff
-	// harness, trace buffers) must see every instruction — those paths run
-	// the general interpreter per instruction, still batched by the outer
-	// loop.
-	fast := c.tr == nil && c.OnExec == nil && !c.eng.Traced()
+	// attached: OnExec (the diff harness, trace buffers) must see every
+	// instruction, so those runs take the general interpreter per
+	// instruction, still batched by the outer loop.
+	fast := c.OnExec == nil
 	for {
 		if fast && c.fatal == nil && t.State == hwthread.Runnable && t.Prog != nil {
 			if c.fastRun(t) {
@@ -51,13 +55,15 @@ func (c *Core) execBatch(t *hwthread.Context) {
 		}
 		delay, ok := c.execOne(t)
 		if !ok {
-			return
-		}
-		if c.tr != nil || c.eng.Traced() {
-			c.scheduleExec(t, delay)
+			if c.tr != nil {
+				c.traceBatch(t, "block")
+			}
 			return
 		}
 		if !c.eng.AdvanceWithin(c.eng.Now() + delay) {
+			if c.tr != nil {
+				c.traceYield(t, delay)
+			}
 			c.scheduleExec(t, delay)
 			return
 		}
@@ -69,6 +75,27 @@ func (c *Core) execBatch(t *hwthread.Context) {
 			c.execEv[t.PTID] = sim.NoEvent
 		}
 	}
+}
+
+// traceYield records t's batch as ended at a scheduling boundary, its next
+// issue delay cycles from now: AdvanceWithin and the fast loop's horizon
+// stop at the first queued event or at the RunUntil deadline, and the span
+// names which one. Call it before scheduling that issue.
+func (c *Core) traceYield(t *hwthread.Context, delay sim.Cycles) {
+	cause := "deadline"
+	if at, ok := c.eng.NextEventAt(); ok && at <= c.eng.Now()+delay {
+		cause = "horizon"
+	}
+	c.traceBatch(t, cause)
+}
+
+// traceBatch records the batch that began at c.batchAt as a span on t's
+// track up to the last instruction's issue, with the instructions it
+// retired and why it ended ("horizon", "deadline" or "block").
+func (c *Core) traceBatch(t *hwthread.Context, cause string) {
+	now := c.eng.Now()
+	arg := "n=" + strconv.FormatUint(t.Retired-c.batchRetired, 10) + " end=" + cause
+	c.tr.CompleteArg(c.ptidTrack(t), "batch", arg, int64(c.batchAt), int64(now-c.batchAt))
 }
 
 // fastRun executes a run of Fast (integer-register ALU and control-flow)
@@ -172,6 +199,9 @@ func (c *Core) fastRun(t *hwthread.Context) bool {
 			c.retired += retired
 			t.Retired += retired
 			clk.AdvanceTo(now)
+			if c.tr != nil {
+				c.traceYield(t, delay)
+			}
 			c.scheduleExec(t, delay)
 			return true
 		}
@@ -213,79 +243,6 @@ func (c *Core) execOne(t *hwthread.Context) (sim.Cycles, bool) {
 	extra := sim.Cycles(0)
 	nextPC := pc + 1
 	wasFPDirty := r.FPDirty
-
-	// Fast path: ALU and control flow over integer registers only (the
-	// decode-time Fast flag guarantees every operand indexes the GPR array,
-	// so the general Get/Set register dispatch — three calls per instruction —
-	// collapses to direct loads and stores; &15 is a no-op under Fast and
-	// lets the compiler drop bounds checks). Semantics are bit-identical to
-	// the corresponding cases of the general switch below; ops with fault
-	// paths or side effects (DIV, LD/ST, FP, thread ops) fall through.
-	if in.Fast && !in.Priv {
-		ok := true
-		switch in.Op {
-		case isa.ADDI:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] + in.Imm
-		case isa.ADD:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] + r.GPR[in.Rs2&15]
-		case isa.SUB:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] - r.GPR[in.Rs2&15]
-		case isa.MUL:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] * r.GPR[in.Rs2&15]
-		case isa.AND:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] & r.GPR[in.Rs2&15]
-		case isa.OR:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] | r.GPR[in.Rs2&15]
-		case isa.XOR:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] ^ r.GPR[in.Rs2&15]
-		case isa.SHL:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15] << (uint64(r.GPR[in.Rs2&15]) & 63)
-		case isa.SHR:
-			r.GPR[in.Rd&15] = int64(uint64(r.GPR[in.Rs1&15]) >> (uint64(r.GPR[in.Rs2&15]) & 63))
-		case isa.SLT:
-			if r.GPR[in.Rs1&15] < r.GPR[in.Rs2&15] {
-				r.GPR[in.Rd&15] = 1
-			} else {
-				r.GPR[in.Rd&15] = 0
-			}
-		case isa.MOVI:
-			r.GPR[in.Rd&15] = in.Imm
-		case isa.MOV:
-			r.GPR[in.Rd&15] = r.GPR[in.Rs1&15]
-		case isa.NOP:
-		case isa.JMP:
-			nextPC = in.Imm
-		case isa.JAL:
-			r.GPR[in.Rd&15] = pc + 1
-			nextPC = in.Imm
-		case isa.JR:
-			nextPC = r.GPR[in.Rs1&15]
-		case isa.BEQ:
-			if r.GPR[in.Rs1&15] == r.GPR[in.Rs2&15] {
-				nextPC = in.Imm
-			}
-		case isa.BNE:
-			if r.GPR[in.Rs1&15] != r.GPR[in.Rs2&15] {
-				nextPC = in.Imm
-			}
-		case isa.BLT:
-			if r.GPR[in.Rs1&15] < r.GPR[in.Rs2&15] {
-				nextPC = in.Imm
-			}
-		case isa.BGE:
-			if r.GPR[in.Rs1&15] >= r.GPR[in.Rs2&15] {
-				nextPC = in.Imm
-			}
-		default:
-			ok = false
-		}
-		if ok {
-			c.retired++
-			t.Retired++
-			r.PC = nextPC
-			return c.pipe.ChargedLatency(int(t.PTID), base), true
-		}
-	}
 
 	// Privileged instructions in user mode never execute their semantics:
 	// they either exit to a legacy hypervisor in-thread, or disable the

@@ -22,8 +22,9 @@
 // minimum latency is the lookahead. With WithShards(1) — the default —
 // everything lands on shard 0 and the machine is indistinguishable from the
 // classic single-engine build. Attach a tracer with WithTracer to record a
-// Chrome-trace timeline of the run (see internal/trace); tracing serializes
-// window execution, so traces stay deterministic at any worker count.
+// Chrome-trace timeline of the run (see internal/trace); each shard records
+// into its own fork of it, so a traced machine runs exactly as an untraced
+// one does and its trace is the same at any worker count.
 package machine
 
 import (
@@ -76,10 +77,10 @@ type Config struct {
 	// IRQ configures the legacy interrupt controller costs.
 	IRQ irq.Costs
 	// Tracer, when non-nil, records engine dispatch, monitor arm/fire,
-	// IRQ delivery, per-ptid state spans, and device DMA on a shared
-	// timeline. Nil (the default) costs nothing on the hot paths. The
-	// tracer is single-threaded, so it also forces serial (oracle)
-	// window execution regardless of Workers.
+	// IRQ delivery, per-ptid state spans and exec batches, and device DMA.
+	// New forks one buffer per shard from it (trace.Tracer.Fork), so
+	// shards never share one and Workers is honoured. Nil (the default)
+	// costs nothing on the hot paths.
 	Tracer *trace.Tracer
 	// Name prefixes this machine's trace track groups (default "machine"),
 	// so several machines can share one tracer without colliding.
@@ -162,6 +163,7 @@ type shardState struct {
 	mon *monitor.Engine
 	irq *irq.Controller
 	inj *faultinject.Injector
+	tr  *trace.Tracer // this shard's fork of Config.Tracer (nil = off)
 }
 
 // deviceSnapshotter is the checkpoint surface every machine-attached device
@@ -262,7 +264,7 @@ func New(opts ...Option) *Machine {
 	}
 
 	var sched sim.Scheduler
-	if cfg.Workers > 1 && cfg.Tracer == nil {
+	if cfg.Workers > 1 {
 		sched = sim.NewShardedScheduler(cfg.Shards, cfg.Lookahead, cfg.Workers)
 	} else {
 		sched = sim.NewSerialScheduler(cfg.Shards, cfg.Lookahead)
@@ -286,8 +288,9 @@ func New(opts ...Option) *Machine {
 			mem: m,
 			mon: mon,
 			irq: irq.NewController(sh, cfg.IRQ),
+			tr:  cfg.Tracer.Fork(),
 		}
-		if tr := cfg.Tracer; tr != nil {
+		if tr := st.tr; tr != nil {
 			pre := mach.shardTracePrefix(sim.ShardID(s))
 			now := func() int64 { return int64(sh.Now()) }
 			sh.SetTracer(tr, tr.NewTrack(pre+"/engine", "dispatch"))
@@ -303,7 +306,7 @@ func New(opts ...Option) *Machine {
 		}
 		if inj := faultinject.New(plan); inj != nil {
 			st.inj = inj
-			if tr := cfg.Tracer; tr != nil {
+			if tr := st.tr; tr != nil {
 				inj.SetTracer(tr, func() int64 { return int64(sh.Now()) },
 					mach.shardTracePrefix(sim.ShardID(s))+"/faults")
 			}
@@ -318,11 +321,11 @@ func New(opts ...Option) *Machine {
 		s := sim.ShardID(i * cfg.Shards / cfg.Cores)
 		cc := cfg.Core
 		cc.ID = i
-		if cfg.Tracer != nil {
-			cc.Tracer = cfg.Tracer
+		st := &mach.shards[s]
+		if st.tr != nil {
+			cc.Tracer = st.tr
 			cc.TraceName = fmt.Sprintf("%s/core%d", cfg.Name, i)
 		}
-		st := &mach.shards[s]
 		c := core.New(cc, st.sh, st.mem, st.mon)
 		if st.inj != nil {
 			c.SetFaultInjector(st.inj)
@@ -525,15 +528,16 @@ func (m *Machine) Retired() uint64 {
 	return n
 }
 
-// wireDMA attaches the machine's tracer to a device DMA port, giving the
+// wireDMA attaches shard s's tracer to a device DMA port, giving the
 // device its own track in the "<name>/devices" group.
 func (m *Machine) wireDMA(s sim.ShardID, d *mem.DMA, devName string) {
-	if m.tr == nil {
+	tr := m.shards[s].tr
+	if tr == nil {
 		return
 	}
 	sh := m.shards[s].sh
-	track := m.tr.NewTrack(m.name+"/devices", devName)
-	d.SetTracer(m.tr, func() int64 { return int64(sh.Now()) }, track)
+	track := tr.NewTrack(m.name+"/devices", devName)
+	d.SetTracer(tr, func() int64 { return int64(sh.Now()) }, track)
 }
 
 // NewNIC attaches a NIC to shard 0 with its own DMA port. The config is

@@ -8,77 +8,56 @@
 //	 without the need for interrupts. ... In addition to RR scheduling, we
 //	 can introduce hardware support for thread priorities."
 //
-// Two views of the same policy are provided:
-//
-//   - NextBatch: an explicit weighted deficit-round-robin issue sequence,
-//     used where instruction-by-instruction ordering matters and to verify
-//     the fairness bound.
-//   - Slowdown/ChargedLatency: the processor-sharing fluid approximation —
-//     with S slots and total runnable weight W, a thread of weight w runs at
-//     share min(1, S·w/W) of full speed. The core model charges instruction
-//     latencies scaled by the inverse share, which is the standard
-//     event-driven PS approximation.
+// The model is the fluid limit of that fine-grain round robin, processor
+// sharing: with S slots and total runnable weight W, a thread of weight w
+// runs at share min(1, S·w/W) of full speed. The core charges every
+// instruction's latency scaled by the inverse share (Slowdown,
+// ChargedLatency), the standard event-driven PS approximation; no
+// instruction-by-instruction issue order is modelled.
 //
 // ChargedLatency is on the simulator's per-instruction hot path, so the
-// runnable set is a dense slice (insertion order == RR order) with an
-// id→index table, and each thread's PS slowdown is cached and only
-// recomputed when the runnable set or a weight changes (epoch counter) —
-// queries are O(1) with no division in the steady state.
+// runnable set is a dense slice in insertion order with an id→index table,
+// and each thread's PS slowdown is cached and only recomputed when the
+// runnable set or a weight changes (epoch counter) — queries are O(1) with
+// no division in the steady state.
 package pipeline
 
 import (
 	"fmt"
-	"strconv"
 
 	"nocs/internal/sim"
 	"nocs/internal/trace"
 )
 
 type thread struct {
-	id      int
-	weight  int
-	credits int
-	issued  uint64
+	id     int
+	weight int
 
 	// slowdown caches the PS slowdown; valid while sdEpoch == Pipeline.epoch.
 	slowdown float64
 	sdEpoch  uint64
-	// batchStamp marks membership in the current NextBatch scan.
-	batchStamp uint64
 }
 
 // Pipeline is the hardware issue multiplexer for one core.
 type Pipeline struct {
 	slots int
 
-	// threads is dense in stable RR (insertion) order; pos maps thread id to
+	// threads is dense in stable insertion order; pos maps thread id to
 	// its position+1 (0 = absent) — a dense slice, not a map, because the
 	// lookup is on the per-instruction hot path and ids are small (ptids).
 	// Remove shifts the tail down so order is preserved.
 	threads []thread
 	pos     []int32
-	// cursor is the position NextBatch scans next. Invariant maintained by
-	// Remove: the thread that would have been scanned next keeps that right,
-	// regardless of which position was removed (if the next-to-scan thread
-	// itself is removed, its successor inherits the turn).
-	cursor int
 
 	totalWeight int
 	// epoch invalidates cached slowdowns; bumped on Add/Remove/weight change.
 	epoch uint64
-	// batchSeq distinguishes NextBatch scans (duplicate suppression without
-	// a per-call map); batchBuf is the reused result buffer.
-	batchSeq uint64
-	batchBuf []int
 
 	// Tracing (nil tr = off; one pointer compare on the hot paths). Add and
-	// Remove sample the runnable-count and slot-occupancy counters; NextBatch
-	// stamps each issue turn onto its slot's track.
+	// Remove sample the runnable-count and slot-occupancy counters.
 	tr         *trace.Tracer
 	trNow      func() int64
 	trCounters trace.TrackID
-	trSlots    []trace.TrackID
-	turnNames  map[int]string
 }
 
 // New creates a pipeline with the given number of SMT issue slots
@@ -116,11 +95,6 @@ func (p *Pipeline) SetTracer(tr *trace.Tracer, now func() int64, process string)
 		return
 	}
 	p.trCounters = tr.NewTrack(process, "pipeline")
-	p.trSlots = make([]trace.TrackID, p.slots)
-	for i := range p.trSlots {
-		p.trSlots[i] = tr.NewTrack(process, "slot"+strconv.Itoa(i))
-	}
-	p.turnNames = make(map[int]string)
 }
 
 // traceCounters samples the runnable-count and slot-occupancy counters.
@@ -132,16 +106,6 @@ func (p *Pipeline) traceCounters() {
 		busy = p.slots
 	}
 	p.tr.Count(p.trCounters, "slots-busy", at, int64(busy))
-}
-
-// turnName caches the per-thread issue-turn label.
-func (p *Pipeline) turnName(id int) string {
-	n, ok := p.turnNames[id]
-	if !ok {
-		n = "t" + strconv.Itoa(id)
-		p.turnNames[id] = n
-	}
-	return n
 }
 
 // Slots returns the SMT slot count.
@@ -177,9 +141,8 @@ func (p *Pipeline) Add(id, weight int) {
 	}
 }
 
-// Remove takes thread id out of the runnable set. RR order of the surviving
-// threads is unchanged, and the thread that was due to be scanned next still
-// goes next (its successor, if the removed thread itself was due).
+// Remove takes thread id out of the runnable set. The order of the
+// surviving threads is unchanged.
 func (p *Pipeline) Remove(id int) {
 	i := p.posOf(id)
 	if i < 0 {
@@ -191,14 +154,6 @@ func (p *Pipeline) Remove(id int) {
 	p.pos[id] = 0
 	for j := i; j < len(p.threads); j++ {
 		p.pos[p.threads[j].id] = int32(j) + 1
-	}
-	if p.cursor > i {
-		p.cursor--
-	}
-	if len(p.threads) == 0 {
-		p.cursor = 0
-	} else {
-		p.cursor %= len(p.threads)
 	}
 	p.epoch++
 	if p.tr != nil {
@@ -215,14 +170,6 @@ func (p *Pipeline) Contains(id int) bool {
 func (p *Pipeline) Weight(id int) int {
 	if i := p.posOf(id); i >= 0 {
 		return p.threads[i].weight
-	}
-	return 0
-}
-
-// Issued returns how many issue slots thread id has consumed via NextBatch.
-func (p *Pipeline) Issued(id int) uint64 {
-	if i := p.posOf(id); i >= 0 {
-		return p.threads[i].issued
 	}
 	return 0
 }
@@ -270,56 +217,6 @@ func (p *Pipeline) ChargedLatency(id int, base sim.Cycles) sim.Cycles {
 		c = base
 	}
 	return c
-}
-
-// NextBatch returns the ids of up to Slots threads chosen for this issue
-// cycle by weighted deficit round robin, and records the issue. With equal
-// weights this degenerates to pure RR; with weights, issue counts are
-// proportional to weight over any sufficiently long window.
-//
-// The returned slice is reused by the next call; callers must not retain it.
-func (p *Pipeline) NextBatch() []int {
-	n := len(p.threads)
-	if n == 0 {
-		return nil
-	}
-	want := p.slots
-	if want > n {
-		want = n
-	}
-	p.batchSeq++
-	batch := p.batchBuf[:0]
-	scanned := 0
-	for len(batch) < want {
-		if scanned >= n {
-			// A full rotation could not fill the batch: refill credits by
-			// weight (work-conserving — slots never idle while any thread
-			// is runnable) and rescan.
-			for i := range p.threads {
-				p.threads[i].credits += p.threads[i].weight
-			}
-			scanned = 0
-			continue
-		}
-		t := &p.threads[p.cursor]
-		p.cursor = (p.cursor + 1) % n
-		scanned++
-		if t.batchStamp == p.batchSeq || t.credits <= 0 {
-			continue
-		}
-		t.credits--
-		t.issued++
-		t.batchStamp = p.batchSeq
-		batch = append(batch, t.id)
-	}
-	p.batchBuf = batch
-	if p.tr != nil {
-		at := p.trNow()
-		for i, id := range batch {
-			p.tr.Instant(p.trSlots[i], p.turnName(id), at)
-		}
-	}
-	return batch
 }
 
 // String summarizes the pipeline state for debugging.

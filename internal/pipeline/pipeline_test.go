@@ -112,186 +112,6 @@ func TestChargedLatency(t *testing.T) {
 	}
 }
 
-func TestNextBatchEmpty(t *testing.T) {
-	p := New(2)
-	if p.NextBatch() != nil {
-		t.Fatal("batch from empty pipeline")
-	}
-}
-
-func TestNextBatchDistinctAndSized(t *testing.T) {
-	p := New(2)
-	for i := 0; i < 5; i++ {
-		p.Add(i, 1)
-	}
-	for round := 0; round < 100; round++ {
-		b := p.NextBatch()
-		if len(b) != 2 {
-			t.Fatalf("batch size %d", len(b))
-		}
-		if b[0] == b[1] {
-			t.Fatalf("duplicate in batch: %v", b)
-		}
-	}
-}
-
-func TestNextBatchFewerThreadsThanSlots(t *testing.T) {
-	p := New(4)
-	p.Add(1, 1)
-	p.Add(2, 1)
-	b := p.NextBatch()
-	if len(b) != 2 {
-		t.Fatalf("batch = %v", b)
-	}
-}
-
-func TestRRFairnessEqualWeights(t *testing.T) {
-	p := New(2)
-	const n = 6
-	for i := 0; i < n; i++ {
-		p.Add(i, 1)
-	}
-	const rounds = 3000
-	for r := 0; r < rounds; r++ {
-		p.NextBatch()
-	}
-	// Each thread should have issued rounds*slots/n = 1000 times, within one
-	// rotation of slack.
-	for i := 0; i < n; i++ {
-		got := float64(p.Issued(i))
-		if math.Abs(got-1000) > float64(n) {
-			t.Fatalf("thread %d issued %v, want ~1000", i, got)
-		}
-	}
-}
-
-func TestWeightedProportionality(t *testing.T) {
-	p := New(1)
-	p.Add(1, 3)
-	p.Add(2, 1)
-	for r := 0; r < 4000; r++ {
-		p.NextBatch()
-	}
-	r1, r2 := float64(p.Issued(1)), float64(p.Issued(2))
-	ratio := r1 / r2
-	if math.Abs(ratio-3) > 0.1 {
-		t.Fatalf("issue ratio %v, want ~3 (got %v/%v)", ratio, r1, r2)
-	}
-}
-
-func TestRemoveDuringRotationKeepsCursorValid(t *testing.T) {
-	p := New(1)
-	for i := 0; i < 4; i++ {
-		p.Add(i, 1)
-	}
-	p.NextBatch() // advance cursor
-	p.NextBatch()
-	p.Remove(0)
-	p.Remove(3)
-	for r := 0; r < 50; r++ {
-		b := p.NextBatch()
-		if len(b) != 1 || (b[0] != 1 && b[0] != 2) {
-			t.Fatalf("batch %v after removals", b)
-		}
-	}
-	p.Remove(1)
-	p.Remove(2)
-	if p.NextBatch() != nil {
-		t.Fatal("batch from drained pipeline")
-	}
-	p.Add(7, 1)
-	if b := p.NextBatch(); len(b) != 1 || b[0] != 7 {
-		t.Fatalf("batch %v after refill", b)
-	}
-}
-
-// Regression for the DESIGN.md §6 fairness bound under membership churn:
-// interleaving Add/Remove at arbitrary positions must not skew RR order.
-// After any interleaving, a window over a *fixed* runnable set must issue
-// every thread within one rotation of slack, and the thread due to be
-// scanned next must keep its turn across a removal elsewhere in the order.
-func TestFairnessAcrossAddRemoveInterleaving(t *testing.T) {
-	// Removal position must not perturb who is scanned next: build two
-	// identical pipelines mid-rotation, remove a different (non-due) thread
-	// from each, and require the same next batch.
-	mk := func() *Pipeline {
-		p := New(1)
-		for i := 0; i < 5; i++ {
-			p.Add(i, 1)
-		}
-		p.NextBatch() // 0
-		p.NextBatch() // 1; cursor now due at 2
-		return p
-	}
-	a, b := mk(), mk()
-	a.Remove(0) // before the cursor
-	b.Remove(4) // after the cursor
-	ba, bb := a.NextBatch(), b.NextBatch()
-	if len(ba) != 1 || len(bb) != 1 || ba[0] != 2 || bb[0] != 2 {
-		t.Fatalf("removal position changed RR order: removed-before=%v removed-after=%v, want [2] for both", ba, bb)
-	}
-	// Removing the due thread hands the turn to its successor.
-	c := mk()
-	c.Remove(2)
-	if bc := c.NextBatch(); len(bc) != 1 || bc[0] != 3 {
-		t.Fatalf("removing the due thread: next batch %v, want [3]", bc)
-	}
-
-	// Churn phase: interleave Add/Remove with issue rounds at varying
-	// rotation phases, then measure a fixed window and assert the §6 bound.
-	p := New(2)
-	for i := 0; i < 6; i++ {
-		p.Add(i, 1)
-	}
-	phase := []struct {
-		rounds int
-		remove int
-		add    int
-	}{
-		{3, 0, -1}, {5, 5, 6}, {1, 3, -1}, {7, -1, 7}, {2, 1, 0},
-	}
-	for _, ph := range phase {
-		for r := 0; r < ph.rounds; r++ {
-			p.NextBatch()
-		}
-		if ph.remove >= 0 {
-			p.Remove(ph.remove)
-		}
-		if ph.add >= 0 {
-			p.Add(ph.add, 1)
-		}
-	}
-	// Fixed-set window: snapshot issue counts, run k batches, check the
-	// per-thread delta against the one-rotation bound (n slack).
-	ids := []int{0, 2, 4, 6, 7}
-	for _, id := range ids {
-		if !p.Contains(id) {
-			t.Fatalf("setup: thread %d not runnable", id)
-		}
-	}
-	before := make(map[int]uint64, len(ids))
-	for _, id := range ids {
-		before[id] = p.Issued(id)
-	}
-	const k = 500
-	for r := 0; r < k; r++ {
-		p.NextBatch()
-	}
-	var lo, hi uint64 = math.MaxUint64, 0
-	for _, id := range ids {
-		d := p.Issued(id) - before[id]
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
-	}
-	if hi-lo > uint64(len(ids)) {
-		t.Fatalf("fairness bound violated after churn: window deltas span [%d,%d], slack > %d", lo, hi, len(ids))
-	}
-}
-
 // ChargedLatency is called once per simulated instruction; it must not
 // allocate (ISSUE 1 hot-path guard).
 func TestChargedLatencyAllocFree(t *testing.T) {
@@ -346,38 +166,6 @@ func TestStringer(t *testing.T) {
 	p.Add(1, 1)
 	if !strings.Contains(p.String(), "runnable=1") {
 		t.Fatalf("String: %s", p.String())
-	}
-}
-
-// Property: the RR fairness bound — for any thread set with equal weights,
-// after k full batches every pair of issue counts differs by at most the
-// thread count (one rotation of slack).
-func TestFairnessBoundProperty(t *testing.T) {
-	f := func(nThreads, slots, rounds uint8) bool {
-		n := int(nThreads%12) + 1
-		s := int(slots%4) + 1
-		k := int(rounds%200) + 10
-		p := New(s)
-		for i := 0; i < n; i++ {
-			p.Add(i, 1)
-		}
-		for r := 0; r < k; r++ {
-			p.NextBatch()
-		}
-		var lo, hi uint64 = math.MaxUint64, 0
-		for i := 0; i < n; i++ {
-			c := p.Issued(i)
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
-		return hi-lo <= uint64(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"nocs/internal/asm"
 	"nocs/internal/isa"
 	"nocs/internal/progen"
+	"nocs/internal/trace"
 )
 
 // craftSpec hand-builds a differential spec: an assembled source plus the
@@ -151,6 +152,20 @@ t1:
 			},
 		},
 		{
+			// A lone spinner: nothing else is ever queued, so only the
+			// RunUntil deadline can end its batch.
+			name: "deadline-solo",
+			spec: func(t *testing.T) *progen.Spec {
+				src := "main:\nt0:\n" + spin("t0_loop", 100000) + "\thalt\n"
+				return craftSpec(t, "deadline-solo", src, 1, 2, 4321)
+			},
+			check: func(t *testing.T, eng *outcome) {
+				if eng.threads[0].state != 1 {
+					t.Fatalf("spinner not still runnable at deadline (state %d)", eng.threads[0].state)
+				}
+			},
+		},
+		{
 			// An injected spurious wake at a fixed cycle must release the
 			// mwait at exactly that cycle; no program store ever touches the
 			// watched flag.
@@ -232,16 +247,25 @@ t1_outer:
 		},
 	}
 
+	causes, ran := make(map[string]int), 0
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ran++
 			s := tc.spec(t)
 			for _, mode := range []struct {
 				name      string
 				invariant bool
-			}{{"hooked", true}, {"fastrun", false}} {
-				eng, cfg, err := runEngineHook(s, nil, mode.invariant)
+				tr        *trace.Tracer
+			}{
+				{"hooked", true, nil}, {"fastrun", false, nil},
+				{"hooked-traced", true, trace.New()}, {"fastrun-traced", false, trace.New()},
+			} {
+				eng, cfg, err := runEngineHook(s, mode.tr, mode.invariant)
 				if err != nil {
 					t.Fatalf("%s engine: %v", mode.name, err)
+				}
+				if mode.tr != nil {
+					checkBatchSpans(t, mode.tr, eng, causes)
 				}
 				ref, err := runRef(s, cfg)
 				if err != nil {
@@ -258,5 +282,52 @@ t1_outer:
 				}
 			}
 		})
+	}
+	if ran < len(cases) {
+		return // a -run filter picked some cases; they need not end every way
+	}
+	for _, cause := range []string{"horizon", "deadline", "block"} {
+		if causes[cause] == 0 {
+			t.Errorf("no batch ended at a %s boundary: %v", cause, causes)
+		}
+	}
+}
+
+// checkBatchSpans requires the traced run's "batch" spans to account for
+// every retired instruction — per ptid, the spans' instruction counts sum to
+// the thread's Retired — and each to name one of the boundaries that end a
+// batch. It tallies the causes seen into causes.
+func checkBatchSpans(t *testing.T, tr *trace.Tracer, eng *outcome, causes map[string]int) {
+	t.Helper()
+	if err := tr.CheckNesting(); err != nil {
+		t.Fatal(err)
+	}
+	sums := make([]uint64, len(eng.threads))
+	for _, ev := range tr.Events() {
+		if ev.Name != "batch" {
+			continue
+		}
+		tk, _ := tr.TrackInfo(ev.Track)
+		var p int
+		var n uint64
+		var cause string
+		if _, err := fmt.Sscanf(tk.Name, "ptid%d", &p); err != nil || p < 0 || p >= len(sums) {
+			t.Fatalf("batch span on track %q", tk.Name)
+		}
+		if _, err := fmt.Sscanf(ev.Arg, "n=%d end=%s", &n, &cause); err != nil {
+			t.Fatalf("batch span arg %q: %v", ev.Arg, err)
+		}
+		switch cause {
+		case "horizon", "deadline", "block":
+			causes[cause]++
+		default:
+			t.Fatalf("batch span ended by %q", cause)
+		}
+		sums[p] += n
+	}
+	for p, th := range eng.threads {
+		if sums[p] != th.retired {
+			t.Errorf("ptid %d: batch spans count %d instructions, thread retired %d", p, sums[p], th.retired)
+		}
 	}
 }

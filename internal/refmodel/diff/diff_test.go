@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"nocs/internal/hwthread"
+	"nocs/internal/isa"
 	"nocs/internal/progen"
+	"nocs/internal/sim"
 	"nocs/internal/trace"
 )
 
@@ -79,29 +82,49 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestTracedRunsMatchUntraced runs a subset with tracing attached: the
-// tracer must not perturb any architectural outcome, and the recorded
-// begin/end events must nest correctly.
+// runShards runs s on a fresh engine-side machine, with tr attached and,
+// when hooked, a per-instruction OnExec observer (which turns the fast inner
+// loop off), and returns its outcome with each shard's executed event count.
+func runShards(t *testing.T, s *progen.Spec, tr *trace.Tracer, hooked bool) (*outcome, []uint64) {
+	t.Helper()
+	m, c, _, err := setupEngine(s, tr)
+	if err != nil {
+		t.Fatalf("seed %d: %v", s.Seed, err)
+	}
+	if hooked {
+		c.OnExec = func(hwthread.PTID, int64, isa.Instr, sim.Cycles) {}
+	}
+	m.RunUntil(sim.Cycles(s.Deadline))
+	ran := make([]uint64, m.Shards())
+	for i := range ran {
+		ran[i] = m.Shard(sim.ShardID(i)).Ran()
+	}
+	return captureOutcome(s, m, c), ran
+}
+
+// TestTracedRunsMatchUntraced runs a subset with tracing attached, on both
+// batched configurations: the tracer must not perturb any architectural
+// outcome or the execution itself — every shard runs exactly the untraced
+// run's events — and the recorded spans must nest correctly.
 func TestTracedRunsMatchUntraced(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		s, err := progen.Generate(seed, progen.DefaultBias())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		plain, _, err := runEngine(s, nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		tr := trace.New()
-		traced, _, err := runEngine(s, tr)
-		if err != nil {
-			t.Fatalf("seed %d traced: %v", seed, err)
-		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Fatalf("seed %d: tracing changed the architectural outcome", seed)
-		}
-		if err := tr.CheckNesting(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		for _, hooked := range []bool{false, true} {
+			plain, plainRan := runShards(t, s, nil, hooked)
+			tr := trace.New()
+			traced, tracedRan := runShards(t, s, tr, hooked)
+			if !reflect.DeepEqual(plain, traced) {
+				t.Fatalf("seed %d (OnExec %v): tracing changed the architectural outcome", seed, hooked)
+			}
+			if !reflect.DeepEqual(plainRan, tracedRan) {
+				t.Fatalf("seed %d (OnExec %v): per-shard events ran traced %v, untraced %v", seed, hooked, tracedRan, plainRan)
+			}
+			if err := tr.CheckNesting(); err != nil {
+				t.Fatalf("seed %d (OnExec %v): %v", seed, hooked, err)
+			}
 		}
 	}
 }

@@ -90,7 +90,9 @@ func NewEngine(clock *Clock) *Engine {
 }
 
 // SetTracer attaches a tracer; every dispatched event then emits an instant
-// named after the event onto the given track. Pass nil to disable.
+// named after the event onto the given track. Only this engine's event loop
+// writes to it, so each shard of a sharded machine needs its own buffer
+// (trace.Tracer.Fork). Pass nil to disable.
 func (e *Engine) SetTracer(tr *trace.Tracer, track trace.TrackID) {
 	e.tr = tr
 	e.trTrack = track
@@ -108,11 +110,6 @@ func (e *Engine) Pending() int { return len(e.heap) }
 
 // Ran returns the number of events executed so far.
 func (e *Engine) Ran() uint64 { return e.ran }
-
-// Traced reports whether a tracer is attached. Batched execution checks this
-// so that tracing runs always fall back to one event per instruction and the
-// per-dispatch trace instants stay byte-identical.
-func (e *Engine) Traced() bool { return e.tr != nil }
 
 // NextEventAt returns the timestamp of the earliest queued event, or ok=false
 // when the queue is empty. Cancelled-but-unpopped events count: they still

@@ -306,15 +306,6 @@ func (w *windowed) advanceAll(deadline Cycles) {
 	}
 }
 
-func (w *windowed) anyTraced() bool {
-	for _, s := range w.shards {
-		if s.Engine.Traced() {
-			return true
-		}
-	}
-	return false
-}
-
 // Run drains every shard. A positive limit is only supported with one
 // shard, where Run is exactly Engine.Run; a bounded event count has no
 // deterministic meaning across concurrently executing shards.
@@ -350,7 +341,7 @@ func (w *windowed) runWindows(deadline Cycles, bounded bool) int {
 	w.collect()
 	total := 0
 	var pool *workerPool
-	if w.workers > 1 && !w.anyTraced() {
+	if w.workers > 1 {
 		pool = w.startPool()
 		defer pool.stop()
 	}
@@ -515,8 +506,7 @@ func NewSerialScheduler(shards int, lookahead Cycles) *SerialScheduler {
 
 // ShardedScheduler runs shards on a pool of worker goroutines under
 // conservative-lookahead synchronization. Worker count is clamped to the
-// shard count; a traced run falls back to serial window execution (the
-// tracer is single-threaded), preserving output byte-for-byte either way.
+// shard count; output is byte-identical to the serial scheduler's.
 type ShardedScheduler struct {
 	windowed
 }

@@ -54,7 +54,8 @@ func appendString(b []byte, s string) []byte {
 }
 
 // WriteJSON serializes the trace. The output is deterministic: metadata
-// events in track-registration order, then events in emission order.
+// events in merged track order, then the events of t and of each fork in
+// fork order, each buffer in emission order.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	buf := make([]byte, 0, 256)
@@ -78,10 +79,11 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	}
 
 	if t != nil {
+		v := t.view()
 		// Metadata: name each process once (via its first track) and each
 		// thread-track.
 		seenPID := make(map[int]bool)
-		for _, tr := range t.tracks {
+		for _, tr := range v.tracks {
 			if !seenPID[tr.PID] {
 				seenPID[tr.PID] = true
 				buf = buf[:0]
@@ -107,51 +109,53 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 			}
 		}
 
-		for i := range t.events {
-			ev := &t.events[i]
-			tr := t.tracks[ev.Track-1]
-			buf = buf[:0]
-			buf = append(buf, `{"ph":"`...)
-			buf = append(buf, phaseChar(ev.Phase))
-			buf = append(buf, `","pid":`...)
-			buf = strconv.AppendInt(buf, int64(tr.PID), 10)
-			buf = append(buf, `,"tid":`...)
-			buf = strconv.AppendInt(buf, int64(tr.TID), 10)
-			buf = append(buf, `,"ts":`...)
-			buf = appendTS(buf, ev.At)
-			if ev.Name != "" || ev.Phase != PhaseEnd {
-				buf = append(buf, `,"name":`...)
-				buf = appendString(buf, ev.Name)
-			}
-			switch ev.Phase {
-			case PhaseComplete:
-				buf = append(buf, `,"dur":`...)
-				buf = appendTS(buf, ev.Dur)
-			case PhaseInstant:
-				buf = append(buf, `,"s":"t"`...)
-			case PhaseCounter:
-				buf = append(buf, `,"args":{"value":`...)
-				buf = strconv.AppendInt(buf, ev.Value, 10)
-				buf = append(buf, "}}"...)
+		for k, p := range v.parts {
+			for i := range p.events {
+				ev := v.event(k, i)
+				tr := v.tracks[ev.Track-1]
+				buf = buf[:0]
+				buf = append(buf, `{"ph":"`...)
+				buf = append(buf, phaseChar(ev.Phase))
+				buf = append(buf, `","pid":`...)
+				buf = strconv.AppendInt(buf, int64(tr.PID), 10)
+				buf = append(buf, `,"tid":`...)
+				buf = strconv.AppendInt(buf, int64(tr.TID), 10)
+				buf = append(buf, `,"ts":`...)
+				buf = appendTS(buf, ev.At)
+				if ev.Name != "" || ev.Phase != PhaseEnd {
+					buf = append(buf, `,"name":`...)
+					buf = appendString(buf, ev.Name)
+				}
+				switch ev.Phase {
+				case PhaseComplete:
+					buf = append(buf, `,"dur":`...)
+					buf = appendTS(buf, ev.Dur)
+				case PhaseInstant:
+					buf = append(buf, `,"s":"t"`...)
+				case PhaseCounter:
+					buf = append(buf, `,"args":{"value":`...)
+					buf = strconv.AppendInt(buf, ev.Value, 10)
+					buf = append(buf, "}}"...)
+					if err := writeEvent(buf); err != nil {
+						return err
+					}
+					continue
+				case PhaseFlowStart, PhaseFlowEnd:
+					buf = append(buf, `,"cat":"wakeup","id":`...)
+					buf = strconv.AppendUint(buf, uint64(ev.Flow), 10)
+					if ev.Phase == PhaseFlowEnd {
+						buf = append(buf, `,"bp":"e"`...)
+					}
+				}
+				if ev.Arg != "" {
+					buf = append(buf, `,"args":{"detail":`...)
+					buf = appendString(buf, ev.Arg)
+					buf = append(buf, '}')
+				}
+				buf = append(buf, '}')
 				if err := writeEvent(buf); err != nil {
 					return err
 				}
-				continue
-			case PhaseFlowStart, PhaseFlowEnd:
-				buf = append(buf, `,"cat":"wakeup","id":`...)
-				buf = strconv.AppendUint(buf, uint64(ev.Flow), 10)
-				if ev.Phase == PhaseFlowEnd {
-					buf = append(buf, `,"bp":"e"`...)
-				}
-			}
-			if ev.Arg != "" {
-				buf = append(buf, `,"args":{"detail":`...)
-				buf = appendString(buf, ev.Arg)
-				buf = append(buf, '}')
-			}
-			buf = append(buf, '}')
-			if err := writeEvent(buf); err != nil {
-				return err
 			}
 		}
 	}

@@ -27,8 +27,7 @@ func (t *Tracer) CheckNesting() error {
 	}
 	perTrack := make(map[TrackID][]span)
 	stacks := make(map[TrackID][]span)
-	for i := range t.events {
-		ev := &t.events[i]
+	for _, ev := range t.Events() {
 		switch ev.Phase {
 		case PhaseBegin:
 			stacks[ev.Track] = append(stacks[ev.Track], span{start: ev.At, name: ev.Name})

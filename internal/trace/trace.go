@@ -18,9 +18,13 @@
 //     JSON writer iterates slices only (never maps), so the same seed
 //     produces a byte-identical trace.
 //
-// The Tracer is not safe for concurrent use: like the sim.Engine it belongs
-// to one single-threaded simulation. Runners force serial execution when a
-// tracer is attached.
+// A Tracer is not safe for concurrent use: like a sim.Engine it belongs to
+// one single-threaded event loop. A sharded machine therefore gives each
+// shard its own buffer, forked from the caller's tracer at construction
+// (Fork), so shards running on different workers never share one. Reads
+// (Events, Tracks, WriteJSON, CheckNesting) merge the root and its forks in
+// fork order with track, process and flow IDs renumbered, so the output is
+// the same at any worker count.
 //
 // Timestamps are raw cycle counts (int64, not sim.Cycles) so this package
 // stays a leaf that every layer — including sim itself — can import.
@@ -80,44 +84,45 @@ type Track struct {
 	TID     int
 }
 
-// Tracer buffers events for one simulation run. The zero value is not usable;
-// construct with New. A nil *Tracer is the disabled tracer: every method is a
-// no-op (or returns zero) on it.
+// Tracer buffers events for one simulation run. Construct with New. A nil
+// *Tracer is the disabled tracer: every method is a no-op (or returns zero)
+// on it.
 type Tracer struct {
-	events    []Event
-	tracks    []Track
-	processes map[string]int // process name → pid (assigned in first-use order)
-	perProc   map[int]int    // pid → tracks registered so far
-	nextFlow  uint64
-	stash     FlowID
+	events   []Event
+	tracks   []Track // PID/TID are assigned when the trace is read
+	nextFlow uint64
+	stash    FlowID
+	forks    []*Tracer
 }
 
 // New returns an empty, enabled tracer.
-func New() *Tracer {
-	return &Tracer{
-		processes: make(map[string]int),
-		perProc:   make(map[int]int),
+func New() *Tracer { return &Tracer{} }
+
+// Fork returns a child tracer with its own events, tracks, flow counter and
+// flow stash, which t's reads include after t's own events and those of
+// earlier forks. Give each independently scheduled event loop its own fork;
+// fork in a deterministic order. Returns nil on a nil tracer.
+func (t *Tracer) Fork() *Tracer {
+	if t == nil {
+		return nil
 	}
+	c := New()
+	t.forks = append(t.forks, c)
+	return c
 }
 
 // Enabled reports whether the tracer records events (false for nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // NewTrack registers a timeline under the given process group and returns its
-// ID. Process pids and per-process tids are assigned in registration order,
-// so construction-order determinism carries into the output. Returns 0 on a
-// nil tracer.
+// ID, which is local to t. Process pids and per-process tids are assigned in
+// registration order across the root and its forks, so construction-order
+// determinism carries into the output. Returns 0 on a nil tracer.
 func (t *Tracer) NewTrack(process, name string) TrackID {
 	if t == nil {
 		return 0
 	}
-	pid, ok := t.processes[process]
-	if !ok {
-		pid = len(t.processes) + 1
-		t.processes[process] = pid
-	}
-	t.perProc[pid]++
-	t.tracks = append(t.tracks, Track{Process: process, Name: name, PID: pid, TID: t.perProc[pid]})
+	t.tracks = append(t.tracks, Track{Process: process, Name: name})
 	return TrackID(len(t.tracks)) // 1-based; 0 stays invalid
 }
 
@@ -216,36 +221,103 @@ func (t *Tracer) TakeFlow() FlowID {
 	return f
 }
 
-// Events returns the recorded events in emission order. The slice is owned by
-// the tracer; callers must not mutate it.
+// view is the merged read side of a tracer and its forks: the parts in
+// fork order, every track with its pid and tid, and the offsets that turn
+// each part's local track and flow IDs into merged ones.
+type view struct {
+	parts    []*Tracer
+	tracks   []Track
+	trackOff []TrackID
+	flowOff  []FlowID
+}
+
+func (t *Tracer) view() *view {
+	v := &view{}
+	var collect func(p *Tracer)
+	collect = func(p *Tracer) {
+		v.parts = append(v.parts, p)
+		for _, f := range p.forks {
+			collect(f)
+		}
+	}
+	collect(t)
+	pids := make(map[string]int) // process name → pid, in first-use order
+	tids := make(map[int]int)    // pid → tracks registered so far
+	var flows FlowID
+	for _, p := range v.parts {
+		v.trackOff = append(v.trackOff, TrackID(len(v.tracks)))
+		v.flowOff = append(v.flowOff, flows)
+		flows += FlowID(p.nextFlow)
+		for _, tk := range p.tracks {
+			pid, ok := pids[tk.Process]
+			if !ok {
+				pid = len(pids) + 1
+				pids[tk.Process] = pid
+			}
+			tids[pid]++
+			tk.PID, tk.TID = pid, tids[pid]
+			v.tracks = append(v.tracks, tk)
+		}
+	}
+	return v
+}
+
+// event returns event i of part k with merged track and flow IDs.
+func (v *view) event(k, i int) Event {
+	ev := v.parts[k].events[i]
+	ev.Track += v.trackOff[k]
+	if ev.Flow != 0 {
+		ev.Flow += v.flowOff[k]
+	}
+	return ev
+}
+
+// Events returns the recorded events of t and then of each fork, in fork
+// order, with merged track and flow IDs. Callers must not mutate the slice.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	if len(t.forks) == 0 {
+		return t.events
+	}
+	v := t.view()
+	out := make([]Event, 0, t.Len())
+	for k, p := range v.parts {
+		for i := range p.events {
+			out = append(out, v.event(k, i))
+		}
+	}
+	return out
 }
 
-// Tracks returns the registered tracks in registration order; index i holds
-// TrackID i+1.
+// Tracks returns the registered tracks in merged order; index i holds
+// TrackID i+1 as Events reports it.
 func (t *Tracer) Tracks() []Track {
 	if t == nil {
 		return nil
 	}
-	return t.tracks
+	return t.view().tracks
 }
 
-// TrackInfo resolves a TrackID (false for 0, out-of-range, or nil tracer).
+// TrackInfo resolves a merged TrackID (false for 0, out-of-range, or nil
+// tracer).
 func (t *Tracer) TrackInfo(id TrackID) (Track, bool) {
-	if t == nil || id <= 0 || int(id) > len(t.tracks) {
+	tracks := t.Tracks()
+	if id <= 0 || int(id) > len(tracks) {
 		return Track{}, false
 	}
-	return t.tracks[id-1], true
+	return tracks[id-1], true
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of recorded events, forks included.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	n := len(t.events)
+	for _, f := range t.forks {
+		n += f.Len()
+	}
+	return n
 }

@@ -243,3 +243,64 @@ func TestCheckNestingRejectsDanglingEnd(t *testing.T) {
 		t.Fatal("dangling End accepted")
 	}
 }
+
+// TestForkMergesInForkOrder: a root and its forks read back exactly like one
+// tracer that saw the root's registrations and events first, then each
+// fork's in fork order — pids shared by process name, tids counted across
+// buffers, track and flow IDs renumbered.
+func TestForkMergesInForkOrder(t *testing.T) {
+	// emit drives one buffer: a shared-process track, a private track, a
+	// span, and a flow.
+	emit := func(tr *Tracer, private string, at int64) {
+		a := tr.NewTrack("devices", "dev-"+private)
+		b := tr.NewTrack(private, "ptid0")
+		tr.Begin(b, "runnable", at)
+		f := tr.NewFlow()
+		tr.FlowStart(a, "wake", at+1, f)
+		tr.FlowEnd(b, "wake", at+2, f)
+		tr.Count(a, "n", at+3, at)
+		tr.End(b, at+4)
+	}
+
+	root := New()
+	s0, s1 := root.Fork(), root.Fork()
+	// Emission interleaves across buffers, as concurrent shards would.
+	emit(s1, "s1", 100)
+	emit(root, "root", 0)
+	emit(s0, "s0", 50)
+
+	flat := New()
+	emit(flat, "root", 0)
+	emit(flat, "s0", 50)
+	emit(flat, "s1", 100)
+
+	var got, want bytes.Buffer
+	if err := root.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("forked trace differs from its flat equivalent:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	if root.Len() != flat.Len() || len(root.Tracks()) != len(flat.Tracks()) {
+		t.Fatalf("Len/Tracks %d/%d, want %d/%d", root.Len(), len(root.Tracks()), flat.Len(), len(flat.Tracks()))
+	}
+	for i, ev := range root.Events() {
+		if ev != flat.Events()[i] {
+			t.Fatalf("event %d: %+v, want %+v", i, ev, flat.Events()[i])
+		}
+		gk, _ := root.TrackInfo(ev.Track)
+		wk, _ := flat.TrackInfo(ev.Track)
+		if gk != wk {
+			t.Fatalf("event %d track %+v, want %+v", i, gk, wk)
+		}
+	}
+	if err := root.CheckNesting(); err != nil {
+		t.Fatal(err)
+	}
+	if (*Tracer)(nil).Fork() != nil {
+		t.Fatal("fork of the disabled tracer is enabled")
+	}
+}

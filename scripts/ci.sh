@@ -36,7 +36,11 @@
 #  12. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
 #                        resumed from the last checkpoint: one plain diff of
 #                        the two outputs (DESIGN.md §13)
-#  13. golden diff     — `nocsim -all` must be byte-identical to the
+#  13. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
+#                        the untraced run's output, and its trace file must
+#                        be byte-identical to a second traced run under
+#                        GOMAXPROCS=1 (sharded vs serial oracle, DESIGN.md §8)
+#  14. golden diff     — `nocsim -all` must be byte-identical to the
 #                        committed results_full.txt (skip with SKIP_GOLDEN=1
 #                        when the caller performs its own golden run)
 #
@@ -119,6 +123,18 @@ echo "== snapshot golden: nocsim -exp E1 checkpoint/resume identity =="
 "$TMP/nocsim" -exp E1 -quick -resume "$TMP/e1.ckpt" > "$TMP/e1_resume.txt"
 if ! diff -u "$TMP/e1.txt" "$TMP/e1_resume.txt"; then
     echo "FAIL: resumed E1 output differs from the straight-through run" >&2
+    exit 1
+fi
+
+echo "== trace gate: traced E1 runs the untraced run, at any worker count =="
+"$TMP/nocsim" -exp E1 -quick -trace "$TMP/e1.json" > "$TMP/e1_traced.txt"
+if ! diff -u "$TMP/e1.txt" "$TMP/e1_traced.txt"; then
+    echo "FAIL: tracing changed E1's output" >&2
+    exit 1
+fi
+GOMAXPROCS=1 "$TMP/nocsim" -exp E1 -quick -trace "$TMP/e1_serial.json" > /dev/null
+if ! cmp "$TMP/e1.json" "$TMP/e1_serial.json"; then
+    echo "FAIL: E1 trace differs between the sharded run and GOMAXPROCS=1" >&2
     exit 1
 fi
 
