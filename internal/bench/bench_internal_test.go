@@ -465,3 +465,30 @@ func TestRunAllPreservesOrder(t *testing.T) {
 		t.Fatal("unknown id must error")
 	}
 }
+
+// TestF9DispatchCounts pins both full-size F9 machines' dispatched-event
+// count (Scheduler().Ran()) and retired instructions. Nine runnable ptids
+// share two SMT slots, so these counts cover the core's oversubscribed
+// dispatch path one event per issued batch: a change to how the core queues
+// its threads must leave every one of them unchanged.
+func TestF9DispatchCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size F9 machines")
+	}
+	want := []struct {
+		priority     int
+		ran, retired uint64
+	}{
+		{1, 6227990, 6227890},
+		{8, 6227962, 6236962},
+	}
+	for _, w := range want {
+		m, _, err := f9Machine(w.priority, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran, retired := m.Scheduler().Ran(), m.Retired(); ran != w.ran || retired != w.retired {
+			t.Errorf("priority %d: Ran %d Retired %d, want %d %d", w.priority, ran, retired, w.ran, w.retired)
+		}
+	}
+}

@@ -312,32 +312,33 @@ func runA3(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-func runF9(cfg RunConfig) (*Result, error) {
-	events := 100
-	if cfg.Quick {
-		events = 25
-	}
-	const (
-		mailbox    = 0x500000
-		background = 8
-		workIters  = 50
-		period     = sim.Cycles(30000)
-	)
+// F9 workload shape: one critical thread woken by a periodic mailbox write,
+// eight background spinners, all on one core's two SMT slots.
+const (
+	f9Mailbox    = 0x500000
+	f9Background = 8
+	f9WorkIters  = 50
+	f9Period     = sim.Cycles(30000)
+)
 
-	run := func(priority int) (*metrics.Histogram, error) {
-		m := machine.New()
-		c := m.Core(0)
-		hist := metrics.NewHistogram()
-		writeAt := make([]sim.Cycles, events+1)
-		recorded := 0
-		c.RegisterNative("f9.done", func(cc *core.Core, t *hwthread.Context) sim.Cycles {
-			if recorded < events && writeAt[recorded] > 0 {
-				hist.RecordCycles(cc.Now() - writeAt[recorded])
-			}
-			recorded++
-			return 1
-		})
-		critical := asm.MustAssemble("critical", fmt.Sprintf(`
+// f9Machine builds and runs one F9 machine: the critical thread at the given
+// hardware priority and f9Background spinners, driven by events periodic
+// mailbox writes. It returns the machine (for its counters) and the
+// critical thread's completion-latency histogram.
+func f9Machine(priority, events int) (*machine.Machine, *metrics.Histogram, error) {
+	m := machine.New()
+	c := m.Core(0)
+	hist := metrics.NewHistogram()
+	writeAt := make([]sim.Cycles, events+1)
+	recorded := 0
+	c.RegisterNative("f9.done", func(cc *core.Core, t *hwthread.Context) sim.Cycles {
+		if recorded < events && writeAt[recorded] > 0 {
+			hist.RecordCycles(cc.Now() - writeAt[recorded])
+		}
+		recorded++
+		return 1
+	})
+	critical := asm.MustAssemble("critical", fmt.Sprintf(`
 main:
 loop:
 	monitor r1
@@ -349,33 +350,39 @@ work:
 	blt r4, r5, work
 	native f9.done
 	jmp loop
-`, workIters))
-		if err := c.BindProgram(0, critical, "main"); err != nil {
-			return nil, err
-		}
-		ct := c.Threads().Context(0)
-		ct.Regs.GPR[1] = mailbox
-		ct.Priority = priority
-		if err := c.BootStart(0); err != nil {
-			return nil, err
-		}
+`, f9WorkIters))
+	if err := c.BindProgram(0, critical, "main"); err != nil {
+		return nil, nil, err
+	}
+	ct := c.Threads().Context(0)
+	ct.Regs.GPR[1] = f9Mailbox
+	ct.Priority = priority
+	if err := c.BootStart(0); err != nil {
+		return nil, nil, err
+	}
 
-		busy := asm.MustAssemble("busy", "main:\n\tmovi r1, 0\nloop:\n\taddi r1, r1, 1\n\tjmp loop")
-		for i := 1; i <= background; i++ {
-			if err := c.BindProgram(hwthread.PTID(i), busy, "main"); err != nil {
-				return nil, err
-			}
-			c.BootStart(hwthread.PTID(i))
+	busy := asm.MustAssemble("busy", "main:\n\tmovi r1, 0\nloop:\n\taddi r1, r1, 1\n\tjmp loop")
+	for i := 1; i <= f9Background; i++ {
+		if err := c.BindProgram(hwthread.PTID(i), busy, "main"); err != nil {
+			return nil, nil, err
 		}
-		streamTicks(m.Shard(0), "tick", events, period, func(i int) {
-			writeAt[i] = m.Now()
-			m.Mem().Write(mailbox, int64(i+1), 2) // SrcMSI
-		})
-		m.RunUntil(sim.Cycles(events+4) * period)
-		if m.Fatal() != nil {
-			return nil, m.Fatal()
-		}
-		return hist, nil
+		c.BootStart(hwthread.PTID(i))
+	}
+	streamTicks(m.Shard(0), "tick", events, f9Period, func(i int) {
+		writeAt[i] = m.Now()
+		m.Mem().Write(f9Mailbox, int64(i+1), 2) // SrcMSI
+	})
+	m.RunUntil(sim.Cycles(events+4) * f9Period)
+	if m.Fatal() != nil {
+		return nil, nil, m.Fatal()
+	}
+	return m, hist, nil
+}
+
+func runF9(cfg RunConfig) (*Result, error) {
+	events := 100
+	if cfg.Quick {
+		events = 25
 	}
 
 	// The two priority settings are independent machines: run them as sweep
@@ -383,7 +390,7 @@ work:
 	priorities := []int{1, 8}
 	hists := make([]*metrics.Histogram, len(priorities))
 	if err := ForEachPoint(cfg, len(priorities), func(i int) error {
-		h, err := run(priorities[i])
+		_, h, err := f9Machine(priorities[i], events)
 		hists[i] = h
 		return err
 	}); err != nil {
@@ -392,7 +399,7 @@ work:
 	lo, hi := hists[0], hists[1]
 
 	t := metrics.NewTable(
-		fmt.Sprintf("critical-event completion latency with %d background threads (2 SMT slots)", background),
+		fmt.Sprintf("critical-event completion latency with %d background threads (2 SMT slots)", f9Background),
 		"hw priority", "p50", "p99", "mean")
 	for _, row := range []struct {
 		name string

@@ -111,7 +111,7 @@ func RestoreShard(snap *snapshot.Snapshot, eng *sim.Shard, comps ...Component) (
 		}
 	}
 	for _, t := range tombs {
-		eng.RestoreTombstone(t.at, t.seq, t.name)
+		eng.Tombstone(t.at, t.seq, t.name)
 	}
 	return eng.FinishRestore(seq, ran)
 }

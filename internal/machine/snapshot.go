@@ -594,7 +594,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 
 	for si := range m.shards {
 		for _, t := range engines[si].tombs {
-			m.shards[si].sh.RestoreTombstone(t.At, t.Seq, t.Name)
+			m.shards[si].sh.Tombstone(t.At, t.Seq, t.Name)
 		}
 		if err := m.shards[si].sh.FinishRestore(engines[si].seq, engines[si].ran); err != nil {
 			return err

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -312,5 +313,89 @@ func TestRestoreTopologyMismatch(t *testing.T) {
 	// Truncated stream: an error, never a panic.
 	if err := New(WithCores(2)).Restore(bytes.NewReader(buf.Bytes()[:40])); err == nil {
 		t.Fatal("truncated restore should error")
+	}
+}
+
+// oversubscribedMachine builds one core with ten runnable ptids on two SMT
+// slots, each spinning on a mix of ALU and store latencies into its own
+// word, so every thread has an issue queued behind the earliest one at any
+// cycle.
+func oversubscribedMachine(t *testing.T) *Machine {
+	t.Helper()
+	m := New(WithThreads(12), WithSMTSlots(2))
+	prog := asm.MustAssemble("oversub", `
+main:
+loop:
+	addi r1, r1, 1
+	st [r2+0], r1
+	mul r3, r1, r1
+	jmp loop
+`)
+	c := m.Core(0)
+	for p := 0; p < 10; p++ {
+		if err := c.BindProgram(hwthread.PTID(p), prog, "main"); err != nil {
+			t.Fatal(err)
+		}
+		c.Threads().Context(hwthread.PTID(p)).Regs.GPR[2] = 0x8000 + 64*int64(p)
+		if err := c.BootStart(hwthread.PTID(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// TestOversubscribedCheckpointGolden checkpoints a 10-on-2 core right after
+// it stopped two queued threads, delayed a third and restarted one, while
+// the cancelled issues are still queued as tombstones. The checkpoint's
+// sha256 and the counts after a further run are pinned (the core wrote
+// these when every runnable ptid kept its own event in the engine heap),
+// and the restored machine must run on to the same dispatch and retirement
+// counts, and the same checkpoint bytes, as the straight one.
+func TestOversubscribedCheckpointGolden(t *testing.T) {
+	const (
+		wantSHA              = "6b1f47469709f0e996d21de51495289651579e8dc3850fbbb25808c55d84cdb9"
+		wantRan, wantRetired = 29709, 29709
+	)
+	straight := oversubscribedMachine(t)
+	straight.RunUntil(5000)
+	c := straight.Core(0)
+	c.StopThread(3)
+	c.StopThread(6)
+	c.InjectDelay(4, 777)
+	if err := c.StartThreadSupervised(3); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := straight.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != wantSHA {
+		t.Errorf("checkpoint sha256 %s, want %s", got, wantSHA)
+	}
+
+	restored := oversubscribedMachine(t)
+	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	straight.RunUntil(40_000)
+	restored.RunUntil(40_000)
+	if s, r := straight.Scheduler().Ran(), restored.Scheduler().Ran(); s != r {
+		t.Errorf("Ran: straight %d, restored %d", s, r)
+	}
+	if s, r := straight.Retired(), restored.Retired(); s != r {
+		t.Errorf("Retired: straight %d, restored %d", s, r)
+	}
+	if ran, retired := straight.Scheduler().Ran(), straight.Retired(); ran != wantRan || retired != wantRetired {
+		t.Errorf("straight run: Ran %d Retired %d, want %d %d", ran, retired, wantRan, wantRetired)
+	}
+	var a, b bytes.Buffer
+	if err := straight.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("straight and restored checkpoints differ after the further run")
 	}
 }

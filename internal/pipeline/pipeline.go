@@ -208,7 +208,14 @@ func (p *Pipeline) ChargedLatency(id int, base sim.Cycles) sim.Cycles {
 	if i < 0 {
 		return base
 	}
-	sd := p.slowdownOf(&p.threads[i])
+	return Charge(base, p.slowdownOf(&p.threads[i]))
+}
+
+// Charge scales a base latency by a PS slowdown with ChargedLatency's
+// rounding: ⌈base·sd⌉, never below base. Callers that hold a thread's
+// slowdown across instructions (the core's fast loop: fast ops never change
+// the runnable set) charge through it directly.
+func Charge(base sim.Cycles, sd float64) sim.Cycles {
 	if sd == 1 {
 		return base
 	}

@@ -7,6 +7,7 @@ import (
 	"nocs/internal/asm"
 	"nocs/internal/isa"
 	"nocs/internal/progen"
+	"nocs/internal/refmodel"
 	"nocs/internal/trace"
 )
 
@@ -162,6 +163,37 @@ t1:
 			check: func(t *testing.T, eng *outcome) {
 				if eng.threads[0].state != 1 {
 					t.Fatalf("spinner not still runnable at deadline (state %d)", eng.threads[0].state)
+				}
+			},
+		},
+		{
+			// Oversubscribed: four spinners share one SMT slot, so the core
+			// always has issues queued behind the one it is running, and
+			// every charged latency is slowed down. Thread 0 stops thread 2
+			// while thread 2 waits in that queue.
+			name: "oversubscribed",
+			spec: func(t *testing.T) *progen.Spec {
+				src := "main:\nt0:\n" + spin("t0_warm", 40) + "\tmovi r12, 2\n\tstop r12\n" + spin("t0_loop", 100000) + "\thalt\n"
+				for p := 1; p < 4; p++ {
+					src += fmt.Sprintf("\nt%d:\n", p) + spin(fmt.Sprintf("t%d_loop", p), 100000) + "\thalt\n"
+				}
+				return craftSpec(t, "oversubscribed", src, 4, 1, 4321)
+			},
+			check: func(t *testing.T, eng *outcome) {
+				for p, th := range eng.threads {
+					if th.retired == 0 {
+						t.Fatalf("thread %d retired nothing", p)
+					}
+					want := uint8(refmodel.StRunnable)
+					if p == 2 {
+						want = refmodel.StDisabled
+					}
+					if th.state != want {
+						t.Fatalf("thread %d in state %d at the deadline, want %d", p, th.state, want)
+					}
+				}
+				if eng.threads[2].stops != 1 {
+					t.Fatalf("thread 2 stopped %d times, want 1 — the stop did not land", eng.threads[2].stops)
 				}
 			},
 		},

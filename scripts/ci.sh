@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# ci.sh — the repository's correctness gate. Run before every commit (and
-# from scripts/bench.sh, which adds the timing/benchmark layer on top):
+# ci.sh — the repository's correctness gate. Run before every commit
+# (scripts/bench.sh records timings and leaves the gating to this script):
 #
 #   1. gofmt           — no unformatted files
 #   2. go vet          — static checks
@@ -20,9 +20,11 @@
 #   8. fault package   — go vet + race-enabled unit tests for
 #                        internal/faultinject
 #   9. allocation gate — CoreInstructionRate + F7_TailLatency +
-#                        UncontendedLock + ServeCell allocs/op must stay within 10% of
-#                        scripts/alloc_baseline.txt (the zero-alloc hot
-#                        paths must not silently regrow heap traffic)
+#                        UncontendedLock + ServeCell + F9_PriorityScheduling
+#                        (the oversubscribed core's ready queue) allocs/op
+#                        must stay within 10% of scripts/alloc_baseline.txt
+#                        (the zero-alloc hot paths must not silently regrow
+#                        heap traffic)
 #  10. system suite    — `nocsim -exp S1,L1,SV1 -quick`; the exit status is
 #                        the check. S1, L1 and SV1 each fail unless their
 #                        sharded pass is byte-identical to the serial
@@ -87,7 +89,7 @@ go vet ./internal/faultinject
 go test -race -count=1 ./internal/faultinject
 
 echo "== allocation gate (allocs/op within 10% of scripts/alloc_baseline.txt) =="
-go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell)$' \
+go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell|BenchmarkF9_PriorityScheduling)$' \
     -benchmem -benchtime 1x . > "$TMP/allocgate.txt"
 awk '
     NR==FNR { if ($0 !~ /^#/ && NF == 2) base[$1] = $2; next }
