@@ -250,12 +250,18 @@ type Outcome struct {
 // RunAll executes the given experiments with up to parallel running at once.
 // Every experiment builds its own engine and machines, so concurrent runs
 // share no simulation state; outcomes are returned in input order, which
-// makes the rendered output independent of host scheduling.
+// makes the rendered output independent of host scheduling. A serial run
+// (parallel <= 1, or any traced run) is a plain loop, so experiments fork
+// from a shared tracer in input order.
 func RunAll(ids []string, cfg RunConfig, parallel int) []Outcome {
-	if parallel < 1 || cfg.Tracer != nil {
-		parallel = 1
-	}
 	out := make([]Outcome, len(ids))
+	if parallel <= 1 || cfg.Tracer != nil {
+		for i, id := range ids {
+			res, err := Run(id, cfg)
+			out[i] = Outcome{ID: id, Res: res, Err: err}
+		}
+		return out
+	}
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i, id := range ids {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -250,5 +251,33 @@ func TestTracerForcesSerialExecution(t *testing.T) {
 		if v != i {
 			t.Fatalf("points ran out of order: %v", order)
 		}
+	}
+}
+
+// TestRunAllTraceIndependentOfGOMAXPROCS: a traced RunAll runs its
+// experiments one after another in input order, so each forks from the
+// shared tracer at the same point and the trace file does not depend on how
+// many OS threads the Go runtime schedules onto.
+func TestRunAllTraceIndependentOfGOMAXPROCS(t *testing.T) {
+	ids := []string{"F7", "A1", "A2", "A3", "A4"}
+	var bufs [2]bytes.Buffer
+	for i, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig()
+		cfg.Quick = true
+		cfg.Tracer = trace.New()
+		outs := RunAll(ids, cfg, 2)
+		runtime.GOMAXPROCS(prev)
+		for _, o := range outs {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		}
+		if err := cfg.Tracer.WriteJSON(&bufs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
+		t.Fatal("traced RunAll wrote different files at GOMAXPROCS 1 and 2")
 	}
 }

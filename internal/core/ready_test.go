@@ -90,15 +90,7 @@ func TestCancelQueuedIssueLeavesTombstone(t *testing.T) {
 	if r.c.rq.n != 2 || r.c.rq.armed != 1 || r.eng.Pending() != 2 {
 		t.Fatalf("after the stop: %d queued, %d armed, %d engine events; want 2, 1, 2", r.c.rq.n, r.c.rq.armed, r.eng.Pending())
 	}
-	claimed := map[uint64]bool{}
-	for _, h := range r.c.LiveHandles() {
-		_, seq, _ := r.eng.EventInfo(h)
-		claimed[seq] = true
-	}
-	_, _, _, tombs, err := r.eng.SnapshotEvents(claimed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tombs := snapshotCoreEngine(t, r).Tombstones
 	if len(tombs) != 1 || tombs[0].At != tail.at || tombs[0].Seq != tail.seq || tombs[0].Name != "exec" {
 		t.Fatalf("tombstones %+v, want one exec tombstone at (%d, %d)", tombs, tail.at, tail.seq)
 	}
@@ -114,6 +106,38 @@ func TestCancelQueuedIssueLeavesTombstone(t *testing.T) {
 type execRec struct {
 	ptid, at int64
 	seq      uint64
+}
+
+// snapshotCoreEngine checkpoints the rig's core and then its engine, so the
+// core's armed issues are its claimed events, and returns the decoded engine
+// section.
+func snapshotCoreEngine(t *testing.T, r *rig) sim.EngineState {
+	t.Helper()
+	b := snapshot.NewBuilder()
+	r.eng.BeginSnapshot()
+	if err := r.c.SnapshotState(b.Section("core"), func(*isa.Program) (int64, error) { return 0, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.eng.SnapshotEvents(b.Section("engine")); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := s.Section("engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.ReadEngineState(er)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // coreSection writes c's checkpoint section the way SnapshotState lays it
@@ -237,10 +261,10 @@ func TestRestoreRejectsBadExecRecords(t *testing.T) {
 				if dst.c.rq.n != 2 || dst.c.rq.armed != 1 || dst.eng.Pending() != 1 {
 					t.Fatalf("restored %d queued, %d armed, %d engine events; want 2, 1, 1", dst.c.rq.n, dst.c.rq.armed, dst.eng.Pending())
 				}
-				if err := dst.eng.FinishRestore(901, 0); err == nil {
+				if err := dst.eng.FinishRestore(sim.EngineState{Seq: 901}); err == nil {
 					t.Fatal("FinishRestore(901) accepted a counter that collides with the queued record's seq 901")
 				}
-				if err := dst.eng.FinishRestore(902, 0); err != nil {
+				if err := dst.eng.FinishRestore(sim.EngineState{Seq: 902}); err != nil {
 					t.Fatal(err)
 				}
 				return

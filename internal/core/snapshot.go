@@ -46,10 +46,16 @@ func (c *Core) SnapshotState(w *snapshot.W, progID func(*isa.Program) (int64, er
 		t.SnapshotState(w, pid)
 	}
 
-	// Pending issues, one per runnable ptid that has one, in ptid order.
+	// Pending issues, one per runnable ptid that has one, in ptid order. The
+	// armed ones are engine events too, and writing them claims them.
 	execs := make([]readyEntry, c.rq.n)
 	for i := range execs {
 		execs[i] = *c.rq.at(i)
+		if i < c.rq.armed {
+			if _, _, ok := c.eng.Claim(execs[i].h); !ok {
+				return fmt.Errorf("core %d: armed issue of ptid %d has a stale event handle", c.id, execs[i].t.PTID)
+			}
+		}
 	}
 	slices.SortFunc(execs, func(a, b readyEntry) int { return cmp.Compare(a.t.PTID, b.t.PTID) })
 	w.Len(len(execs))
@@ -189,16 +195,6 @@ func (c *Core) RestoreState(r *snapshot.R, prog func(int64) (*isa.Program, error
 		return err
 	}
 	return c.hier.RestoreState(r)
-}
-
-// LiveHandles lists the core's queued events — its armed ready-queue
-// entries — for the engine's claimed set.
-func (c *Core) LiveHandles() []sim.Handle {
-	hs := make([]sim.Handle, c.rq.armed)
-	for i := range hs {
-		hs[i] = c.rq.at(i).h
-	}
-	return hs
 }
 
 func sortedPTIDs(m map[hwthread.PTID]bool) []int64 {

@@ -14,9 +14,9 @@ import (
 // Device geometry (configs, DMA ports, signals, MMIO windows) is machine
 // wiring, re-created when the restore target is constructed.
 
-// writeEvent records one live event's (at, seq) pair.
+// writeEvent writes one live event's (at, seq) pair, claiming the event.
 func writeEvent(w *snapshot.W, eng *sim.Shard, h sim.Handle, what string) error {
-	at, seq, ok := eng.EventInfo(h)
+	at, seq, ok := eng.Claim(h)
 	if !ok {
 		return fmt.Errorf("device: %s event handle is stale at checkpoint", what)
 	}
@@ -77,18 +77,6 @@ func (t *Timer) RestoreState(r *snapshot.R) error {
 		t.msis = append(t.msis, m)
 	}
 	return nil
-}
-
-// LiveHandles lists the timer's queued events for the engine's claimed set.
-func (t *Timer) LiveHandles() []sim.Handle {
-	var hs []sim.Handle
-	if t.ev != sim.NoEvent {
-		hs = append(hs, t.ev)
-	}
-	for _, m := range t.msis {
-		hs = append(hs, m.h)
-	}
-	return hs
 }
 
 // SnapshotState writes the NIC's ring cursors, counters, and in-flight RX/TX
@@ -154,18 +142,6 @@ func (n *NIC) RestoreState(r *snapshot.R) error {
 	return nil
 }
 
-// LiveHandles lists the NIC's queued events for the engine's claimed set.
-func (n *NIC) LiveHandles() []sim.Handle {
-	var hs []sim.Handle
-	for _, rx := range n.rx {
-		hs = append(hs, rx.h)
-	}
-	for _, tx := range n.tx {
-		hs = append(hs, tx.h)
-	}
-	return hs
-}
-
 // SnapshotState writes the SSD's queue cursors, counters, and in-flight
 // completions.
 func (s *SSD) SnapshotState(w *snapshot.W) error {
@@ -206,13 +182,4 @@ func (s *SSD) RestoreState(r *snapshot.R) error {
 		s.ops = append(s.ops, d)
 	}
 	return nil
-}
-
-// LiveHandles lists the SSD's queued events for the engine's claimed set.
-func (s *SSD) LiveHandles() []sim.Handle {
-	var hs []sim.Handle
-	for _, d := range s.ops {
-		hs = append(hs, d.h)
-	}
-	return hs
 }

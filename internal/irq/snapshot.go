@@ -52,7 +52,7 @@ func (c *Controller) SnapshotState(w *snapshot.W, coreID func(CoreTarget) (int64
 
 	w.Len(len(c.pending))
 	for _, d := range c.pending {
-		at, seq, ok := c.eng.EventInfo(d.h)
+		at, seq, ok := c.eng.Claim(d.h)
 		if !ok {
 			return fmt.Errorf("irq: pending delivery of vector %d has a stale event handle", d.v)
 		}
@@ -122,14 +122,4 @@ func (c *Controller) RestoreState(r *snapshot.R, core func(int64) (CoreTarget, e
 	}
 	c.raised, c.delivered, c.spurious, c.ipis = raised, delivered, spurious, ipis
 	return nil
-}
-
-// LiveHandles lists the controller's queued events for the engine's claimed
-// set. In-flight IPIs are deliberately absent: they are not checkpointable.
-func (c *Controller) LiveHandles() []sim.Handle {
-	var hs []sim.Handle
-	for _, d := range c.pending {
-		hs = append(hs, d.h)
-	}
-	return hs
 }

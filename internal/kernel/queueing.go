@@ -164,14 +164,6 @@ func (a *arrivals) restore(q []arrival) {
 	}
 }
 
-// claim marks the armed entries' sequence numbers in the engine's claimed
-// set; they are the stream's only live events.
-func (a *arrivals) claim(claimed map[uint64]bool) {
-	for _, e := range a.q[a.head : a.head+a.armed] {
-		claimed[e.seq] = true
-	}
-}
-
 // OnEvent delivers the head arrival (sim.Callback): the head's key is the
 // smallest armed one, so it is always the event that fired.
 func (a *arrivals) OnEvent() {

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -16,28 +17,34 @@ import (
 // Checkpoint support (DESIGN.md §13) for the queueing servers. Each server
 // serializes its ring FIFO, counters, and every event it owns: pending
 // arrivals, in-flight completions or quantum slices, and the PS next-finisher.
-// Pending arrivals are written as (at, seq, request) records in key order
-// straight from the arrival stream, whose head is the only one in the heap;
-// restore re-arms that head. Pooled completion and slice bodies carry no
-// retained handles, so the codec reclaims them through the engine's
-// VisitLiveEvents enumeration — the owner recognizes its own payload types
-// among the live events — instead of paying per-event handle bookkeeping on
-// the hot path. Freelists and event pools are capacity, not state: they
-// restore empty and re-grow.
+// Writing an event's record is what claims it (sim.Engine.Claim). Pending
+// arrivals are written as (at, seq, request) records in key order straight
+// from the arrival stream, whose head is the only one in the heap; restore
+// re-arms that head. Arrival, completion and slice bodies carry no retained
+// handles, so the codec claims them with the engine's ClaimLive — the owner
+// recognizes its own payloads among the live events — instead of paying
+// per-event handle bookkeeping on the hot path. Freelists and event pools are
+// capacity, not state: they restore empty and re-grow.
 //
 // Trace lanes (EnableTrace) are wiring and re-base like every other tracer;
 // OnComplete callbacks are re-attached by the restore target's driver.
 
 // ComponentCodec is a checkpointable standalone-shard component: a queueing
 // server or anything else composed into a shard checkpoint by SnapshotShard.
+// It has the method set of machine.ComponentSnapshotter, so a queueing server
+// attaches to a machine checkpoint as it is. SnapshotState writes a record
+// for every live event the component owns, taking its (at, seq) from
+// sim.Engine.Claim or ClaimLive, which is what claims the event; RestoreState
+// re-creates those events at their original slots.
 type ComponentCodec interface {
 	SnapshotState(w *snapshot.W) error
 	RestoreState(r *snapshot.R) error
-	// ClaimEvents marks the sequence numbers of every live event this
-	// component owns (and will re-create on restore) in the engine's
-	// claimed set.
-	ClaimEvents(claimed map[uint64]bool)
 }
+
+// ErrBusyCount reports a server checkpoint whose busy count a live server
+// could not have written: each busy server has exactly one in-flight
+// completion or quantum-slice record, and at most K are busy.
+var ErrBusyCount = errors.New("busy count does not match in-flight records")
 
 // Component pairs a section name with a checkpointable component.
 type Component struct {
@@ -48,29 +55,16 @@ type Component struct {
 // SnapshotShard serializes a bare shard — engine clock, counters, tombstones
 // — plus the given components into b. This is the standalone composition the
 // queueing experiments use (they run on a solo shard, not inside a Machine):
-// one "engine" section plus one "srv/<name>" section per component. A live
-// event no component claims is an error naming the event.
+// one "srv/<name>" section per component, then one "engine" section. A live
+// event no component writes, or that two write, is an error naming the event.
 func SnapshotShard(b *snapshot.Builder, eng *sim.Shard, comps ...Component) error {
-	claimed := make(map[uint64]bool)
-	for _, c := range comps {
-		c.C.ClaimEvents(claimed)
-	}
+	eng.BeginSnapshot()
 	for _, c := range comps {
 		if err := c.C.SnapshotState(b.Section("srv/" + c.Name)); err != nil {
 			return fmt.Errorf("kernel: snapshot %s: %w", c.Name, err)
 		}
 	}
-	now, seq, ran, tombs, err := eng.SnapshotEvents(claimed)
-	if err != nil {
-		return err
-	}
-	w := b.Section("engine")
-	w.I64(int64(now)).U64(seq).U64(ran)
-	w.Len(len(tombs))
-	for _, t := range tombs {
-		w.I64(int64(t.At)).U64(t.Seq).String(t.Name)
-	}
-	return nil
+	return eng.SnapshotEvents(b.Section("engine"))
 }
 
 // RestoreShard rebuilds a shard checkpoint written by SnapshotShard into a
@@ -86,21 +80,11 @@ func RestoreShard(snap *snapshot.Snapshot, eng *sim.Shard, comps ...Component) (
 	if err != nil {
 		return err
 	}
-	now, seq, ran := sim.Cycles(er.I64()), er.U64(), er.U64()
-	nt := er.Len(17)
-	type tombRec struct {
-		at   sim.Cycles
-		seq  uint64
-		name string
-	}
-	tombs := make([]tombRec, nt)
-	for i := range tombs {
-		tombs[i] = tombRec{sim.Cycles(er.I64()), er.U64(), er.String()}
-	}
-	if err := er.Err(); err != nil {
+	st, err := sim.ReadEngineState(er)
+	if err != nil {
 		return err
 	}
-	eng.BeginRestore(now)
+	eng.BeginRestore(st.Now)
 	for _, c := range comps {
 		r, err := snap.Section("srv/" + c.Name)
 		if err != nil {
@@ -110,10 +94,7 @@ func RestoreShard(snap *snapshot.Snapshot, eng *sim.Shard, comps ...Component) (
 			return fmt.Errorf("kernel: restore %s: %w", c.Name, err)
 		}
 	}
-	for _, t := range tombs {
-		eng.Tombstone(t.at, t.seq, t.name)
-	}
-	return eng.FinishRestore(seq, ran)
+	return eng.FinishRestore(st)
 }
 
 // FaultComponent adapts a fault injector (its RNG cursor and counters) to the
@@ -126,7 +107,6 @@ func FaultComponent(name string, inj *faultinject.Injector) Component {
 type faultCodec struct{ inj *faultinject.Injector }
 
 func (f faultCodec) SnapshotState(w *snapshot.W) error { f.inj.SnapshotState(w); return nil }
-func (f faultCodec) ClaimEvents(map[uint64]bool)       {}
 func (f faultCodec) RestoreState(r *snapshot.R) error {
 	mismatch, err := f.inj.RestoreState(r)
 	if err != nil {
@@ -154,13 +134,16 @@ func restoreRequests(r *snapshot.R) []workload.Request {
 	return reqs
 }
 
-// eventRec is one owned live event being serialized.
+// eventRec is one owned live event's checkpointed slot.
 type eventRec struct {
 	at  sim.Cycles
 	seq uint64
 }
 
+// snapshotArrivals writes the stream's pending arrivals and claims its armed
+// ones, the stream's only live events.
 func snapshotArrivals(w *snapshot.W, a *arrivals) {
+	a.eng.ClaimLive(func(cb sim.Callback) bool { return cb == a })
 	q := a.q[a.head:]
 	w.Len(len(q))
 	for _, e := range q {
@@ -207,18 +190,15 @@ func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 	sort.Slice(once, func(i, j int) bool { return once[i] < once[j] })
 	w.I64s(once)
 
-	var doneEvs []eventRec
-	var dones []*fcfsDone
-	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*fcfsDone); ok && v.s == s {
-			dones = append(dones, v)
-			doneEvs = append(doneEvs, eventRec{at, seq})
-		}
+	dones := s.eng.ClaimLive(func(cb sim.Callback) bool {
+		v, ok := cb.(*fcfsDone)
+		return ok && v.s == s
 	})
 	snapshotArrivals(w, &s.arr)
 	w.Len(len(dones))
-	for i, d := range dones {
-		w.I64(int64(doneEvs[i].at)).U64(doneEvs[i].seq)
+	for _, ev := range dones {
+		d := ev.CB.(*fcfsDone)
+		w.I64(int64(ev.At)).U64(ev.Seq)
 		d.r.SnapshotState(w)
 		w.I64(int64(d.total)).I64(int64(d.pen)).Bool(d.fault)
 	}
@@ -254,6 +234,9 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	if busy != uint64(len(dones)) || busy > uint64(s.K) {
+		return fmt.Errorf("kernel: fcfs: %w: %d busy, %d completions, K=%d", ErrBusyCount, busy, len(dones), s.K)
+	}
 
 	s.queue = ring[workload.Request]{buf: queued}
 	s.busy, s.done, s.faulted = int(busy), done, faulted
@@ -277,16 +260,6 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 	return nil
 }
 
-// ClaimEvents marks the server's live events in the engine's claimed set.
-func (s *FCFSServer) ClaimEvents(claimed map[uint64]bool) {
-	s.arr.claim(claimed)
-	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*fcfsDone); ok && v.s == s {
-			claimed[seq] = true
-		}
-	})
-}
-
 // ---- PS ----
 
 // SnapshotState writes the PS server's dynamic state. The fluid remainders
@@ -306,7 +279,7 @@ func (s *PSServer) SnapshotState(w *snapshot.W) error {
 
 	w.Bool(s.nextEv != sim.NoEvent)
 	if s.nextEv != sim.NoEvent {
-		at, seq, ok := s.eng.EventInfo(s.nextEv)
+		at, seq, ok := s.eng.Claim(s.nextEv)
 		if !ok {
 			return fmt.Errorf("kernel: ps next-finisher event handle is stale at checkpoint")
 		}
@@ -367,14 +340,6 @@ func (s *PSServer) RestoreState(r *snapshot.R) error {
 	return nil
 }
 
-// ClaimEvents marks the server's live events in the engine's claimed set.
-func (s *PSServer) ClaimEvents(claimed map[uint64]bool) {
-	s.arr.claim(claimed)
-	if _, seq, ok := s.eng.EventInfo(s.nextEv); ok {
-		claimed[seq] = true
-	}
-}
-
 // ---- Timeslice ----
 
 // SnapshotState writes the timeslice server's dynamic state.
@@ -387,18 +352,15 @@ func (s *TimesliceServer) SnapshotState(w *snapshot.W) error {
 	}
 	w.U64(uint64(s.busy)).U64(s.done).U64(s.sswaps)
 
-	var sliceEvs []eventRec
-	var slices []*tsSlice
-	s.eng.VisitLiveEvents(func(at sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*tsSlice); ok && v.s == s {
-			slices = append(slices, v)
-			sliceEvs = append(sliceEvs, eventRec{at, seq})
-		}
+	slices := s.eng.ClaimLive(func(cb sim.Callback) bool {
+		v, ok := cb.(*tsSlice)
+		return ok && v.s == s
 	})
 	snapshotArrivals(w, &s.arr)
 	w.Len(len(slices))
-	for i, e := range slices {
-		w.I64(int64(sliceEvs[i].at)).U64(sliceEvs[i].seq)
+	for _, ev := range slices {
+		e := ev.CB.(*tsSlice)
+		w.I64(int64(ev.At)).U64(ev.Seq)
 		e.req.r.SnapshotState(w)
 		w.I64(int64(e.req.remaining)).I64(int64(e.slice))
 	}
@@ -437,6 +399,9 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
+	if busy != uint64(len(slices)) || busy > uint64(s.K) {
+		return fmt.Errorf("kernel: timeslice: %w: %d busy, %d slices, K=%d", ErrBusyCount, busy, len(slices), s.K)
+	}
 
 	buf := make([]*tsReq, nq)
 	for i, q := range queued {
@@ -451,16 +416,6 @@ func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
 			&tsSlice{s: s, req: &tsReq{r: e.r, remaining: e.remaining}, slice: e.slice})
 	}
 	return nil
-}
-
-// ClaimEvents marks the server's live events in the engine's claimed set.
-func (s *TimesliceServer) ClaimEvents(claimed map[uint64]bool) {
-	s.arr.claim(claimed)
-	s.eng.VisitLiveEvents(func(_ sim.Cycles, seq uint64, _ string, cb sim.Callback) {
-		if v, ok := cb.(*tsSlice); ok && v.s == s {
-			claimed[seq] = true
-		}
-	})
 }
 
 var (
@@ -516,9 +471,3 @@ func (k *Nocs) RestoreState(r *snapshot.R) error {
 	copy(k.svcParked, parked)
 	return nil
 }
-
-// LiveHandles lists the kernel's queued events for the engine's claimed set.
-// The nocs personality owns none: service work is charged inline on the
-// hardware threads, and the transient syscall/request completion closures
-// are deliberately outside the format (see above).
-func (k *Nocs) LiveHandles() []sim.Handle { return nil }

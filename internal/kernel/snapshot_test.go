@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -283,6 +284,140 @@ func TestRestoreArrivalsRejectsCorruptRecords(t *testing.T) {
 			t.Errorf("%s: err = %v", name, err)
 		} else if ok && len(q) != len(recs) {
 			t.Errorf("%s: restored %d of %d records", name, len(q), len(recs))
+		}
+	}
+}
+
+// encodeShard checkpoints eng and comps and returns the container bytes.
+func encodeShard(t *testing.T, eng *sim.Shard, comps ...Component) []byte {
+	t.Helper()
+	b := snapshot.NewBuilder()
+	if err := SnapshotShard(b, eng, comps...); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotShardEventWrittenTwice: an event two components write is a
+// named checkpoint error, not a duplicate at restore.
+func TestSnapshotShardEventWrittenTwice(t *testing.T) {
+	eng := sim.SoloShard(sim.NewEngine(nil))
+	var sink []compRec
+	srv, comps := buildQueueCase("fcfs", eng, false, &sink)
+	srv.SubmitAll(queueReqs())
+	eng.RunUntil(120_000)
+	comps = append(comps, Component{Name: "fcfs-again", C: comps[0].C})
+	err := SnapshotShard(snapshot.NewBuilder(), eng, comps...)
+	if err == nil || !strings.Contains(err.Error(), "written by 2 codecs") || !strings.Contains(err.Error(), `"fcfs-`) {
+		t.Fatalf("want an error naming an fcfs event written by 2 codecs, got %v", err)
+	}
+}
+
+// flakyCodec fails its first snapshot, after the components ahead of it
+// have claimed their events, and owns nothing.
+type flakyCodec struct{ failed bool }
+
+func (f *flakyCodec) SnapshotState(*snapshot.W) error {
+	if !f.failed {
+		f.failed = true
+		return errors.New("flaky codec")
+	}
+	return nil
+}
+
+func (f *flakyCodec) RestoreState(*snapshot.R) error { return nil }
+
+// TestSnapshotShardRetryAfterFailure: each pass starts from an empty claim
+// set, so a snapshot that failed part-way and is then retried succeeds and
+// writes the bytes of a pass that never failed.
+func TestSnapshotShardRetryAfterFailure(t *testing.T) {
+	for _, c := range queueCases {
+		t.Run(queueCaseName(c.kind, c.faults), func(t *testing.T) {
+			snap := func(failFirst bool) []byte {
+				eng := sim.SoloShard(sim.NewEngine(nil))
+				var sink []compRec
+				srv, comps := buildQueueCase(c.kind, eng, c.faults, &sink)
+				srv.SubmitAll(queueReqs())
+				eng.RunUntil(120_000)
+				comps = append(comps, Component{Name: "flaky", C: &flakyCodec{failed: !failFirst}})
+				if failFirst {
+					if err := SnapshotShard(snapshot.NewBuilder(), eng, comps...); err == nil {
+						t.Fatal("the flaky codec's first snapshot succeeded")
+					}
+				}
+				return encodeShard(t, eng, comps...)
+			}
+			if !bytes.Equal(snap(true), snap(false)) {
+				t.Fatal("a retried snapshot differs from one that never failed")
+			}
+		})
+	}
+}
+
+// busyAndK returns a pointer to srv's busy count and to its K.
+func busyAndK(srv QueueServer) (busy, k *int) {
+	switch s := srv.(type) {
+	case *FCFSServer:
+		return &s.busy, &s.K
+	case *TimesliceServer:
+		return &s.busy, &s.K
+	}
+	panic(fmt.Sprintf("no busy count in %T", srv))
+}
+
+// TestRestoreRejectsBadBusyCount: each busy server has exactly one in-flight
+// completion (FCFS) or quantum-slice (timeslice) record and at most K are
+// busy, so a server section whose busy count says otherwise must fail
+// restore with ErrBusyCount rather than starve the queue or overrun K.
+func TestRestoreRejectsBadBusyCount(t *testing.T) {
+	for _, kind := range []string{"fcfs", "ts"} {
+		for _, tc := range []struct {
+			name  string
+			delta int // added to the checkpointed busy count
+			k     int // the restore target's K (0 = as built)
+		}{
+			{"valid", 0, 0},
+			{"one-more", 1, 0},
+			{"one-fewer", -1, 0},
+			{"over-K", 0, 1},
+		} {
+			t.Run(kind+"/"+tc.name, func(t *testing.T) {
+				var sink []compRec
+				eng := sim.SoloShard(sim.NewEngine(nil))
+				srv, comps := buildQueueCase(kind, eng, false, &sink)
+				srv.SubmitAll(queueReqs())
+				eng.RunUntil(120_000)
+				busy, _ := busyAndK(srv)
+				if *busy != 2 {
+					t.Fatalf("%d servers busy at the checkpoint, want 2", *busy)
+				}
+				*busy += tc.delta
+				snap, err := snapshot.Decode(encodeShard(t, eng, comps...))
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				dstEng := sim.SoloShard(sim.NewEngine(nil))
+				dst, dstComps := buildQueueCase(kind, dstEng, false, &sink)
+				if tc.k > 0 {
+					_, k := busyAndK(dst)
+					*k = tc.k
+				}
+				err = RestoreShard(snap, dstEng, dstComps...)
+				if tc.name == "valid" {
+					if err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				if !errors.Is(err, ErrBusyCount) {
+					t.Fatalf("restore returned %v, want ErrBusyCount", err)
+				}
+			})
 		}
 	}
 }

@@ -166,42 +166,26 @@ type shardState struct {
 	tr  *trace.Tracer // this shard's fork of Config.Tracer (nil = off)
 }
 
-// deviceSnapshotter is the checkpoint surface every machine-attached device
-// implements (DESIGN.md §13).
-type deviceSnapshotter interface {
-	SnapshotState(w *snapshot.W) error
-	RestoreState(r *snapshot.R) error
-	LiveHandles() []sim.Handle
-}
-
 // machDevice is one registered device: its stable checkpoint name ("nic0",
 // "timer1", ...), owning shard, and snapshot surface.
 type machDevice struct {
 	name  string
 	shard sim.ShardID
-	dev   deviceSnapshotter
+	dev   ComponentSnapshotter
 }
 
-// ComponentSnapshotter is the checkpoint surface of a driver-built component
-// (a kernel personality, a netstack service, ...) attached to the machine's
-// snapshot with AttachSnapshotter. It mirrors the device surface: serialize
-// dynamic state, restore it (re-creating owned events), and declare the live
-// event handles the engine should consider claimed.
+// ComponentSnapshotter is the checkpoint surface of a device and of a
+// driver-built component (a kernel personality, a netstack service, a
+// queueing server, ...) attached to the machine's snapshot with
+// AttachSnapshotter. SnapshotState writes the component's dynamic state,
+// including a record for every live event it owns, taking each event's
+// (at, seq) from sim.Engine.Claim or ClaimLive: writing the record is what
+// claims the event, and an event no component writes, or that two write,
+// fails the snapshot by name (DESIGN.md §13). RestoreState reads that state
+// back and re-creates the owned events at their original slots.
 type ComponentSnapshotter interface {
 	SnapshotState(w *snapshot.W) error
 	RestoreState(r *snapshot.R) error
-	LiveHandles() []sim.Handle
-}
-
-// EventClaimer is an optional extension of ComponentSnapshotter for
-// components that track their live events by (cycle, sequence) instead of
-// retained handles — the kernel queueing servers' convention, where arrival
-// bodies are arena-allocated without per-event bookkeeping and recovered by
-// walking the engine. When an attached component implements it, the snapshot
-// claims its events through ClaimEvents and ignores LiveHandles (which may
-// return nil).
-type EventClaimer interface {
-	ClaimEvents(claimed map[uint64]bool)
 }
 
 // attachedComponent is one driver-registered snapshot participant.

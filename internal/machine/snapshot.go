@@ -60,6 +60,10 @@ func (m *Machine) Snapshot(w io.Writer) error {
 // so drivers can compose machine state with their own sections (workload
 // cursors, experiment progress) in one container.
 func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
+	for s := range m.shards {
+		m.shards[s].sh.BeginSnapshot()
+	}
+
 	// Topology + driver-scheduled injections.
 	mw := b.Section(secMachine)
 	mw.Len(len(m.cores)).Len(len(m.shards)).I64(int64(m.look))
@@ -76,7 +80,7 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 	}
 	mw.Len(len(m.injects))
 	for _, j := range m.injects {
-		at, seq, ok := m.shards[j.s].sh.EventInfo(j.h)
+		at, seq, ok := m.shards[j.s].sh.Claim(j.h)
 		if !ok {
 			return fmt.Errorf("machine: scheduled injection has a stale event handle")
 		}
@@ -153,7 +157,7 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 		pend := st.mon.PendingInjections()
 		monW.Len(len(pend))
 		for _, p := range pend {
-			at, seq, ok := st.sh.EventInfo(p.Handle)
+			at, seq, ok := st.sh.Claim(p.Handle)
 			if !ok {
 				return fmt.Errorf("machine: shard %d: pending monitor injection has a stale event handle", s)
 			}
@@ -199,69 +203,13 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 		}
 	}
 
-	// Engines last: every component above has declared its live events, so
-	// the claimed sets are complete and an unclaimed event is a driver
-	// closure — a named checkpoint error, not a silent drop.
-	claimed := make([]map[uint64]bool, len(m.shards))
-	for s := range m.shards {
-		claimed[s] = make(map[uint64]bool)
-	}
-	claim := func(s sim.ShardID, hs []sim.Handle) error {
-		for _, h := range hs {
-			_, seq, ok := m.shards[s].sh.EventInfo(h)
-			if !ok {
-				return fmt.Errorf("machine: shard %d: claimed event handle is stale", s)
-			}
-			claimed[s][seq] = true
-		}
-		return nil
-	}
-	for i, c := range m.cores {
-		if err := claim(m.coreShard[i], c.LiveHandles()); err != nil {
-			return err
-		}
-	}
-	for s := range m.shards {
-		if err := claim(sim.ShardID(s), m.shards[s].irq.LiveHandles()); err != nil {
-			return err
-		}
-		for _, p := range m.shards[s].mon.PendingInjections() {
-			if err := claim(sim.ShardID(s), []sim.Handle{p.Handle}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, d := range m.devices {
-		if err := claim(d.shard, d.dev.LiveHandles()); err != nil {
-			return err
-		}
-	}
-	for _, a := range m.attached {
-		if ec, ok := a.cs.(EventClaimer); ok {
-			ec.ClaimEvents(claimed[a.shard])
-			continue
-		}
-		if err := claim(a.shard, a.cs.LiveHandles()); err != nil {
-			return err
-		}
-	}
-	for _, j := range m.injects {
-		if err := claim(j.s, []sim.Handle{j.h}); err != nil {
-			return err
-		}
-	}
-
+	// Engines last: every component above has claimed the live events it
+	// wrote, so an unclaimed event is a driver closure — a named checkpoint
+	// error, not a silent drop.
 	for s := range m.shards {
 		sid := sim.ShardID(s)
-		now, seq, ran, tombs, err := m.shards[s].sh.SnapshotEvents(claimed[s])
-		if err != nil {
+		if err := m.shards[s].sh.SnapshotEvents(b.Section(secShard(sid, "engine"))); err != nil {
 			return fmt.Errorf("machine: shard %d: %w", s, err)
-		}
-		ew := b.Section(secShard(sid, "engine"))
-		ew.I64(int64(now)).U64(seq).U64(ran)
-		ew.Len(len(tombs))
-		for _, t := range tombs {
-			ew.I64(int64(t.At)).U64(t.Seq).String(t.Name)
 		}
 	}
 
@@ -409,28 +357,15 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	// Per-shard engine state first: BeginRestore moves the clocks and wipes
 	// the queues, then every component re-creates its events at the original
 	// (cycle, sequence) slots.
-	type engineRec struct {
-		now      sim.Cycles
-		seq, ran uint64
-		tombs    []sim.EventRec
-	}
-	engines := make([]engineRec, len(m.shards))
+	engines := make([]sim.EngineState, len(m.shards))
 	for si := range m.shards {
 		er, err := s.Section(secShard(sim.ShardID(si), "engine"))
 		if err != nil {
 			return err
 		}
-		rec := engineRec{now: sim.Cycles(er.I64()), seq: er.U64(), ran: er.U64()}
-		rec.tombs = make([]sim.EventRec, er.Len(17))
-		for i := range rec.tombs {
-			rec.tombs[i] = sim.EventRec{
-				At: sim.Cycles(er.I64()), Seq: er.U64(), Name: er.String(), Cancelled: true,
-			}
-		}
-		if err := er.Err(); err != nil {
+		if engines[si], err = sim.ReadEngineState(er); err != nil {
 			return err
 		}
-		engines[si] = rec
 	}
 
 	ss, ok := m.sched.(sim.SchedulerSnapshotter)
@@ -439,7 +374,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	}
 	ss.ClearXMsgs()
 	for si := range m.shards {
-		m.shards[si].sh.BeginRestore(engines[si].now)
+		m.shards[si].sh.BeginRestore(engines[si].Now)
 	}
 
 	prog := func(id int64) (*isa.Program, error) {
@@ -593,10 +528,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	}
 
 	for si := range m.shards {
-		for _, t := range engines[si].tombs {
-			m.shards[si].sh.Tombstone(t.At, t.Seq, t.Name)
-		}
-		if err := m.shards[si].sh.FinishRestore(engines[si].seq, engines[si].ran); err != nil {
+		if err := m.shards[si].sh.FinishRestore(engines[si]); err != nil {
 			return err
 		}
 	}

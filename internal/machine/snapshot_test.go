@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -397,5 +398,61 @@ func TestOversubscribedCheckpointGolden(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("straight and restored checkpoints differ after the further run")
+	}
+}
+
+// flakyComponent fails its first snapshot, after the cores and devices have
+// claimed their events, and owns nothing.
+type flakyComponent struct{ failed bool }
+
+func (f *flakyComponent) SnapshotState(*snapshot.W) error {
+	if !f.failed {
+		f.failed = true
+		return errors.New("flaky component")
+	}
+	return nil
+}
+
+func (f *flakyComponent) RestoreState(*snapshot.R) error { return nil }
+
+// TestSnapshotRetryAfterFailure: each pass starts from an empty claim set,
+// so a snapshot that failed part-way and is then retried succeeds and
+// writes the bytes of a pass that never failed.
+func TestSnapshotRetryAfterFailure(t *testing.T) {
+	snap := func(failFirst bool) []byte {
+		m, nic, _ := deviceMachine(t)
+		m.AttachSnapshotter("flaky", 0, &flakyComponent{failed: !failFirst})
+		m.RunUntil(2000)
+		nic.Deliver([]int64{42, 43})
+		m.RunUntil(2100)
+		var buf bytes.Buffer
+		if failFirst {
+			if err := m.Snapshot(&buf); err == nil || !strings.Contains(err.Error(), "flaky") {
+				t.Fatalf("want the flaky component's error, got %v", err)
+			}
+			buf.Reset()
+		}
+		if err := m.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(snap(true), snap(false)) {
+		t.Fatal("a retried snapshot differs from one that never failed")
+	}
+}
+
+// TestSnapshotEventWrittenTwice: an event two components write is a named
+// checkpoint error, not a duplicate at restore.
+func TestSnapshotEventWrittenTwice(t *testing.T) {
+	m, nic, _ := deviceMachine(t)
+	m.AttachSnapshotter("nic-again", 0, nic)
+	m.RunUntil(2000)
+	nic.Deliver([]int64{42, 43})
+	m.RunUntil(2100)
+	var buf bytes.Buffer
+	err := m.Snapshot(&buf)
+	if err == nil || !strings.Contains(err.Error(), `"nic-rx"`) || !strings.Contains(err.Error(), "written by 2 codecs") {
+		t.Fatalf("want an error naming nic-rx written by 2 codecs, got %v", err)
 	}
 }

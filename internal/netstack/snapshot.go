@@ -45,7 +45,7 @@ func (s *Stack) SnapshotState(w *snapshot.W) error {
 	}
 	evs := make([]evRec, 0, len(s.live))
 	for _, e := range s.live {
-		at, seq, ok := s.k.Core().Shard().EventInfo(e.h)
+		at, seq, ok := s.k.Core().Shard().Claim(e.h)
 		if !ok {
 			return fmt.Errorf("netstack: in-flight doorbell event handle is stale at checkpoint")
 		}
@@ -146,13 +146,4 @@ func (s *Stack) RestoreState(r *snapshot.R) error {
 		s.live = append(s.live, e)
 	}
 	return nil
-}
-
-// LiveHandles lists the stack's queued events for the engine's claimed set.
-func (s *Stack) LiveHandles() []sim.Handle {
-	hs := make([]sim.Handle, 0, len(s.live))
-	for _, e := range s.live {
-		hs = append(hs, e.h)
-	}
-	return hs
 }

@@ -442,7 +442,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i, a := range c.apps {
 		m.AttachSnapshotter(fmt.Sprintf("app%d/kernel", i), a.shard, a.k)
 		m.AttachSnapshotter(fmt.Sprintf("app%d/stack", i), a.shard, a.stack)
-		m.AttachSnapshotter(fmt.Sprintf("app%d/sched", i), a.shard, schedCodec{a.sched.(kernel.ComponentCodec)})
+		m.AttachSnapshotter(fmt.Sprintf("app%d/sched", i), a.shard, a.sched.(kernel.ComponentCodec))
 		m.AttachSnapshotter(fmt.Sprintf("app%d/store", i), a.shard, storeCodec{a.store})
 	}
 
@@ -1097,18 +1097,8 @@ func (c *Cluster) Summary() string {
 
 // ---- snapshot adapters ----
 
-// schedCodec adapts a queueing server (a kernel.ComponentCodec, which
-// tracks events by sequence number) to the machine's component surface.
-type schedCodec struct{ c kernel.ComponentCodec }
-
-func (s schedCodec) SnapshotState(w *snapshot.W) error   { return s.c.SnapshotState(w) }
-func (s schedCodec) RestoreState(r *snapshot.R) error    { return s.c.RestoreState(r) }
-func (s schedCodec) LiveHandles() []sim.Handle           { return nil }
-func (s schedCodec) ClaimEvents(claimed map[uint64]bool) { s.c.ClaimEvents(claimed) }
-
 // storeCodec adapts a statestore (no owned events, no error on snapshot).
 type storeCodec struct{ st *statestore.Store }
 
 func (s storeCodec) SnapshotState(w *snapshot.W) error { s.st.SnapshotState(w); return nil }
 func (s storeCodec) RestoreState(r *snapshot.R) error  { return s.st.RestoreState(r) }
-func (s storeCodec) LiveHandles() []sim.Handle         { return nil }

@@ -36,7 +36,7 @@ func (c *Cluster) SnapshotState(w *snapshot.W) error {
 	w.I64(int64(c.lastArrival))
 	w.Bool(c.arrLive)
 	if c.arrLive {
-		at, seq, ok := c.m.Shard(c.lbShard).EventInfo(c.arrH)
+		at, seq, ok := c.m.Shard(c.lbShard).Claim(c.arrH)
 		if !ok {
 			return fmt.Errorf("serve: arrival event handle is stale at checkpoint")
 		}
@@ -227,15 +227,6 @@ func (c *Cluster) RestoreState(r *snapshot.R) error {
 
 	if c.arrLive {
 		c.arrH = c.m.Shard(c.lbShard).AtSeq(arrAt, arrSeq, "serve-arrival", &arrivalEv{c})
-	}
-	return nil
-}
-
-// LiveHandles lists the cluster's own queued events — at most the one
-// arrival event; everything else is owned by attached components.
-func (c *Cluster) LiveHandles() []sim.Handle {
-	if c.arrLive {
-		return []sim.Handle{c.arrH}
 	}
 	return nil
 }

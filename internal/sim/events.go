@@ -85,6 +85,11 @@ type Engine struct {
 	// after limit dispatches, inline ones included.
 	ranLimit       uint64
 	ranLimitActive bool
+
+	// claims counts, per arena slot, the codecs that claimed the queued
+	// event in the checkpoint pass in progress (snapshot.go). Only
+	// checkpointing writes it.
+	claims map[int32]int
 }
 
 // NewEngine creates an engine driving the given clock.

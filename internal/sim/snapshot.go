@@ -1,97 +1,156 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+
+	"nocs/internal/snapshot"
 )
 
 // This file is the engine- and scheduler-level checkpoint surface
 // (DESIGN.md §13). The event heap holds Go closures and callback objects,
-// which cannot be serialized; the checkpoint protocol therefore splits
-// responsibility:
+// which cannot be serialized, so every live event must be written by the
+// component that scheduled it, and one rule decides who that is: an event
+// belongs to the codec that writes its record, and it is written exactly
+// once.
 //
-//   - Components OWN their pending events. Every component that schedules
-//     an event and needs it to survive a checkpoint keeps its Handle plus a
-//     serializable payload, and at restore time re-creates the event with
-//     AtSeq, pinning the original (timestamp, sequence) pair so
-//     same-cycle tie-breaking is byte-identical.
+//   - A checkpoint pass starts with BeginSnapshot, which empties the claim
+//     set, so a pass that failed part-way leaves nothing behind.
+//   - A codec writes an event's (at, seq) from Claim, which also records
+//     that the pass owns the event. A codec that schedules pooled bodies
+//     without retaining handles (the queueing servers' completions, quantum
+//     slices and arrival streams) claims them by callback with ClaimLive.
+//     At restore time the owner re-creates each event with AtSeq, pinning
+//     the original (timestamp, sequence) pair so same-cycle tie-breaking is
+//     byte-identical.
 //   - The engine owns cancelled-but-unpopped events. A cancelled entry's
 //     only observable effects are advancing the clock when popped and
 //     bounding BatchHorizon while queued; Tombstone reproduces both
 //     without needing the (long gone) owner.
-//   - A live event that no component claims is a checkpoint error, not a
-//     silent drop: SnapshotEvents names it. This is the format's documented
-//     boundary — driver-scheduled closures (bench harness glue) are not
+//   - SnapshotEvents, called after every codec has written, writes the
+//     engine section. A live event no codec claimed, or that two codecs
+//     claimed, is a checkpoint error naming the event, not a silent drop or
+//     a duplicate at restore. This is the format's documented boundary:
+//     driver-scheduled closures (bench harness glue) are not
 //     checkpointable, machine-owned state is.
 
-// EventRec describes one queued event for checkpointing.
+// EventRec is one tombstone of an engine section: a cancelled event still
+// queued at checkpoint time.
 type EventRec struct {
-	At        Cycles
-	Seq       uint64
-	Name      string
-	Cancelled bool
+	At   Cycles
+	Seq  uint64
+	Name string
 }
 
-// EventInfo returns the timestamp and sequence number of a still-queued
-// event, for components recording their claimed events in a checkpoint.
-// ok=false for stale or invalid handles.
-func (e *Engine) EventInfo(h Handle) (at Cycles, seq uint64, ok bool) {
+// EngineState is a decoded engine section: the clock, the sequence and ran
+// counters, and the tombstones in (timestamp, sequence) order.
+type EngineState struct {
+	Now        Cycles
+	Seq, Ran   uint64
+	Tombstones []EventRec
+}
+
+// BeginSnapshot starts a checkpoint pass with an empty claim set.
+func (e *Engine) BeginSnapshot() { clear(e.claims) }
+
+// Claim returns the timestamp and sequence number of a live queued event and
+// records that this checkpoint pass owns it: the caller writes the event's
+// record and re-creates it on restore. ok=false for stale, invalid or
+// cancelled handles.
+func (e *Engine) Claim(h Handle) (at Cycles, seq uint64, ok bool) {
 	s := e.slotOf(h)
-	if s < 0 || !e.slots[s].queued {
+	if s < 0 || !e.slots[s].queued || e.slots[s].cancelled {
 		return 0, 0, false
 	}
 	for _, en := range e.heap {
 		if en.slot == s {
+			e.claim(s)
 			return en.at, en.seq, true
 		}
 	}
 	return 0, 0, false
 }
 
-// VisitLiveEvents calls visit for every live (non-cancelled) queued event in
-// deterministic (timestamp, sequence) order. cb is the event's callback body,
-// or nil for closure events. This is the reclamation path for components that
-// schedule pooled event bodies without retaining handles (the queueing
-// servers' completion and quantum-slice events): at checkpoint time the owner
-// recognizes its own payload types among the live events instead of tracking
-// a handle per event on the hot path.
-func (e *Engine) VisitLiveEvents(visit func(at Cycles, seq uint64, name string, cb Callback)) {
-	ents := append([]heapEntry(nil), e.heap...)
-	sort.Slice(ents, func(i, j int) bool { return entryLess(ents[i], ents[j]) })
-	for _, en := range ents {
-		sl := &e.slots[en.slot]
-		if sl.cancelled {
-			continue
-		}
-		visit(en.at, en.seq, sl.name, sl.cb)
+func (e *Engine) claim(s int32) {
+	if e.claims == nil {
+		e.claims = make(map[int32]int)
 	}
+	e.claims[s]++
 }
 
-// SnapshotEvents exports the engine's counters and every cancelled queued
-// event (as tombstones, sorted by timestamp then sequence). claimed must
-// contain the sequence number of every live queued event whose owner will
-// re-create it on restore; a live event that is not claimed makes the state
-// non-checkpointable and yields an error naming the event.
-func (e *Engine) SnapshotEvents(claimed map[uint64]bool) (now Cycles, seq, ran uint64, tombstones []EventRec, err error) {
+// LiveEvent is one queued event claimed by its callback.
+type LiveEvent struct {
+	At  Cycles
+	Seq uint64
+	CB  Callback
+}
+
+// ClaimLive claims every live queued event whose callback body owns
+// reports as its own, and returns them in (timestamp, sequence) order. It is
+// the claim for components that schedule pooled bodies without retaining
+// handles: the owner recognizes its own payloads among the live events
+// instead of paying per-event handle bookkeeping on the hot path.
+func (e *Engine) ClaimLive(owns func(cb Callback) bool) []LiveEvent {
+	var ents []heapEntry
 	for _, en := range e.heap {
 		sl := &e.slots[en.slot]
-		if sl.cancelled {
-			tombstones = append(tombstones, EventRec{At: en.at, Seq: en.seq, Name: sl.name, Cancelled: true})
-			continue
-		}
-		if !claimed[en.seq] {
-			return 0, 0, 0, nil, fmt.Errorf(
-				"sim: pending event %q at cycle %d has no checkpointable owner", sl.name, en.at)
+		if !sl.cancelled && sl.cb != nil && owns(sl.cb) {
+			e.claim(en.slot)
+			ents = append(ents, en)
 		}
 	}
-	sort.Slice(tombstones, func(i, j int) bool {
-		if tombstones[i].At != tombstones[j].At {
-			return tombstones[i].At < tombstones[j].At
+	slices.SortFunc(ents, compareEntries)
+	out := make([]LiveEvent, len(ents))
+	for i, en := range ents {
+		out[i] = LiveEvent{At: en.at, Seq: en.seq, CB: e.slots[en.slot].cb}
+	}
+	return out
+}
+
+func compareEntries(a, b heapEntry) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// SnapshotEvents writes the engine section: the clock, the counters, and
+// every cancelled queued event as a tombstone, sorted by timestamp then
+// sequence. It ends the checkpoint pass BeginSnapshot started: every live
+// queued event must have been claimed by exactly one codec, and one that
+// none or several claimed makes the state non-checkpointable and yields an
+// error naming the event.
+func (e *Engine) SnapshotEvents(w *snapshot.W) error {
+	var tombs []heapEntry
+	for _, en := range e.heap {
+		sl := &e.slots[en.slot]
+		switch n := e.claims[en.slot]; {
+		case sl.cancelled:
+			tombs = append(tombs, en)
+		case n == 0:
+			return fmt.Errorf("sim: pending event %q at cycle %d has no checkpointable owner", sl.name, en.at)
+		case n > 1:
+			return fmt.Errorf("sim: pending event %q at cycle %d is written by %d codecs", sl.name, en.at, n)
 		}
-		return tombstones[i].Seq < tombstones[j].Seq
-	})
-	return e.clock.Now(), e.seq, e.ran, tombstones, nil
+	}
+	slices.SortFunc(tombs, compareEntries)
+	w.I64(int64(e.clock.Now())).U64(e.seq).U64(e.ran)
+	w.Len(len(tombs))
+	for _, t := range tombs {
+		w.I64(int64(t.at)).U64(t.seq).String(e.slots[t.slot].name)
+	}
+	return nil
+}
+
+// ReadEngineState decodes an engine section written by SnapshotEvents.
+func ReadEngineState(r *snapshot.R) (EngineState, error) {
+	st := EngineState{Now: Cycles(r.I64()), Seq: r.U64(), Ran: r.U64()}
+	st.Tombstones = make([]EventRec, r.Len(17))
+	for i := range st.Tombstones {
+		st.Tombstones[i] = EventRec{At: Cycles(r.I64()), Seq: r.U64(), Name: r.String()}
+	}
+	return st, r.Err()
 }
 
 // BeginRestore discards every queued event, resets the counters, and moves
@@ -130,16 +189,20 @@ func (e *Engine) ClaimSeq(seq uint64) {
 	}
 }
 
-// FinishRestore sets the sequence and ran counters to the checkpoint's
-// values, after every AtSeq/Tombstone/ClaimSeq call. seq must be at
-// least one past every restored sequence number, or future events could
-// collide with restored ones and break the total order.
-func (e *Engine) FinishRestore(seq, ran uint64) error {
-	if seq < e.seq {
-		return fmt.Errorf("sim: restored seq counter %d collides with a queued event (need >= %d)", seq, e.seq)
+// FinishRestore re-creates st's tombstones and sets the sequence and ran
+// counters to its values, after every component has restored its events
+// (AtSeq/ClaimSeq). st.Seq must be at least one past every restored sequence
+// number, or future events could collide with restored ones and break the
+// total order.
+func (e *Engine) FinishRestore(st EngineState) error {
+	for _, t := range st.Tombstones {
+		e.Tombstone(t.At, t.Seq, t.Name)
 	}
-	e.seq = seq
-	e.ran = ran
+	if st.Seq < e.seq {
+		return fmt.Errorf("sim: restored seq counter %d collides with a queued event (need >= %d)", st.Seq, e.seq)
+	}
+	e.seq = st.Seq
+	e.ran = st.Ran
 	return nil
 }
 

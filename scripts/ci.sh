@@ -41,7 +41,9 @@
 #  13. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
 #                        the untraced run's output, and its trace file must
 #                        be byte-identical to a second traced run under
-#                        GOMAXPROCS=1 (sharded vs serial oracle, DESIGN.md §8)
+#                        GOMAXPROCS=1 (sharded vs serial oracle, DESIGN.md §8);
+#                        `nocsim -all -quick -trace` must write the same file
+#                        at the default GOMAXPROCS and at GOMAXPROCS=1
 #  14. golden diff     — `nocsim -all` must be byte-identical to the
 #                        committed results_full.txt (skip with SKIP_GOLDEN=1
 #                        when the caller performs its own golden run)
@@ -137,6 +139,12 @@ fi
 GOMAXPROCS=1 "$TMP/nocsim" -exp E1 -quick -trace "$TMP/e1_serial.json" > /dev/null
 if ! cmp "$TMP/e1.json" "$TMP/e1_serial.json"; then
     echo "FAIL: E1 trace differs between the sharded run and GOMAXPROCS=1" >&2
+    exit 1
+fi
+"$TMP/nocsim" -all -quick -trace "$TMP/all.json" > /dev/null
+GOMAXPROCS=1 "$TMP/nocsim" -all -quick -trace "$TMP/all_serial.json" > /dev/null
+if ! cmp "$TMP/all.json" "$TMP/all_serial.json"; then
+    echo "FAIL: -all trace differs between the default GOMAXPROCS and GOMAXPROCS=1" >&2
     exit 1
 fi
 
