@@ -16,12 +16,11 @@ type Cache struct {
 	Ways      int
 	HitCycles sim.Cycles
 
-	sets     int
-	tags     [][]int64 // per set, LRU order: front = most recent
-	hits     uint64
-	misses   uint64
-	pinned   map[int64]bool // pinned lines are never evicted (§4 fine-grain partitioning)
-	pinCount int
+	sets   int
+	tags   [][]int64 // per set, LRU order: front = most recent
+	hits   uint64
+	misses uint64
+	pinned map[int64]bool // pinned lines are never evicted (§4 fine-grain partitioning)
 }
 
 // NewCache builds a cache. sizeBytes must be a multiple of lineBytes*ways.
@@ -118,19 +117,12 @@ func (c *Cache) Pin(addr int64) {
 	if !c.Contains(addr) {
 		c.insert(c.set(ln), ln)
 	}
-	if !c.pinned[ln] {
-		c.pinned[ln] = true
-		c.pinCount++
-	}
+	c.pinned[ln] = true
 }
 
 // Unpin releases a pinned line.
 func (c *Cache) Unpin(addr int64) {
-	ln := c.line(addr)
-	if c.pinned[ln] {
-		delete(c.pinned, ln)
-		c.pinCount--
-	}
+	delete(c.pinned, c.line(addr))
 }
 
 // Invalidate drops the line containing addr (used by DMA writes: device

@@ -7,7 +7,10 @@
 #   3. go build        — every package, including examples and cmds
 #   4. go test -race   — the full suite under the race detector
 #   5. fuzz smoke      — 10s of coverage-guided fuzzing per fuzz target,
-#                        on top of the checked-in corpora
+#                        on top of the checked-in corpora: the assembler,
+#                        the trace and NOCSNAP1 codecs, and the memory and
+#                        cache restore codecs (FuzzMemoryRestore: no panic,
+#                        and whatever restores re-encodes to its own bytes)
 #   6. diff sweep      — 200 fresh seeds through the engine-vs-reference
 #                        differential harness (DESIGN.md §9), each seed also
 #                        checkpointed/restored mid-run (restore-equivalence)
@@ -75,6 +78,7 @@ echo "== fuzz smoke (10s per target) =="
 go test -run '^$' -fuzz '^FuzzAsmParse$' -fuzztime 10s ./internal/asm
 go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzSnapshotRoundTrip$' -fuzztime 10s ./internal/snapshot
+go test -run '^$' -fuzz '^FuzzMemoryRestore$' -fuzztime 10s ./internal/mem
 
 echo "== differential sweep (200 seeds) + restore equivalence =="
 NOCS_DIFF_N=200 go test -count=1 \
