@@ -226,16 +226,15 @@ func MustRun(id string, cfg RunConfig) *Result {
 
 // shardedWorkers is the worker count of the sharded pass in every
 // serial-vs-sharded identity check (S1, L1, SV1): one per host CPU, but
-// never fewer than two, because machine.New drives a one-worker machine
-// with the SerialScheduler and the check would compare the oracle with
-// itself.
+// never fewer than two, because a one-worker machine is the serial oracle
+// and the check would compare the oracle with itself.
 func shardedWorkers() int { return max(2, runtime.GOMAXPROCS(0)) }
 
-// requireSharded fails a sharded pass whose machine fell back to the
-// serial scheduler, which would make its identity check vacuous.
+// requireSharded fails a sharded pass whose machine fell back to one
+// worker, the serial oracle, which would make its identity check vacuous.
 func requireSharded(m *machine.Machine) error {
-	if _, ok := m.Scheduler().(*sim.ShardedScheduler); !ok {
-		return fmt.Errorf("sharded pass runs on %T, so it would be compared with itself", m.Scheduler())
+	if w := m.Scheduler().Workers(); w < 2 {
+		return fmt.Errorf("sharded pass runs on %d worker, so it would be compared with itself", w)
 	}
 	return nil
 }
@@ -255,26 +254,15 @@ type Outcome struct {
 // from a shared tracer in input order.
 func RunAll(ids []string, cfg RunConfig, parallel int) []Outcome {
 	out := make([]Outcome, len(ids))
-	if parallel <= 1 || cfg.Tracer != nil {
-		for i, id := range ids {
-			res, err := Run(id, cfg)
-			out[i] = Outcome{ID: id, Res: res, Err: err}
-		}
-		return out
-	}
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := Run(id, cfg)
-			out[i] = Outcome{ID: id, Res: res, Err: err}
-		}(i, id)
-	}
-	wg.Wait()
+	fan := cfg
+	fan.Parallel = parallel
+	// fn records each error in its outcome and never fails, so every
+	// experiment runs.
+	ForEachPoint(fan, len(ids), func(i int) error {
+		res, err := Run(ids[i], cfg)
+		out[i] = Outcome{ID: ids[i], Res: res, Err: err}
+		return nil
+	})
 	return out
 }
 

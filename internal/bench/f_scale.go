@@ -12,9 +12,8 @@ import (
 // (BuildEndurance: per core, a spinning compute thread plus a pacer parked
 // in monitor/mwait, with a token hopping cores by cross-shard remote
 // writes — the cheapest cross-core interaction the lookahead is derived
-// from) runs twice over the same horizon: once on the SerialScheduler, the
-// determinism oracle, and once on the ShardedScheduler with one worker per
-// host CPU. The two summaries must match byte for byte before any wall time
+// from) runs twice over the same horizon: once on one worker, the
+// determinism oracle, and once with one worker per host CPU. The two summaries must match byte for byte before any wall time
 // is reported.
 
 func init() {

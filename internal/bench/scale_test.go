@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nocs/internal/serve"
-	"nocs/internal/sim"
 )
 
 // ringRun builds and runs one token-ring machine and returns its summary.
@@ -27,9 +26,9 @@ func ringRun(t *testing.T, ec EnduranceConfig) string {
 }
 
 // TestScaleShardSweepDeterminism pins the acceptance criterion on the full
-// machine model: at shard counts 1, 2, 4, and 8 the ShardedScheduler's
-// summary (per-core tokens and retired instructions) is byte-identical to
-// the SerialScheduler oracle at several worker counts.
+// machine model: at shard counts 1, 2, 4, and 8 the sharded summary
+// (per-core tokens and retired instructions) is byte-identical to the
+// one-worker oracle at several worker counts.
 func TestScaleShardSweepDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		ec := EnduranceConfig{Cores: 8, Shards: shards, Workers: 1, Horizon: 60_000}
@@ -86,9 +85,9 @@ func TestRunScaleExperiment(t *testing.T) {
 }
 
 // TestShardedPassOnOneCPU: on a 1-CPU host the sharded pass of every
-// identity check must still run the ShardedScheduler. machine.New falls
-// back to the SerialScheduler at one worker, which would compare the
-// oracle with itself.
+// identity check must still run at least two workers. A one-worker
+// machine is the serial oracle, which would compare the oracle with
+// itself.
 func TestShardedPassOnOneCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
@@ -96,8 +95,8 @@ func TestShardedPassOnOneCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Scheduler().(*sim.ShardedScheduler); !ok {
-		t.Fatalf("S1 sharded pass runs on %T", m.Scheduler())
+	if err := requireSharded(m); err != nil {
+		t.Fatalf("S1: %v", err)
 	}
 	if _, err := Run("S1", RunConfig{Seed: 1, Quick: true}); err != nil {
 		t.Fatal(err)

@@ -121,7 +121,7 @@ func TestNICNoOverrunCheckWithoutHeadAddr(t *testing.T) {
 func TestNICLegacyVector(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	m := mem.NewMemory()
-	ctrl := irq.NewController(eng, irq.Costs{})
+	ctrl := irq.NewController(eng)
 	fired := 0
 	fc := &fakeCore{}
 	ctrl.Register(33, fc, 0, func(v irq.Vector, at sim.Cycles) sim.Cycles {
@@ -283,7 +283,7 @@ func TestSSDCQTailLastOrdering(t *testing.T) {
 func TestSSDLegacyVector(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	m := mem.NewMemory()
-	ctrl := irq.NewController(eng, irq.Costs{})
+	ctrl := irq.NewController(eng)
 	fired := 0
 	ctrl.Register(40, &fakeCore{}, 0, func(irq.Vector, sim.Cycles) sim.Cycles { fired++; return 0 })
 	ssd := mustSSD(SSDConfig{

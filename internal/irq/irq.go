@@ -42,7 +42,7 @@ type CoreTarget interface {
 	WakeFromHalt(p hwthread.PTID)
 }
 
-// Costs are the fixed legacy-interrupt costs (defaults per DESIGN.md).
+// Costs are the fixed legacy-interrupt costs (values per DESIGN.md).
 type Costs struct {
 	// Controller is the APIC-ish delivery latency from device assertion to
 	// CPU notification.
@@ -55,23 +55,8 @@ type Costs struct {
 	IPIReceive sim.Cycles
 }
 
-func (c *Costs) setDefaults() {
-	if c.Controller == 0 {
-		c.Controller = 100
-	}
-	if c.Entry == 0 {
-		c.Entry = 600
-	}
-	if c.Exit == 0 {
-		c.Exit = 300
-	}
-	if c.IPISend == 0 {
-		c.IPISend = 400
-	}
-	if c.IPIReceive == 0 {
-		c.IPIReceive = 700
-	}
-}
+// defaultCosts is every controller's cost table.
+var defaultCosts = Costs{Controller: 100, Entry: 600, Exit: 300, IPISend: 400, IPIReceive: 700}
 
 type idtEntry struct {
 	handler Handler
@@ -169,10 +154,9 @@ type Controller struct {
 }
 
 // NewController builds a controller on the shared engine.
-func NewController(eng *sim.Shard, costs Costs) *Controller {
-	costs.setDefaults()
+func NewController(eng *sim.Shard) *Controller {
 	return &Controller{
-		eng: eng, costs: costs,
+		eng: eng, costs: defaultCosts,
 		idt:       make(map[Vector]idtEntry),
 		busyUntil: make(map[victimKey]sim.Cycles),
 	}

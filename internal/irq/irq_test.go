@@ -16,7 +16,7 @@ func (f *fakeCore) InjectDelay(p hwthread.PTID, d sim.Cycles) { f.delays = appen
 func (f *fakeCore) WakeFromHalt(p hwthread.PTID)              { f.woken = append(f.woken, p) }
 
 func TestDefaults(t *testing.T) {
-	c := NewController(sim.SoloShard(sim.NewEngine(nil)), Costs{})
+	c := NewController(sim.SoloShard(sim.NewEngine(nil)))
 	got := c.Costs()
 	if got.Entry != 600 || got.Exit != 300 || got.Controller != 100 ||
 		got.IPISend != 400 || got.IPIReceive != 700 {
@@ -25,7 +25,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	c := NewController(sim.SoloShard(sim.NewEngine(nil)), Costs{})
+	c := NewController(sim.SoloShard(sim.NewEngine(nil)))
 	fc := &fakeCore{}
 	if err := c.Register(3, nil, 0, func(Vector, sim.Cycles) sim.Cycles { return 0 }); err == nil {
 		t.Fatal("nil core accepted")
@@ -47,7 +47,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestRaiseDeliversAfterControllerLatency(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	c := NewController(eng, Costs{})
+	c := NewController(eng)
 	fc := &fakeCore{}
 	var handlerAt sim.Cycles
 	c.Register(32, fc, 1, func(v Vector, at sim.Cycles) sim.Cycles {
@@ -77,7 +77,7 @@ func TestRaiseDeliversAfterControllerLatency(t *testing.T) {
 
 func TestSpuriousVector(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	c := NewController(eng, Costs{})
+	c := NewController(eng)
 	if got := c.Raise(99); got != 0 {
 		t.Fatalf("spurious raise returned %v", got)
 	}
@@ -90,7 +90,7 @@ func TestSpuriousVector(t *testing.T) {
 
 func TestMultipleVectorsIndependent(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	c := NewController(eng, Costs{})
+	c := NewController(eng)
 	fc1, fc2 := &fakeCore{}, &fakeCore{}
 	var order []Vector
 	c.Register(1, fc1, 0, func(v Vector, at sim.Cycles) sim.Cycles { order = append(order, v); return 10 })
@@ -109,7 +109,7 @@ func TestMultipleVectorsIndependent(t *testing.T) {
 
 func TestReregisterReplaces(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	c := NewController(eng, Costs{})
+	c := NewController(eng)
 	fc := &fakeCore{}
 	first, second := 0, 0
 	c.Register(5, fc, 0, func(Vector, sim.Cycles) sim.Cycles { first++; return 0 })
@@ -123,7 +123,7 @@ func TestReregisterReplaces(t *testing.T) {
 
 func TestSendIPITimingAndCosts(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	c := NewController(eng, Costs{})
+	c := NewController(eng)
 	snd, rcv := &fakeCore{}, &fakeCore{}
 	var fnAt sim.Cycles
 	ran := false
@@ -154,7 +154,7 @@ func TestSendIPITimingAndCosts(t *testing.T) {
 
 func TestSendIPINilFn(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	c := NewController(eng, Costs{})
+	c := NewController(eng)
 	snd, rcv := &fakeCore{}, &fakeCore{}
 	c.SendIPI(snd, 0, rcv, 0, nil)
 	eng.Run(0)

@@ -21,7 +21,6 @@ package kernel
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -228,6 +227,9 @@ type QueueServer interface {
 	SubmitAll(reqs []workload.Request)
 	// Name identifies the discipline in reports.
 	Name() string
+	// completion returns the server's OnComplete field, so RunOpenLoop can
+	// chain its collector onto any discipline.
+	completion() *func(Completion)
 }
 
 // FCFSServer is run-to-completion first-come-first-served on K servers —
@@ -303,6 +305,8 @@ func (s *FCFSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r
 // SubmitAll queues every arrival with at most one allocation, however many
 // there are.
 func (s *FCFSServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
+
+func (s *FCFSServer) completion() *func(Completion) { return &s.OnComplete }
 
 func (s *FCFSServer) arrive(r workload.Request) {
 	s.queue.push(r)
@@ -477,6 +481,8 @@ func (s *PSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r})
 // SubmitAll queues every arrival with at most one allocation, however many
 // there are.
 func (s *PSServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
+
+func (s *PSServer) completion() *func(Completion) { return &s.OnComplete }
 
 // arrive is the arrival-event body.
 func (s *PSServer) arrive(r workload.Request) {
@@ -726,6 +732,8 @@ func (s *TimesliceServer) Submit(r workload.Request) { s.arr.add([]workload.Requ
 // there are.
 func (s *TimesliceServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
 
+func (s *TimesliceServer) completion() *func(Completion) { return &s.OnComplete }
+
 func (s *TimesliceServer) arrive(r workload.Request) {
 	req := s.getReq()
 	req.r = r
@@ -785,34 +793,13 @@ func (e *tsSlice) OnEvent() {
 // have arrival times at or after the engine's current time.
 func RunOpenLoop(eng *sim.Shard, srv QueueServer, reqs []workload.Request) []Completion {
 	out := make([]Completion, 0, len(reqs))
-	collect := func(c Completion) { out = append(out, c) }
-	switch s := srv.(type) {
-	case *FCFSServer:
-		prev := s.OnComplete
-		s.OnComplete = func(c Completion) {
-			if prev != nil {
-				prev(c)
-			}
-			collect(c)
+	cb := srv.completion()
+	prev := *cb
+	*cb = func(c Completion) {
+		if prev != nil {
+			prev(c)
 		}
-	case *PSServer:
-		prev := s.OnComplete
-		s.OnComplete = func(c Completion) {
-			if prev != nil {
-				prev(c)
-			}
-			collect(c)
-		}
-	case *TimesliceServer:
-		prev := s.OnComplete
-		s.OnComplete = func(c Completion) {
-			if prev != nil {
-				prev(c)
-			}
-			collect(c)
-		}
-	default:
-		panic(fmt.Sprintf("kernel: unknown server type %T", srv))
+		out = append(out, c)
 	}
 	srv.SubmitAll(reqs)
 	eng.Run(0)

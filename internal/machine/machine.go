@@ -49,9 +49,8 @@ import (
 // arrive sooner (DESIGN.md §12 derives this).
 const DefaultLookahead = sim.Cycles(400)
 
-// Config describes a machine. Most callers should use New with options
-// rather than filling this in directly; WithConfig is the escape hatch for
-// fully hand-built configurations.
+// Config describes a machine. New builds it from the paper defaults and
+// the options given; nothing else fills it in.
 type Config struct {
 	// Cores is the number of CPU cores (default 1).
 	Cores int
@@ -63,8 +62,8 @@ type Config struct {
 	// share no mutable state and may execute concurrently.
 	Shards int
 	// Workers is the number of OS threads driving the shards (default 1 =
-	// SerialScheduler, the determinism oracle; >1 selects the
-	// ShardedScheduler). Output is byte-identical at any worker count.
+	// the serial determinism oracle; >1 runs each window on a goroutine
+	// pool). Output is byte-identical at any worker count.
 	Workers int
 	// Lookahead is the cross-shard synchronization horizon in cycles
 	// (default DefaultLookahead). RemoteWrite and Shard.Send must use
@@ -74,8 +73,6 @@ type Config struct {
 	// wakeups (true = the paper's hardware; false = today's x86, ablation
 	// A2). CPU writes are always visible.
 	DMAMonitorVisible bool
-	// IRQ configures the legacy interrupt controller costs.
-	IRQ irq.Costs
 	// Tracer, when non-nil, records engine dispatch, monitor arm/fire,
 	// IRQ delivery, per-ptid state spans and exec batches, and device DMA.
 	// New forks one buffer per shard from it (trace.Tracer.Fork), so
@@ -122,19 +119,9 @@ func WithLookahead(cycles sim.Cycles) Option {
 	return func(c *Config) { c.Lookahead = cycles }
 }
 
-// WithCoreConfig replaces the whole per-core template (ID is still
-// overridden per core).
-func WithCoreConfig(cc core.Config) Option { return func(c *Config) { c.Core = cc } }
-
-// WithCosts sets the architectural transition cost table.
-func WithCosts(costs core.CostConfig) Option { return func(c *Config) { c.Core.Costs = costs } }
-
 // WithDMAMonitorVisible controls whether device writes trigger monitor
 // wakeups (the A2 ablation knob; default true).
 func WithDMAMonitorVisible(v bool) Option { return func(c *Config) { c.DMAMonitorVisible = v } }
-
-// WithIRQCosts sets the legacy interrupt controller cost table.
-func WithIRQCosts(costs irq.Costs) Option { return func(c *Config) { c.IRQ = costs } }
 
 // WithTracer attaches a tracer to every layer of the machine.
 func WithTracer(t *trace.Tracer) Option { return func(c *Config) { c.Tracer = t } }
@@ -147,12 +134,6 @@ func WithName(n string) Option { return func(c *Config) { c.Name = n } }
 // zero plan is a no-op; use faultinject.Default() for the standard
 // adversarial mix.
 func WithFaultPlan(p faultinject.Plan) Option { return func(c *Config) { c.FaultPlan = p } }
-
-// WithConfig replaces the entire configuration — the escape hatch for
-// callers that build a Config by hand. Apply it first if combined with
-// other options, since it overwrites all previous settings (including the
-// defaults New starts from).
-func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 
 // shardState is everything one shard owns: its event queue plus the
 // shard-local memory system, monitor, interrupt controller, and fault
@@ -197,11 +178,10 @@ type attachedComponent struct {
 
 // Machine is a complete simulated system.
 type Machine struct {
-	sched     sim.Scheduler
+	sched     *sim.Scheduler
 	shards    []shardState
 	cores     []*core.Core
 	coreShard []sim.ShardID
-	look      sim.Cycles
 
 	// devices registers every attached device in creation order, for
 	// checkpointing; injects tracks driver-scheduled deterministic
@@ -240,23 +220,10 @@ func New(opts ...Option) *Machine {
 	if cfg.Lookahead <= 0 {
 		cfg.Lookahead = DefaultLookahead
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Workers > cfg.Shards {
-		cfg.Workers = cfg.Shards
-	}
 
-	var sched sim.Scheduler
-	if cfg.Workers > 1 {
-		sched = sim.NewShardedScheduler(cfg.Shards, cfg.Lookahead, cfg.Workers)
-	} else {
-		sched = sim.NewSerialScheduler(cfg.Shards, cfg.Lookahead)
-	}
-
+	sched := sim.NewScheduler(cfg.Shards, cfg.Lookahead, cfg.Workers)
 	mach := &Machine{
 		sched: sched,
-		look:  sched.Lookahead(),
 		tr:    cfg.Tracer,
 		name:  cfg.Name,
 	}
@@ -271,7 +238,7 @@ func New(opts ...Option) *Machine {
 			sh:  sh,
 			mem: m,
 			mon: mon,
-			irq: irq.NewController(sh, cfg.IRQ),
+			irq: irq.NewController(sh),
 			tr:  cfg.Tracer.Fork(),
 		}
 		if tr := st.tr; tr != nil {
@@ -330,9 +297,9 @@ func (m *Machine) shardTracePrefix(s sim.ShardID) string {
 	return fmt.Sprintf("%s/s%d", m.name, s)
 }
 
-// Scheduler returns the machine's scheduler — the redesigned driving
-// surface (RunUntil, shard handles, horizon queries).
-func (m *Machine) Scheduler() sim.Scheduler { return m.sched }
+// Scheduler returns the machine's scheduler — the driving surface
+// (RunUntil, shard handles, horizon queries).
+func (m *Machine) Scheduler() *sim.Scheduler { return m.sched }
 
 // Shards returns the shard count (1 for a classic machine).
 func (m *Machine) Shards() int { return len(m.shards) }
@@ -350,7 +317,7 @@ func (m *Machine) Shard(s sim.ShardID) *sim.Shard {
 func (m *Machine) ShardOfCore(i int) sim.ShardID { return m.coreShard[i] }
 
 // Lookahead returns the cross-shard synchronization horizon.
-func (m *Machine) Lookahead() sim.Cycles { return m.look }
+func (m *Machine) Lookahead() sim.Cycles { return m.sched.Lookahead() }
 
 // Now returns the committed global simulated time.
 func (m *Machine) Now() sim.Cycles { return m.sched.Now() }
@@ -424,7 +391,7 @@ func (rw *remoteWrite) OnEvent() { rw.mem.Write(rw.addr, rw.val, mem.SrcCPU) }
 // degenerates to a local delayed store.
 func (m *Machine) RemoteWrite(from, to sim.ShardID, addr, val int64, delay sim.Cycles) {
 	if delay <= 0 {
-		delay = m.look
+		delay = m.Lookahead()
 	}
 	m.shards[from].sh.Send(to, delay, "xwrite", &remoteWrite{mem: m.shards[to].mem, addr: addr, val: val})
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nocs/internal/asm"
-	"nocs/internal/core"
 	"nocs/internal/device"
 	"nocs/internal/hwthread"
 	"nocs/internal/irq"
@@ -74,14 +73,9 @@ func TestMachineOptionsCompose(t *testing.T) {
 	}
 }
 
-func TestMachineWithConfigIsOverriddenByLaterOptions(t *testing.T) {
-	m := New(WithConfig(Config{Cores: 4}), WithCores(2))
-	if m.Cores() != 2 {
-		t.Fatalf("cores %d: WithConfig must apply in option order", m.Cores())
-	}
-	// WithConfig wipes the defaults it doesn't set; Cores<=0 still recovers.
-	if m2 := New(WithConfig(Config{})); m2.Cores() != 1 {
-		t.Fatal("zero config did not recover a usable machine")
+func TestMachineZeroCoresRecovers(t *testing.T) {
+	if m := New(WithCores(0)); m.Cores() != 1 {
+		t.Fatalf("cores %d: a zero core count must recover a one-core machine", m.Cores())
 	}
 }
 
@@ -233,7 +227,7 @@ func TestMachineSSDDoorbellCollision(t *testing.T) {
 }
 
 func TestMachineFatalPropagates(t *testing.T) {
-	m := New(WithCores(2), WithCoreConfig(core.Config{Threads: 4}))
+	m := New(WithCores(2), WithThreads(4))
 	prog := asm.MustAssemble("f", "main:\n\tmovi r1, 1\n\tmovi r2, 0\n\tdiv r3, r1, r2\n\thalt")
 	m.Core(1).BindProgram(0, prog, "main")
 	m.Core(1).BootStart(0)

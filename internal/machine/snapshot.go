@@ -66,7 +66,7 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 
 	// Topology + driver-scheduled injections.
 	mw := b.Section(secMachine)
-	mw.Len(len(m.cores)).Len(len(m.shards)).I64(int64(m.look))
+	mw.Len(len(m.cores)).Len(len(m.shards)).I64(int64(m.Lookahead()))
 	for _, s := range m.coreShard {
 		mw.I64(int64(s))
 	}
@@ -216,16 +216,12 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 	// Cross-shard in-flight messages + send counters. The machine's only
 	// checkpointable message body is the RemoteWrite payload.
 	xw := b.Section(secXMsgs)
-	ss, ok := m.sched.(sim.SchedulerSnapshotter)
-	if !ok {
-		return fmt.Errorf("machine: scheduler %T does not support checkpointing", m.sched)
-	}
-	seqs := ss.SendSeqs()
+	seqs := m.sched.SendSeqs()
 	xw.Len(len(seqs))
 	for _, q := range seqs {
 		xw.U64(q)
 	}
-	msgs := ss.SnapshotXMsgs()
+	msgs := m.sched.SnapshotXMsgs()
 	xw.Len(len(msgs))
 	for _, x := range msgs {
 		rw, isWrite := x.CB.(*remoteWrite)
@@ -267,9 +263,9 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	if err := mr.Err(); err != nil {
 		return err
 	}
-	if nCores != len(m.cores) || nShards != len(m.shards) || look != m.look {
+	if nCores != len(m.cores) || nShards != len(m.shards) || look != m.Lookahead() {
 		return fmt.Errorf("machine: snapshot topology %d cores / %d shards / lookahead %d does not match live machine (%d/%d/%d)",
-			nCores, nShards, look, len(m.cores), len(m.shards), m.look)
+			nCores, nShards, look, len(m.cores), len(m.shards), m.Lookahead())
 	}
 	for i := 0; i < nCores; i++ {
 		if got := sim.ShardID(mr.I64()); mr.Err() == nil && got != m.coreShard[i] {
@@ -368,11 +364,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 		}
 	}
 
-	ss, ok := m.sched.(sim.SchedulerSnapshotter)
-	if !ok {
-		return fmt.Errorf("machine: scheduler %T does not support checkpointing", m.sched)
-	}
-	ss.ClearXMsgs()
+	m.sched.ClearXMsgs()
 	for si := range m.shards {
 		m.shards[si].sh.BeginRestore(engines[si].Now)
 	}
@@ -552,7 +544,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 		if int(to) < 0 || int(to) >= len(m.shards) {
 			return fmt.Errorf("machine: snapshot cross-shard message to unknown shard %d", to)
 		}
-		ss.RestoreXMsg(sim.XMsgRec{
+		m.sched.RestoreXMsg(sim.XMsgRec{
 			At: at, Src: src, Seq: seq, To: to, Name: "xwrite",
 			CB: &remoteWrite{mem: m.shards[to].mem, addr: addr, val: val},
 		})
@@ -560,7 +552,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	if err := xr.Err(); err != nil {
 		return err
 	}
-	if err := ss.SetSendSeqs(seqs); err != nil {
+	if err := m.sched.SetSendSeqs(seqs); err != nil {
 		return err
 	}
 

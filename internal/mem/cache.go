@@ -53,8 +53,24 @@ func MustNewCache(name string, sizeBytes, lineBytes, ways int, hit sim.Cycles) *
 	return c
 }
 
-func (c *Cache) line(addr int64) int64 { return addr / int64(c.LineBytes) }
-func (c *Cache) set(line int64) int    { return int(line % int64(c.sets)) }
+// line is the index of the line holding addr, rounded toward minus
+// infinity so that addresses -LineBytes..-1 share one line below line 0.
+func (c *Cache) line(addr int64) int64 {
+	ln := addr / int64(c.LineBytes)
+	if addr%int64(c.LineBytes) < 0 {
+		ln--
+	}
+	return ln
+}
+
+// set is the set a line maps to, in [0, sets) for negative lines too.
+func (c *Cache) set(line int64) int {
+	s := line % int64(c.sets)
+	if s < 0 {
+		s += int64(c.sets)
+	}
+	return int(s)
+}
 
 // Lookup probes the cache for addr, updating LRU state and inserting on
 // miss. It reports whether the access hit.

@@ -175,6 +175,24 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestCacheNegativeAddresses: lines are floor(addr/LineBytes), so a negative
+// address neither shares line 0 nor indexes a negative set.
+func TestCacheNegativeAddresses(t *testing.T) {
+	c := MustNewCache("t", 1024, 64, 2, 4) // 8 sets, 2 ways
+	if c.Lookup(-128) || c.Lookup(-64) {
+		t.Fatal("cold negative access hit")
+	}
+	if !c.Lookup(-1) {
+		t.Fatal("-64 and -1 are on one line, but -1 missed")
+	}
+	if c.Lookup(0) {
+		t.Fatal("-1 and 0 are on two lines, but 0 hit")
+	}
+	if !c.Contains(-128) || !c.Contains(-33) || !c.Contains(63) {
+		t.Fatal("a touched line is missing")
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := MustNewCache("t", 256, 64, 2, 4) // 4 lines, 2 sets, 2 ways
 	// Set 0 holds lines 0, 2, 4, ... (line % 2 == 0).

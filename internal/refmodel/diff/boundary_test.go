@@ -363,3 +363,30 @@ func checkBatchSpans(t *testing.T, tr *trace.Tracer, eng *outcome, causes map[st
 		}
 	}
 }
+
+// TestNegativeAddressesAgree: loads and stores below address 0 charge the
+// same cold and warm cache latencies in the engine as in the reference.
+// -128, -1 and 0 are three lines, so each first touch is cold; a line index
+// truncated toward zero would put -1 and 0 on one line and shift the halt
+// cycle (and, in the engine, index a negative cache set at -128).
+func TestNegativeAddressesAgree(t *testing.T) {
+	src := "main:\nt0:\n"
+	for _, addr := range []int64{-128, -1, 0} {
+		src += fmt.Sprintf("\tmovi r2, %d\n\tld r1, [r2+0]\n\tst [r2+0], r1\n", addr)
+	}
+	s := craftSpec(t, "negative-addresses", src+"\thalt\n", 1, 2, 15000)
+	eng, cfg, err := runEngine(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := runRef(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range compare(s, eng, ref) {
+		t.Error(d)
+	}
+	if eng.fatal || eng.threads[0].lastHalt == 0 {
+		t.Fatalf("thread did not halt cleanly: fatal=%v lastHalt=%d", eng.fatal, eng.threads[0].lastHalt)
+	}
+}

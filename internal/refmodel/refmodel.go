@@ -210,7 +210,7 @@ type Interp struct {
 	threads []*Thread
 
 	mem  map[int64]int64
-	seen map[int64]bool // warm cache lines (line index = addr / LineBytes)
+	seen map[int64]bool // warm cache lines (line index = floor(addr / LineBytes))
 
 	// byAddr lists watcher ptids per address in global arm order, the order
 	// wake delivery must follow.
@@ -486,6 +486,9 @@ func (it *Interp) charged(t *Thread, base int64) int64 {
 // line's first touch, L1 hit after.
 func (it *Interp) access(addr int64) int64 {
 	line := addr / it.cfg.LineBytes
+	if addr%it.cfg.LineBytes < 0 {
+		line-- // floor, as mem.Cache maps lines
+	}
 	if it.seen[line] {
 		return it.cfg.WarmAccess
 	}

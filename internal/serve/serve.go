@@ -31,7 +31,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"nocs/internal/device"
@@ -55,62 +57,68 @@ const (
 	ArrivalPareto  = "pareto"
 )
 
-// Config parameterizes one serving cell.
+// Config parameterizes one serving cell. Zero fields take the defaults
+// noted; every other cell parameter is one of the cell constants below.
 type Config struct {
-	// AppServers is the app-tier pool size (cores 1..AppServers).
+	// AppServers is the app-tier pool size (cores 1..AppServers; default 8).
 	AppServers int
-	// Slots is the per-server scheduler capacity: PS servers for the nocs
-	// flavor, FCFS servers for legacy. Offered load is computed against
-	// AppServers×Slots.
-	Slots int
-	// Conns is the simulated connection count; each connection carries
-	// ReqsPerConn requests and its session state lives in the app tier's
-	// statestore between them.
-	Conns       int
-	ReqsPerConn int
-	// Load is offered load on the app tier; > 1 is deliberate overload.
+	// Conns is the simulated connection count (default 100,000); each
+	// connection carries reqsPerConn requests.
+	Conns int
+	// Load is offered load on the app tier (default 0.8); > 1 is
+	// deliberate overload.
 	Load float64
-	// Arrival selects the interarrival process: ArrivalPoisson or
-	// ArrivalPareto (bursty, heavy-tailed gaps).
+	// Arrival selects the interarrival process: ArrivalPoisson (the
+	// default) or ArrivalPareto (bursty, heavy-tailed gaps).
 	Arrival string
-	// Flavor selects the scheduling flavor: FlavorNocs or FlavorLegacy.
+	// Flavor selects the scheduling flavor: FlavorNocs (the default) or
+	// FlavorLegacy.
 	Flavor string
 	// Seed drives every RNG in the cell.
 	Seed uint64
 	// Workers is the sharded-scheduler worker count (1 = serial oracle).
 	Workers int
-
-	// Lookahead is the cross-shard synchronization horizon.
-	Lookahead sim.Cycles
-	// WireDelay is the one-way wire latency between tiers (≥ Lookahead).
-	WireDelay sim.Cycles
-
-	// Window is the per-server admission window: a connection is refused
-	// when its server already has this many requests in flight.
+	// Window is the per-server admission window (default 256): a
+	// connection is refused when its server already has this many requests
+	// in flight.
 	Window int
-	// RefuseBacklog sheds new connections when the LB's transmit outbox is
-	// this deep — the uplink itself has saturated.
-	RefuseBacklog int
-	// FeederWindow bounds per-server packets between the wire ring and the
-	// app's consumption point, so the NIC RX ring can never overrun.
-	FeederWindow int
-
-	// Service demand: bimodal Short/Long with P(short) = PShort.
-	ShortDemand sim.Cycles
-	LongDemand  sim.Cycles
-	PShort      float64
-	// ParetoAlpha is the arrival shape for ArrivalPareto.
-	ParetoAlpha float64
-
-	// SessionBytes sizes per-connection session state in the statestore.
-	SessionBytes int
-	// LockHold is the per-request critical-section length on the
-	// per-server lock.
-	LockHold sim.Cycles
-
-	// Quiet suppresses nothing today; reserved for future use.
-	Quiet bool
 }
+
+// ErrConfig is returned, wrapped with the offending field, by New for a
+// Config it cannot build a cell from.
+var ErrConfig = errors.New("serve: invalid config")
+
+// Cell constants (DESIGN.md §15): every serving cell uses these values.
+const (
+	// slots is the per-server scheduler capacity: PS servers for the nocs
+	// flavor, FCFS servers for legacy. Offered load is computed against
+	// AppServers×slots.
+	slots = 2
+	// reqsPerConn is the request count per connection; its session state
+	// lives in the app tier's statestore between them.
+	reqsPerConn = 2
+	// lookahead is the cross-shard synchronization horizon.
+	lookahead = sim.Cycles(400)
+	// wireDelay is the one-way wire latency between tiers (≥ lookahead).
+	wireDelay = sim.Cycles(2000)
+	// refuseBacklog sheds new connections when the LB's transmit outbox is
+	// this deep — the uplink itself has saturated.
+	refuseBacklog = 512
+	// feederWindow bounds per-server packets between the wire ring and the
+	// app's consumption point, so the NIC RX ring can never overrun.
+	feederWindow = 128
+	// Service demand: bimodal short/long with P(short) = pShort.
+	shortDemand = sim.Cycles(1000)
+	longDemand  = sim.Cycles(101_000)
+	pShort      = float64(0.97)
+	// paretoAlpha is the arrival shape for ArrivalPareto.
+	paretoAlpha = float64(1.5)
+	// sessionBytes sizes per-connection session state in the statestore.
+	sessionBytes = 2048
+	// lockHold is the per-request critical-section length on the
+	// per-server lock.
+	lockHold = sim.Cycles(150)
+)
 
 // Flavor-dependent costs (DESIGN.md §15): the nocs kernel starts a resident
 // thread from the register file and hands a contended lock off
@@ -188,14 +196,8 @@ func (c *Config) fill() {
 	if c.AppServers == 0 {
 		c.AppServers = 8
 	}
-	if c.Slots == 0 {
-		c.Slots = 2
-	}
 	if c.Conns == 0 {
 		c.Conns = 100_000
-	}
-	if c.ReqsPerConn == 0 {
-		c.ReqsPerConn = 2
 	}
 	if c.Load == 0 {
 		c.Load = 0.8
@@ -209,39 +211,30 @@ func (c *Config) fill() {
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 400
-	}
-	if c.WireDelay == 0 {
-		c.WireDelay = 2000
-	}
 	if c.Window == 0 {
 		c.Window = 256
 	}
-	if c.RefuseBacklog == 0 {
-		c.RefuseBacklog = 512
+}
+
+// check rejects a filled Config that names no buildable cell.
+func (c *Config) check() error {
+	switch {
+	case c.Flavor != FlavorNocs && c.Flavor != FlavorLegacy:
+		return fmt.Errorf("%w: unknown flavor %q", ErrConfig, c.Flavor)
+	case c.Arrival != ArrivalPoisson && c.Arrival != ArrivalPareto:
+		return fmt.Errorf("%w: unknown arrival process %q", ErrConfig, c.Arrival)
+	case !(c.Load > 0) || math.IsInf(c.Load, 0):
+		return fmt.Errorf("%w: Load %v is not a positive finite number", ErrConfig, c.Load)
+	case c.Conns < 0:
+		return fmt.Errorf("%w: Conns %d is negative", ErrConfig, c.Conns)
+	case c.AppServers < 0:
+		return fmt.Errorf("%w: AppServers %d is negative", ErrConfig, c.AppServers)
+	case c.Window < 0:
+		return fmt.Errorf("%w: Window %d is negative", ErrConfig, c.Window)
+	case c64(c.Conns)*reqsPerConn >= 1<<(62-demandBits):
+		return fmt.Errorf("%w: Conns %d overflows the wire word", ErrConfig, c.Conns)
 	}
-	if c.FeederWindow == 0 {
-		c.FeederWindow = 128
-	}
-	if c.ShortDemand == 0 {
-		c.ShortDemand = 1000
-	}
-	if c.LongDemand == 0 {
-		c.LongDemand = 101_000
-	}
-	if c.PShort == 0 {
-		c.PShort = 0.97
-	}
-	if c.ParetoAlpha == 0 {
-		c.ParetoAlpha = 1.5
-	}
-	if c.SessionBytes == 0 {
-		c.SessionBytes = 2048
-	}
-	if c.LockHold == 0 {
-		c.LockHold = 150
-	}
+	return nil
 }
 
 // session is one connection's app-side state.
@@ -355,21 +348,15 @@ type Cluster struct {
 }
 
 // total is the request count the source will emit.
-func (c *Cluster) total() int { return c.cfg.Conns * c.cfg.ReqsPerConn }
+func (c *Cluster) total() int { return c.cfg.Conns * reqsPerConn }
 
 // New builds a serving cell. Two calls with equal configs build identical
 // clusters — the property the determinism oracle and snapshot restore both
 // lean on.
 func New(cfg Config) (*Cluster, error) {
 	cfg.fill()
-	if cfg.Flavor != FlavorNocs && cfg.Flavor != FlavorLegacy {
-		return nil, fmt.Errorf("serve: unknown flavor %q", cfg.Flavor)
-	}
-	if cfg.Arrival != ArrivalPoisson && cfg.Arrival != ArrivalPareto {
-		return nil, fmt.Errorf("serve: unknown arrival process %q", cfg.Arrival)
-	}
-	if got := c64(cfg.Conns) * c64(cfg.ReqsPerConn); got >= 1<<(62-demandBits) {
-		return nil, fmt.Errorf("serve: %d requests overflow the wire word", got)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 
 	nCores := cfg.AppServers + 2
@@ -378,7 +365,7 @@ func New(cfg Config) (*Cluster, error) {
 		machine.WithCores(nCores),
 		machine.WithShards(nCores),
 		machine.WithWorkers(cfg.Workers),
-		machine.WithLookahead(cfg.Lookahead),
+		machine.WithLookahead(lookahead),
 		machine.WithSMTSlots(2),
 	)
 
@@ -403,19 +390,19 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	// Workload: arrival gaps sized so offered load lands on the app tier's
-	// AppServers×Slots capacity (MeanForLoad accepts overload loads).
+	// AppServers×slots capacity (MeanForLoad accepts overload loads).
 	root := sim.NewRNG(cfg.Seed)
 	arrRNG, svcRNG := root.Split(), root.Split()
 	c.svcRNG = svcRNG
-	svc := workload.NewBimodal(cfg.ShortDemand, cfg.LongDemand, cfg.PShort, svcRNG)
-	meanGap := workload.MeanForLoad(cfg.Load, svc.Mean(), cfg.AppServers*cfg.Slots)
+	svc := workload.NewBimodal(shortDemand, longDemand, pShort, svcRNG)
+	meanGap := workload.MeanForLoad(cfg.Load, svc.Mean(), cfg.AppServers*slots)
 	var arr workload.Arrivals
 	switch cfg.Arrival {
 	case ArrivalPoisson:
 		c.arrPoisson = workload.NewPoissonArrivals(meanGap, arrRNG)
 		arr = c.arrPoisson
 	case ArrivalPareto:
-		c.arrPareto = workload.NewParetoArrivals(meanGap, cfg.ParetoAlpha, arrRNG)
+		c.arrPareto = workload.NewParetoArrivals(meanGap, paretoAlpha, arrRNG)
 		arr = c.arrPareto
 	}
 	c.src = workload.NewSource(startCycle, arr, svc)
@@ -504,11 +491,11 @@ func replySlotAddr(srv int, seq int64) int64 {
 // order, so the doorbell never overtakes its slot.
 func (c *Cluster) requestWire(payload []int64) {
 	w := payload[2]
-	srv := int((w >> demandBits) / c64(c.cfg.ReqsPerConn) % c64(c.cfg.AppServers))
+	srv := int((w >> demandBits) / reqsPerConn % c64(c.cfg.AppServers))
 	seq := c.wireSeq[srv]
 	to := c.apps[srv].shard
-	c.m.RemoteWrite(c.lbShard, to, wireRingBase+(seq%wireSlots)*8, w, c.cfg.WireDelay)
-	c.m.RemoteWrite(c.lbShard, to, wireDoorbell, seq+1, c.cfg.WireDelay)
+	c.m.RemoteWrite(c.lbShard, to, wireRingBase+(seq%wireSlots)*8, w, wireDelay)
+	c.m.RemoteWrite(c.lbShard, to, wireDoorbell, seq+1, wireDelay)
 	c.wireSeq[srv] = seq + 1
 }
 
@@ -532,7 +519,7 @@ func (c *Cluster) drainReplies() sim.Cycles {
 			c.lb.lat.RecordCycles(now - t0)
 			c.lb.completedReq++
 			c.lb.inFlight[srv]--
-			conn := reqID / c.cfg.ReqsPerConn
+			conn := reqID / reqsPerConn
 			if left := c.lb.connLeft[conn] - 1; left == 0 {
 				delete(c.lb.connLeft, conn)
 				c.lb.open--
@@ -567,15 +554,15 @@ func (c *Cluster) onArrival() {
 	now := r.Arrival
 	c.lb.generated++
 	reqID := r.ID
-	conn := reqID / c.cfg.ReqsPerConn
+	conn := reqID / reqsPerConn
 	srv := conn % c.cfg.AppServers
 
 	admit := false
-	if reqID%c.cfg.ReqsPerConn == 0 {
+	if reqID%reqsPerConn == 0 {
 		_, backlog, _ := c.lbStack.TxQueue()
-		if c.lb.inFlight[srv] < c.cfg.Window && backlog < c.cfg.RefuseBacklog {
+		if c.lb.inFlight[srv] < c.cfg.Window && backlog < refuseBacklog {
 			admit = true
-			c.lb.connLeft[conn] = c.cfg.ReqsPerConn
+			c.lb.connLeft[conn] = reqsPerConn
 			c.lb.open++
 			if c.lb.open > c.lb.openPeak {
 				c.lb.openPeak = c.lb.open
@@ -655,9 +642,9 @@ func (c *Cluster) buildApp(i int) (*appServer, error) {
 	eng := c.m.Shard(a.shard)
 	switch c.cfg.Flavor {
 	case FlavorNocs:
-		a.sched = kernel.NewPS(eng, c.cfg.Slots, nocsOverhead, a.onComplete)
+		a.sched = kernel.NewPS(eng, slots, nocsOverhead, a.onComplete)
 	case FlavorLegacy:
-		a.sched = kernel.NewFCFS(eng, c.cfg.Slots, legacyOverhead, a.onComplete)
+		a.sched = kernel.NewFCFS(eng, slots, legacyOverhead, a.onComplete)
 	}
 
 	a.watch = []int64{wireDoorbell, a.sock.DoorbellAddr(), fetchAckAddr}
@@ -674,8 +661,8 @@ func (a *appServer) replyWire(payload []int64) {
 	c := a.cl
 	w := payload[2]
 	seq := c.replyWireSeq[a.idx]
-	c.m.RemoteWrite(a.shard, c.lbShard, replySlotAddr(a.idx, seq), w, c.cfg.WireDelay)
-	c.m.RemoteWrite(a.shard, c.lbShard, replyDoorAddr(a.idx), seq+1, c.cfg.WireDelay)
+	c.m.RemoteWrite(a.shard, c.lbShard, replySlotAddr(a.idx, seq), w, wireDelay)
+	c.m.RemoteWrite(a.shard, c.lbShard, replyDoorAddr(a.idx), seq+1, wireDelay)
 	c.replyWireSeq[a.idx] = seq + 1
 }
 
@@ -741,18 +728,18 @@ func (a *appServer) drainSocket() sim.Cycles {
 // handleRequest opens the session (fetching its state from the storage
 // tier) or submits the request if the session is ready.
 func (a *appServer) handleRequest(w int64) {
-	conn := int(w>>demandBits) / a.cl.cfg.ReqsPerConn
+	conn := int(w>>demandBits) / reqsPerConn
 	sess := a.sessions[conn]
 	if sess == nil {
 		sess = &session{}
 		a.sessions[conn] = sess
-		if err := a.store.Register(conn, a.cl.cfg.SessionBytes); err != nil {
+		if err := a.store.Register(conn, sessionBytes); err != nil {
 			a.cl.fail(fmt.Errorf("serve: app %d session register: %w", a.idx, err))
 			return
 		}
 		a.fetchQ = append(a.fetchQ, conn)
 		a.fetchReq++
-		a.cl.m.RemoteWrite(a.shard, a.cl.storShard, storFetchAddr(a.idx), a.fetchReq, a.cl.cfg.WireDelay)
+		a.cl.m.RemoteWrite(a.shard, a.cl.storShard, storFetchAddr(a.idx), a.fetchReq, wireDelay)
 	}
 	if sess.ready {
 		a.submit(w)
@@ -770,7 +757,7 @@ func (a *appServer) handleRequest(w int64) {
 func (a *appServer) submit(w int64) {
 	cfg := &a.cl.cfg
 	reqID := int(w >> demandBits)
-	conn := reqID / cfg.ReqsPerConn
+	conn := reqID / reqsPerConn
 	sess := a.sessions[conn]
 	sess.active++
 
@@ -790,7 +777,7 @@ func (a *appServer) submit(w int64) {
 		a.lockWaits++
 		a.lockWaitCycles += uint64(wait)
 	}
-	hold := cfg.LockHold
+	hold := lockHold
 	arrival := now
 	switch cfg.Flavor {
 	case FlavorNocs:
@@ -814,9 +801,8 @@ func (a *appServer) submit(w int64) {
 // onComplete replies and, on a connection's last completion, writes the
 // session back to the storage tier and closes it.
 func (a *appServer) onComplete(comp kernel.Completion) {
-	cfg := &a.cl.cfg
 	reqID := comp.Req.ID
-	conn := reqID / cfg.ReqsPerConn
+	conn := reqID / reqsPerConn
 	sess := a.sessions[conn]
 	if sess == nil {
 		a.cl.fail(fmt.Errorf("serve: app %d completion for closed conn %d", a.idx, conn))
@@ -826,7 +812,7 @@ func (a *appServer) onComplete(comp kernel.Completion) {
 	a.completed++
 	a.sojourn.RecordCycles(comp.Latency)
 	a.stack.SendAsync([]int64{lbPort, appReqPort, int64(reqID)})
-	if reqID%cfg.ReqsPerConn == cfg.ReqsPerConn-1 {
+	if reqID%reqsPerConn == reqsPerConn-1 {
 		sess.seenLast = true
 	}
 	if sess.seenLast && sess.active == 0 && len(sess.waiting) == 0 {
@@ -834,18 +820,18 @@ func (a *appServer) onComplete(comp kernel.Completion) {
 		delete(a.sessions, conn)
 		a.closed++
 		a.wbReq++
-		a.cl.m.RemoteWrite(a.shard, a.cl.storShard, storWBAddr(a.idx), a.wbReq, cfg.WireDelay)
+		a.cl.m.RemoteWrite(a.shard, a.cl.storShard, storWBAddr(a.idx), a.wbReq, wireDelay)
 	}
 }
 
-// feed moves wire packets into the local NIC, bounded by FeederWindow so
+// feed moves wire packets into the local NIC, bounded by feederWindow so
 // the RX ring can never overrun: a full window defers — the packet stays in
 // the wire ring — and the next socket-consumption wake retries.
 func (a *appServer) feed() sim.Cycles {
 	core := a.k.Core()
 	db := core.ReadWord(wireDoorbell)
 	var cost sim.Cycles
-	for a.fed < db && a.fed-a.consumed < int64(a.cl.cfg.FeederWindow) {
+	for a.fed < db && a.fed-a.consumed < int64(feederWindow) {
 		w := core.ReadWord(wireRingBase + (a.fed%wireSlots)*8)
 		a.nic.Deliver([]int64{appReqPort, lbPort, w})
 		a.fed++
@@ -878,7 +864,7 @@ func (c *Cluster) buildStorage() error {
 				c.stor.cursor = (srv + 1) % c.cfg.AppServers
 				// The ack departs after the fetch completes.
 				m.RemoteWrite(c.storShard, c.apps[srv].shard, fetchAckAddr,
-					c.stor.fetchSeen[srv], fetchCost+c.cfg.WireDelay)
+					c.stor.fetchSeen[srv], fetchCost+wireDelay)
 				return fetchCost
 			}
 			if c.stor.wbSeen[srv] < core.ReadWord(storWBAddr(srv)) {
@@ -1064,7 +1050,7 @@ func (c *Cluster) Summary() string {
 	var b strings.Builder
 	cfg := &c.cfg
 	fmt.Fprintf(&b, "serve flavor=%s arrival=%s load=%.2f conns=%d reqs=%d servers=%d slots=%d seed=%d\n",
-		cfg.Flavor, cfg.Arrival, cfg.Load, cfg.Conns, cfg.ReqsPerConn, cfg.AppServers, cfg.Slots, cfg.Seed)
+		cfg.Flavor, cfg.Arrival, cfg.Load, cfg.Conns, reqsPerConn, cfg.AppServers, slots, cfg.Seed)
 	fmt.Fprintf(&b, "now=%d gen=%d admit=%d done=%d refused=%d refusedConns=%d inflight=%d open=%d peak=%d\n",
 		c.m.Now(), c.lb.generated, c.lb.admitted, c.lb.completedReq, c.lb.refusedReqs,
 		c.lb.refusedConns, len(c.lb.reqT0), c.lb.open, c.lb.openPeak)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,8 +12,7 @@ import (
 // packets through every tier.
 func smallConfig(flavor, arrival string, load float64) Config {
 	return Config{
-		AppServers: 4, Slots: 2,
-		Conns: 200, ReqsPerConn: 2,
+		AppServers: 4, Conns: 200,
 		Load: load, Arrival: arrival, Flavor: flavor,
 		Seed: 42, Workers: 1,
 	}
@@ -195,13 +196,27 @@ func TestServeSnapshotMidOverload(t *testing.T) {
 	}
 }
 
-// TestServeConfigValidation: unknown flavors and arrival processes are
-// rejected up front.
+// TestServeConfigValidation: a config no cell can be built from — an
+// unknown flavor or arrival process, a Load that is not a positive finite
+// number, a negative count — fails New up front with ErrConfig naming the
+// field, instead of panicking or running.
 func TestServeConfigValidation(t *testing.T) {
-	if _, err := New(Config{Flavor: "mystery"}); err == nil || !strings.Contains(err.Error(), "flavor") {
-		t.Fatalf("want flavor error, got %v", err)
-	}
-	if _, err := New(Config{Arrival: "uniform"}); err == nil || !strings.Contains(err.Error(), "arrival") {
-		t.Fatalf("want arrival error, got %v", err)
+	for _, tc := range []struct {
+		want string
+		cfg  Config
+	}{
+		{"flavor", Config{Flavor: "mystery"}},
+		{"arrival", Config{Arrival: "uniform"}},
+		{"Load", Config{Load: -1}},
+		{"Load", Config{Load: math.NaN()}},
+		{"Load", Config{Load: math.Inf(1)}},
+		{"Conns", Config{Conns: -5}},
+		{"AppServers", Config{AppServers: -1}},
+		{"Window", Config{Window: -1}},
+	} {
+		_, err := New(tc.cfg)
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: want ErrConfig naming %s, got %v", tc.cfg, tc.want, err)
+		}
 	}
 }

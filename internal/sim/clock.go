@@ -1,6 +1,9 @@
 // Package sim provides the discrete-event simulation substrate used by every
 // other package in nocs: a cycle-granularity clock, a deterministic event
-// queue, and a splittable pseudo-random number generator.
+// queue, and a splittable pseudo-random number generator. A Scheduler
+// drives one or more event queues (shards) over shared virtual time on one
+// or more worker goroutines; one worker is the serial determinism oracle,
+// and the output is byte-identical at any worker count (DESIGN.md §12).
 //
 // All simulated components share a single Clock. Time is measured in CPU
 // cycles (int64). Conversion helpers to nanoseconds assume a configurable

@@ -52,7 +52,7 @@ type pong struct {
 func (g *pong) OnEvent() {}
 
 // buildPingWorkload arms the same deterministic workload on any scheduler.
-func buildPingWorkload(s Scheduler, limit int) []*schedLog {
+func buildPingWorkload(s *Scheduler, limit int) []*schedLog {
 	n := s.Shards()
 	logs := make([]*schedLog, n)
 	for i := range logs {
@@ -89,13 +89,13 @@ func diffLogs(t *testing.T, want, got []string, label string) {
 }
 
 // TestShardSweepDeterminism pins the tentpole guarantee: for each shard
-// count, the ShardedScheduler at several worker counts produces the exact
-// per-shard event sequences of the SerialScheduler oracle.
+// count, the scheduler at several worker counts produces the exact
+// per-shard event sequences of the one-worker oracle.
 func TestShardSweepDeterminism(t *testing.T) {
 	const look = Cycles(16)
 	const deadline = Cycles(4000)
 	for _, shards := range []int{1, 2, 4, 8} {
-		ser := NewSerialScheduler(shards, look)
+		ser := NewScheduler(shards, look, 1)
 		serLogs := buildPingWorkload(ser, 200)
 		ser.RunUntil(deadline)
 		oracle := flatten(serLogs)
@@ -103,7 +103,7 @@ func TestShardSweepDeterminism(t *testing.T) {
 			t.Fatalf("shards=%d: oracle log empty", shards)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			sh := NewShardedScheduler(shards, look, workers)
+			sh := NewScheduler(shards, look, workers)
 			logs := buildPingWorkload(sh, 200)
 			sh.RunUntil(deadline)
 			diffLogs(t, oracle, flatten(logs), fmt.Sprintf("shards=%d workers=%d", shards, workers))
@@ -139,11 +139,8 @@ func (b *busy) OnEvent() {
 // undelivered cross-shard event just because its own queue is empty.
 func TestTimeZeroCrossShardDelivery(t *testing.T) {
 	const look = Cycles(50)
-	for name, mk := range map[string]func() Scheduler{
-		"serial":  func() Scheduler { return NewSerialScheduler(2, look) },
-		"sharded": func() Scheduler { return NewShardedScheduler(2, look, 2) },
-	} {
-		s := mk()
+	for name, workers := range map[string]int{"serial": 1, "sharded": 2} {
+		s := NewScheduler(2, look, workers)
 		// Shard 1 is busy from cycle 0; shard 0 is completely idle.
 		b := &busy{sh: s.Shard(1), left: 400}
 		s.Shard(1).AfterCallback(0, "busy", b)
@@ -162,7 +159,7 @@ func TestTimeZeroCrossShardDelivery(t *testing.T) {
 // message. The window loop must jump to its arrival, not return early.
 func TestTimeZeroDeliveryToFullyIdleScheduler(t *testing.T) {
 	const look = Cycles(64)
-	s := NewShardedScheduler(4, look, 4)
+	s := NewScheduler(4, look, 4)
 	w := &wakeLog{sh: s.Shard(3)}
 	s.Shard(0).Send(3, 3*look, "wake", w)
 	if n := s.RunUntil(1000); n != 1 {
@@ -180,9 +177,9 @@ func TestTimeZeroDeliveryToFullyIdleScheduler(t *testing.T) {
 // stepping lookahead-by-lookahead, without reordering anything.
 func TestSparseQueueJump(t *testing.T) {
 	const look = Cycles(10)
-	ser := NewSerialScheduler(2, look)
-	shd := NewShardedScheduler(2, look, 2)
-	for _, s := range []Scheduler{ser, shd} {
+	ser := NewScheduler(2, look, 1)
+	shd := NewScheduler(2, look, 2)
+	for _, s := range []*Scheduler{ser, shd} {
 		w0 := &wakeLog{sh: s.Shard(0)}
 		s.Shard(0).AtCallback(1_000_000, "late", w0)
 		w1 := &wakeLog{sh: s.Shard(1)}
@@ -197,7 +194,7 @@ func TestSparseQueueJump(t *testing.T) {
 }
 
 func TestSendBelowLookaheadPanics(t *testing.T) {
-	s := NewSerialScheduler(2, 100)
+	s := NewScheduler(2, 100, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-shard Send below lookahead did not panic")
@@ -207,7 +204,7 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 }
 
 func TestSelfSendAnyDelay(t *testing.T) {
-	s := NewSerialScheduler(2, 100)
+	s := NewScheduler(2, 100, 1)
 	w := &wakeLog{sh: s.Shard(0)}
 	s.Shard(0).Send(0, 1, "self", w) // below lookahead: legal for self
 	s.RunUntil(10)
@@ -237,7 +234,7 @@ func TestSoloShard(t *testing.T) {
 }
 
 func TestMultiShardRunLimitPanics(t *testing.T) {
-	s := NewSerialScheduler(2, 10)
+	s := NewScheduler(2, 10, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Run(limit>0) on a multi-shard scheduler did not panic")
@@ -259,7 +256,7 @@ func TestSingleShardSchedulerMatchesEngine(t *testing.T) {
 	}
 	eng.RunUntil(200)
 
-	s := NewSerialScheduler(1, 1)
+	s := NewScheduler(1, 1, 1)
 	var schedLogL []string
 	for i := 0; i < 20; i++ {
 		i := i
@@ -277,7 +274,7 @@ func TestSingleShardSchedulerMatchesEngine(t *testing.T) {
 // TestPendingCountsInflight: Pending must include undelivered cross-shard
 // messages so "queue empty" checks cannot race ahead of a delivery.
 func TestPendingCountsInflight(t *testing.T) {
-	s := NewSerialScheduler(2, 10)
+	s := NewScheduler(2, 10, 1)
 	s.Shard(0).Send(1, 10, "m", &wakeLog{sh: s.Shard(1)})
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("Pending = %d, want 1 (in-flight message)", got)

@@ -11,13 +11,13 @@ import (
 	"time"
 )
 
-// This file is the redesigned scheduling surface (DESIGN.md §12). The raw
-// *Engine remains the per-shard event queue, but drivers now hold a
-// Scheduler — either a SerialScheduler (the oracle: one OS thread, shards
-// interleaved deterministically) or a ShardedScheduler (worker goroutines,
-// conservative-lookahead synchronization). Components hold a *Shard, which
-// embeds the shard's *Engine (so every existing scheduling method — At,
-// After, AtCallback, Cancel, BatchHorizon, AdvanceWithin, … — keeps working
+// This file is the scheduling surface (DESIGN.md §12). The raw *Engine
+// remains the per-shard event queue, but drivers hold a *Scheduler: a set of
+// shards interleaved by the conservative-lookahead window protocol, run on
+// one or more worker goroutines. One worker is the determinism oracle (one
+// OS thread, shards interleaved deterministically). Components hold a
+// *Shard, which embeds the shard's *Engine (so every scheduling method — At,
+// After, AtCallback, Cancel, BatchHorizon, AdvanceWithin, … — works
 // unchanged) and adds the one genuinely new capability: a timestamped
 // cross-shard Send.
 //
@@ -28,44 +28,13 @@ import (
 // τ carries delay ≥ lookahead, hence arrives at τ+delay ≥ windowStart +
 // lookahead — always in a strictly later window — and all in-flight
 // messages are delivered at the window barrier in a deterministic total
-// order: (arrival time, source shard, per-source sequence). Both scheduler
-// flavors execute the identical windowed protocol, so for the same inputs
+// order: (arrival time, source shard, per-source sequence). Every worker
+// count executes the identical windowed protocol, so for the same inputs
 // every shard sees the identical event sequence at any worker count. That
 // is the property the shard-sweep determinism tests pin.
 
 // ShardID identifies one shard of a Scheduler. Shard 0 always exists.
 type ShardID int32
-
-// Scheduler drives a set of event-queue shards over shared virtual time.
-// It replaces the raw Engine.Run/RunUntil entry points as the surface
-// drivers program against; SerialScheduler and ShardedScheduler implement
-// it with identical observable behavior.
-type Scheduler interface {
-	// Shards returns the shard count (≥ 1).
-	Shards() int
-	// Shard returns the handle for shard id; components are constructed
-	// against the shard that owns their state.
-	Shard(id ShardID) *Shard
-	// Lookahead is the conservative synchronization horizon: the minimum
-	// virtual latency of any cross-shard interaction, and therefore how far
-	// one shard may run ahead of another.
-	Lookahead() Cycles
-	// Now returns the committed global time: the minimum shard clock. With
-	// one shard this is exactly the engine clock.
-	Now() Cycles
-	// Pending returns queued events across all shards, including in-flight
-	// cross-shard messages not yet delivered.
-	Pending() int
-	// Ran returns the number of events executed across all shards.
-	Ran() uint64
-	// Run drains every shard (limit <= 0). A positive limit is only
-	// meaningful — and only supported — on a single-shard scheduler, where
-	// it behaves exactly like Engine.Run.
-	Run(limit int) int
-	// RunUntil executes all events with timestamps <= deadline on every
-	// shard and leaves every shard clock at (at least) the deadline.
-	RunUntil(deadline Cycles) int
-}
 
 // Shard is a component's handle onto its home event queue. It embeds the
 // shard's *Engine, so the entire pre-existing scheduling API (At, After,
@@ -76,7 +45,7 @@ type Scheduler interface {
 type Shard struct {
 	*Engine
 	id    ShardID
-	owner *windowed // nil for a solo shard (SoloShard)
+	owner *Scheduler // nil for a solo shard (SoloShard)
 }
 
 // ID returns this shard's identity within its scheduler.
@@ -131,12 +100,15 @@ func xmsgCompare(a, b xmsg) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// windowed is the shared core of SerialScheduler and ShardedScheduler: the
-// conservative-lookahead window protocol. The two flavors differ only in
-// how runShards executes one window (sequentially vs. on a worker pool);
-// everything that determines the event order — window boundaries, message
-// delivery — is this single code path.
-type windowed struct {
+// Scheduler drives a set of event-queue shards over shared virtual time
+// with the conservative-lookahead window protocol. Workers only decide how
+// a window executes (on the driving goroutine alone, or split over a
+// goroutine pool); everything that determines the event order — window
+// boundaries, message delivery — is one code path, so output is
+// byte-identical at any worker count. With one worker it is the
+// determinism oracle, and with one shard it is exactly the classic
+// single-threaded engine loop.
+type Scheduler struct {
 	shards  []*Shard
 	look    Cycles
 	workers int
@@ -159,7 +131,11 @@ type windowed struct {
 	counts []int
 }
 
-func (w *windowed) init(shards int, lookahead Cycles, workers int) {
+// NewScheduler builds a scheduler of `shards` event queues executed by
+// `workers` goroutines per window. Shards and lookahead are clamped to at
+// least 1, and workers to [1, shards]; one worker is the serial oracle.
+func NewScheduler(shards int, lookahead Cycles, workers int) *Scheduler {
+	w := &Scheduler{}
 	if shards < 1 {
 		shards = 1
 	}
@@ -181,19 +157,32 @@ func (w *windowed) init(shards int, lookahead Cycles, workers int) {
 	for i := range w.shards {
 		w.shards[i] = &Shard{Engine: NewEngine(nil), id: ShardID(i), owner: w}
 	}
+	return w
 }
 
-func (w *windowed) Shards() int       { return len(w.shards) }
-func (w *windowed) Lookahead() Cycles { return w.look }
+// Shards returns the shard count (≥ 1).
+func (w *Scheduler) Shards() int { return len(w.shards) }
 
-func (w *windowed) Shard(id ShardID) *Shard {
+// Workers returns the effective worker count (1 = the serial oracle).
+func (w *Scheduler) Workers() int { return w.workers }
+
+// Lookahead is the conservative synchronization horizon: the minimum
+// virtual latency of any cross-shard interaction, and therefore how far one
+// shard may run ahead of another.
+func (w *Scheduler) Lookahead() Cycles { return w.look }
+
+// Shard returns the handle for shard id (nil if out of range); components
+// are constructed against the shard that owns their state.
+func (w *Scheduler) Shard(id ShardID) *Shard {
 	if int(id) < 0 || int(id) >= len(w.shards) {
 		return nil
 	}
 	return w.shards[id]
 }
 
-func (w *windowed) Now() Cycles {
+// Now returns the committed global time: the minimum shard clock. With one
+// shard this is exactly the engine clock.
+func (w *Scheduler) Now() Cycles {
 	now := w.shards[0].Engine.Now()
 	for _, s := range w.shards[1:] {
 		if t := s.Engine.Now(); t < now {
@@ -203,7 +192,9 @@ func (w *windowed) Now() Cycles {
 	return now
 }
 
-func (w *windowed) Pending() int {
+// Pending returns queued events across all shards, including in-flight
+// cross-shard messages not yet delivered.
+func (w *Scheduler) Pending() int {
 	n := len(w.inflight)
 	for _, s := range w.shards {
 		n += s.Engine.Pending()
@@ -214,7 +205,8 @@ func (w *windowed) Pending() int {
 	return n
 }
 
-func (w *windowed) Ran() uint64 {
+// Ran returns the number of events executed across all shards.
+func (w *Scheduler) Ran() uint64 {
 	var n uint64
 	for _, s := range w.shards {
 		n += s.Engine.Ran()
@@ -222,7 +214,7 @@ func (w *windowed) Ran() uint64 {
 	return n
 }
 
-func (w *windowed) send(from *Shard, to ShardID, delay Cycles, name string, cb Callback) {
+func (w *Scheduler) send(from *Shard, to ShardID, delay Cycles, name string, cb Callback) {
 	if int(to) < 0 || int(to) >= len(w.shards) {
 		panic(fmt.Sprintf("sim: Send to unknown shard %d (have %d)", to, len(w.shards)))
 	}
@@ -244,7 +236,7 @@ func (w *windowed) send(from *Shard, to ShardID, delay Cycles, name string, cb C
 // collect moves every shard's outbox into the in-flight set. Called at
 // window barriers and at run entry (construction-time sends from the
 // driving thread are staged in outboxes too).
-func (w *windowed) collect() {
+func (w *Scheduler) collect() {
 	for s := range w.outbox {
 		if len(w.outbox[s]) == 0 {
 			continue
@@ -256,7 +248,7 @@ func (w *windowed) collect() {
 
 // nextTime returns the earliest pending timestamp across all shard queues
 // and in-flight messages, or ok=false when everything is drained.
-func (w *windowed) nextTime() (Cycles, bool) {
+func (w *Scheduler) nextTime() (Cycles, bool) {
 	next := Cycles(math.MaxInt64)
 	ok := false
 	for _, s := range w.shards {
@@ -275,7 +267,7 @@ func (w *windowed) nextTime() (Cycles, bool) {
 // deliver schedules every in-flight message with arrival <= winEnd onto its
 // target shard, in (arrival, source shard, source sequence) order — the
 // deterministic merge that makes delivery independent of worker timing.
-func (w *windowed) deliver(winEnd Cycles) {
+func (w *Scheduler) deliver(winEnd Cycles) {
 	w.due = w.due[:0]
 	kept := w.inflight[:0]
 	for _, m := range w.inflight {
@@ -298,7 +290,7 @@ func (w *windowed) deliver(winEnd Cycles) {
 // advanceAll leaves every shard clock at (at least) deadline, mirroring
 // Engine.RunUntil's clock contract. No shard has an event at or before the
 // deadline when this is called.
-func (w *windowed) advanceAll(deadline Cycles) {
+func (w *Scheduler) advanceAll(deadline Cycles) {
 	for _, s := range w.shards {
 		if s.Engine.Now() < deadline {
 			s.Engine.RunUntil(deadline)
@@ -309,7 +301,7 @@ func (w *windowed) advanceAll(deadline Cycles) {
 // Run drains every shard. A positive limit is only supported with one
 // shard, where Run is exactly Engine.Run; a bounded event count has no
 // deterministic meaning across concurrently executing shards.
-func (w *windowed) Run(limit int) int {
+func (w *Scheduler) Run(limit int) int {
 	if len(w.shards) == 1 {
 		return w.shards[0].Engine.Run(limit)
 	}
@@ -319,15 +311,16 @@ func (w *windowed) Run(limit int) int {
 	return w.runWindows(0, false)
 }
 
-// RunUntil executes all events with timestamps <= deadline on every shard.
-func (w *windowed) RunUntil(deadline Cycles) int {
+// RunUntil executes all events with timestamps <= deadline on every shard
+// and leaves every shard clock at (at least) the deadline.
+func (w *Scheduler) RunUntil(deadline Cycles) int {
 	if len(w.shards) == 1 {
 		return w.shards[0].Engine.RunUntil(deadline)
 	}
 	return w.runWindows(deadline, true)
 }
 
-// runWindows is the windowed main loop shared by both schedulers.
+// runWindows is the windowed main loop, at every worker count.
 //
 // Each iteration: find the earliest pending timestamp anywhere (shard
 // queues AND undelivered messages — a shard must never advance past an
@@ -337,7 +330,7 @@ func (w *windowed) RunUntil(deadline Cycles) int {
 // the messages the window produced. Jumping to `next` rather than stepping
 // by fixed lookahead keeps sparse queues cheap without changing the event
 // order (no event or arrival exists in the skipped gap by construction).
-func (w *windowed) runWindows(deadline Cycles, bounded bool) int {
+func (w *Scheduler) runWindows(deadline Cycles, bounded bool) int {
 	w.collect()
 	total := 0
 	var pool *workerPool
@@ -384,7 +377,7 @@ func (w *windowed) runWindows(deadline Cycles, bounded bool) int {
 // edges that publish queue state to the pool and results back to the
 // barrier.
 type workerPool struct {
-	w      *windowed
+	w      *Scheduler
 	ranges [][2]int // shard range per goroutine; ranges[0] is the driver's
 	winEnd Cycles   // the window being run, published by start
 
@@ -401,7 +394,7 @@ type workerPool struct {
 // enough that an idle pool parks instead of burning its CPUs.
 const spinFor = 100 * time.Microsecond
 
-func (w *windowed) startPool() *workerPool {
+func (w *Scheduler) startPool() *workerPool {
 	nw := w.workers
 	p := &workerPool{w: w}
 	p.cond.L = &p.mu
@@ -430,7 +423,7 @@ func (p *workerPool) work(lo, hi int) {
 }
 
 // runRange runs shards [lo, hi) to winEnd, recording each one's event count.
-func (w *windowed) runRange(lo, hi int, winEnd Cycles) {
+func (w *Scheduler) runRange(lo, hi int, winEnd Cycles) {
 	for s := lo; s < hi; s++ {
 		w.counts[s] = w.shards[s].Engine.RunUntil(winEnd)
 	}
@@ -487,42 +480,3 @@ func (p *workerPool) wake() {
 		p.mu.Unlock()
 	}
 }
-
-// SerialScheduler runs every shard on the driving OS thread, interleaved by
-// the windowed protocol. It is the determinism oracle: a ShardedScheduler
-// with the same shard count and lookahead must be byte-identical to it, and
-// with one shard it is exactly the classic single-threaded engine loop.
-type SerialScheduler struct {
-	windowed
-}
-
-// NewSerialScheduler builds a serial scheduler with the given shard count
-// and lookahead (both clamped to at least 1).
-func NewSerialScheduler(shards int, lookahead Cycles) *SerialScheduler {
-	s := &SerialScheduler{}
-	s.init(shards, lookahead, 1)
-	return s
-}
-
-// ShardedScheduler runs shards on a pool of worker goroutines under
-// conservative-lookahead synchronization. Worker count is clamped to the
-// shard count; output is byte-identical to the serial scheduler's.
-type ShardedScheduler struct {
-	windowed
-}
-
-// NewShardedScheduler builds a parallel scheduler: `shards` event queues
-// executed by `workers` goroutines per window.
-func NewShardedScheduler(shards int, lookahead Cycles, workers int) *ShardedScheduler {
-	s := &ShardedScheduler{}
-	s.init(shards, lookahead, workers)
-	return s
-}
-
-// Workers returns the effective worker count.
-func (s *ShardedScheduler) Workers() int { return s.workers }
-
-var (
-	_ Scheduler = (*SerialScheduler)(nil)
-	_ Scheduler = (*ShardedScheduler)(nil)
-)

@@ -218,22 +218,11 @@ type XMsgRec struct {
 	CB   Callback
 }
 
-// SchedulerSnapshotter is the optional checkpoint surface of a Scheduler.
-// Both SerialScheduler and ShardedScheduler implement it (via the shared
-// windowed protocol); a machine type-asserts for it at checkpoint time.
-type SchedulerSnapshotter interface {
-	SnapshotXMsgs() []XMsgRec
-	SendSeqs() []uint64
-	RestoreXMsg(m XMsgRec)
-	SetSendSeqs(seqs []uint64) error
-	ClearXMsgs()
-}
-
 // SnapshotXMsgs collects every staged outbox message into the in-flight set
 // (the same normalization runWindows performs on entry, so it does not
 // change behavior) and returns the in-flight messages sorted in the
 // deterministic delivery order.
-func (w *windowed) SnapshotXMsgs() []XMsgRec {
+func (w *Scheduler) SnapshotXMsgs() []XMsgRec {
 	w.collect()
 	out := make([]XMsgRec, 0, len(w.inflight))
 	for _, m := range w.inflight {
@@ -246,11 +235,11 @@ func (w *windowed) SnapshotXMsgs() []XMsgRec {
 }
 
 // SendSeqs returns a copy of the per-shard cross-shard send counters.
-func (w *windowed) SendSeqs() []uint64 { return append([]uint64(nil), w.sendSeq...) }
+func (w *Scheduler) SendSeqs() []uint64 { return append([]uint64(nil), w.sendSeq...) }
 
 // ClearXMsgs discards all staged and in-flight cross-shard messages, in
 // preparation for restoring a checkpoint's message population.
-func (w *windowed) ClearXMsgs() {
+func (w *Scheduler) ClearXMsgs() {
 	w.inflight = w.inflight[:0]
 	for s := range w.outbox {
 		w.outbox[s] = w.outbox[s][:0]
@@ -259,12 +248,12 @@ func (w *windowed) ClearXMsgs() {
 
 // RestoreXMsg re-stages one in-flight message with its original identity
 // triple, so delivery order after restore is byte-identical.
-func (w *windowed) RestoreXMsg(m XMsgRec) {
+func (w *Scheduler) RestoreXMsg(m XMsgRec) {
 	w.inflight = append(w.inflight, xmsg{at: m.At, src: m.Src, seq: m.Seq, to: m.To, name: m.Name, cb: m.CB})
 }
 
 // SetSendSeqs restores the per-shard send counters.
-func (w *windowed) SetSendSeqs(seqs []uint64) error {
+func (w *Scheduler) SetSendSeqs(seqs []uint64) error {
 	if len(seqs) != len(w.sendSeq) {
 		return fmt.Errorf("sim: restored %d send counters for %d shards", len(seqs), len(w.sendSeq))
 	}
@@ -278,8 +267,3 @@ func (r *RNG) State() uint64 { return r.state }
 
 // SetState restores an RNG cursor captured by State.
 func (r *RNG) SetState(s uint64) { r.state = s }
-
-var (
-	_ SchedulerSnapshotter = (*SerialScheduler)(nil)
-	_ SchedulerSnapshotter = (*ShardedScheduler)(nil)
-)

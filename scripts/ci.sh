@@ -6,48 +6,51 @@
 #   2. go vet          — static checks
 #   3. go build        — every package, including examples and cmds
 #   4. go test -race   — the full suite under the race detector
-#   5. fuzz smoke      — 10s of coverage-guided fuzzing per fuzz target,
+#   5. benchmark module — go vet + go test in benchmark/, its own Go module
+#                        (the root ./... never compiles it), which drives
+#                        sim, machine, serve and kernel
+#   6. fuzz smoke      — 10s of coverage-guided fuzzing per fuzz target,
 #                        on top of the checked-in corpora: the assembler,
 #                        the trace and NOCSNAP1 codecs, and the memory and
 #                        cache restore codecs (FuzzMemoryRestore: no panic,
 #                        and whatever restores re-encodes to its own bytes)
-#   6. diff sweep      — 200 fresh seeds through the engine-vs-reference
+#   7. diff sweep      — 200 fresh seeds through the engine-vs-reference
 #                        differential harness (DESIGN.md §9), each seed also
 #                        checkpointed/restored mid-run (restore-equivalence)
-#   7. faulted sweep   — 100 seeds with injected fault schedules, their
+#   8. faulted sweep   — 100 seeds with injected fault schedules, their
 #                        restore-equivalence variant, the planted
 #                        fault-swallowing mutation that the sweep must catch
 #                        (DESIGN.md §10), and the diff-bisection harness
 #                        localizing a planted mutation to its exact first
 #                        divergent cycle (DESIGN.md §13)
-#   8. fault package   — go vet + race-enabled unit tests for
+#   9. fault package   — go vet + race-enabled unit tests for
 #                        internal/faultinject
-#   9. allocation gate — CoreInstructionRate + F7_TailLatency +
+#  10. allocation gate — CoreInstructionRate + F7_TailLatency +
 #                        UncontendedLock + ServeCell + F9_PriorityScheduling
 #                        (the oversubscribed core's ready queue) allocs/op
 #                        must stay within 10% of scripts/alloc_baseline.txt
 #                        (the zero-alloc hot paths must not silently regrow
 #                        heap traffic)
-#  10. system suite    — `nocsim -exp S1,L1,SV1 -quick`; the exit status is
+#  11. system suite    — `nocsim -exp S1,L1,SV1 -quick`; the exit status is
 #                        the check. S1, L1 and SV1 each fail unless their
 #                        sharded pass is byte-identical to the serial
 #                        oracle; L1 also fails on any exclusion violation or
 #                        lost wakeup, SV1 on a conservation break or if no
 #                        overload cell refused a request (DESIGN.md §12,
 #                        §14, §15)
-#  11. lock ordering   — a 60-seed lock-ordering differential sweep with the
+#  12. lock ordering   — a 60-seed lock-ordering differential sweep with the
 #                        planted LIFO-handoff mutation that the sweep must
 #                        catch (DESIGN.md §14)
-#  12. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
+#  13. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
 #                        resumed from the last checkpoint: one plain diff of
 #                        the two outputs (DESIGN.md §13)
-#  13. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
+#  14. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
 #                        the untraced run's output, and its trace file must
 #                        be byte-identical to a second traced run under
 #                        GOMAXPROCS=1 (sharded vs serial oracle, DESIGN.md §8);
 #                        `nocsim -all -quick -trace` must write the same file
 #                        at the default GOMAXPROCS and at GOMAXPROCS=1
-#  14. golden diff     — `nocsim -all` must be byte-identical to the
+#  15. golden diff     — `nocsim -all` must be byte-identical to the
 #                        committed results_full.txt (skip with SKIP_GOLDEN=1
 #                        when the caller performs its own golden run)
 #
@@ -73,6 +76,9 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== benchmark module (vet + test) =="
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "== fuzz smoke (10s per target) =="
 go test -run '^$' -fuzz '^FuzzAsmParse$' -fuzztime 10s ./internal/asm
