@@ -123,9 +123,9 @@ main:
 	if r.mem.Read(4096) != 7 {
 		t.Fatal("store invisible in memory")
 	}
-	total, dram := r.c.Hierarchy().Accesses()
-	if total != 2 || dram != 1 {
-		t.Fatalf("cache accesses %d/%d: first touch should miss to DRAM, second hit", total, dram)
+	// The store's miss to DRAM fills every level, so the load hits in L1.
+	if h := r.c.Hierarchy(); !h.L1.Contains(4096) || !h.L2.Contains(4096) || !h.L3.Contains(4096) {
+		t.Fatal("first touch did not fill the cache hierarchy")
 	}
 }
 

@@ -78,7 +78,6 @@ type FS struct {
 	pendingSlot int // FS slot awaiting the driver; -1 when idle
 
 	creates, writes, reads, stats, errs uint64
-	ptid                                hwthread.PTID
 }
 
 // New spawns the FS service thread. It uses slot 0 of the driver's mailbox
@@ -99,7 +98,7 @@ func New(k *kernel.Nocs, bd *kernel.BlockDev, mailboxBase int64, slots int) (*FS
 	}
 	watch = append(watch, bd.SlotBase(0)+slotStatus)
 
-	p, err := k.SpawnService("fs", func() []int64 { return watch },
+	_, err := k.SpawnService("fs", func() []int64 { return watch },
 		func(t *hwthread.Context) sim.Cycles {
 			var cost sim.Cycles
 			cost += f.harvestDriver()
@@ -109,7 +108,6 @@ func New(k *kernel.Nocs, bd *kernel.BlockDev, mailboxBase int64, slots int) (*FS
 	if err != nil {
 		return nil, err
 	}
-	f.ptid = p
 	return f, nil
 }
 
@@ -228,9 +226,6 @@ func (f *FS) reply(sb int64, at sim.Cycles, ret int64) {
 		c.WriteWord(sb+slotStatus, statusDone)
 	})
 }
-
-// PTID returns the FS service's hardware thread.
-func (f *FS) PTID() hwthread.PTID { return f.ptid }
 
 // SlotBase returns the mailbox address of slot i.
 func (f *FS) SlotBase(i int) int64 { return f.MailboxBase + int64(i)*slotBytes }

@@ -286,12 +286,6 @@ func (c *Context) CachedEntry(v VTID) (Entry, bool) {
 	return e, ok
 }
 
-// InvalidateAllVTIDs drops every cached translation (TDT base change).
-func (c *Context) InvalidateAllVTIDs() { c.tdtCache = make(map[VTID]Entry) }
-
-// CachedTranslations reports how many TDT rows are currently cached.
-func (c *Context) CachedTranslations() int { return len(c.tdtCache) }
-
 // Fault is a typed error carrying the exception cause an operation raises.
 type Fault struct {
 	Cause ExcCause

@@ -272,8 +272,8 @@ func TestInvtidRequiredAfterUpdate(t *testing.T) {
 	if _, f := mgr.Start(caller, 0); f != nil {
 		t.Fatal(f)
 	}
-	if caller.CachedTranslations() != 1 {
-		t.Fatalf("cached = %d", caller.CachedTranslations())
+	if len(caller.tdtCache) != 1 {
+		t.Fatalf("cached = %d", len(caller.tdtCache))
 	}
 
 	// Software redirects vtid 0 to ptid 2 — without invtid the stale

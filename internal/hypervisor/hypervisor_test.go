@@ -181,8 +181,14 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Services() != 2 {
-		t.Fatalf("services %d, want hypervisor + kernel-io", k.Services())
+	services := 0 // kernel services are the supervisor-mode threads
+	for _, ctx := range m.Core(0).Threads().Contexts() {
+		if ctx.Regs.Mode == 1 {
+			services++
+		}
+	}
+	if services != 2 {
+		t.Fatalf("services %d, want hypervisor + kernel-io", services)
 	}
 	m.Run(0)
 	m.Core(0).BootStart(0)

@@ -197,15 +197,6 @@ func (c *Controller) Register(v Vector, core CoreTarget, victim hwthread.PTID, h
 	return nil
 }
 
-// Unregister removes a vector's handler.
-func (c *Controller) Unregister(v Vector) { delete(c.idt, v) }
-
-// Registered reports whether vector v has a handler.
-func (c *Controller) Registered(v Vector) bool {
-	_, ok := c.idt[v]
-	return ok
-}
-
 // Raise asserts vector v at the current time. Unhandled vectors are counted
 // as spurious and dropped (real hardware logs and ignores them too).
 // Handler executions on the same victim thread serialize: an interrupt

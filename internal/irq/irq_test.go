@@ -36,12 +36,11 @@ func TestRegisterValidation(t *testing.T) {
 	if err := c.Register(3, fc, 0, func(Vector, sim.Cycles) sim.Cycles { return 0 }); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Registered(3) || c.Registered(4) {
-		t.Fatal("Registered")
+	if _, ok := c.idt[3]; !ok {
+		t.Fatal("vector 3 not registered")
 	}
-	c.Unregister(3)
-	if c.Registered(3) {
-		t.Fatal("Unregister")
+	if _, ok := c.idt[4]; ok {
+		t.Fatal("vector 4 registered")
 	}
 }
 

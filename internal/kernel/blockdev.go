@@ -36,7 +36,6 @@ type BlockDev struct {
 	reads     uint64
 	writes    uint64
 	errs      uint64
-	ptid      hwthread.PTID
 }
 
 // Mailbox slot layout (mirrors ukernel's for client compatibility).
@@ -74,7 +73,7 @@ func NewBlockDev(k *Nocs, ssd *device.SSD, mailboxBase int64, slots int) (*Block
 	}
 	watch = append(watch, ssd.Config().CQTailAddr)
 
-	p, err := k.SpawnService("blockdev", func() []int64 { return watch },
+	_, err := k.SpawnService("blockdev", func() []int64 { return watch },
 		func(t *hwthread.Context) sim.Cycles {
 			var cost sim.Cycles
 			// Submit every newly posted request.
@@ -129,21 +128,11 @@ func NewBlockDev(k *Nocs, ssd *device.SSD, mailboxBase int64, slots int) (*Block
 	if err != nil {
 		return nil, err
 	}
-	b.ptid = p
 	return b, nil
 }
 
-// PTID returns the driver's hardware thread.
-func (b *BlockDev) PTID() hwthread.PTID { return b.ptid }
-
 // SlotBase returns the mailbox address of slot i.
 func (b *BlockDev) SlotBase(i int) int64 { return b.MailboxBase + int64(i)*bdSlotBytes }
-
-// SetupClientRegs points a client's r10 at its slot (clients then use
-// ukernel.ClientCallSource with op in r2 = OpRead/OpWrite, arg in r3 = LBA).
-func (b *BlockDev) SetupClientRegs(t *hwthread.Context, slot int) {
-	t.Regs.GPR[10] = b.SlotBase(slot)
-}
 
 // Stats returns (reads, writes, errors, in-flight commands).
 func (b *BlockDev) Stats() (reads, writes, errs uint64, inFlight int) {

@@ -65,7 +65,7 @@ main:
 `, device.OpRead, ukernel.ClientCallSource("bd"))
 	prog := asm.MustAssemble("u", src)
 	m.Core(0).BindProgram(0, prog, "main")
-	bd.SetupClientRegs(m.Core(0).Threads().Context(0), 0)
+	m.Core(0).Threads().Context(0).Regs.GPR[10] = bd.SlotBase(0)
 	start := m.Now()
 	m.Core(0).BootStart(0)
 	m.Run(0)
@@ -101,7 +101,7 @@ main:
 		p := hwthread.PTID(i)
 		m.Core(0).BindProgram(p, prog, "main")
 		ctx := m.Core(0).Threads().Context(p)
-		bd.SetupClientRegs(ctx, i)
+		ctx.Regs.GPR[10] = bd.SlotBase(i)
 		ctx.Regs.GPR[12] = int64(1000 * (i + 1))
 		m.Core(0).BootStart(p)
 	}
@@ -142,7 +142,7 @@ loop:
 	for i := 0; i < 2; i++ {
 		p := hwthread.PTID(i)
 		m.Core(0).BindProgram(p, prog, "main")
-		bd.SetupClientRegs(m.Core(0).Threads().Context(p), i)
+		m.Core(0).Threads().Context(p).Regs.GPR[10] = bd.SlotBase(i)
 		m.Core(0).BootStart(p)
 	}
 	start := m.Now()
@@ -173,7 +173,7 @@ main:
 `, device.OpWrite, ukernel.ClientCallSource("bd"))
 	prog := asm.MustAssemble("u", src)
 	m.Core(0).BindProgram(0, prog, "main")
-	bd.SetupClientRegs(m.Core(0).Threads().Context(0), 0)
+	m.Core(0).Threads().Context(0).Regs.GPR[10] = bd.SlotBase(0)
 	m.Core(0).BootStart(0)
 	m.Run(0)
 	_, writes, _, _ := bd.Stats()

@@ -164,7 +164,7 @@ func TestNocsServeSyscallsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc == 0 || k.Services() != 1 {
+	if svc == 0 || k.services != 1 {
 		t.Fatal("service accounting")
 	}
 	user := asm.MustAssemble("u", `
@@ -382,65 +382,5 @@ func TestRequestRunnerErrors(t *testing.T) {
 	}
 	if err := r.Start(0, 100, nil); err == nil {
 		t.Fatal("double start on busy ptid")
-	}
-}
-
-func TestSoftSchedulerSwaps(t *testing.T) {
-	m := machine.New()
-	c := m.Core(0)
-	s := NewSoftScheduler(c, 0)
-	progA := asm.MustAssemble("a", "main:\n\tmovi r5, 1\n\thalt")
-	progB := asm.MustAssemble("b", "main:\n\tmovi r5, 2\n\thalt")
-	ta := &SoftThread{Name: "A"}
-	ta.Regs.Prog = progA
-	tb := &SoftThread{Name: "B"}
-	tb.Regs.Prog = progB
-
-	if err := s.SwitchTo(ta); err != nil {
-		t.Fatal(err)
-	}
-	c.BootStart(0)
-	m.Run(0)
-	if c.Threads().Context(0).Regs.GPR[5] != 1 {
-		t.Fatal("thread A did not run")
-	}
-	// Thread halted (disabled): swap in B.
-	if err := s.SwitchTo(tb); err != nil {
-		t.Fatal(err)
-	}
-	c.Threads().Context(0).Regs.PC = 0
-	c.BootStart(0)
-	m.Run(0)
-	if c.Threads().Context(0).Regs.GPR[5] != 2 {
-		t.Fatal("thread B did not run")
-	}
-	// A's state was saved at swap.
-	if ta.Regs.Regs.GPR[5] != 1 {
-		t.Fatal("thread A state lost")
-	}
-	if s.Swaps() != 2 {
-		t.Fatalf("swaps %d", s.Swaps())
-	}
-	if s.SwitchCost() != c.Costs().ContextSwitch {
-		t.Fatal("switch cost")
-	}
-}
-
-func TestSoftSchedulerRejectsRunnableSwap(t *testing.T) {
-	m := machine.New()
-	c := m.Core(0)
-	s := NewSoftScheduler(c, 0)
-	prog := asm.MustAssemble("a", "main:\n\tjmp main")
-	tc := c.Threads().Context(0)
-	tc.Prog = prog
-	c.BootStart(0)
-	st := &SoftThread{Name: "X"}
-	st.Regs.Prog = prog
-	if err := s.SwitchTo(st); err == nil {
-		t.Fatal("swap of runnable thread accepted")
-	}
-	bad := NewSoftScheduler(c, 999)
-	if err := bad.SwitchTo(st); err == nil {
-		t.Fatal("bad ptid accepted")
 	}
 }

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"nocs/internal/core"
 	"nocs/internal/hwthread"
 	"nocs/internal/irq"
@@ -207,57 +205,3 @@ func (f *FlexSC) scan(c *core.Core, t *hwthread.Context) sim.Cycles {
 	}
 	return cost
 }
-
-// SoftThread is a software thread the legacy scheduler multiplexes onto a
-// hardware thread: a register snapshot plus program binding. Swapping one in
-// or out is what costs the legacy world its context-switch cycles.
-type SoftThread struct {
-	Name string
-	Regs hwthread.Context // only Regs and Prog fields are used
-}
-
-// SoftScheduler multiplexes software threads on one hardware thread with an
-// explicit context-switch cost — the §1 mechanism the paper wants to make
-// "as uncommon as swapping memory pages to disk".
-type SoftScheduler struct {
-	c      *core.Core
-	ptid   hwthread.PTID
-	swaps  uint64
-	curIdx int
-	cur    *SoftThread
-}
-
-// NewSoftScheduler manages software-thread swaps on ptid.
-func NewSoftScheduler(c *core.Core, ptid hwthread.PTID) *SoftScheduler {
-	return &SoftScheduler{c: c, ptid: ptid, curIdx: -1}
-}
-
-// Swaps returns the number of context switches performed.
-func (s *SoftScheduler) Swaps() uint64 { return s.swaps }
-
-// SwitchTo saves the current software thread's registers and installs next.
-// It charges the context-switch cost by injecting delay into the hardware
-// thread, exactly as a real switch steals time. The hardware thread must be
-// stopped by the caller around the swap (as a kernel would hold the thread
-// in kernel context).
-func (s *SoftScheduler) SwitchTo(next *SoftThread) error {
-	t := s.c.Threads().Context(s.ptid)
-	if t == nil {
-		return fmt.Errorf("kernel: no ptid %d", s.ptid)
-	}
-	if t.State == hwthread.Runnable {
-		return fmt.Errorf("kernel: cannot swap a runnable hardware thread")
-	}
-	if s.cur != nil {
-		s.cur.Regs.Regs = t.Regs
-		s.cur.Regs.Prog = t.Prog
-	}
-	t.Regs = next.Regs.Regs
-	t.Prog = next.Regs.Prog
-	s.cur = next
-	s.swaps++
-	return nil
-}
-
-// SwitchCost returns the per-swap cost from the core's configuration.
-func (s *SoftScheduler) SwitchCost() sim.Cycles { return s.c.Costs().ContextSwitch }

@@ -168,15 +168,6 @@ func (k *Nocs) SpawnService(name string, watch func() []int64, fn ServiceFunc) (
 	return p, nil
 }
 
-// Services returns the number of spawned service threads.
-func (k *Nocs) Services() int { return k.services }
-
-// ReArms counts service passes that woke from mwait, found no work, and
-// re-armed — the kernel's graceful response to spurious or stale-coalesced
-// wakeups. Benign arm-before-drain races also land here; under a fault
-// plan the count grows with injected spurious wakes.
-func (k *Nocs) ReArms() uint64 { return k.reArms }
-
 // ServeSyscalls spawns the dedicated syscall-service thread (§2
 // "Exception-less System Calls"): it watches the exception-descriptor
 // doorbells of the given user threads; when a user executes SYSCALL the

@@ -316,9 +316,6 @@ func (s *FCFSServer) arrive(r workload.Request) {
 // Completed returns the number of finished requests.
 func (s *FCFSServer) Completed() uint64 { return s.done }
 
-// Faulted returns the number of injected mid-request faults taken.
-func (s *FCFSServer) Faulted() uint64 { return s.faulted }
-
 // pollFault decides whether request r faults this dispatch (at most once
 // per request ID across requeues).
 func (s *FCFSServer) pollFault(r workload.Request) (sim.Cycles, bool) {
@@ -468,12 +465,6 @@ func (s *PSServer) traceActive() {
 
 // Completed returns the number of finished requests.
 func (s *PSServer) Completed() uint64 { return s.done }
-
-// Faulted returns the number of injected mid-request faults taken.
-func (s *PSServer) Faulted() uint64 { return s.faulted }
-
-// Active returns the number of in-service requests.
-func (s *PSServer) Active() int { return len(s.active) }
 
 // Submit queues the arrival on the server's arrival stream.
 func (s *PSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
@@ -719,11 +710,8 @@ func (s *TimesliceServer) EnableTrace(tr *trace.Tracer, process string) {
 	}
 }
 
-// Completed returns finished request count; Switches the context switches.
+// Completed returns the number of finished requests.
 func (s *TimesliceServer) Completed() uint64 { return s.done }
-
-// Switches returns the number of context switches performed.
-func (s *TimesliceServer) Switches() uint64 { return s.sswaps }
 
 // Submit queues the arrival on the server's arrival stream.
 func (s *TimesliceServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }

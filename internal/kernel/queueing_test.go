@@ -57,7 +57,7 @@ func TestPSMatchesMM1Theory(t *testing.T) {
 	if math.Abs(got-want)/want > 0.06 {
 		t.Fatalf("M/M/1 PS mean %v, theory %v", got, want)
 	}
-	if srv.Active() != 0 {
+	if len(srv.active) != 0 {
 		t.Fatal("requests still active")
 	}
 }
@@ -155,8 +155,8 @@ func TestTimesliceCountsSwitches(t *testing.T) {
 	// One request of demand 250 = 3 slices.
 	reqs := []workload.Request{{ID: 0, Arrival: 1, Demand: 250}}
 	RunOpenLoop(eng, srv, reqs)
-	if srv.Switches() != 3 || srv.Completed() != 1 {
-		t.Fatalf("switches=%d completed=%d", srv.Switches(), srv.Completed())
+	if srv.sswaps != 3 || srv.Completed() != 1 {
+		t.Fatalf("switches=%d completed=%d", srv.sswaps, srv.Completed())
 	}
 }
 

@@ -142,10 +142,3 @@ func (s *Scheduler) dispatch() sim.Cycles {
 func (s *Scheduler) Stats() (dispatched, completed uint64, maxQueue int) {
 	return s.dispatched, s.completed, s.maxQueue
 }
-
-// Queued returns the current software-queue depth (the overflow the paper
-// wants to be rare).
-func (s *Scheduler) Queued() int { return s.pending.Len() }
-
-// FreeWorkers returns the number of idle worker hardware threads.
-func (s *Scheduler) FreeWorkers() int { return len(s.free) }

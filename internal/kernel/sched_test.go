@@ -50,7 +50,7 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	if maxQ < 3 {
 		t.Fatalf("peak queue %d, want >= 3", maxQ)
 	}
-	if s.Queued() != 0 || s.FreeWorkers() != 2 {
+	if s.pending.Len() != 0 || len(s.free) != 2 {
 		t.Fatal("scheduler not drained")
 	}
 }

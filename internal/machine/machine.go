@@ -261,9 +261,7 @@ func New(opts ...Option) *Machine {
 				inj.SetTracer(tr, func() int64 { return int64(sh.Now()) },
 					mach.shardTracePrefix(sim.ShardID(s))+"/faults")
 			}
-			mon.SetFaultInjector(inj, func(d sim.Cycles, name string, cb sim.Callback) sim.Handle {
-				return sh.AfterCallback(d, name, cb)
-			})
+			mon.SetFaultInjector(inj, sh)
 		}
 		mach.shards = append(mach.shards, st)
 	}
@@ -336,12 +334,8 @@ func (m *Machine) Monitor() *monitor.Engine { return m.shards[0].mon }
 // MonitorOf returns shard s's monitor engine.
 func (m *Machine) MonitorOf(s sim.ShardID) *monitor.Engine { return m.shards[s].mon }
 
-// IRQ returns shard 0's legacy interrupt controller. Use IRQOf on sharded
-// machines.
+// IRQ returns shard 0's legacy interrupt controller.
 func (m *Machine) IRQ() *irq.Controller { return m.shards[0].irq }
-
-// IRQOf returns shard s's legacy interrupt controller.
-func (m *Machine) IRQOf(s sim.ShardID) *irq.Controller { return m.shards[s].irq }
 
 // Tracer returns the attached tracer (nil when tracing is off).
 func (m *Machine) Tracer() *trace.Tracer { return m.tr }
@@ -349,10 +343,6 @@ func (m *Machine) Tracer() *trace.Tracer { return m.tr }
 // FaultInjector returns shard 0's armed fault injector (nil when faults
 // are off).
 func (m *Machine) FaultInjector() *faultinject.Injector { return m.shards[0].inj }
-
-// FaultInjectorOf returns shard s's armed fault injector (nil when faults
-// are off).
-func (m *Machine) FaultInjectorOf(s sim.ShardID) *faultinject.Injector { return m.shards[s].inj }
 
 // Cores returns the core count.
 func (m *Machine) Cores() int { return len(m.cores) }

@@ -7,7 +7,6 @@ import (
 	"nocs/internal/hwthread"
 	"nocs/internal/irq"
 	"nocs/internal/isa"
-	"nocs/internal/mem"
 	"nocs/internal/monitor"
 	"nocs/internal/sim"
 	"nocs/internal/snapshot"
@@ -147,38 +146,11 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 
 		st.mem.SnapshotState(b.Section(secShard(sid, "mem")))
 
-		monW := b.Section(secShard(sid, "monitor"))
-		if err := st.mon.SnapshotState(monW, func(wt monitor.Waiter) (int64, bool) {
+		if err := st.mon.SnapshotState(b.Section(secShard(sid, "monitor")), func(wt monitor.Waiter) (int64, bool) {
 			id, ok := wid[wt]
 			return id, ok
 		}); err != nil {
 			return fmt.Errorf("machine: shard %d: %w", s, err)
-		}
-		pend := st.mon.PendingInjections()
-		monW.Len(len(pend))
-		for _, p := range pend {
-			at, seq, ok := st.sh.Claim(p.Handle)
-			if !ok {
-				return fmt.Errorf("machine: shard %d: pending monitor injection has a stale event handle", s)
-			}
-			monW.I64(int64(at)).U64(seq).Bool(p.Spurious)
-			if p.Spurious {
-				id, ok := wid[p.Waiter]
-				if !ok {
-					return fmt.Errorf("machine: shard %d: pending spurious wake for unknown waiter %T", s, p.Waiter)
-				}
-				monW.I64(id)
-			} else {
-				monW.Len(len(p.Batch))
-				for _, wt := range p.Batch {
-					id, ok := wid[wt]
-					if !ok {
-						return fmt.Errorf("machine: shard %d: pending coalesced wake for unknown waiter %T", s, wt)
-					}
-					monW.I64(id)
-				}
-				monW.I64(p.Addr).I64(p.Val).U8(uint8(p.Src))
-			}
 		}
 
 		if err := st.irq.SnapshotState(b.Section(secShard(sid, "irq")), func(t irq.CoreTarget) (int64, bool) {
@@ -420,41 +392,6 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 			return err
 		}
 		if err := st.mon.RestoreState(monR, waiter); err != nil {
-			return err
-		}
-		nPend := monR.Len(17)
-		for i := 0; i < nPend; i++ {
-			at, seq := sim.Cycles(monR.I64()), monR.U64()
-			if monR.Bool() {
-				wt, werr := waiter(monR.I64())
-				if werr != nil {
-					return werr
-				}
-				if err := monR.Err(); err != nil {
-					return err
-				}
-				st.mon.RestoreSpuriousInjection(wt, func(cb sim.Callback) sim.Handle {
-					return st.sh.AtSeq(at, seq, monitor.EvSpuriousWake, cb)
-				})
-				continue
-			}
-			batch := make([]monitor.Waiter, monR.Len(8))
-			for j := range batch {
-				wt, werr := waiter(monR.I64())
-				if werr != nil {
-					return werr
-				}
-				batch[j] = wt
-			}
-			addr, val, src := monR.I64(), monR.I64(), mem.WriteSource(monR.U8())
-			if err := monR.Err(); err != nil {
-				return err
-			}
-			st.mon.RestoreCoalescedInjection(batch, addr, val, src, func(cb sim.Callback) sim.Handle {
-				return st.sh.AtSeq(at, seq, monitor.EvCoalescedWake, cb)
-			})
-		}
-		if err := monR.Err(); err != nil {
 			return err
 		}
 

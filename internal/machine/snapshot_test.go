@@ -11,7 +11,9 @@ import (
 	"nocs/internal/asm"
 	"nocs/internal/core"
 	"nocs/internal/device"
+	"nocs/internal/faultinject"
 	"nocs/internal/hwthread"
+	"nocs/internal/isa"
 	"nocs/internal/sim"
 	"nocs/internal/snapshot"
 )
@@ -454,5 +456,75 @@ func TestSnapshotEventWrittenTwice(t *testing.T) {
 	err := m.Snapshot(&buf)
 	if err == nil || !strings.Contains(err.Error(), `"nic-rx"`) || !strings.Contains(err.Error(), "written by 2 codecs") {
 		t.Fatalf("want an error naming nic-rx written by 2 codecs, got %v", err)
+	}
+}
+
+// TestSnapshotPendingMonitorInjections checkpoints a faulted machine while
+// its monitor holds scheduled spurious wakes and a deferred (coalesced) wake
+// batch. The monitor writes them at the tail of its section; the restored
+// machine must re-create them, re-serialize to the same bytes, and finish
+// exactly as the straight-through run does.
+func TestSnapshotPendingMonitorInjections(t *testing.T) {
+	const checkpoint, horizon = 2000, 60_000
+	build := func() *Machine {
+		m := New(WithThreads(3), WithFaultPlan(faultinject.Plan{
+			Seed: 1, SpuriousWakeP: 1, SpuriousDelay: 40_000,
+			CoalesceP: 1, CoalesceDelay: 5_000,
+		}))
+		c := m.Core(0)
+		wait := asm.MustAssemble("wait", "main:\n\tmonitor r1\n\tmwait\n\tld r2, [r1+0]\n\thalt")
+		write := asm.MustAssemble("write", "main:\n\tmovi r3, 7\n\tst [r1+0], r3\n\thalt")
+		for p, prog := range []*isa.Program{wait, wait, write} {
+			if err := c.BindProgram(hwthread.PTID(p), prog, "main"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Threads().Context(0).Regs.GPR[1] = 0x1000
+		c.Threads().Context(1).Regs.GPR[1] = 0x2000
+		c.Threads().Context(2).Regs.GPR[1] = 0x2000
+		c.BootStart(0)
+		c.BootStart(1)
+		m.RunUntil(1000) // both waiters parked: each has a spurious wake scheduled
+		c.BootStart(2)   // its store's wake batch is deferred
+		m.RunUntil(checkpoint)
+		return m
+	}
+	fingerprint := func(m *Machine) string {
+		var b strings.Builder
+		for p := 0; p < 3; p++ {
+			ctx := m.Core(0).Threads().Context(hwthread.PTID(p))
+			fmt.Fprintf(&b, "t%d=%v/%d ", p, ctx.State, ctx.Regs.GPR[2])
+		}
+		sp, co := m.Monitor().InjectedWakes()
+		w, i, d := m.Monitor().Stats()
+		fmt.Fprintf(&b, "now=%d injected=%d/%d monitor=%d/%d/%d", m.Now(), sp, co, w, i, d)
+		return b.String()
+	}
+
+	m := build()
+	var buf bytes.Buffer
+	if err := m.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m.RunUntil(horizon)
+	want := fingerprint(m)
+	if !strings.Contains(want, "injected=1/1") {
+		t.Fatalf("straight run %s: want one spurious and one coalesced wake delivered", want)
+	}
+
+	m2 := build()
+	if err := m2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := m2.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatalf("restored pending injections do not re-encode to the same bytes (%d vs %d)", buf.Len(), again.Len())
+	}
+	m2.RunUntil(horizon)
+	if got := fingerprint(m2); got != want {
+		t.Fatalf("restored run diverged:\n got %s\nwant %s", got, want)
 	}
 }

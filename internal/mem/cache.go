@@ -141,32 +141,6 @@ func (c *Cache) Unpin(addr int64) {
 	delete(c.pinned, c.line(addr))
 }
 
-// Invalidate drops the line containing addr (used by DMA writes: device
-// writes go to memory and must not leave stale lines).
-func (c *Cache) Invalidate(addr int64) {
-	ln := c.line(addr)
-	s := c.set(ln)
-	ways := c.tags[s]
-	for i, tag := range ways {
-		if tag == ln {
-			c.tags[s] = append(ways[:i], ways[i+1:]...)
-			return
-		}
-	}
-}
-
-// Stats returns hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// HitRate returns hits/(hits+misses), or 0 with no accesses.
-func (c *Cache) HitRate() float64 {
-	t := c.hits + c.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(t)
-}
-
 // Hierarchy is a three-level cache stack over DRAM with an uncacheable MMIO
 // path. Timing: an access pays the hit latency of every level it probes, and
 // the DRAM latency if it misses everywhere — the standard serial-lookup
@@ -267,13 +241,3 @@ func (h *Hierarchy) AccessCycles(addr int64) sim.Cycles {
 	h.dramHits++
 	return lat + h.DRAMCycles
 }
-
-// InvalidateAll drops addr's line at every level (DMA coherence).
-func (h *Hierarchy) InvalidateAll(addr int64) {
-	h.L1.Invalidate(addr)
-	h.L2.Invalidate(addr)
-	h.L3.Invalidate(addr)
-}
-
-// Accesses returns total accesses and the number that went to DRAM.
-func (h *Hierarchy) Accesses() (total, dram uint64) { return h.accesses, h.dramHits }

@@ -80,13 +80,6 @@ func (h *Histogram) grow(b int) {
 	h.buckets = nb
 }
 
-// Preallocate grows the bucket slice to cover values up to max, making every
-// subsequent Record of a value ≤ max strictly allocation-free (not merely
-// amortized): hot loops reserve once and record with zero heap traffic.
-func (h *Histogram) Preallocate(max int64) {
-	h.grow(bucketOf(max))
-}
-
 // Record adds one sample.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
@@ -172,28 +165,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 // Summary returns (p50, p99, p999, mean).
 func (h *Histogram) Summary() (p50, p99, p999 int64, mean float64) {
 	return h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.Mean()
-}
-
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if len(other.buckets) > len(h.buckets) {
-		h.grow(len(other.buckets) - 1)
-	}
-	for b, n := range other.buckets {
-		if n != 0 {
-			h.buckets[b] += n
-		}
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
 }
 
 // Table renders paper-style aligned tables. Cells are stored formatted, so
@@ -299,19 +270,6 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// Throughput converts a completion count over a cycle span into operations
-// per second at the given clock frequency (GHz).
-func Throughput(ops uint64, span sim.Cycles, freqGHz float64) float64 {
-	if span <= 0 {
-		return 0
-	}
-	if freqGHz <= 0 {
-		freqGHz = sim.DefaultFrequencyGHz
-	}
-	seconds := float64(span) / (freqGHz * 1e9)
-	return float64(ops) / seconds
 }
 
 // CyclesToUs converts cycles to microseconds at the given frequency.

@@ -114,14 +114,14 @@ type Engine struct {
 	trNow   func() int64
 	trTrack trace.TrackID
 
-	// Fault injection (nil inj = off). after schedules deferred deliveries
-	// on the machine's event engine — the monitor has no clock or engine of
-	// its own, so the machine supplies both when it arms a fault plan. It
-	// returns the event handle so deferred deliveries stay checkpointable
-	// (DESIGN.md §13): every in-flight injection is tracked in pending with
-	// its handle and a serializable payload.
+	// Fault injection (nil inj = off). Deferred deliveries are events on sh,
+	// the shard the monitor belongs to — the monitor has no clock or engine
+	// of its own, so the machine supplies the shard when it arms a fault
+	// plan. Deliveries stay checkpointable (DESIGN.md §13): every in-flight
+	// injection is tracked in pending with its handle and a serializable
+	// payload.
 	inj     *faultinject.Injector
-	after   func(d sim.Cycles, name string, cb sim.Callback) sim.Handle
+	sh      *sim.Shard
 	pending []*pendingInj
 
 	wakeups   uint64
@@ -154,18 +154,16 @@ func (e *Engine) SetTracer(tr *trace.Tracer, now func() int64, process string) {
 }
 
 // SetFaultInjector arms fault injection: spurious wakes after blocking
-// waits and coalesced (deferred) wake batches. after schedules a callback
-// on the machine's event engine and returns its handle.
-func (e *Engine) SetFaultInjector(inj *faultinject.Injector, after func(d sim.Cycles, name string, cb sim.Callback) sim.Handle) {
+// waits and coalesced (deferred) wake batches, scheduled on sh.
+func (e *Engine) SetFaultInjector(inj *faultinject.Injector, sh *sim.Shard) {
 	e.inj = inj
-	e.after = after
+	e.sh = sh
 }
 
-// Event names of the monitor's deferred fault deliveries, exported for the
-// checkpoint layer (which re-creates the events with their original names).
+// Event names of the monitor's deferred fault deliveries.
 const (
-	EvSpuriousWake  = "fault-spurious-wake"
-	EvCoalescedWake = "fault-coalesced-wake"
+	evSpuriousWake  = "fault-spurious-wake"
+	evCoalescedWake = "fault-coalesced-wake"
 )
 
 // pendingInj is one scheduled-but-undelivered fault injection: a spurious
@@ -300,10 +298,10 @@ func (e *Engine) Wait(w Waiter) (blocked bool) {
 		return false
 	}
 	s.waiting = true
-	if e.inj != nil && e.after != nil {
+	if e.inj != nil && e.sh != nil {
 		if d, ok := e.inj.SpuriousWake(); ok {
 			p := &pendingInj{e: e, spurious: true, w: w}
-			p.h = e.after(d, EvSpuriousWake, p)
+			p.h = e.sh.AfterCallback(d, evSpuriousWake, p)
 			e.pending = append(e.pending, p)
 		}
 	}
@@ -395,7 +393,7 @@ func (e *Engine) ObserveWrite(addr, val int64, src mem.WriteSource) {
 		}
 	}
 	end := len(e.woken)
-	if end > start && e.inj != nil && e.after != nil {
+	if end > start && e.inj != nil && e.sh != nil {
 		if d, ok := e.inj.CoalesceWake(); ok {
 			// Deferred delivery: the monitor batches this notification and
 			// releases it late. Waiters woken by another write in the
@@ -406,7 +404,7 @@ func (e *Engine) ObserveWrite(addr, val int64, src mem.WriteSource) {
 				p.batch = append(p.batch, e.ws[id].w)
 			}
 			e.woken = e.woken[:start]
-			p.h = e.after(d, EvCoalescedWake, p)
+			p.h = e.sh.AfterCallback(d, evCoalescedWake, p)
 			e.pending = append(e.pending, p)
 			return
 		}

@@ -387,7 +387,7 @@ func TestSpuriousWakeThenRealWriteNotLost(t *testing.T) {
 	eng := sim.NewEngine(nil)
 	e := NewEngine()
 	inj := faultinject.New(faultinject.Plan{Seed: 7, SpuriousWakeP: 1, SpuriousDelay: 100})
-	e.SetFaultInjector(inj, func(d sim.Cycles, name string, cb sim.Callback) sim.Handle { return eng.AfterCallback(d, name, cb) })
+	e.SetFaultInjector(inj, sim.SoloShard(eng))
 
 	w := rearmingWaiter(e, 0x100)
 	e.Arm(w, 0x100)
@@ -420,7 +420,7 @@ func TestSpuriousWakeRealWriteInReArmWindow(t *testing.T) {
 	eng := sim.NewEngine(nil)
 	e := NewEngine()
 	inj := faultinject.New(faultinject.Plan{Seed: 7, SpuriousWakeP: 1, SpuriousDelay: 100})
-	e.SetFaultInjector(inj, func(d sim.Cycles, name string, cb sim.Callback) sim.Handle { return eng.AfterCallback(d, name, cb) })
+	e.SetFaultInjector(inj, sim.SoloShard(eng))
 
 	w := &fakeWaiter{}
 	w.rearm = func(w *fakeWaiter) {
@@ -455,7 +455,7 @@ func TestSpuriousWakeSameTickAsRealWrite(t *testing.T) {
 		eng := sim.NewEngine(nil)
 		e := NewEngine()
 		inj := faultinject.New(faultinject.Plan{Seed: 7, SpuriousWakeP: 1, SpuriousDelay: 100})
-		e.SetFaultInjector(inj, func(d sim.Cycles, name string, cb sim.Callback) sim.Handle { return eng.AfterCallback(d, name, cb) })
+		e.SetFaultInjector(inj, sim.SoloShard(eng))
 
 		w := rearmingWaiter(e, 0x300)
 		e.Arm(w, 0x300)
@@ -477,7 +477,7 @@ func TestSpuriousWakeSkipsWokenWaiter(t *testing.T) {
 	eng := sim.NewEngine(nil)
 	e := NewEngine()
 	inj := faultinject.New(faultinject.Plan{Seed: 7, SpuriousWakeP: 1, SpuriousDelay: 100})
-	e.SetFaultInjector(inj, func(d sim.Cycles, name string, cb sim.Callback) sim.Handle { return eng.AfterCallback(d, name, cb) })
+	e.SetFaultInjector(inj, sim.SoloShard(eng))
 
 	w := &fakeWaiter{} // does not re-arm
 	e.Arm(w, 0x400)
@@ -497,7 +497,7 @@ func TestCoalescedWakeDeliveredLate(t *testing.T) {
 	eng := sim.NewEngine(nil)
 	e := NewEngine()
 	inj := faultinject.New(faultinject.Plan{Seed: 7, CoalesceP: 1, CoalesceDelay: 200})
-	e.SetFaultInjector(inj, func(d sim.Cycles, name string, cb sim.Callback) sim.Handle { return eng.AfterCallback(d, name, cb) })
+	e.SetFaultInjector(inj, sim.SoloShard(eng))
 
 	w := &fakeWaiter{}
 	e.Arm(w, 0x500)

@@ -20,56 +20,16 @@ import (
 //   - per-address waiter lists in global arm order (a write waking several
 //     waiters delivers in this order — it is not recoverable from the
 //     per-waiter orders alone);
-//   - the wakeup counters.
-//
-// Scheduled-but-undelivered fault injections are events, owned by the
-// machine's event checkpoint: PendingInjections exports them and the two
-// Restore*Injection methods re-create them against restored event handles.
+//   - the wakeup counters;
+//   - the scheduled-but-undelivered fault injections, in scheduling order.
+//     Each is an event on the monitor's shard: writing its record claims the
+//     event, and restore re-creates it at its original (cycle, sequence).
 
-// PendingInjection describes one scheduled-but-undelivered fault injection.
-type PendingInjection struct {
-	Handle   sim.Handle
-	Spurious bool
-	Waiter   Waiter   // spurious target (nil for coalesced)
-	Batch    []Waiter // coalesced batch (nil for spurious)
-	Addr     int64
-	Val      int64
-	Src      mem.WriteSource
-}
-
-// PendingInjections lists the in-flight deferred fault deliveries in
-// scheduling order.
-func (e *Engine) PendingInjections() []PendingInjection {
-	out := make([]PendingInjection, 0, len(e.pending))
-	for _, p := range e.pending {
-		out = append(out, PendingInjection{
-			Handle: p.h, Spurious: p.spurious, Waiter: p.w,
-			Batch: p.batch, Addr: p.addr, Val: p.val, Src: p.src,
-		})
-	}
-	return out
-}
-
-// RestoreSpuriousInjection re-creates a pending spurious wake. schedule must
-// queue the callback at the injection's original (cycle, sequence) slot and
-// return the new handle.
-func (e *Engine) RestoreSpuriousInjection(w Waiter, schedule func(cb sim.Callback) sim.Handle) {
-	p := &pendingInj{e: e, spurious: true, w: w}
-	p.h = schedule(p)
-	e.pending = append(e.pending, p)
-}
-
-// RestoreCoalescedInjection re-creates a pending coalesced wake batch.
-func (e *Engine) RestoreCoalescedInjection(batch []Waiter, addr, val int64, src mem.WriteSource, schedule func(cb sim.Callback) sim.Handle) {
-	p := &pendingInj{e: e, batch: batch, addr: addr, val: val, src: src}
-	p.h = schedule(p)
-	e.pending = append(e.pending, p)
-}
-
-// SnapshotState writes the watch sets, per-address arm orders, and counters.
-// id translates a live waiter to its stable checkpoint id; a waiter it does
-// not know makes the state non-checkpointable. Only waiters with armed
-// watches carry state; the rest are left out.
+// SnapshotState writes the watch sets, per-address arm orders, counters and
+// pending fault injections. id translates a live waiter to its stable
+// checkpoint id; a waiter it does not know makes the state
+// non-checkpointable. Only waiters with armed watches carry state; the rest
+// are left out.
 func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) error {
 	cid := make([]int64, len(e.ws))
 	var armed []int32
@@ -115,6 +75,32 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 
 	w.U64(e.wakeups).U64(e.immediate).U64(e.dropped)
 	w.U64(e.evicted).U64(e.spurious).U64(e.coalesced)
+
+	w.Len(len(e.pending))
+	for _, p := range e.pending {
+		at, seq, ok := e.sh.Claim(p.h)
+		if !ok {
+			return fmt.Errorf("monitor: pending fault injection has a stale event handle")
+		}
+		w.I64(int64(at)).U64(seq).Bool(p.spurious)
+		if p.spurious {
+			wid, ok := id(p.w)
+			if !ok {
+				return fmt.Errorf("monitor: pending spurious wake for unknown waiter %T", p.w)
+			}
+			w.I64(wid)
+			continue
+		}
+		w.Len(len(p.batch))
+		for _, wt := range p.batch {
+			wid, ok := id(wt)
+			if !ok {
+				return fmt.Errorf("monitor: pending coalesced wake for unknown waiter %T", wt)
+			}
+			w.I64(wid)
+		}
+		w.I64(p.addr).I64(p.val).U8(uint8(p.src))
+	}
 	return nil
 }
 
@@ -122,8 +108,8 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 // waiter translates a checkpoint id back to the live waiter object. The
 // per-address lists must name each armed (waiter, address) pair exactly
 // once; any other section is rejected with an error and leaves the engine's
-// state unchanged. Pending injections are restored separately by the
-// machine's event restore.
+// state unchanged. The shard must be mid-restore (the machine restore
+// sequence arranges this) for the pending injections to be re-created.
 func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error)) error {
 	idOf := func(wid int64) (int32, error) {
 		wt, err := waiter(wid)
@@ -199,8 +185,43 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 
 	wakeups, immediate, dropped := r.U64(), r.U64(), r.U64()
 	evicted, spurious, coalesced := r.U64(), r.U64(), r.U64()
+
+	type pendRec struct {
+		at  sim.Cycles
+		seq uint64
+		p   *pendingInj
+	}
+	pend := make([]pendRec, r.Len(17))
+	for i := range pend {
+		at, seq := sim.Cycles(r.I64()), r.U64()
+		p := &pendingInj{e: e, spurious: r.Bool()}
+		if p.spurious {
+			wt, err := waiter(r.I64())
+			if err != nil {
+				return err
+			}
+			p.w = wt
+		} else {
+			p.batch = make([]Waiter, r.Len(8))
+			for j := range p.batch {
+				wt, err := waiter(r.I64())
+				if err != nil {
+					return err
+				}
+				p.batch[j] = wt
+			}
+			p.addr, p.val, p.src = r.I64(), r.I64(), mem.WriteSource(r.U8())
+		}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		pend[i] = pendRec{at, seq, p}
+	}
 	if err := r.Err(); err != nil {
 		return err
+	}
+	if len(pend) > 0 && e.sh == nil {
+		return fmt.Errorf("monitor: snapshot has %d pending fault injections, live monitor has no fault plan (arm the same WithFaultPlan)", len(pend))
 	}
 
 	// Fresh lists and watch sets: no watcher may keep a pointer to a list
@@ -219,8 +240,16 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 		}
 		e.ws[id] = s
 	}
-	e.pending = nil
 	e.wakeups, e.immediate, e.dropped = wakeups, immediate, dropped
 	e.evicted, e.spurious, e.coalesced = evicted, spurious, coalesced
+	e.pending = nil
+	for _, rec := range pend {
+		name := evCoalescedWake
+		if rec.p.spurious {
+			name = evSpuriousWake
+		}
+		rec.p.h = e.sh.AtSeq(rec.at, rec.seq, name, rec.p)
+		e.pending = append(e.pending, rec.p)
+	}
 	return nil
 }

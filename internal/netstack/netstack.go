@@ -14,7 +14,7 @@
 // Received packets are demultiplexed by destination port into per-socket
 // receive rings in memory; each socket has a doorbell word that the stack
 // bumps after enqueueing, so applications block on their own socket with
-// monitor/mwait (or Socket.Recv from Go) and wake per delivery. Sends go
+// monitor/mwait (or Socket.RecvInto from Go) and wake per delivery. Sends go
 // out through the NIC's TX descriptor ring.
 package netstack
 
@@ -97,7 +97,6 @@ type Stack struct {
 	sendBusy     uint64 // Send refused: mailbox still occupied
 	svcFaults    uint64 // injected mid-packet thread faults absorbed
 	txSeq        int64
-	ptid         hwthread.PTID
 
 	// SendAsync outbox: payloads accepted but not yet staged and posted.
 	outbox    [][]int64
@@ -105,35 +104,33 @@ type Stack struct {
 	txQueued  uint64 // SendAsync payloads ever accepted
 	pumpStall uint64 // pump passes that found the stage ring full
 
-	// live tracks the in-flight delayed doorbell publishes, send retries,
-	// and outbox pump, so a machine checkpoint can claim and re-create them
+	// live tracks the in-flight delayed doorbell publishes and the outbox
+	// pump, so a machine checkpoint can claim and re-create them
 	// (DESIGN.md §13).
 	live []*stackEv
 }
 
-// Event kinds for stackEv.
+// Event kinds for stackEv. Kind 2 is reserved: it was a second send
+// back-off, and checkpoints that carry it are rejected as an unknown kind.
 const (
 	evSockRx     = uint8(0) // delayed socket doorbell publish
 	evTxDoorbell = uint8(1) // delayed NIC TX doorbell ring
-	evSendRetry  = uint8(2) // SendWithRetry backoff attempt
 	evTxPump     = uint8(3) // SendAsync outbox pump
 )
 
-var stackEvNames = [...]string{"sock-rx", "tx-doorbell", "send-retry", "tx-pump"}
+var stackEvNames = [...]string{evSockRx: "sock-rx", evTxDoorbell: "tx-doorbell", evTxPump: "tx-pump"}
 
 // stackEv is a checkpointable in-flight stack event: the delayed doorbell
-// publishes, send-retry backoffs, and the outbox pump that used to be ad-hoc
-// closures. Each live event knows its slot in the stack's live list and
-// unlinks itself when it fires.
+// publishes and the outbox pump that used to be ad-hoc closures. Each live
+// event knows its slot in the stack's live list and unlinks itself when it
+// fires.
 type stackEv struct {
 	st   *Stack
 	idx  int
 	kind uint8
 	sock int        // evSockRx: index into st.order
-	val  int64      // doorbell count / tx sequence / retry payload words
-	addr int64      // evSendRetry: payload address
-	wait sim.Cycles // evSendRetry, evTxPump: current backoff spacing
-	max  sim.Cycles // evSendRetry: backoff cap
+	val  int64      // doorbell count / tx sequence
+	wait sim.Cycles // evTxPump: current backoff spacing
 	h    sim.Handle
 }
 
@@ -146,16 +143,7 @@ func (e *stackEv) OnEvent() {
 		c.WriteWord(e.st.nic.Config().TXDoorbell, e.val)
 	}
 	e.st.unlink(e)
-	switch e.kind {
-	case evSendRetry:
-		if !e.st.Send(e.addr, e.val) {
-			next := e.wait * 2
-			if next > e.max {
-				next = e.max
-			}
-			e.st.scheduleRetry(e.addr, e.val, e.wait, next, e.max)
-		}
-	case evTxPump:
+	if e.kind == evTxPump {
 		e.st.pumpTick(e.wait)
 	}
 }
@@ -170,16 +158,6 @@ func (s *Stack) unlink(e *stackEv) {
 func (s *Stack) scheduleEv(kind uint8, sock int, val int64, after sim.Cycles) {
 	e := &stackEv{st: s, idx: len(s.live), kind: kind, sock: sock, val: val}
 	e.h = s.k.Core().Shard().AfterCallback(after, stackEvNames[kind], e)
-	s.live = append(s.live, e)
-}
-
-// scheduleRetry queues a send-retry attempt `delay` cycles out; when it fires
-// and the mailbox is still busy it reschedules itself at `next`, doubling up
-// to `max`.
-func (s *Stack) scheduleRetry(addr, words int64, delay, next, max sim.Cycles) {
-	e := &stackEv{st: s, idx: len(s.live), kind: evSendRetry,
-		val: words, addr: addr, wait: next, max: max}
-	e.h = s.k.Core().Shard().AfterCallback(delay, stackEvNames[evSendRetry], e)
 	s.live = append(s.live, e)
 }
 
@@ -212,10 +190,6 @@ type Socket struct {
 	// nacks counts ring-full backpressure events on this socket; mirrored
 	// to the sockNack word in memory.
 	nacks int64
-	// drops counts packets addressed to this socket that were lost (none,
-	// since backpressure replaced ring-full drops; kept for accounting
-	// audits: received + drops must equal what the NIC handed us).
-	drops int64
 	// blocked marks the ring full: the stack stalls and watches the
 	// consumer count until the application catches up.
 	blocked bool
@@ -242,7 +216,7 @@ func New(k *kernel.Nocs, nic *device.NIC, cfg Config) (*Stack, error) {
 		}
 		return addrs
 	}
-	p, err := k.SpawnService("netstack", watch, func(t *hwthread.Context) sim.Cycles {
+	_, err := k.SpawnService("netstack", watch, func(t *hwthread.Context) sim.Cycles {
 		var cost sim.Cycles
 		cost += s.drainRX()
 		cost += s.drainSend()
@@ -251,12 +225,8 @@ func New(k *kernel.Nocs, nic *device.NIC, cfg Config) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ptid = p
 	return s, nil
 }
-
-// PTID returns the stack's hardware thread.
-func (s *Stack) PTID() hwthread.PTID { return s.ptid }
 
 // Bind allocates a socket on port. Binding a bound port fails.
 func (s *Stack) Bind(port int64) (*Socket, error) {
@@ -373,7 +343,7 @@ func (s *Stack) drainSend() sim.Cycles {
 // write the same mailbox words with ST instructions). It reports whether the
 // mailbox was free: a false return means a previous request is still
 // pending, and blindly overwriting it would have silently lost that packet.
-// Use SendWithRetry for back-off-and-retry semantics.
+// SendAsync queues instead and backs off while the mailbox is busy.
 func (s *Stack) Send(payloadAddr, words int64) bool {
 	c := s.k.Core()
 	if c.ReadWord(s.cfg.SendMailbox+sendStatus) != 0 {
@@ -386,33 +356,15 @@ func (s *Stack) Send(payloadAddr, words int64) bool {
 	return true
 }
 
-// SendWithRetry posts a transmit request, retrying with doubling backoff
-// (capped at 8x the initial spacing) while the mailbox is occupied. The
-// stack always eventually clears the mailbox, so the post always eventually
-// lands — backpressure delays the sender instead of losing the packet. The
-// pending retry is a tracked stack event, so a machine checkpoint taken
-// while a sender is backing off restores and replays it exactly.
-func (s *Stack) SendWithRetry(payloadAddr, words int64, backoff sim.Cycles) {
-	if backoff < 1 {
-		backoff = 1
-	}
-	max := backoff * 8
-	if s.Send(payloadAddr, words) {
-		return
-	}
-	next := backoff * 2
-	if next > max {
-		next = max
-	}
-	s.scheduleRetry(payloadAddr, words, backoff, next, max)
-}
-
 // SendAsync queues a payload for transmission. Unlike Send, it never refuses
 // and never overwrites: payloads wait in the stack's outbox, and a
 // checkpointable pump stages each one into the TX staging ring (slots are
 // reused only after the NIC transmits them) and posts it to the mailbox,
-// backing off with the SendWithRetry doubling schedule while the mailbox is
-// busy. FIFO order is preserved. Requires Config.TXStageBase.
+// backing off with a doubling schedule (capped at 8x the pump spacing) while
+// the mailbox is busy. The stack always eventually clears the mailbox, so
+// backpressure delays a payload instead of losing it, and the pump is a
+// tracked stack event, so a checkpoint taken mid-backoff replays exactly.
+// FIFO order is preserved. Requires Config.TXStageBase.
 func (s *Stack) SendAsync(payload []int64) {
 	if s.cfg.TXStageBase == 0 {
 		panic("netstack: SendAsync requires Config.TXStageBase")
@@ -502,10 +454,6 @@ func (s *Stack) Backpressure() (ringStalls, sendBusy uint64) {
 	return s.backpressure, s.sendBusy
 }
 
-// ServiceFaults counts injected mid-packet thread faults the stack absorbed
-// by reprocessing (zero without a fault plan).
-func (s *Stack) ServiceFaults() uint64 { return s.svcFaults }
-
 // PendingRX reports NIC-ring packets the stack has accepted but not yet
 // demuxed — nonzero while a ring-full stall holds delivery back. Packet
 // conservation: received + dropped + PendingRX == NIC-delivered, always.
@@ -517,51 +465,12 @@ func (s *Stack) PendingRX() int64 {
 // what an application thread arms monitor on.
 func (sk *Socket) DoorbellAddr() int64 { return sk.base + sockDoorbell }
 
-// NackAddr returns the socket's backpressure word address (bumped once per
-// ring-full stall; monitorable by senders that want flow-control signals).
-func (sk *Socket) NackAddr() int64 { return sk.base + sockNack }
-
 // Nacks returns the socket's ring-full backpressure count.
 func (sk *Socket) Nacks() int64 { return sk.nacks }
 
-// Delivered returns the stack's authoritative delivery count for the socket.
-func (sk *Socket) Delivered() int64 { return sk.delivered }
-
-// Drops returns packets addressed to this socket that were lost. With
-// backpressure in place this stays zero; it exists so accounting audits can
-// assert conservation (delivered + drops == addressed).
-func (sk *Socket) Drops() int64 { return sk.drops }
-
-// Pending reports packets delivered but not yet consumed.
-func (sk *Socket) Pending() int64 {
-	c := sk.st.k.Core()
-	return c.ReadWord(sk.base+sockDoorbell) - c.ReadWord(sk.base+sockConsumed)
-}
-
-// Recv pops the next packet (Go-side helper). ok is false when empty.
-func (sk *Socket) Recv() (payload []int64, ok bool) {
-	c := sk.st.k.Core()
-	delivered := c.ReadWord(sk.base + sockDoorbell)
-	consumed := c.ReadWord(sk.base + sockConsumed)
-	if consumed >= delivered {
-		return nil, false
-	}
-	slot := consumed % int64(sk.st.cfg.RingEntries)
-	se := sk.base + sockSlots + slot*sockSlotBytes
-	buf := c.ReadWord(se)
-	length := c.ReadWord(se + 8)
-	payload = make([]int64, length)
-	for i := range payload {
-		payload[i] = c.ReadWord(buf + int64(i)*8)
-	}
-	c.WriteWord(sk.base+sockConsumed, consumed+1)
-	return payload, true
-}
-
 // RecvInto pops the next packet into buf without allocating, returning the
 // payload length (truncated to len(buf)). ok is false when the ring is
-// empty. This is the hot-path variant of Recv for consumers that process
-// millions of packets — the serving scenarios' app workers.
+// empty. The serving scenarios' app workers consume through it.
 func (sk *Socket) RecvInto(buf []int64) (n int, ok bool) {
 	c := sk.st.k.Core()
 	delivered := c.ReadWord(sk.base + sockDoorbell)

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nocs/internal/asm"
@@ -34,6 +35,19 @@ func rig(t *testing.T) (*machine.Machine, *device.NIC, *Stack) {
 	return m, nic, st
 }
 
+// recv pops the next packet from sk's ring, as an application would.
+func recv(sk *Socket) ([]int64, bool) {
+	buf := make([]int64, 64)
+	n, ok := sk.RecvInto(buf)
+	return buf[:n], ok
+}
+
+// pending reports packets delivered to sk but not yet consumed.
+func pending(sk *Socket) int64 {
+	c := sk.st.k.Core()
+	return c.ReadWord(sk.base+sockDoorbell) - c.ReadWord(sk.base+sockConsumed)
+}
+
 func TestBindAndDemux(t *testing.T) {
 	m, nic, st := rig(t)
 	s80, err := st.Bind(80)
@@ -53,18 +67,18 @@ func TestBindAndDemux(t *testing.T) {
 	nic.Deliver([]int64{7777, 9999, 44})   // unbound -> dropped
 	m.Run(0)
 
-	if s80.Pending() != 1 || s443.Pending() != 1 {
-		t.Fatalf("pending %d/%d", s80.Pending(), s443.Pending())
+	if pending(s80) != 1 || pending(s443) != 1 {
+		t.Fatalf("pending %d/%d", pending(s80), pending(s443))
 	}
-	p, ok := s80.Recv()
+	p, ok := recv(s80)
 	if !ok || len(p) != 4 || p[2] != 11 || p[3] != 22 {
 		t.Fatalf("s80 recv: %v %v", p, ok)
 	}
-	p, ok = s443.Recv()
+	p, ok = recv(s443)
 	if !ok || p[2] != 33 {
 		t.Fatalf("s443 recv: %v", p)
 	}
-	if _, ok := s80.Recv(); ok {
+	if _, ok := recv(s80); ok {
 		t.Fatal("recv from drained socket")
 	}
 	rx, drop, _ := st.Stats()
@@ -116,8 +130,8 @@ func TestRingOverflowBackpressure(t *testing.T) {
 		nic.Deliver([]int64{80, 1, int64(i)})
 	}
 	m.Run(0)
-	if sock.Pending() != 16 {
-		t.Fatalf("pending %d, want 16", sock.Pending())
+	if pending(sock) != 16 {
+		t.Fatalf("pending %d, want 16", pending(sock))
 	}
 	_, drop, _ := st.Stats()
 	if drop != 0 {
@@ -126,7 +140,7 @@ func TestRingOverflowBackpressure(t *testing.T) {
 	if sock.Nacks() == 0 {
 		t.Fatal("ring-full stall recorded no NACK")
 	}
-	if got := m.Core(0).ReadWord(sock.NackAddr()); got != sock.Nacks() {
+	if got := m.Core(0).ReadWord(sock.base + sockNack); got != sock.Nacks() {
 		t.Fatalf("NACK word %d != socket nacks %d", got, sock.Nacks())
 	}
 	if held := st.PendingRX(); held != 4 {
@@ -136,7 +150,7 @@ func TestRingOverflowBackpressure(t *testing.T) {
 	// Consumer catches up: all 20 packets arrive, in order.
 	var got []int64
 	for i := 0; i < 20; i++ {
-		p, ok := sock.Recv()
+		p, ok := recv(sock)
 		if !ok {
 			t.Fatalf("packet %d never delivered", i)
 		}
@@ -148,7 +162,7 @@ func TestRingOverflowBackpressure(t *testing.T) {
 			t.Fatalf("packet %d: payload %d (lost or reordered)", i, v)
 		}
 	}
-	if _, ok := sock.Recv(); ok {
+	if _, ok := recv(sock); ok {
 		t.Fatal("phantom extra packet")
 	}
 	rx, drop, _ := st.Stats()
@@ -181,8 +195,11 @@ func TestSendBackpressure(t *testing.T) {
 	if _, busy := st.Backpressure(); busy != 1 {
 		t.Fatalf("sendBusy = %d, want 1", busy)
 	}
-	// Retry with backoff lands once the stack drains the mailbox.
-	st.SendWithRetry(b, 3, 100)
+	// The post lands once the stack drains the mailbox.
+	m.Run(0)
+	if !st.Send(b, 3) {
+		t.Fatal("send refused after the stack drained the mailbox")
+	}
 	m.Run(0)
 	if len(wire) != 2 || wire[0][2] != 111 || wire[1][2] != 222 {
 		t.Fatalf("wire: %v, want both packets in post order", wire)
@@ -228,7 +245,7 @@ func TestEchoLoop(t *testing.T) {
 
 	nic.Deliver([]int64{7, 42, 111, 222})
 	m.Run(0)
-	p, ok := sock.Recv()
+	p, ok := recv(sock)
 	if !ok {
 		t.Fatal("no packet")
 	}
@@ -288,12 +305,12 @@ func TestPacketConservationProperty(t *testing.T) {
 		}
 		// Liveness: drain the consumers; the stack must deliver every held
 		// packet and end with nothing unaccounted.
-		for iter := 0; st.PendingRX() > 0 || s80.Pending() > 0 || s443.Pending() > 0; iter++ {
+		for iter := 0; st.PendingRX() > 0 || pending(s80) > 0 || pending(s443) > 0; iter++ {
 			if iter > 1000 {
 				t.Fatalf("seed %d: stack never drained (held %d)", seed, st.PendingRX())
 			}
-			s80.Recv()
-			s443.Recv()
+			recv(s80)
+			recv(s443)
 			m.Run(0)
 		}
 		rx, drop, _ = st.Stats()
@@ -363,49 +380,51 @@ func TestSendAsyncDrainsBurstInOrder(t *testing.T) {
 	}
 }
 
-// A SendWithRetry backoff pending at checkpoint time is stack-owned state:
-// snapshotting a machine mid-backoff and restoring it must replay the retry
-// and land the packet.
+// An outbox pump backing off at checkpoint time is stack-owned state: a
+// machine snapshotted mid-backoff must restore to identical bytes and replay
+// the post. Kind 2, once a second send back-off, is reserved: a checkpoint
+// carrying it must fail restore with the unknown-kind error.
 func TestSendRetrySurvivesCheckpoint(t *testing.T) {
 	build := func(t *testing.T) (*machine.Machine, *device.NIC, *Stack) {
 		m, nic, st := asyncRig(t)
-		k := st.k
-		m.AttachSnapshotter("nocs", 0, k)
+		m.AttachSnapshotter("nocs", 0, st.k)
 		m.AttachSnapshotter("netstack", 0, st)
-		_ = nic
 		return m, nic, st
 	}
-	mA, _, stA := build(t)
-	c := mA.Core(0)
-	const a, b = 0x700000, 0x700100
-	for i, v := range []int64{100, 7, 42} {
-		c.WriteWord(a+int64(i)*8, v)
-	}
-	for i, v := range []int64{100, 7, 43} {
-		c.WriteWord(b+int64(i)*8, v)
-	}
-	if !stA.Send(a, 3) {
-		t.Fatal("first send refused")
-	}
-	stA.SendWithRetry(b, 3, 64) // mailbox busy: schedules a tracked retry
-	found := false
-	for _, e := range stA.live {
-		if e.kind == evSendRetry {
-			found = true
+	checkpoint := func(t *testing.T, kind uint8) []byte {
+		mA, _, stA := build(t)
+		const a = 0x700000
+		for i, v := range []int64{100, 7, 42} {
+			mA.Core(0).WriteWord(a+int64(i)*8, v)
 		}
+		if !stA.Send(a, 3) {
+			t.Fatal("first send refused")
+		}
+		stA.SendAsync([]int64{100, 7, 43}) // mailbox busy: the pump backs off
+		if len(stA.live) != 1 || stA.live[0].kind != evTxPump {
+			t.Fatalf("live events %v, want one tracked pump", stA.live)
+		}
+		stA.live[0].kind = kind
+		var buf bytes.Buffer
+		if err := mA.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if !found {
-		t.Fatal("no tracked send-retry event; backoff is not checkpointable")
-	}
-	var buf bytes.Buffer
-	if err := mA.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+
+	ckpt := checkpoint(t, evTxPump)
 	mB, nicB, stB := build(t)
 	var wireB [][]int64
 	nicB.OnTransmit = func(p []int64) { wireB = append(wireB, append([]int64(nil), p...)) }
-	if err := mB.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := mB.Restore(bytes.NewReader(ckpt)); err != nil {
 		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := mB.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckpt, again.Bytes()) {
+		t.Fatal("a restored pump record does not re-encode to the same bytes")
 	}
 	mB.Run(0)
 	if len(wireB) != 2 || wireB[0][2] != 42 || wireB[1][2] != 43 {
@@ -413,5 +432,11 @@ func TestSendRetrySurvivesCheckpoint(t *testing.T) {
 	}
 	if _, _, sent := stB.Stats(); sent != 2 {
 		t.Fatalf("restored sent=%d", sent)
+	}
+
+	mC, _, _ := build(t)
+	err := mC.Restore(bytes.NewReader(checkpoint(t, 2)))
+	if err == nil || !strings.Contains(err.Error(), "unknown kind 2") {
+		t.Fatalf("restore of a kind-2 stack event: %v, want the unknown-kind error", err)
 	}
 }

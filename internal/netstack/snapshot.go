@@ -19,9 +19,8 @@ import (
 // The stack implements machine.ComponentSnapshotter; attach it with
 // m.AttachSnapshotter("netstack", shard, stack) on both the snapshot and the
 // restore machine. The restore target must have bound the same ports in the
-// same order. SendWithRetry backoffs and the SendAsync outbox pump are
-// tracked stack events, so a sender caught mid-backoff checkpoints and
-// replays exactly.
+// same order. The SendAsync outbox pump is a tracked stack event, so a sender
+// caught mid-backoff checkpoints and replays exactly.
 
 // SnapshotState writes the stack's dynamic state.
 func (s *Stack) SnapshotState(w *snapshot.W) error {
@@ -35,7 +34,8 @@ func (s *Stack) SnapshotState(w *snapshot.W) error {
 	}
 	w.Len(len(s.order))
 	for _, sock := range s.order {
-		w.I64(sock.Port).I64(sock.delivered).I64(sock.nacks).I64(sock.drops).Bool(sock.blocked)
+		// The 0 is a retired per-socket drop count: backpressure lost none.
+		w.I64(sock.Port).I64(sock.delivered).I64(sock.nacks).I64(0).Bool(sock.blocked)
 	}
 
 	type evRec struct {
@@ -61,8 +61,9 @@ func (s *Stack) SnapshotState(w *snapshot.W) error {
 	})
 	w.Len(len(evs))
 	for _, r := range evs {
+		// The two zeros are the retired second back-off's address and cap.
 		w.I64(int64(r.at)).U64(r.seq).U8(r.e.kind).I64(int64(r.e.sock)).I64(r.e.val)
-		w.I64(r.e.addr).I64(int64(r.e.wait)).I64(int64(r.e.max))
+		w.I64(0).I64(int64(r.e.wait)).I64(0)
 	}
 	return nil
 }
@@ -84,12 +85,14 @@ func (s *Stack) RestoreState(r *snapshot.R) error {
 	}
 	nSock := r.Len(33)
 	type sockRec struct {
-		port, delivered, nacks, drops int64
-		blocked                       bool
+		port, delivered, nacks int64
+		blocked                bool
 	}
 	socks := make([]sockRec, nSock)
 	for i := range socks {
-		socks[i] = sockRec{r.I64(), r.I64(), r.I64(), r.I64(), r.Bool()}
+		socks[i] = sockRec{port: r.I64(), delivered: r.I64(), nacks: r.I64()}
+		r.I64() // retired drop count
+		socks[i].blocked = r.Bool()
 	}
 	nEv := r.Len(57)
 	type evRec struct {
@@ -98,14 +101,14 @@ func (s *Stack) RestoreState(r *snapshot.R) error {
 		kind uint8
 		sock int64
 		val  int64
-		addr int64
 		wait sim.Cycles
-		max  sim.Cycles
 	}
 	evs := make([]evRec, nEv)
 	for i := range evs {
-		evs[i] = evRec{sim.Cycles(r.I64()), r.U64(), r.U8(), r.I64(), r.I64(),
-			r.I64(), sim.Cycles(r.I64()), sim.Cycles(r.I64())}
+		evs[i] = evRec{at: sim.Cycles(r.I64()), seq: r.U64(), kind: r.U8(), sock: r.I64(), val: r.I64()}
+		r.I64() // retired back-off address
+		evs[i].wait = sim.Cycles(r.I64())
+		r.I64() // retired back-off cap
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -120,6 +123,9 @@ func (s *Stack) RestoreState(r *snapshot.R) error {
 		}
 	}
 	for _, e := range evs {
+		if int(e.kind) >= len(stackEvNames) || stackEvNames[e.kind] == "" {
+			return fmt.Errorf("netstack: snapshot event has unknown kind %d", e.kind)
+		}
 		if e.kind == evSockRx && (e.sock < 0 || e.sock >= int64(len(s.order))) {
 			return fmt.Errorf("netstack: snapshot doorbell event for unknown socket %d", e.sock)
 		}
@@ -132,16 +138,13 @@ func (s *Stack) RestoreState(r *snapshot.R) error {
 	s.outbox = outbox
 	for i, rec := range socks {
 		sock := s.order[i]
-		sock.delivered, sock.nacks, sock.drops, sock.blocked = rec.delivered, rec.nacks, rec.drops, rec.blocked
+		sock.delivered, sock.nacks, sock.blocked = rec.delivered, rec.nacks, rec.blocked
 	}
 	s.live = s.live[:0]
 	sh := s.k.Core().Shard()
 	for _, rec := range evs {
-		if int(rec.kind) >= len(stackEvNames) {
-			return fmt.Errorf("netstack: snapshot event has unknown kind %d", rec.kind)
-		}
 		e := &stackEv{st: s, idx: len(s.live), kind: rec.kind, sock: int(rec.sock),
-			val: rec.val, addr: rec.addr, wait: rec.wait, max: rec.max}
+			val: rec.val, wait: rec.wait}
 		e.h = sh.AtSeq(rec.at, rec.seq, stackEvNames[rec.kind], e)
 		s.live = append(s.live, e)
 	}

@@ -106,8 +106,8 @@ func stackFingerprint(m *machine.Machine, st *Stack, s80, s443 *Socket) string {
 		"s80={d=%d p=%d n=%d blk=%v} s443={d=%d p=%d n=%d blk=%v} app={st=%v r2=%d} db=%d/%d",
 		m.Now(), st.received, st.dropNoSock, st.dropMalform, st.backpressure,
 		st.sent, st.sendBusy, st.svcFaults, st.rxHead, st.txSeq,
-		s80.delivered, s80.Pending(), s80.nacks, s80.blocked,
-		s443.delivered, s443.Pending(), s443.nacks, s443.blocked,
+		s80.delivered, pending(s80), s80.nacks, s80.blocked,
+		s443.delivered, pending(s443), s443.nacks, s443.blocked,
 		ctx.State, ctx.Regs.GPR[2],
 		m.Core(0).ReadWord(s80.DoorbellAddr()), m.Core(0).ReadWord(s443.DoorbellAddr()))
 }

@@ -297,9 +297,6 @@ func (it *Interp) Thread(p int) *Thread {
 // Fatal returns the no-handler outcome, nil while healthy.
 func (it *Interp) Fatal() *Fatal { return it.fatal }
 
-// Now returns the interpreter's clock.
-func (it *Interp) Now() int64 { return it.now }
-
 // Mem reads a word of simulated memory.
 func (it *Interp) Mem(addr int64) int64 { return it.mem[addr] }
 

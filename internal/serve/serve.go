@@ -60,7 +60,8 @@ const (
 // Config parameterizes one serving cell. Zero fields take the defaults
 // noted; every other cell parameter is one of the cell constants below.
 type Config struct {
-	// AppServers is the app-tier pool size (cores 1..AppServers; default 8).
+	// AppServers is the app-tier pool size (cores 1..AppServers; default 8,
+	// at most 1,024).
 	AppServers int
 	// Conns is the simulated connection count (default 100,000); each
 	// connection carries reqsPerConn requests.
@@ -87,6 +88,11 @@ type Config struct {
 // ErrConfig is returned, wrapped with the offending field, by New for a
 // Config it cannot build a cell from.
 var ErrConfig = errors.New("serve: invalid config")
+
+// maxAppServers bounds Config.AppServers. Each app server is a core and a
+// shard of its own, so New checks the bound before it allocates anything: an
+// absurd pool size fails with ErrConfig instead of exhausting host memory.
+const maxAppServers = 1024
 
 // Cell constants (DESIGN.md §15): every serving cell uses these values.
 const (
@@ -229,6 +235,8 @@ func (c *Config) check() error {
 		return fmt.Errorf("%w: Conns %d is negative", ErrConfig, c.Conns)
 	case c.AppServers < 0:
 		return fmt.Errorf("%w: AppServers %d is negative", ErrConfig, c.AppServers)
+	case c.AppServers > maxAppServers:
+		return fmt.Errorf("%w: AppServers %d exceeds the bound of %d", ErrConfig, c.AppServers, maxAppServers)
 	case c.Window < 0:
 		return fmt.Errorf("%w: Window %d is negative", ErrConfig, c.Window)
 	case c64(c.Conns)*reqsPerConn >= 1<<(62-demandBits):

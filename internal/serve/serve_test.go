@@ -198,8 +198,9 @@ func TestServeSnapshotMidOverload(t *testing.T) {
 
 // TestServeConfigValidation: a config no cell can be built from — an
 // unknown flavor or arrival process, a Load that is not a positive finite
-// number, a negative count — fails New up front with ErrConfig naming the
-// field, instead of panicking or running.
+// number, a negative count, a pool past maxAppServers — fails New up front
+// with ErrConfig naming the field, instead of panicking, running or
+// exhausting host memory.
 func TestServeConfigValidation(t *testing.T) {
 	for _, tc := range []struct {
 		want string
@@ -212,6 +213,8 @@ func TestServeConfigValidation(t *testing.T) {
 		{"Load", Config{Load: math.Inf(1)}},
 		{"Conns", Config{Conns: -5}},
 		{"AppServers", Config{AppServers: -1}},
+		{"AppServers", Config{AppServers: maxAppServers + 1}},
+		{"AppServers", Config{AppServers: 1 << 40}},
 		{"Window", Config{Window: -1}},
 	} {
 		_, err := New(tc.cfg)

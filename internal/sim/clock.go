@@ -54,12 +54,3 @@ func (c *Clock) AdvanceTo(t Cycles) {
 	}
 	c.now = t
 }
-
-// Advance moves the clock forward by d cycles and returns the new time.
-func (c *Clock) Advance(d Cycles) Cycles {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative clock advance %d", d))
-	}
-	c.now += d
-	return c.now
-}

@@ -12,9 +12,9 @@ func TestClockAdvance(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("new clock at %d, want 0", c.Now())
 	}
-	c.Advance(10)
+	c.AdvanceTo(10)
 	if c.Now() != 10 {
-		t.Fatalf("after Advance(10): %d", c.Now())
+		t.Fatalf("after AdvanceTo(10): %d", c.Now())
 	}
 	c.AdvanceTo(10) // same time is allowed
 	c.AdvanceTo(25)
@@ -30,17 +30,8 @@ func TestClockRewindPanics(t *testing.T) {
 		}
 	}()
 	c := NewClock()
-	c.Advance(5)
+	c.AdvanceTo(5)
 	c.AdvanceTo(3)
-}
-
-func TestClockNegativeAdvancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative advance")
-		}
-	}()
-	NewClock().Advance(-1)
 }
 
 func TestCyclesNanos(t *testing.T) {
@@ -91,7 +82,7 @@ func TestEngineFIFOAtEqualTimestamps(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine(nil)
-	e.Clock().Advance(100)
+	e.Clock().AdvanceTo(100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")

@@ -266,12 +266,6 @@ func (s *Store) faultedTransfer(t Tier) sim.Cycles {
 	return cost
 }
 
-// FaultStats returns (transfer retries, tier fallbacks) under injected
-// ECC errors. Both are zero without a fault plan.
-func (s *Store) FaultStats() (retries, fallbacks uint64) {
-	return s.xferRetries, s.tierFallbacks
-}
-
 // StartCost previews the cycles a Start would charge now, without mutating
 // placement.
 func (s *Store) StartCost(id int, now sim.Cycles) (sim.Cycles, error) {
@@ -343,13 +337,6 @@ func (s *Store) Pin(id int, now sim.Cycles) error {
 	}
 	e.lastUse = now
 	return nil
-}
-
-// Unpin releases a pinned thread.
-func (s *Store) Unpin(id int) {
-	if e, ok := s.entries[id]; ok {
-		e.pinned = false
-	}
 }
 
 // moveToRF promotes e into the register file, demoting LRU victims.

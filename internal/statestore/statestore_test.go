@@ -195,7 +195,7 @@ func TestPinKeepsStateInRF(t *testing.T) {
 	if tr, _ := s.TierOf(0); tr != TierRF {
 		t.Fatal("pinned state evicted")
 	}
-	s.Unpin(0)
+	s.entries[0].pinned = false
 	s.Start(2, 60)
 	if tr, _ := s.TierOf(2); tr != TierRF {
 		t.Fatal("unpinned state not evictable")

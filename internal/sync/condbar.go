@@ -12,9 +12,6 @@ type CondVar struct {
 	UseFutex bool
 }
 
-func (c CondVar) Kind() Kind     { return Cond }
-func (c CondVar) Flavor() Flavor { return c.F }
-
 // EmitSnapshot captures the current sequence into T4. Call while holding
 // the mutex that guards the condition.
 func (c CondVar) EmitSnapshot(g *Gen, r Regs) {
@@ -65,9 +62,6 @@ func (c CondVar) EmitSignal(g *Gen, r Regs, broadcast bool) {
 // generation to move (convoy formation in miniature — all waiters release
 // at once).
 type SyncBarrier struct{ F Flavor }
-
-func (b SyncBarrier) Kind() Kind     { return Barrier }
-func (b SyncBarrier) Flavor() Flavor { return b.F }
 
 // EmitArrive emits one arrive-and-wait for an n-thread barrier.
 func (b SyncBarrier) EmitArrive(g *Gen, r Regs, n int) {

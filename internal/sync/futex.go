@@ -37,7 +37,6 @@ type FutexService struct {
 
 	waiters map[int64][]hwthread.PTID // FIFO per futex word
 	waits   uint64                    // calls that actually slept
-	eagains uint64                    // calls that returned without sleeping
 	wakes   uint64                    // threads woken
 }
 
@@ -45,14 +44,6 @@ type FutexService struct {
 func NewFutexService(c *core.Core) *FutexService {
 	return &FutexService{c: c, waiters: make(map[int64][]hwthread.PTID)}
 }
-
-// Stats returns (calls that slept, calls that returned EAGAIN, threads woken).
-func (f *FutexService) Stats() (waits, eagains, wakes uint64) {
-	return f.waits, f.eagains, f.wakes
-}
-
-// Parked reports the number of threads currently parked on addr.
-func (f *FutexService) Parked(addr int64) int { return len(f.waiters[addr]) }
 
 func (f *FutexService) park(addr int64, p hwthread.PTID) {
 	f.waiters[addr] = append(f.waiters[addr], p)
@@ -87,7 +78,6 @@ func (f *FutexService) InstallNocs(k *kernel.Nocs) {
 		func(t *hwthread.Context, args [4]int64) (park bool, ret int64, cost sim.Cycles) {
 			addr, expected := args[0], args[1]
 			if f.c.ReadWord(addr) != expected {
-				f.eagains++
 				return false, 1, f.c.AccessCost(addr)
 			}
 			f.park(addr, t.PTID)
@@ -114,7 +104,6 @@ func (f *FutexService) InstallLegacy(c *core.Core) {
 	c.RegisterNative(NativeFutexWait, func(c *core.Core, t *hwthread.Context) sim.Cycles {
 		addr, expected := t.Regs.GPR[2], t.Regs.GPR[3]
 		if c.ReadWord(addr) != expected {
-			f.eagains++
 			t.Regs.GPR[1] = 1
 			return trap + c.AccessCost(addr)
 		}
@@ -142,48 +131,4 @@ func (f *FutexService) InstallLegacy(c *core.Core) {
 		t.Regs.GPR[1] = int64(len(woken))
 		return trap + c.AccessCost(t.Regs.GPR[2])
 	})
-}
-
-// FutexWord is the raw-futex primitive used by the bench cells: wait
-// until the word at [Base+0] stops reading the T4 snapshot, parking in
-// the kernel; Wake bumps the word and releases up to n waiters. The Nocs
-// flavor traps via SYSCALL (descriptor doorbell), the Legacy flavor via
-// the trap-model natives.
-type FutexWord struct{ F Flavor }
-
-func (w FutexWord) Kind() Kind     { return Futex }
-func (w FutexWord) Flavor() Flavor { return w.F }
-
-// EmitWait blocks until [Base+0] != T4. Clobbers r1–r3.
-func (w FutexWord) EmitWait(g *Gen, r Regs) {
-	loop := g.L("fwait")
-	done := g.L("fdone")
-	g.Label(loop)
-	g.I("ld %s, [%s+0]", r.T1, r.Base)
-	g.I("bne %s, %s, %s", r.T1, r.T4, done)
-	g.I("mov r2, %s", r.Base)
-	g.I("mov r3, %s", r.T4)
-	if w.F == Nocs {
-		g.I("movi r1, %d", SysFutexWait)
-		g.I("syscall")
-	} else {
-		g.I("native %s", NativeFutexWait)
-	}
-	g.I("jmp %s", loop)
-	g.Label(done)
-}
-
-// EmitWake advances the word with a FAA and wakes up to n parked waiters.
-// Clobbers r1–r3.
-func (w FutexWord) EmitWake(g *Gen, r Regs, n int) {
-	g.I("movi %s, 1", r.T1)
-	g.I("faa %s, [%s+0], %s", r.T2, r.Base, r.T1)
-	g.I("mov r2, %s", r.Base)
-	g.I("movi r3, %d", n)
-	if w.F == Nocs {
-		g.I("movi r1, %d", SysFutexWake)
-		g.I("syscall")
-	} else {
-		g.I("native %s", NativeFutexWake)
-	}
 }

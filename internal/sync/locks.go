@@ -9,15 +9,6 @@ type SpinLock struct {
 	F         Flavor
 }
 
-func (l SpinLock) Kind() Kind {
-	if l.TestFirst {
-		return TTAS
-	}
-	return TAS
-}
-
-func (l SpinLock) Flavor() Flavor { return l.F }
-
 func (l SpinLock) EmitAcquire(g *Gen, r Regs) {
 	try := g.L("try")
 	done := g.L("locked")
@@ -61,9 +52,6 @@ func (l SpinLock) EmitRelease(g *Gen, r Regs) {
 //	+8  + 16*i:    qnode i flag  (1 = wait, 0 = lock granted)
 //	+16 + 16*i:    qnode i next  (0 = none; j+1 = thread j follows)
 type MCSLock struct{ F Flavor }
-
-func (l MCSLock) Kind() Kind     { return MCS }
-func (l MCSLock) Flavor() Flavor { return l.F }
 
 // qnode leaves Base + 16*Me (the address 8 below qnode Me's flag) in dst.
 func (l MCSLock) qnode(g *Gen, r Regs, dst string) {
@@ -130,9 +118,6 @@ type ParkingMutex struct {
 	F        Flavor
 	UseFutex bool
 }
-
-func (l ParkingMutex) Kind() Kind     { return Mutex }
-func (l ParkingMutex) Flavor() Flavor { return l.F }
 
 func (l ParkingMutex) EmitAcquire(g *Gen, r Regs) {
 	done := g.L("locked")

@@ -40,17 +40,6 @@ func (f Flavor) String() string {
 	return "legacy"
 }
 
-// ParseFlavor is the inverse of String.
-func ParseFlavor(s string) (Flavor, error) {
-	switch s {
-	case "nocs":
-		return Nocs, nil
-	case "legacy":
-		return Legacy, nil
-	}
-	return 0, fmt.Errorf("sync: unknown flavor %q", s)
-}
-
 // Kind identifies a primitive family.
 type Kind int
 
@@ -61,13 +50,11 @@ const (
 	Mutex
 	Cond
 	Barrier
-	Futex
-	numKinds
 )
 
 var kindNames = [...]string{
 	TAS: "tas", TTAS: "ttas", MCS: "mcs", Mutex: "mutex",
-	Cond: "cond", Barrier: "barrier", Futex: "futex",
+	Cond: "cond", Barrier: "barrier",
 }
 
 func (k Kind) String() string {
@@ -75,25 +62,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// ParseKind is the inverse of Kind.String.
-func ParseKind(s string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == s {
-			return Kind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("sync: unknown primitive kind %q", s)
-}
-
-// Kinds returns every primitive family in declaration order.
-func Kinds() []Kind {
-	ks := make([]Kind, numKinds)
-	for i := range ks {
-		ks[i] = Kind(i)
-	}
-	return ks
 }
 
 // Stride is the byte distance between adjacent words of a primitive's
@@ -112,23 +80,8 @@ type Regs struct {
 	T1, T2, T3, T4 string
 }
 
-// Words reports the number of contiguous Stride-spaced memory words a
-// primitive of the given kind needs at its base address for n threads.
-func Words(k Kind, n int) int {
-	switch k {
-	case MCS:
-		return 1 + 2*n // tail, then {flag, next} per thread
-	case Barrier:
-		return 2 // arrival count, generation
-	default:
-		return 1 // single lock/sequence word
-	}
-}
-
 // Lock is the common interface of the acquire/release primitives.
 type Lock interface {
-	Kind() Kind
-	Flavor() Flavor
 	// EmitAcquire emits assembly that acquires the lock at [Base].
 	EmitAcquire(g *Gen, r Regs)
 	// EmitRelease emits assembly that releases the lock at [Base].

@@ -29,7 +29,7 @@ func testRegs() Regs {
 // sections, each doing a deliberately non-atomic increment of cntAddr (so
 // any mutual-exclusion violation loses counts).
 func lockLoopProgram(l Lock, iters int) string {
-	g := NewGen(fmt.Sprintf("%v_%v", l.Kind(), l.Flavor()))
+	g := NewGen("lock")
 	g.Label("entry")
 	g.I("movi r9, %d", iters)
 	loop, done := g.L("loop"), g.L("done")
@@ -123,7 +123,7 @@ func TestFutexMutexMutualExclusion(t *testing.T) {
 	if got := m.Mem().Read(cntAddr); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	waits, _, wakes := f.Stats()
+	waits, wakes := f.waits, f.wakes
 	if waits == 0 || wakes == 0 {
 		t.Fatalf("futex never engaged: waits=%d wakes=%d (not contended?)", waits, wakes)
 	}
@@ -376,12 +376,20 @@ func TestFutexDescriptorPark(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fx := FutexWord{F: Nocs}
-	r := testRegs()
-
+	// The waiter sleeps in the futex until [r10] stops reading its r4
+	// snapshot; the waker bumps the word and wakes up to 8 waiters.
 	waiter := NewGen("waiter")
 	waiter.Label("entry")
-	fx.EmitWait(waiter, r) // T4 snapshot is 0 via r4
+	loop, done := waiter.L("fwait"), waiter.L("fdone")
+	waiter.Label(loop)
+	waiter.I("ld r1, [r10+0]")
+	waiter.I("bne r1, r4, %s", done)
+	waiter.I("mov r2, r10")
+	waiter.I("mov r3, r4")
+	waiter.I("movi r1, %d", SysFutexWait)
+	waiter.I("syscall")
+	waiter.I("jmp %s", loop)
+	waiter.Label(done)
 	waiter.I("ld r5, [r10+0]")
 	waiter.I("st [r6+0], r5")
 	waiter.I("halt")
@@ -395,7 +403,12 @@ func TestFutexDescriptorPark(t *testing.T) {
 	waker.I("addi r9, r9, -1")
 	waker.I("jmp %s", w)
 	waker.Label(s)
-	fx.EmitWake(waker, r, 8)
+	waker.I("movi r1, 1")
+	waker.I("faa r2, [r10+0], r1")
+	waker.I("mov r2, r10")
+	waker.I("movi r3, 8")
+	waker.I("movi r1, %d", SysFutexWake)
+	waker.I("syscall")
 	waker.I("halt")
 
 	for i, src := range []string{waiter.Source(), waker.Source()} {
@@ -423,35 +436,8 @@ func TestFutexDescriptorPark(t *testing.T) {
 	if got := m.Mem().Read(outAddr); got != 1 {
 		t.Fatalf("waiter observed futex word %d, want 1", got)
 	}
-	waits, _, wakes := f.Stats()
+	waits, wakes := f.waits, f.wakes
 	if waits != 1 || wakes != 1 {
 		t.Fatalf("futex stats waits=%d wakes=%d, want 1/1", waits, wakes)
-	}
-}
-
-func TestWordsLayout(t *testing.T) {
-	if got := Words(MCS, 8); got != 17 {
-		t.Fatalf("MCS words for 8 threads = %d, want 17", got)
-	}
-	if got := Words(Barrier, 8); got != 2 {
-		t.Fatalf("Barrier words = %d, want 2", got)
-	}
-	if got := Words(TAS, 8); got != 1 {
-		t.Fatalf("TAS words = %d, want 1", got)
-	}
-}
-
-func TestFlavorKindRoundTrip(t *testing.T) {
-	for _, k := range Kinds() {
-		back, err := ParseKind(k.String())
-		if err != nil || back != k {
-			t.Fatalf("kind round trip %v -> %q -> %v (%v)", k, k.String(), back, err)
-		}
-	}
-	for _, f := range []Flavor{Nocs, Legacy} {
-		back, err := ParseFlavor(f.String())
-		if err != nil || back != f {
-			t.Fatalf("flavor round trip failed for %v", f)
-		}
 	}
 }

@@ -58,7 +58,6 @@ type MailboxService struct {
 	Slots int
 
 	k     *kernel.Nocs
-	ptid  hwthread.PTID
 	work  WorkFn
 	calls uint64
 }
@@ -74,7 +73,7 @@ func NewMailboxService(k *kernel.Nocs, name string, base int64, slots int, work 
 		doorbells[i] = base + int64(i)*SlotBytes + slotStatus
 	}
 	c := k.Core()
-	p, err := k.SpawnService(name, func() []int64 { return doorbells },
+	_, err := k.SpawnService(name, func() []int64 { return doorbells },
 		func(t *hwthread.Context) sim.Cycles {
 			var cost sim.Cycles
 			for i := 0; i < slots; i++ {
@@ -100,12 +99,8 @@ func NewMailboxService(k *kernel.Nocs, name string, base int64, slots int, work 
 	if err != nil {
 		return nil, err
 	}
-	s.ptid = p
 	return s, nil
 }
-
-// PTID returns the service's hardware thread.
-func (s *MailboxService) PTID() hwthread.PTID { return s.ptid }
 
 // Calls returns the number of requests served.
 func (s *MailboxService) Calls() uint64 { return s.calls }

@@ -78,7 +78,7 @@ type ParetoArrivals struct {
 
 // NewParetoArrivals creates a bursty arrival process with the given mean
 // interarrival time. It panics on a non-positive mean or alpha <= 1
-// (infinite mean), matching the NewPareto convention.
+// (infinite mean), matching the NewPoissonArrivals convention.
 func NewParetoArrivals(meanCycles, alpha float64, rng *sim.RNG) *ParetoArrivals {
 	if meanCycles <= 0 {
 		panic(fmt.Sprintf("workload: non-positive mean interarrival %v", meanCycles))
@@ -93,20 +93,6 @@ func NewParetoArrivals(meanCycles, alpha float64, rng *sim.RNG) *ParetoArrivals 
 // Next draws a Pareto interarrival gap, carry-rounded to nearest.
 func (p *ParetoArrivals) Next() sim.Cycles {
 	return roundedGap(p.rng.Pareto(p.Xm, p.Alpha), &p.carry)
-}
-
-// UniformArrivals produces a deterministic, evenly spaced arrival train —
-// the control case with zero arrival variability.
-type UniformArrivals struct {
-	Gap sim.Cycles
-}
-
-// Next returns the fixed gap.
-func (u *UniformArrivals) Next() sim.Cycles {
-	if u.Gap < 1 {
-		return 1
-	}
-	return u.Gap
 }
 
 // Service draws per-request service demands in cycles.
@@ -170,8 +156,8 @@ type Bimodal struct {
 
 // NewBimodal creates a bimodal service distribution. It panics on a
 // non-positive mode or a PShort outside [0, 1] — either would silently skew
-// every cell of a tail-latency sweep — matching the NewPareto /
-// NewPoissonArrivals convention.
+// every cell of a tail-latency sweep — matching the NewPoissonArrivals
+// convention.
 func NewBimodal(short, long sim.Cycles, pShort float64, rng *sim.RNG) Bimodal {
 	if short < 1 || long < 1 {
 		panic(fmt.Sprintf("workload: non-positive bimodal mode %d/%d", short, long))
@@ -198,51 +184,6 @@ func (b Bimodal) Mean() float64 {
 
 // Name identifies the distribution.
 func (b Bimodal) Name() string { return "bimodal" }
-
-// Pareto service: heavy-tailed with scale Xm and shape Alpha. Alpha must be
-// > 1: an infinite-mean shape has no meaningful offered load, so experiment
-// utilization targets computed from Mean would be silently wrong. Construct
-// with NewPareto, which validates (the same convention as
-// NewPoissonArrivals).
-type Pareto struct {
-	Xm    float64
-	Alpha float64
-	RNG   *sim.RNG
-}
-
-// NewPareto creates a heavy-tailed service distribution. It panics when
-// alpha <= 1 (infinite mean) or xm <= 0, matching NewPoissonArrivals.
-func NewPareto(xm, alpha float64, rng *sim.RNG) Pareto {
-	if xm <= 0 {
-		panic(fmt.Sprintf("workload: non-positive Pareto scale %v", xm))
-	}
-	if alpha <= 1 {
-		panic(fmt.Sprintf("workload: Pareto shape %v has infinite mean (need alpha > 1)", alpha))
-	}
-	return Pareto{Xm: xm, Alpha: alpha, RNG: rng}
-}
-
-// Sample draws a Pareto demand.
-func (p Pareto) Sample() sim.Cycles {
-	v := sim.Cycles(p.RNG.Pareto(p.Xm, p.Alpha))
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
-// Mean returns alpha*xm/(alpha-1). It panics on an infinite-mean shape —
-// the old fallback of reporting the scale made load calculations silently
-// wrong; NewPareto rejects such shapes at construction.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		panic(fmt.Sprintf("workload: Pareto shape %v has infinite mean", p.Alpha))
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-// Name identifies the distribution.
-func (p Pareto) Name() string { return "pareto" }
 
 // Request is one generated request.
 type Request struct {

@@ -36,17 +36,6 @@ func TestPoissonArrivalsValidation(t *testing.T) {
 	NewPoissonArrivals(0, sim.NewRNG(1))
 }
 
-func TestUniformArrivals(t *testing.T) {
-	u := &UniformArrivals{Gap: 500}
-	if u.Next() != 500 || u.Next() != 500 {
-		t.Fatal("uniform gaps")
-	}
-	z := &UniformArrivals{Gap: 0}
-	if z.Next() != 1 {
-		t.Fatal("zero gap clamp")
-	}
-}
-
 func TestDeterministicService(t *testing.T) {
 	d := Deterministic{C: 3000}
 	if d.Sample() != 3000 || d.Mean() != 3000 || d.Name() != "deterministic" {
@@ -98,21 +87,6 @@ func TestBimodalService(t *testing.T) {
 	}
 }
 
-func TestParetoService(t *testing.T) {
-	p := NewPareto(1000, 2, sim.NewRNG(3))
-	for i := 0; i < 10000; i++ {
-		if p.Sample() < 1000 {
-			t.Fatal("below scale")
-		}
-	}
-	if p.Mean() != 2000 {
-		t.Fatalf("mean %v", p.Mean())
-	}
-	if p.Name() != "pareto" {
-		t.Fatal("name")
-	}
-}
-
 // Infinite-mean shapes must be rejected at construction, matching the
 // NewPoissonArrivals panic convention — the old Mean fallback of reporting
 // the scale silently skewed every load target computed from it.
@@ -126,14 +100,18 @@ func TestParetoRejectsInfiniteMean(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("alpha=0.9", func() { NewPareto(1000, 0.9, sim.NewRNG(1)) })
-	mustPanic("alpha=1", func() { NewPareto(1000, 1, sim.NewRNG(1)) })
-	mustPanic("xm=0", func() { NewPareto(0, 2, sim.NewRNG(1)) })
-	mustPanic("Mean on infinite shape", func() { _ = Pareto{Xm: 1000, Alpha: 0.9}.Mean() })
+	mustPanic("alpha=0.9", func() { NewParetoArrivals(1000, 0.9, sim.NewRNG(1)) })
+	mustPanic("alpha=1", func() { NewParetoArrivals(1000, 1, sim.NewRNG(1)) })
+	mustPanic("mean=0", func() { NewParetoArrivals(0, 2, sim.NewRNG(1)) })
 }
 
+// fixedGap is an evenly spaced arrival train.
+type fixedGap sim.Cycles
+
+func (g fixedGap) Next() sim.Cycles { return sim.Cycles(g) }
+
 func TestGenerate(t *testing.T) {
-	reqs := Generate(100, 500, &UniformArrivals{Gap: 10}, Deterministic{C: 7})
+	reqs := Generate(100, 500, fixedGap(10), Deterministic{C: 7})
 	if len(reqs) != 100 {
 		t.Fatal("count")
 	}

@@ -5,52 +5,56 @@
 #   1. gofmt           — no unformatted files
 #   2. go vet          — static checks
 #   3. go build        — every package, including examples and cmds
-#   4. go test -race   — the full suite under the race detector
-#   5. benchmark module — go vet + go test in benchmark/, its own Go module
+#   4. dead-code gate  — scripts/reach.sh: every non-test function under
+#                        internal/ that none of the 12 binaries reaches
+#                        (linker reachability, inlining off) must be listed,
+#                        with its reason, in scripts/unreachable_baseline.txt
+#   5. go test -race   — the full suite under the race detector
+#   6. benchmark module — go vet + go test in benchmark/, its own Go module
 #                        (the root ./... never compiles it), which drives
 #                        sim, machine, serve and kernel
-#   6. fuzz smoke      — 10s of coverage-guided fuzzing per fuzz target,
+#   7. fuzz smoke      — 10s of coverage-guided fuzzing per fuzz target,
 #                        on top of the checked-in corpora: the assembler,
 #                        the trace and NOCSNAP1 codecs, and the memory and
 #                        cache restore codecs (FuzzMemoryRestore: no panic,
 #                        and whatever restores re-encodes to its own bytes)
-#   7. diff sweep      — 200 fresh seeds through the engine-vs-reference
+#   8. diff sweep      — 200 fresh seeds through the engine-vs-reference
 #                        differential harness (DESIGN.md §9), each seed also
 #                        checkpointed/restored mid-run (restore-equivalence)
-#   8. faulted sweep   — 100 seeds with injected fault schedules, their
+#   9. faulted sweep   — 100 seeds with injected fault schedules, their
 #                        restore-equivalence variant, the planted
 #                        fault-swallowing mutation that the sweep must catch
 #                        (DESIGN.md §10), and the diff-bisection harness
 #                        localizing a planted mutation to its exact first
 #                        divergent cycle (DESIGN.md §13)
-#   9. fault package   — go vet + race-enabled unit tests for
+#  10. fault package   — go vet + race-enabled unit tests for
 #                        internal/faultinject
-#  10. allocation gate — CoreInstructionRate + F7_TailLatency +
+#  11. allocation gate — CoreInstructionRate + F7_TailLatency +
 #                        UncontendedLock + ServeCell + F9_PriorityScheduling
 #                        (the oversubscribed core's ready queue) allocs/op
 #                        must stay within 10% of scripts/alloc_baseline.txt
 #                        (the zero-alloc hot paths must not silently regrow
 #                        heap traffic)
-#  11. system suite    — `nocsim -exp S1,L1,SV1 -quick`; the exit status is
+#  12. system suite    — `nocsim -exp S1,L1,SV1 -quick`; the exit status is
 #                        the check. S1, L1 and SV1 each fail unless their
 #                        sharded pass is byte-identical to the serial
 #                        oracle; L1 also fails on any exclusion violation or
 #                        lost wakeup, SV1 on a conservation break or if no
 #                        overload cell refused a request (DESIGN.md §12,
 #                        §14, §15)
-#  12. lock ordering   — a 60-seed lock-ordering differential sweep with the
+#  13. lock ordering   — a 60-seed lock-ordering differential sweep with the
 #                        planted LIFO-handoff mutation that the sweep must
 #                        catch (DESIGN.md §14)
-#  13. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
+#  14. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
 #                        resumed from the last checkpoint: one plain diff of
 #                        the two outputs (DESIGN.md §13)
-#  14. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
+#  15. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
 #                        the untraced run's output, and its trace file must
 #                        be byte-identical to a second traced run under
 #                        GOMAXPROCS=1 (sharded vs serial oracle, DESIGN.md §8);
 #                        `nocsim -all -quick -trace` must write the same file
 #                        at the default GOMAXPROCS and at GOMAXPROCS=1
-#  15. golden diff     — `nocsim -all` must be byte-identical to the
+#  16. golden diff     — `nocsim -all` must be byte-identical to the
 #                        committed results_full.txt (skip with SKIP_GOLDEN=1
 #                        when the caller performs its own golden run)
 #
@@ -73,6 +77,9 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== dead-code gate (scripts/reach.sh) =="
+scripts/reach.sh
 
 echo "== go test -race =="
 go test -race ./...
