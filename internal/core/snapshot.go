@@ -75,7 +75,9 @@ func (c *Core) SnapshotState(w *snapshot.W, progID func(*isa.Program) (int64, er
 	w.U64(c.retired).U64(c.starts)
 
 	c.pipe.SnapshotState(w)
-	c.store.SnapshotState(w)
+	if err := c.store.SnapshotState(w); err != nil {
+		return err
+	}
 	c.hier.SnapshotState(w)
 	return nil
 }
@@ -86,103 +88,64 @@ func (c *Core) SnapshotState(w *snapshot.W, progID func(*isa.Program) (int64, er
 // state re-bases: ptid tracks and open spans reset.
 func (c *Core) RestoreState(r *snapshot.R, prog func(int64) (*isa.Program, error)) error {
 	n := r.Len(64)
-	if n != c.threads.Len() {
-		if err := r.Err(); err != nil {
-			return err
-		}
+	if r.Err() == nil && n != c.threads.Len() {
 		return fmt.Errorf("core %d: snapshot has %d threads, live core has %d", c.id, n, c.threads.Len())
 	}
-	progIDs := make([]int64, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		t := c.threads.Context(hwthread.PTID(i))
 		pid, err := t.RestoreState(r)
 		if err != nil {
 			return err
 		}
-		progIDs[i] = pid
-	}
-
-	ne := r.Len(24)
-	type execRec struct {
-		ptid int64
-		at   sim.Cycles
-		seq  uint64
-	}
-	execs := make([]execRec, ne)
-	for i := range execs {
-		execs[i] = execRec{r.I64(), sim.Cycles(r.I64()), r.U64()}
-	}
-	guests, halted := r.I64s(), r.I64s()
-
-	var fatalPTID int64
-	var fatalCause, fatalInfo int64
-	var fatalMsg string
-	hasFatal := r.Bool()
-	if hasFatal {
-		fatalPTID = r.I64()
-		fatalCause, fatalInfo = r.I64(), r.I64()
-		fatalMsg = r.String()
-	}
-	retired, starts := r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	// Re-bind programs before touching anything else so a missing program
-	// fails the restore with every context still consistent.
-	for i, pid := range progIDs {
-		t := c.threads.Context(hwthread.PTID(i))
+		t.Prog, c.decProgs[i], c.decs[i] = nil, nil, nil
 		if pid < 0 {
-			t.Prog = nil
-			c.decProgs[i] = nil
-			c.decs[i] = nil
 			continue
 		}
 		p, err := prog(pid)
 		if err != nil {
 			return fmt.Errorf("core %d: ptid %d: %w", c.id, i, err)
 		}
-		t.Prog = p
-		c.decProgs[i] = p
-		c.decs[i] = p.Decoded()
+		t.Prog, c.decProgs[i], c.decs[i] = p, p, p.Decoded()
 	}
 
-	for i, e := range execs {
-		switch {
-		case e.ptid < 0 || int(e.ptid) >= c.threads.Len():
-			return fmt.Errorf("core %d: %w: invalid ptid %d", c.id, ErrExecRecord, e.ptid)
-		case i > 0 && e.ptid <= execs[i-1].ptid:
-			return fmt.Errorf("core %d: %w: ptid %d after ptid %d", c.id, ErrExecRecord, e.ptid, execs[i-1].ptid)
-		case c.threads.Context(hwthread.PTID(e.ptid)).State != hwthread.Runnable:
-			return fmt.Errorf("core %d: %w: ptid %d is not runnable", c.id, ErrExecRecord, e.ptid)
-		case e.at < c.eng.Now():
-			return fmt.Errorf("core %d: %w: ptid %d issues at cycle %d, before the restored clock %d",
-				c.id, ErrExecRecord, e.ptid, e.at, c.eng.Now())
-		}
-	}
 	c.rq.head, c.rq.n, c.rq.armed = 0, 0, 0
 	clear(c.inQ)
 	c.dispatching = false
-	for _, e := range execs {
-		c.rq.insert(readyEntry{at: e.at, seq: e.seq, t: c.threads.Context(hwthread.PTID(e.ptid))})
-		c.inQ[e.ptid] = true
-		c.eng.ClaimSeq(e.seq)
+	prev := int64(-1)
+	for range r.Len(24) {
+		ptid, at, seq := r.I64(), sim.Cycles(r.I64()), r.U64()
+		switch {
+		case r.Err() != nil:
+			return r.Err()
+		case ptid < 0 || int(ptid) >= c.threads.Len():
+			return fmt.Errorf("core %d: %w: invalid ptid %d", c.id, ErrExecRecord, ptid)
+		case ptid <= prev:
+			return fmt.Errorf("core %d: %w: ptid %d after ptid %d", c.id, ErrExecRecord, ptid, prev)
+		case c.threads.Context(hwthread.PTID(ptid)).State != hwthread.Runnable:
+			return fmt.Errorf("core %d: %w: ptid %d is not runnable", c.id, ErrExecRecord, ptid)
+		case at < c.eng.Now():
+			return fmt.Errorf("core %d: %w: ptid %d issues at cycle %d, before the restored clock %d",
+				c.id, ErrExecRecord, ptid, at, c.eng.Now())
+		}
+		prev = ptid
+		c.rq.insert(readyEntry{at: at, seq: seq, t: c.threads.Context(hwthread.PTID(ptid))})
+		c.inQ[ptid] = true
+		c.eng.ClaimSeq(seq)
 	}
 	if c.rq.n > 0 {
 		c.arm(0)
 	}
 
-	c.guests = ptidSet(guests)
-	c.halted = ptidSet(halted)
+	c.guests = ptidSet(r.I64s())
+	c.halted = ptidSet(r.I64s())
 
 	c.fatal, c.fatalPTID, c.fatalFault = nil, 0, nil
-	if hasFatal {
-		f := &hwthread.Fault{Cause: hwthread.ExcCause(fatalCause), Info: fatalInfo, Msg: fatalMsg}
-		c.fatalPTID = hwthread.PTID(fatalPTID)
-		c.fatalFault = f
-		c.fatal = fmt.Errorf("core %d: %w", c.id, f)
+	if r.Bool() {
+		c.fatalPTID = hwthread.PTID(r.I64())
+		c.fatalFault = &hwthread.Fault{Cause: hwthread.ExcCause(r.I64()), Info: r.I64(), Msg: r.String()}
+		c.fatal = fmt.Errorf("core %d: %w", c.id, c.fatalFault)
 	}
-	c.retired, c.starts = retired, starts
+	c.retired, c.starts = r.U64(), r.U64()
 
 	for i := range c.trOpen {
 		c.trOpen[i] = false

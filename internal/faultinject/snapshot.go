@@ -1,52 +1,56 @@
 package faultinject
 
-import "nocs/internal/snapshot"
+import (
+	"errors"
+
+	"nocs/internal/snapshot"
+)
 
 // Checkpoint support (DESIGN.md §13). The injector's only dynamic state is
 // its RNG cursor and the per-class counters; the plan itself is machine
 // configuration, re-created when the restore target is constructed. Both
 // methods are nil-receiver safe so the machine layer can checkpoint
 // unconditionally: a nil injector writes a "disabled" marker and refuses to
-// restore an enabled snapshot (and vice versa) — a plan mismatch would
-// silently change the fault schedule.
+// restore an enabled snapshot (and vice versa) with ErrPlanMismatch — a plan
+// mismatch would silently change the fault schedule.
 
-// SnapshotState writes the injector's RNG cursor and fault counters.
-func (i *Injector) SnapshotState(w *snapshot.W) {
+// ErrPlanMismatch reports a fault section whose plan on/off does not match
+// the live injector's: restore the checkpoint into a target armed with the
+// same fault plan.
+var ErrPlanMismatch = errors.New("faultinject: snapshot fault plan on/off does not match the live injector")
+
+// SnapshotState writes the injector's RNG cursor and fault counters. It
+// cannot fail: the injector owns no events.
+func (i *Injector) SnapshotState(w *snapshot.W) error {
 	if i == nil {
 		w.Bool(false)
-		return
+		return nil
 	}
 	w.Bool(true)
 	w.U64(i.rng.State())
 	w.U64(i.stats.DMADelayed).U64(i.stats.DMADropped)
 	w.U64(i.stats.SpuriousWakes).U64(i.stats.CoalescedWakes)
 	w.U64(i.stats.TransferErrors).U64(i.stats.RequestFaults)
+	return nil
 }
 
 // RestoreState replaces the injector's RNG cursor and counters with the
 // checkpoint's. Restoring an enabled snapshot into a nil (faults-off)
-// injector, or a disabled one into a live injector, is an error surfaced by
-// the machine layer via the returned mismatch flag.
-func (i *Injector) RestoreState(r *snapshot.R) (mismatch bool, err error) {
+// injector, or a disabled one into a live injector, is ErrPlanMismatch.
+func (i *Injector) RestoreState(r *snapshot.R) error {
 	enabled := r.Bool()
 	if err := r.Err(); err != nil {
-		return false, err
+		return err
 	}
 	if enabled != (i != nil) {
-		return true, nil
+		return ErrPlanMismatch
 	}
 	if i == nil {
-		return false, nil
+		return nil
 	}
-	state := r.U64()
-	var s Stats
-	s.DMADelayed, s.DMADropped = r.U64(), r.U64()
-	s.SpuriousWakes, s.CoalescedWakes = r.U64(), r.U64()
-	s.TransferErrors, s.RequestFaults = r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return false, err
-	}
-	i.rng.SetState(state)
-	i.stats = s
-	return false, nil
+	i.rng.SetState(r.U64())
+	i.stats.DMADelayed, i.stats.DMADropped = r.U64(), r.U64()
+	i.stats.SpuriousWakes, i.stats.CoalescedWakes = r.U64(), r.U64()
+	i.stats.TransferErrors, i.stats.RequestFaults = r.U64(), r.U64()
+	return r.Err()
 }

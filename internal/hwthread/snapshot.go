@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"nocs/internal/isa"
 	"nocs/internal/sim"
 	"nocs/internal/snapshot"
 )
@@ -51,41 +50,29 @@ func (c *Context) SnapshotState(w *snapshot.W, progID int64) {
 // checkpoint's and returns the bound program id for the machine layer to
 // resolve. The trace track is reset (restored runs re-base their traces).
 func (c *Context) RestoreState(r *snapshot.R) (progID int64, err error) {
-	state := State(r.U8())
-	var regs isa.RegFile
-	for i := range regs.GPR {
-		regs.GPR[i] = r.I64()
+	c.State = State(r.U8())
+	if r.Err() == nil && c.State > Waiting {
+		return 0, fmt.Errorf("hwthread: ptid %d snapshot has invalid state %d", c.PTID, c.State)
 	}
-	for i := range regs.FPR {
-		regs.FPR[i] = r.F64()
+	for i := range c.Regs.GPR {
+		c.Regs.GPR[i] = r.I64()
 	}
-	regs.PC, regs.Mode, regs.EDP, regs.TDT = r.I64(), r.I64(), r.I64(), r.I64()
-	regs.FPDirty = r.Bool()
-	prio := r.I64()
+	for i := range c.Regs.FPR {
+		c.Regs.FPR[i] = r.F64()
+	}
+	c.Regs.PC, c.Regs.Mode, c.Regs.EDP, c.Regs.TDT = r.I64(), r.I64(), r.I64(), r.I64()
+	c.Regs.FPDirty = r.Bool()
+	c.Priority = int(r.I64())
 	progID = r.I64()
 
 	n := r.Len(17)
-	cache := make(map[VTID]Entry, n)
-	for i := 0; i < n; i++ {
+	c.tdtCache = make(map[VTID]Entry, n)
+	for range n {
 		v := VTID(r.I64())
-		cache[v] = Entry{PTID: PTID(r.I64()), Perm: Perm(r.U8())}
+		c.tdtCache[v] = Entry{PTID: PTID(r.I64()), Perm: Perm(r.U8())}
 	}
-
-	starts, stops, wakeups, retired := r.U64(), r.U64(), r.U64(), r.U64()
-	lastStarted, lastHalt := sim.Cycles(r.I64()), sim.Cycles(r.I64())
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if state > Waiting {
-		return 0, fmt.Errorf("hwthread: ptid %d snapshot has invalid state %d", c.PTID, state)
-	}
-
-	c.State = state
-	c.Regs = regs
-	c.Priority = int(prio)
+	c.Starts, c.Stops, c.Wakeups, c.Retired = r.U64(), r.U64(), r.U64(), r.U64()
+	c.LastStarted, c.LastHalt = sim.Cycles(r.I64()), sim.Cycles(r.I64())
 	c.Track = 0
-	c.tdtCache = cache
-	c.Starts, c.Stops, c.Wakeups, c.Retired = starts, stops, wakeups, retired
-	c.LastStarted, c.LastHalt = lastStarted, lastHalt
-	return progID, nil
+	return progID, r.Err()
 }

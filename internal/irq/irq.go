@@ -102,7 +102,7 @@ func (d *delivery) OnEvent() {
 	if bu := c.busyUntil[d.key]; bu > c.eng.Now() {
 		// A previous handler still occupies the IRQ context.
 		d.pend = true
-		d.h = c.eng.AtCallback(bu, fmt.Sprintf("irq%d-pend", d.v), d)
+		d.h = c.eng.AtCallback(bu, deliveryName(d.v, true), d)
 		return
 	}
 	c.unlink(d)
@@ -221,7 +221,7 @@ func (c *Controller) Raise(v Vector) sim.Cycles {
 		c.tr.FlowStart(vt.track, vt.name, int64(c.eng.Now()), flow)
 	}
 	d := &delivery{c: c, v: v, e: e, key: key, traced: c.tr != nil, flow: flow, vt: vt}
-	d.h = c.eng.AfterCallback(c.costs.Controller, fmt.Sprintf("irq%d", v), d)
+	d.h = c.eng.AfterCallback(c.costs.Controller, deliveryName(v, false), d)
 	c.pending = append(c.pending, d)
 	earliest := c.eng.Now() + c.costs.Controller
 	if bu := c.busyUntil[key]; bu > earliest {

@@ -52,11 +52,10 @@ func (c *Controller) SnapshotState(w *snapshot.W, coreID func(CoreTarget) (int64
 
 	w.Len(len(c.pending))
 	for _, d := range c.pending {
-		at, seq, ok := c.eng.Claim(d.h)
-		if !ok {
-			return fmt.Errorf("irq: pending delivery of vector %d has a stale event handle", d.v)
+		if err := c.eng.WriteEvent(w, d.h, deliveryName(d.v, d.pend)); err != nil {
+			return err
 		}
-		w.I64(int64(at)).U64(seq).I64(int64(d.v)).Bool(d.pend)
+		w.I64(int64(d.v)).Bool(d.pend)
 	}
 
 	w.U64(c.raised).U64(c.delivered).U64(c.spurious).U64(c.ipis)
@@ -68,58 +67,43 @@ func (c *Controller) SnapshotState(w *snapshot.W, coreID func(CoreTarget) (int64
 // pending vector must be registered in the target's IDT.
 func (c *Controller) RestoreState(r *snapshot.R, core func(int64) (CoreTarget, error)) error {
 	nb := r.Len(24)
-	type busyRec struct {
-		core   int64
-		victim int64
-		until  int64
-	}
-	busy := make([]busyRec, nb)
-	for i := range busy {
-		busy[i] = busyRec{r.I64(), r.I64(), r.I64()}
-	}
-	np := r.Len(25)
-	type pendRec struct {
-		at   sim.Cycles
-		seq  uint64
-		v    Vector
-		pend bool
-	}
-	pend := make([]pendRec, np)
-	for i := range pend {
-		pend[i] = pendRec{sim.Cycles(r.I64()), r.U64(), Vector(r.I64()), r.Bool()}
-	}
-	raised, delivered, spurious, ipis := r.U64(), r.U64(), r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	busyUntil := make(map[victimKey]sim.Cycles, nb)
-	for _, b := range busy {
-		ct, err := core(b.core)
+	c.busyUntil = make(map[victimKey]sim.Cycles, nb)
+	for range nb {
+		id, victim, until := r.I64(), hwthread.PTID(r.I64()), sim.Cycles(r.I64())
+		if r.Err() != nil {
+			return r.Err()
+		}
+		ct, err := core(id)
 		if err != nil {
 			return err
 		}
-		busyUntil[victimKey{core: ct, victim: hwthread.PTID(b.victim)}] = sim.Cycles(b.until)
+		c.busyUntil[victimKey{core: ct, victim: victim}] = until
 	}
-
-	c.busyUntil = busyUntil
 	c.pending = c.pending[:0]
-	for _, p := range pend {
-		e, ok := c.idt[p.v]
+	for range r.Len(25) {
+		d := &delivery{c: c}
+		h := c.eng.ReadEvent(r, "irq", d)
+		d.v, d.pend = Vector(r.I64()), r.Bool()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		e, ok := c.idt[d.v]
 		if !ok {
-			return fmt.Errorf("irq: snapshot has a pending delivery of vector %d, which is not registered in the restore target", p.v)
+			return fmt.Errorf("irq: snapshot has a pending delivery of vector %d, which is not registered in the restore target", d.v)
 		}
-		name := fmt.Sprintf("irq%d", p.v)
-		if p.pend {
-			name = fmt.Sprintf("irq%d-pend", p.v)
-		}
-		d := &delivery{
-			c: c, v: p.v, e: e, pend: p.pend,
-			key: victimKey{core: e.core, victim: e.victim},
-		}
-		d.h = c.eng.AtSeq(p.at, p.seq, name, d)
+		c.eng.Rename(h, deliveryName(d.v, d.pend))
+		d.e, d.key, d.h = e, victimKey{core: e.core, victim: e.victim}, h
 		c.pending = append(c.pending, d)
 	}
-	c.raised, c.delivered, c.spurious, c.ipis = raised, delivered, spurious, ipis
-	return nil
+	c.raised, c.delivered, c.spurious, c.ipis = r.U64(), r.U64(), r.U64(), r.U64()
+	return r.Err()
+}
+
+// deliveryName names a pending delivery's event: irqN, or irqN-pend for one
+// deferred behind its victim's busy horizon.
+func deliveryName(v Vector, pend bool) string {
+	if pend {
+		return fmt.Sprintf("irq%d-pend", v)
+	}
+	return fmt.Sprintf("irq%d", v)
 }

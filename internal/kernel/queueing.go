@@ -154,15 +154,6 @@ func (a *arrivals) arm(i int) {
 	a.armed++
 }
 
-// restore replaces the queue with checkpointed entries (already in key
-// order) and arms the head. The engine must be mid-restore.
-func (a *arrivals) restore(q []arrival) {
-	a.q, a.head, a.armed = q, 0, 0
-	if len(q) > 0 {
-		a.arm(0)
-	}
-}
-
 // OnEvent delivers the head arrival (sim.Callback): the head's key is the
 // smallest armed one, so it is always the event that fired.
 func (a *arrivals) OnEvent() {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"nocs/internal/faultinject"
 	"nocs/internal/hwthread"
 	"nocs/internal/sim"
 	"nocs/internal/snapshot"
@@ -17,7 +16,8 @@ import (
 // Checkpoint support (DESIGN.md §13) for the queueing servers. Each server
 // serializes its ring FIFO, counters, and every event it owns: pending
 // arrivals, in-flight completions or quantum slices, and the PS next-finisher.
-// Writing an event's record is what claims it (sim.Engine.Claim). Pending
+// Writing an event's record is what claims it (sim.Engine.WriteEvent), and
+// restore re-creates it from the record (sim.Engine.ReadEvent). Pending
 // arrivals are written as (at, seq, request) records in key order straight
 // from the arrival stream, whose head is the only one in the heap; restore
 // re-arms that head. Arrival, completion and slice bodies carry no retained
@@ -29,27 +29,17 @@ import (
 // Trace lanes (EnableTrace) are wiring and re-base like every other tracer;
 // OnComplete callbacks are re-attached by the restore target's driver.
 
-// ComponentCodec is a checkpointable standalone-shard component: a queueing
-// server or anything else composed into a shard checkpoint by SnapshotShard.
-// It has the method set of machine.ComponentSnapshotter, so a queueing server
-// attaches to a machine checkpoint as it is. SnapshotState writes a record
-// for every live event the component owns, taking its (at, seq) from
-// sim.Engine.Claim or ClaimLive, which is what claims the event; RestoreState
-// re-creates those events at their original slots.
-type ComponentCodec interface {
-	SnapshotState(w *snapshot.W) error
-	RestoreState(r *snapshot.R) error
-}
-
 // ErrBusyCount reports a server checkpoint whose busy count a live server
 // could not have written: each busy server has exactly one in-flight
 // completion or quantum-slice record, and at most K are busy.
 var ErrBusyCount = errors.New("busy count does not match in-flight records")
 
-// Component pairs a section name with a checkpointable component.
+// Component pairs a section name with a checkpointable component: a
+// queueing server, a fault injector, or anything else composed into a shard
+// checkpoint by SnapshotShard.
 type Component struct {
 	Name string
-	C    ComponentCodec
+	C    snapshot.Codec
 }
 
 // SnapshotShard serializes a bare shard — engine clock, counters, tombstones
@@ -69,53 +59,28 @@ func SnapshotShard(b *snapshot.Builder, eng *sim.Shard, comps ...Component) erro
 
 // RestoreShard rebuilds a shard checkpoint written by SnapshotShard into a
 // freshly constructed (or rewound) engine and identically constructed
-// components.
+// components. Every section goes through snapshot.Restore, so one its
+// component left partly unread is an error naming it.
 func RestoreShard(snap *snapshot.Snapshot, eng *sim.Shard, comps ...Component) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("kernel: restore: %v", p)
 		}
 	}()
-	er, err := snap.Section("engine")
-	if err != nil {
+	var st sim.EngineState
+	if err := snap.Restore("engine", func(r *snapshot.R) (err error) {
+		st, err = sim.ReadEngineState(r)
 		return err
-	}
-	st, err := sim.ReadEngineState(er)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	eng.BeginRestore(st.Now)
 	for _, c := range comps {
-		r, err := snap.Section("srv/" + c.Name)
-		if err != nil {
+		if err := snap.Restore("srv/"+c.Name, c.C.RestoreState); err != nil {
 			return err
-		}
-		if err := c.C.RestoreState(r); err != nil {
-			return fmt.Errorf("kernel: restore %s: %w", c.Name, err)
 		}
 	}
 	return eng.FinishRestore(st)
-}
-
-// FaultComponent adapts a fault injector (its RNG cursor and counters) to the
-// shard-checkpoint composition. The injector owns no events here: queueing-
-// server fault draws are synchronous.
-func FaultComponent(name string, inj *faultinject.Injector) Component {
-	return Component{Name: name, C: faultCodec{inj}}
-}
-
-type faultCodec struct{ inj *faultinject.Injector }
-
-func (f faultCodec) SnapshotState(w *snapshot.W) error { f.inj.SnapshotState(w); return nil }
-func (f faultCodec) RestoreState(r *snapshot.R) error {
-	mismatch, err := f.inj.RestoreState(r)
-	if err != nil {
-		return err
-	}
-	if mismatch {
-		return fmt.Errorf("kernel: snapshot fault plan on/off does not match the live injector")
-	}
-	return nil
 }
 
 func snapshotRequests(w *snapshot.W, reqs []workload.Request) {
@@ -126,18 +91,11 @@ func snapshotRequests(w *snapshot.W, reqs []workload.Request) {
 }
 
 func restoreRequests(r *snapshot.R) []workload.Request {
-	n := r.Len(24)
-	reqs := make([]workload.Request, n)
+	reqs := make([]workload.Request, r.Len(24))
 	for i := range reqs {
 		reqs[i] = workload.RestoreRequest(r)
 	}
 	return reqs
-}
-
-// eventRec is one owned live event's checkpointed slot.
-type eventRec struct {
-	at  sim.Cycles
-	seq uint64
 }
 
 // snapshotArrivals writes the stream's pending arrivals and claims its armed
@@ -152,27 +110,31 @@ func snapshotArrivals(w *snapshot.W, a *arrivals) {
 	}
 }
 
-// restoreArrivals reads the records snapshotArrivals wrote. An arrival
-// fires at its request's own arrival time, and the stream arms only its
-// head, so a record whose event time disagrees with its request, or that is
-// out of (at, seq) order, is corrupt.
-func restoreArrivals(r *snapshot.R) ([]arrival, error) {
-	n := r.Len(40)
-	q := make([]arrival, n)
-	for i := range q {
+// restoreState reads the records snapshotArrivals wrote into the stream and
+// arms its head. An arrival fires at its request's own arrival time, and the
+// stream arms only its head, so a record whose event time disagrees with
+// its request, or that is out of (at, seq) order, is corrupt; one before the
+// restored clock is a sim.ErrEventRecord.
+func (a *arrivals) restoreState(r *snapshot.R) error {
+	a.q, a.head, a.armed = make([]arrival, r.Len(40)), 0, 0
+	for i := range a.q {
 		at, seq := sim.Cycles(r.I64()), r.U64()
-		q[i] = arrival{seq: seq, r: workload.RestoreRequest(r)}
-		if r.Err() != nil {
-			break
-		}
-		if q[i].r.Arrival != at {
-			return nil, fmt.Errorf("kernel: arrival event at cycle %d carries a request arriving at %d", at, q[i].r.Arrival)
-		}
-		if i > 0 && compareArrivals(q[i-1], q[i]) >= 0 {
-			return nil, fmt.Errorf("kernel: arrival records out of (at, seq) order at record %d", i)
+		a.q[i] = arrival{seq: seq, r: workload.RestoreRequest(r)}
+		switch {
+		case r.Err() != nil:
+			return r.Err()
+		case a.q[i].r.Arrival != at:
+			return fmt.Errorf("kernel: arrival event at cycle %d carries a request arriving at %d", at, a.q[i].r.Arrival)
+		case i > 0 && compareArrivals(a.q[i-1], a.q[i]) >= 0:
+			return fmt.Errorf("kernel: arrival records out of (at, seq) order at record %d", i)
+		case at < a.eng.Now():
+			return fmt.Errorf("kernel: %w: arrival at cycle %d, clock %d", sim.ErrEventRecord, at, a.eng.Now())
 		}
 	}
-	return q, nil
+	if len(a.q) > 0 {
+		a.arm(0)
+	}
+	return nil
 }
 
 // ---- FCFS ----
@@ -209,55 +171,35 @@ func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 // The engine must be mid-restore (BeginRestore called); RestoreShard arranges
 // this.
 func (s *FCFSServer) RestoreState(r *snapshot.R) error {
-	queued := restoreRequests(r)
-	busy, done, faulted := r.U64(), r.U64(), r.U64()
-	once := r.I64s()
-	arrs, err := restoreArrivals(r)
-	if err != nil {
-		return err
-	}
-	nd := r.Len(57)
-	type doneRec struct {
-		ev    eventRec
-		r     workload.Request
-		total sim.Cycles
-		pen   sim.Cycles
-		fault bool
-	}
-	dones := make([]doneRec, nd)
-	for i := range dones {
-		dones[i] = doneRec{
-			ev: eventRec{sim.Cycles(r.I64()), r.U64()}, r: workload.RestoreRequest(r),
-		}
-		dones[i].total, dones[i].pen, dones[i].fault = sim.Cycles(r.I64()), sim.Cycles(r.I64()), r.Bool()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if busy != uint64(len(dones)) || busy > uint64(s.K) {
-		return fmt.Errorf("kernel: fcfs: %w: %d busy, %d completions, K=%d", ErrBusyCount, busy, len(dones), s.K)
-	}
-
-	s.queue = ring[workload.Request]{buf: queued}
-	s.busy, s.done, s.faulted = int(busy), done, faulted
+	s.queue = ring[workload.Request]{buf: restoreRequests(r)}
+	busy := r.U64()
+	s.done, s.faulted = r.U64(), r.U64()
 	s.faultedOnce = nil
-	if len(once) > 0 {
+	if once := r.I64s(); len(once) > 0 {
 		s.faultedOnce = make(map[int]bool, len(once))
 		for _, id := range once {
 			s.faultedOnce[int(id)] = true
 		}
 	}
 	s.donePool = nil
-	s.arr.restore(arrs)
-	for _, d := range dones {
-		name := "fcfs-done"
-		if d.fault {
-			name = "fcfs-fault"
-		}
-		s.eng.AtSeq(d.ev.at, d.ev.seq, name,
-			&fcfsDone{s: s, r: d.r, total: d.total, pen: d.pen, fault: d.fault})
+	if err := s.arr.restoreState(r); err != nil {
+		return err
 	}
-	return nil
+	nd := r.Len(57)
+	if r.Err() == nil && (busy != uint64(nd) || busy > uint64(s.K)) {
+		return fmt.Errorf("kernel: fcfs: %w: %d busy, %d completions, K=%d", ErrBusyCount, busy, nd, s.K)
+	}
+	s.busy = int(busy)
+	for range nd {
+		d := &fcfsDone{s: s}
+		h := s.eng.ReadEvent(r, "fcfs-done", d)
+		d.r = workload.RestoreRequest(r)
+		d.total, d.pen, d.fault = sim.Cycles(r.I64()), sim.Cycles(r.I64()), r.Bool()
+		if d.fault {
+			s.eng.Rename(h, "fcfs-fault")
+		}
+	}
+	return r.Err()
 }
 
 // ---- PS ----
@@ -279,11 +221,10 @@ func (s *PSServer) SnapshotState(w *snapshot.W) error {
 
 	w.Bool(s.nextEv != sim.NoEvent)
 	if s.nextEv != sim.NoEvent {
-		at, seq, ok := s.eng.Claim(s.nextEv)
-		if !ok {
-			return fmt.Errorf("kernel: ps next-finisher event handle is stale at checkpoint")
+		if err := s.eng.WriteEvent(w, s.nextEv, "ps-done"); err != nil {
+			return err
 		}
-		w.I64(int64(at)).U64(seq).I64(int64(s.nextTarget.r.ID))
+		w.I64(int64(s.nextTarget.r.ID))
 	}
 
 	snapshotArrivals(w, &s.arr)
@@ -292,52 +233,27 @@ func (s *PSServer) SnapshotState(w *snapshot.W) error {
 
 // RestoreState replaces the PS server's dynamic state with the checkpoint's.
 func (s *PSServer) RestoreState(r *snapshot.R) error {
-	nact := r.Len(40)
-	type actRec struct {
-		r         workload.Request
-		remaining float64
-		faultPen  sim.Cycles
+	s.active = make([]*psReq, r.Len(40))
+	for i := range s.active {
+		s.active[i] = &psReq{r: workload.RestoreRequest(r), remaining: r.F64(), faultPen: sim.Cycles(r.I64())}
 	}
-	acts := make([]actRec, nact)
-	for i := range acts {
-		acts[i] = actRec{workload.RestoreRequest(r), r.F64(), sim.Cycles(r.I64())}
-	}
-	pending := restoreRequests(r)
-	lastUpdate := sim.Cycles(r.I64())
-	done, faulted := r.U64(), r.U64()
-	hasNext := r.Bool()
-	var next eventRec
-	var nextID int64
-	if hasNext {
-		next = eventRec{sim.Cycles(r.I64()), r.U64()}
-		nextID = r.I64()
-	}
-	arrs, err := restoreArrivals(r)
-	if err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	s.active = make([]*psReq, nact)
-	for i, a := range acts {
-		s.active[i] = &psReq{r: a.r, remaining: a.remaining, faultPen: a.faultPen}
-	}
-	s.pending = ring[workload.Request]{buf: pending}
-	s.lastUpdate, s.done, s.faulted = lastUpdate, done, faulted
+	s.pending = ring[workload.Request]{buf: restoreRequests(r)}
+	s.lastUpdate, s.done, s.faulted = sim.Cycles(r.I64()), r.U64(), r.U64()
 	s.free, s.finBuf = nil, nil
 	s.nextEv, s.nextTarget = sim.NoEvent, nil
-	if hasNext {
+	if r.Bool() {
+		s.nextEv = s.eng.ReadEvent(r, "ps-done", s)
+		nextID := r.I64()
 		i := slices.IndexFunc(s.active, func(a *psReq) bool { return int64(a.r.ID) == nextID })
-		if i < 0 {
+		switch {
+		case r.Err() != nil:
+			return r.Err()
+		case i < 0:
 			return fmt.Errorf("kernel: ps next-finisher targets unknown request %d", nextID)
 		}
 		s.nextTarget = s.active[i]
-		s.nextEv = s.eng.AtSeq(next.at, next.seq, "ps-done", s)
 	}
-	s.arr.restore(arrs)
-	return nil
+	return s.arr.restoreState(r)
 }
 
 // ---- Timeslice ----
@@ -370,58 +286,35 @@ func (s *TimesliceServer) SnapshotState(w *snapshot.W) error {
 // RestoreState replaces the timeslice server's dynamic state with the
 // checkpoint's.
 func (s *TimesliceServer) RestoreState(r *snapshot.R) error {
-	nq := r.Len(32)
-	type reqRec struct {
-		r         workload.Request
-		remaining sim.Cycles
+	buf := make([]*tsReq, r.Len(32))
+	for i := range buf {
+		buf[i] = &tsReq{r: workload.RestoreRequest(r), remaining: sim.Cycles(r.I64())}
 	}
-	queued := make([]reqRec, nq)
-	for i := range queued {
-		queued[i] = reqRec{workload.RestoreRequest(r), sim.Cycles(r.I64())}
-	}
-	busy, done, sswaps := r.U64(), r.U64(), r.U64()
-	arrs, err := restoreArrivals(r)
-	if err != nil {
+	s.queue = ring[*tsReq]{buf: buf}
+	busy := r.U64()
+	s.done, s.sswaps = r.U64(), r.U64()
+	s.free, s.slicePool = nil, nil
+	if err := s.arr.restoreState(r); err != nil {
 		return err
 	}
 	ns := r.Len(56)
-	type sliceRec struct {
-		ev        eventRec
-		r         workload.Request
-		remaining sim.Cycles
-		slice     sim.Cycles
+	if r.Err() == nil && (busy != uint64(ns) || busy > uint64(s.K)) {
+		return fmt.Errorf("kernel: timeslice: %w: %d busy, %d slices, K=%d", ErrBusyCount, busy, ns, s.K)
 	}
-	slices := make([]sliceRec, ns)
-	for i := range slices {
-		slices[i] = sliceRec{ev: eventRec{sim.Cycles(r.I64()), r.U64()}, r: workload.RestoreRequest(r)}
-		slices[i].remaining, slices[i].slice = sim.Cycles(r.I64()), sim.Cycles(r.I64())
+	s.busy = int(busy)
+	for range ns {
+		e := &tsSlice{s: s, req: &tsReq{}}
+		s.eng.ReadEvent(r, "ts-slice", e)
+		e.req.r = workload.RestoreRequest(r)
+		e.req.remaining, e.slice = sim.Cycles(r.I64()), sim.Cycles(r.I64())
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if busy != uint64(len(slices)) || busy > uint64(s.K) {
-		return fmt.Errorf("kernel: timeslice: %w: %d busy, %d slices, K=%d", ErrBusyCount, busy, len(slices), s.K)
-	}
-
-	buf := make([]*tsReq, nq)
-	for i, q := range queued {
-		buf[i] = &tsReq{r: q.r, remaining: q.remaining}
-	}
-	s.queue = ring[*tsReq]{buf: buf}
-	s.busy, s.done, s.sswaps = int(busy), done, sswaps
-	s.free, s.slicePool = nil, nil
-	s.arr.restore(arrs)
-	for _, e := range slices {
-		s.eng.AtSeq(e.ev.at, e.ev.seq, "ts-slice",
-			&tsSlice{s: s, req: &tsReq{r: e.r, remaining: e.remaining}, slice: e.slice})
-	}
-	return nil
+	return r.Err()
 }
 
 var (
-	_ ComponentCodec = (*FCFSServer)(nil)
-	_ ComponentCodec = (*PSServer)(nil)
-	_ ComponentCodec = (*TimesliceServer)(nil)
+	_ snapshot.Codec = (*FCFSServer)(nil)
+	_ snapshot.Codec = (*PSServer)(nil)
+	_ snapshot.Codec = (*TimesliceServer)(nil)
 )
 
 // ---- Nocs personality ----
@@ -451,23 +344,15 @@ func (k *Nocs) SnapshotState(w *snapshot.W) error {
 // RestoreState replaces the kernel personality's dynamic state with the
 // checkpoint's.
 func (k *Nocs) RestoreState(r *snapshot.R) error {
-	nextPtid := r.I64()
-	syscalls, unknown, reArms := r.U64(), r.U64(), r.U64()
-	services, nativeSeq := int(r.I64()), int(r.I64())
-	np := r.Len(1)
-	parked := make([]bool, np)
-	for i := range parked {
-		parked[i] = r.Bool()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if services != k.services || nativeSeq != k.nativeSeq || np != len(k.svcParked) {
+	k.nextPtid = hwthread.PTID(r.I64())
+	k.syscalls, k.unknown, k.reArms = r.U64(), r.U64(), r.U64()
+	services, nativeSeq, np := int(r.I64()), int(r.I64()), r.Len(1)
+	if r.Err() == nil && (services != k.services || nativeSeq != k.nativeSeq || np != len(k.svcParked)) {
 		return fmt.Errorf("kernel: snapshot has %d services / %d natives, live kernel has %d / %d — spawn the same services before restore",
 			services, nativeSeq, k.services, k.nativeSeq)
 	}
-	k.nextPtid = hwthread.PTID(nextPtid)
-	k.syscalls, k.unknown, k.reArms = syscalls, unknown, reArms
-	copy(k.svcParked, parked)
-	return nil
+	for i := range np {
+		k.svcParked[i] = r.Bool()
+	}
+	return r.Err()
 }

@@ -38,7 +38,7 @@ func buildQueueCase(kind string, eng *sim.Shard, faults bool, out *[]compRec) (Q
 		s.Faults = inj
 		comps := []Component{{Name: "fcfs", C: s}}
 		if inj != nil {
-			comps = append(comps, FaultComponent("faults", inj))
+			comps = append(comps, Component{Name: "faults", C: inj})
 		}
 		return s, comps
 	case "ps":
@@ -47,7 +47,7 @@ func buildQueueCase(kind string, eng *sim.Shard, faults bool, out *[]compRec) (Q
 		s.Faults = inj
 		comps := []Component{{Name: "ps", C: s}}
 		if inj != nil {
-			comps = append(comps, FaultComponent("faults", inj))
+			comps = append(comps, Component{Name: "faults", C: inj})
 		}
 		return s, comps
 	case "ts":
@@ -240,8 +240,9 @@ func TestQueueServerSnapshotGolden(t *testing.T) {
 }
 
 // TestRestoreArrivalsRejectsCorruptRecords: the stream arms only its head on
-// restore, so arrival records out of (at, seq) order, or whose event time is
-// not their request's arrival, must fail with a named error.
+// restore, so arrival records out of (at, seq) order, whose event time is
+// not their request's arrival, or timed before the restored clock must fail
+// with a named error.
 func TestRestoreArrivalsRejectsCorruptRecords(t *testing.T) {
 	type rec struct {
 		at  sim.Cycles
@@ -252,13 +253,14 @@ func TestRestoreArrivalsRejectsCorruptRecords(t *testing.T) {
 		return workload.Request{ID: id, Arrival: at, Demand: 10}
 	}
 	for name, recs := range map[string][]rec{
-		"out of order":   {{50, 1, req(1, 50)}, {40, 2, req(2, 40)}},
-		"duplicate key":  {{50, 1, req(1, 50)}, {50, 1, req(2, 50)}},
-		"time mismatch":  {{50, 1, req(1, 60)}},
-		"in order (ok)":  {{40, 2, req(2, 40)}, {50, 1, req(1, 50)}, {50, 3, req(3, 50)}},
-		"empty (ok)":     nil,
-		"single (ok)":    {{7, 0, req(0, 7)}},
-		"seq order (ok)": {{9, 4, req(4, 9)}, {9, 5, req(5, 9)}},
+		"out of order":     {{50, 1, req(1, 50)}, {40, 2, req(2, 40)}},
+		"duplicate key":    {{50, 1, req(1, 50)}, {50, 1, req(2, 50)}},
+		"time mismatch":    {{50, 1, req(1, 60)}},
+		"before the clock": {{-5, 1, req(1, -5)}},
+		"in order (ok)":    {{40, 2, req(2, 40)}, {50, 1, req(1, 50)}, {50, 3, req(3, 50)}},
+		"empty (ok)":       nil,
+		"single (ok)":      {{7, 0, req(0, 7)}},
+		"seq order (ok)":   {{9, 4, req(4, 9)}, {9, 5, req(5, 9)}},
 	} {
 		b := snapshot.NewBuilder()
 		w := b.Section("arr")
@@ -279,11 +281,15 @@ func TestRestoreArrivalsRejectsCorruptRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := restoreArrivals(r)
+		a := arrivals{eng: sim.SoloShard(sim.NewEngine(nil)), name: "arr"}
+		err = a.restoreState(r)
 		if ok := strings.HasSuffix(name, "(ok)"); ok != (err == nil) {
 			t.Errorf("%s: err = %v", name, err)
-		} else if ok && len(q) != len(recs) {
-			t.Errorf("%s: restored %d of %d records", name, len(q), len(recs))
+		} else if ok && len(a.q) != len(recs) {
+			t.Errorf("%s: restored %d of %d records", name, len(a.q), len(recs))
+		}
+		if name == "before the clock" && !errors.Is(err, sim.ErrEventRecord) {
+			t.Errorf("%s: err = %v, want sim.ErrEventRecord", name, err)
 		}
 	}
 }

@@ -152,28 +152,14 @@ type shardState struct {
 type machDevice struct {
 	name  string
 	shard sim.ShardID
-	dev   ComponentSnapshotter
-}
-
-// ComponentSnapshotter is the checkpoint surface of a device and of a
-// driver-built component (a kernel personality, a netstack service, a
-// queueing server, ...) attached to the machine's snapshot with
-// AttachSnapshotter. SnapshotState writes the component's dynamic state,
-// including a record for every live event it owns, taking each event's
-// (at, seq) from sim.Engine.Claim or ClaimLive: writing the record is what
-// claims the event, and an event no component writes, or that two write,
-// fails the snapshot by name (DESIGN.md §13). RestoreState reads that state
-// back and re-creates the owned events at their original slots.
-type ComponentSnapshotter interface {
-	SnapshotState(w *snapshot.W) error
-	RestoreState(r *snapshot.R) error
+	dev   snapshot.Codec
 }
 
 // attachedComponent is one driver-registered snapshot participant.
 type attachedComponent struct {
 	name  string
 	shard sim.ShardID
-	cs    ComponentSnapshotter
+	cs    snapshot.Codec
 }
 
 // Machine is a complete simulated system.
@@ -444,9 +430,11 @@ func (m *Machine) ScheduleSpuriousWake(ci int, at sim.Cycles, p hwthread.PTID) {
 
 // AttachSnapshotter registers a driver-built component living on shard s in
 // the machine's checkpoint: Snapshot writes its section ("ext/<name>") and
-// claims its live events, and Restore calls its RestoreState. The restore
-// target must attach the same components in the same order.
-func (m *Machine) AttachSnapshotter(name string, s sim.ShardID, cs ComponentSnapshotter) {
+// claims its live events, and Restore runs its RestoreState through
+// snapshot.Restore, which fails naming the section if the component leaves
+// bytes unread. The restore target must attach the same components in the
+// same order.
+func (m *Machine) AttachSnapshotter(name string, s sim.ShardID, cs snapshot.Codec) {
 	m.attached = append(m.attached, attachedComponent{name: name, shard: s, cs: cs})
 }
 

@@ -79,11 +79,10 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 	}
 	mw.Len(len(m.injects))
 	for _, j := range m.injects {
-		at, seq, ok := m.shards[j.s].sh.Claim(j.h)
-		if !ok {
-			return fmt.Errorf("machine: scheduled injection has a stale event handle")
+		mw.I64(int64(j.s)).U8(j.kind)
+		if err := m.shards[j.s].sh.WriteEvent(mw, j.h, injectName(j.kind)); err != nil {
+			return err
 		}
-		mw.I64(int64(j.s)).U8(j.kind).I64(int64(at)).U64(seq)
 		mw.I64(j.addr).I64(j.val).I64(j.core).I64(j.ptid)
 	}
 
@@ -160,7 +159,9 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 			return fmt.Errorf("machine: shard %d: %w", s, err)
 		}
 
-		st.inj.SnapshotState(b.Section(secShard(sid, "faults")))
+		if err := st.inj.SnapshotState(b.Section(secShard(sid, "faults"))); err != nil {
+			return err
+		}
 	}
 
 	for _, d := range m.devices {
@@ -219,7 +220,9 @@ func (m *Machine) Restore(r io.Reader) error {
 // checkpoint's. The machine must have been constructed with the same
 // topology; any mismatch (or a corrupt stream) yields an error, never a
 // panic, though the machine state is unspecified after a failed restore —
-// a fresh machine should be built to retry.
+// a fresh machine should be built to retry. Every section is read through
+// snapshot.Restore, so a section a codec leaves partly unread is an error
+// naming it.
 func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -227,118 +230,52 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 		}
 	}()
 
-	mr, err := s.Section(secMachine)
-	if err != nil {
-		return err
-	}
-	nCores, nShards, look := mr.Len(1), mr.Len(1), sim.Cycles(mr.I64())
-	if err := mr.Err(); err != nil {
-		return err
-	}
-	if nCores != len(m.cores) || nShards != len(m.shards) || look != m.Lookahead() {
-		return fmt.Errorf("machine: snapshot topology %d cores / %d shards / lookahead %d does not match live machine (%d/%d/%d)",
-			nCores, nShards, look, len(m.cores), len(m.shards), m.Lookahead())
-	}
-	for i := 0; i < nCores; i++ {
-		if got := sim.ShardID(mr.I64()); mr.Err() == nil && got != m.coreShard[i] {
-			return fmt.Errorf("machine: snapshot places core %d on shard %d, live machine on %d", i, got, m.coreShard[i])
-		}
-	}
-	nDev := mr.Len(1)
-	if mr.Err() == nil && nDev != len(m.devices) {
-		return fmt.Errorf("machine: snapshot has %d devices, live machine has %d", nDev, len(m.devices))
-	}
-	for i := 0; i < nDev; i++ {
-		name, shard := mr.String(), sim.ShardID(mr.I64())
-		if mr.Err() != nil {
-			break
-		}
-		if name != m.devices[i].name || shard != m.devices[i].shard {
-			return fmt.Errorf("machine: snapshot device %d is %s on shard %d, live machine has %s on shard %d",
-				i, name, shard, m.devices[i].name, m.devices[i].shard)
-		}
-	}
-	nAtt := mr.Len(1)
-	if mr.Err() == nil && nAtt != len(m.attached) {
-		return fmt.Errorf("machine: snapshot has %d attached components, live machine has %d", nAtt, len(m.attached))
-	}
-	for i := 0; i < nAtt; i++ {
-		name, shard := mr.String(), sim.ShardID(mr.I64())
-		if mr.Err() != nil {
-			break
-		}
-		if name != m.attached[i].name || shard != m.attached[i].shard {
-			return fmt.Errorf("machine: snapshot component %d is %s on shard %d, live machine has %s on shard %d",
-				i, name, shard, m.attached[i].name, m.attached[i].shard)
-		}
-	}
-	type injRec struct {
-		s    sim.ShardID
-		kind uint8
-		at   sim.Cycles
-		seq  uint64
-		addr int64
-		val  int64
-		core int64
-		ptid int64
-	}
-	injs := make([]injRec, mr.Len(1))
-	for i := range injs {
-		injs[i] = injRec{
-			s: sim.ShardID(mr.I64()), kind: mr.U8(),
-			at: sim.Cycles(mr.I64()), seq: mr.U64(),
-			addr: mr.I64(), val: mr.I64(), core: mr.I64(), ptid: mr.I64(),
-		}
-	}
-	if err := mr.Err(); err != nil {
-		return err
-	}
-
-	// Program table.
-	pr, err := s.Section(secPrograms)
-	if err != nil {
-		return err
-	}
-	nProgs := pr.Len(1)
-	progs := make([]*isa.Program, nProgs)
-	for i := 0; i < nProgs; i++ {
-		name := pr.String()
-		words := make([]uint64, pr.Len(8))
-		for j := range words {
-			words[j] = pr.U64()
-		}
-		syms := isa.NewSymbolTable()
-		nSyms := pr.Len(1)
-		for j := 0; j < nSyms; j++ {
-			syms.Intern(pr.String())
-		}
-		if err := pr.Err(); err != nil {
-			return err
-		}
-		p, err := isa.DecodeProgram(name, words, syms)
-		if err != nil {
-			return fmt.Errorf("machine: decoding program %q: %w", name, err)
-		}
-		progs[i] = p
-	}
-
 	// Per-shard engine state first: BeginRestore moves the clocks and wipes
 	// the queues, then every component re-creates its events at the original
 	// (cycle, sequence) slots.
 	engines := make([]sim.EngineState, len(m.shards))
 	for si := range m.shards {
-		er, err := s.Section(secShard(sim.ShardID(si), "engine"))
-		if err != nil {
+		if err := s.Restore(secShard(sim.ShardID(si), "engine"), func(r *snapshot.R) (err error) {
+			engines[si], err = sim.ReadEngineState(r)
 			return err
-		}
-		if engines[si], err = sim.ReadEngineState(er); err != nil {
+		}); err != nil {
 			return err
 		}
 	}
-
 	m.sched.ClearXMsgs()
 	for si := range m.shards {
 		m.shards[si].sh.BeginRestore(engines[si].Now)
+	}
+
+	if err := s.Restore(secMachine, m.restoreTopology); err != nil {
+		return err
+	}
+
+	var progs []*isa.Program
+	if err := s.Restore(secPrograms, func(r *snapshot.R) error {
+		progs = make([]*isa.Program, r.Len(1))
+		for i := range progs {
+			name := r.String()
+			words := make([]uint64, r.Len(8))
+			for j := range words {
+				words[j] = r.U64()
+			}
+			syms := isa.NewSymbolTable()
+			for range r.Len(1) {
+				syms.Intern(r.String())
+			}
+			if err := r.Err(); err != nil {
+				return err
+			}
+			p, err := isa.DecodeProgram(name, words, syms)
+			if err != nil {
+				return fmt.Errorf("machine: decoding program %q: %w", name, err)
+			}
+			progs[i] = p
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
 
 	prog := func(id int64) (*isa.Program, error) {
@@ -366,94 +303,36 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	}
 
 	for i, c := range m.cores {
-		cr, err := s.Section(secCore(i))
-		if err != nil {
-			return err
-		}
-		if err := c.RestoreState(cr, prog); err != nil {
+		if err := s.Restore(secCore(i), func(r *snapshot.R) error { return c.RestoreState(r, prog) }); err != nil {
 			return err
 		}
 	}
-
 	for si := range m.shards {
 		st := &m.shards[si]
 		sid := sim.ShardID(si)
-
-		memR, err := s.Section(secShard(sid, "mem"))
-		if err != nil {
-			return err
-		}
-		if err := st.mem.RestoreState(memR); err != nil {
-			return err
-		}
-
-		monR, err := s.Section(secShard(sid, "monitor"))
-		if err != nil {
-			return err
-		}
-		if err := st.mon.RestoreState(monR, waiter); err != nil {
-			return err
-		}
-
-		irqR, err := s.Section(secShard(sid, "irq"))
-		if err != nil {
-			return err
-		}
-		if err := st.irq.RestoreState(irqR, coreOf); err != nil {
-			return err
-		}
-
-		fltR, err := s.Section(secShard(sid, "faults"))
-		if err != nil {
-			return err
-		}
-		mismatch, ferr := st.inj.RestoreState(fltR)
-		if ferr != nil {
-			return ferr
-		}
-		if mismatch {
-			return fmt.Errorf("machine: snapshot fault plan on/off does not match live machine on shard %d (arm the same WithFaultPlan)", si)
-		}
-	}
-
-	for _, d := range m.devices {
-		dr, err := s.Section(secDevice(d.name))
-		if err != nil {
-			return err
-		}
-		if err := d.dev.RestoreState(dr); err != nil {
-			return fmt.Errorf("machine: device %s: %w", d.name, err)
-		}
-	}
-
-	for _, a := range m.attached {
-		ar, err := s.Section("ext/" + a.name)
-		if err != nil {
-			return err
-		}
-		if err := a.cs.RestoreState(ar); err != nil {
-			return fmt.Errorf("machine: component %s: %w", a.name, err)
-		}
-	}
-
-	m.injects = m.injects[:0]
-	for _, rec := range injs {
-		if int(rec.s) < 0 || int(rec.s) >= len(m.shards) {
-			return fmt.Errorf("machine: snapshot injection on unknown shard %d", rec.s)
-		}
-		j := &pendingInject{
-			m: m, s: rec.s, kind: rec.kind,
-			addr: rec.addr, val: rec.val, core: rec.core, ptid: rec.ptid,
-		}
-		name := "dma"
-		if rec.kind == injectWake {
-			name = "fault-wake"
-			if rec.core < 0 || rec.core >= int64(len(m.cores)) {
-				return fmt.Errorf("machine: snapshot wake injection for unknown core %d", rec.core)
+		for _, sec := range []struct {
+			sub    string
+			decode func(*snapshot.R) error
+		}{
+			{"mem", st.mem.RestoreState},
+			{"monitor", func(r *snapshot.R) error { return st.mon.RestoreState(r, waiter) }},
+			{"irq", func(r *snapshot.R) error { return st.irq.RestoreState(r, coreOf) }},
+			{"faults", st.inj.RestoreState},
+		} {
+			if err := s.Restore(secShard(sid, sec.sub), sec.decode); err != nil {
+				return err
 			}
 		}
-		j.h = m.shards[rec.s].sh.AtSeq(rec.at, rec.seq, name, j)
-		m.injects = append(m.injects, j)
+	}
+	for _, d := range m.devices {
+		if err := s.Restore(secDevice(d.name), d.dev.RestoreState); err != nil {
+			return err
+		}
+	}
+	for _, a := range m.attached {
+		if err := s.Restore("ext/"+a.name, a.cs.RestoreState); err != nil {
+			return err
+		}
 	}
 
 	for si := range m.shards {
@@ -462,34 +341,7 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 		}
 	}
 
-	xr, err := s.Section(secXMsgs)
-	if err != nil {
-		return err
-	}
-	seqs := make([]uint64, xr.Len(8))
-	for i := range seqs {
-		seqs[i] = xr.U64()
-	}
-	nMsg := xr.Len(42)
-	for i := 0; i < nMsg; i++ {
-		at, src, seq := sim.Cycles(xr.I64()), sim.ShardID(xr.I64()), xr.U64()
-		to := sim.ShardID(xr.I64())
-		addr, val := xr.I64(), xr.I64()
-		if err := xr.Err(); err != nil {
-			return err
-		}
-		if int(to) < 0 || int(to) >= len(m.shards) {
-			return fmt.Errorf("machine: snapshot cross-shard message to unknown shard %d", to)
-		}
-		m.sched.RestoreXMsg(sim.XMsgRec{
-			At: at, Src: src, Seq: seq, To: to, Name: "xwrite",
-			CB: &remoteWrite{mem: m.shards[to].mem, addr: addr, val: val},
-		})
-	}
-	if err := xr.Err(); err != nil {
-		return err
-	}
-	if err := m.sched.SetSendSeqs(seqs); err != nil {
+	if err := s.Restore(secXMsgs, m.restoreXMsgs); err != nil {
 		return err
 	}
 
@@ -497,4 +349,101 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 	// replaced timeline. Core/ptid track state was already reset by the
 	// component restores.
 	return nil
+}
+
+// restoreTopology reads the machine section: it checks the topology against
+// the live machine's and re-creates the driver-scheduled injections. The
+// shards must be mid-restore.
+func (m *Machine) restoreTopology(r *snapshot.R) error {
+	nCores, nShards, look := r.Len(1), r.Len(1), sim.Cycles(r.I64())
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if nCores != len(m.cores) || nShards != len(m.shards) || look != m.Lookahead() {
+		return fmt.Errorf("machine: snapshot topology %d cores / %d shards / lookahead %d does not match live machine (%d/%d/%d)",
+			nCores, nShards, look, len(m.cores), len(m.shards), m.Lookahead())
+	}
+	for i := range nCores {
+		if got := sim.ShardID(r.I64()); r.Err() == nil && got != m.coreShard[i] {
+			return fmt.Errorf("machine: snapshot places core %d on shard %d, live machine on %d", i, got, m.coreShard[i])
+		}
+	}
+	nDev := r.Len(1)
+	if r.Err() == nil && nDev != len(m.devices) {
+		return fmt.Errorf("machine: snapshot has %d devices, live machine has %d", nDev, len(m.devices))
+	}
+	for i := range nDev {
+		name, shard := r.String(), sim.ShardID(r.I64())
+		if r.Err() == nil && (name != m.devices[i].name || shard != m.devices[i].shard) {
+			return fmt.Errorf("machine: snapshot device %d is %s on shard %d, live machine has %s on shard %d",
+				i, name, shard, m.devices[i].name, m.devices[i].shard)
+		}
+	}
+	nAtt := r.Len(1)
+	if r.Err() == nil && nAtt != len(m.attached) {
+		return fmt.Errorf("machine: snapshot has %d attached components, live machine has %d", nAtt, len(m.attached))
+	}
+	for i := range nAtt {
+		name, shard := r.String(), sim.ShardID(r.I64())
+		if r.Err() == nil && (name != m.attached[i].name || shard != m.attached[i].shard) {
+			return fmt.Errorf("machine: snapshot component %d is %s on shard %d, live machine has %s on shard %d",
+				i, name, shard, m.attached[i].name, m.attached[i].shard)
+		}
+	}
+	m.injects = m.injects[:0]
+	for range r.Len(1) {
+		j := &pendingInject{m: m, s: sim.ShardID(r.I64()), kind: r.U8()}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if int(j.s) < 0 || int(j.s) >= len(m.shards) {
+			return fmt.Errorf("machine: snapshot injection on unknown shard %d", j.s)
+		}
+		j.h = m.shards[j.s].sh.ReadEvent(r, injectName(j.kind), j)
+		j.addr, j.val, j.core, j.ptid = r.I64(), r.I64(), r.I64(), r.I64()
+		if r.Err() == nil && j.kind == injectWake && (j.core < 0 || j.core >= int64(len(m.cores))) {
+			return fmt.Errorf("machine: snapshot wake injection for unknown core %d", j.core)
+		}
+		m.injects = append(m.injects, j)
+	}
+	return r.Err()
+}
+
+// restoreXMsgs reads the xmsgs section: the per-shard send counters and the
+// in-flight cross-shard writes, re-staged with their original identities.
+func (m *Machine) restoreXMsgs(r *snapshot.R) error {
+	seqs := make([]uint64, r.Len(8))
+	for i := range seqs {
+		seqs[i] = r.U64()
+	}
+	for range r.Len(42) {
+		at, src, seq := sim.Cycles(r.I64()), sim.ShardID(r.I64()), r.U64()
+		to := sim.ShardID(r.I64())
+		addr, val := r.I64(), r.I64()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if int(to) < 0 || int(to) >= len(m.shards) {
+			return fmt.Errorf("machine: snapshot cross-shard message to unknown shard %d", to)
+		}
+		if now := m.shards[to].sh.Now(); at < now {
+			return fmt.Errorf("machine: %w: cross-shard write at cycle %d, shard %d clock %d", sim.ErrEventRecord, at, to, now)
+		}
+		m.sched.RestoreXMsg(sim.XMsgRec{
+			At: at, Src: src, Seq: seq, To: to, Name: "xwrite",
+			CB: &remoteWrite{mem: m.shards[to].mem, addr: addr, val: val},
+		})
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return m.sched.SetSendSeqs(seqs)
+}
+
+// injectName names a driver-scheduled injection's event.
+func injectName(kind uint8) string {
+	if kind == injectWake {
+		return "fault-wake"
+	}
+	return "dma"
 }

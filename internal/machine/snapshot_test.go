@@ -417,6 +417,40 @@ func (f *flakyComponent) SnapshotState(*snapshot.W) error {
 
 func (f *flakyComponent) RestoreState(*snapshot.R) error { return nil }
 
+// lopsidedComponent's save half writes one word more than its restore half
+// reads: the shape of a field added to one half of a codec.
+type lopsidedComponent struct{ n uint64 }
+
+func (c *lopsidedComponent) SnapshotState(w *snapshot.W) error {
+	w.U64(c.n).U64(0)
+	return nil
+}
+
+func (c *lopsidedComponent) RestoreState(r *snapshot.R) error {
+	c.n = r.U64()
+	return r.Err()
+}
+
+// TestRestoreRejectsUnreadSection: a component that leaves part of its
+// section unread fails the restore with an error naming the section.
+func TestRestoreRejectsUnreadSection(t *testing.T) {
+	build := func() *Machine {
+		m, _, _ := deviceMachine(t)
+		m.AttachSnapshotter("lopsided", 0, &lopsidedComponent{n: 7})
+		return m
+	}
+	m := build()
+	m.RunUntil(2000)
+	var buf bytes.Buffer
+	if err := m.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	err := build().Restore(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), `"ext/lopsided"`) || !strings.Contains(err.Error(), "8 bytes left unread") {
+		t.Fatalf("want an error naming ext/lopsided's unread bytes, got %v", err)
+	}
+}
+
 // TestSnapshotRetryAfterFailure: each pass starts from an empty claim set,
 // so a snapshot that failed part-way and is then retried succeeds and
 // writes the bytes of a pass that never failed.

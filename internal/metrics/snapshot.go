@@ -18,16 +18,10 @@ func (h *Histogram) SnapshotState(w *snapshot.W) {
 
 // RestoreState replaces the histogram's state with the checkpoint's.
 func (h *Histogram) RestoreState(r *snapshot.R) error {
-	n := r.Len(8)
-	buckets := make([]uint64, n)
-	for i := range buckets {
-		buckets[i] = r.U64()
+	h.buckets = make([]uint64, r.Len(8))
+	for i := range h.buckets {
+		h.buckets[i] = r.U64()
 	}
-	count, sum, min, max := r.U64(), r.I64(), r.I64(), r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	h.buckets = buckets
-	h.count, h.sum, h.min, h.max = count, sum, min, max
-	return nil
+	h.count, h.sum, h.min, h.max = r.U64(), r.I64(), r.I64(), r.I64()
+	return r.Err()
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"nocs/internal/mem"
-	"nocs/internal/sim"
 	"nocs/internal/snapshot"
 )
 
@@ -78,11 +77,10 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 
 	w.Len(len(e.pending))
 	for _, p := range e.pending {
-		at, seq, ok := e.sh.Claim(p.h)
-		if !ok {
-			return fmt.Errorf("monitor: pending fault injection has a stale event handle")
+		if err := e.sh.WriteEvent(w, p.h, injName(p.spurious)); err != nil {
+			return err
 		}
-		w.I64(int64(at)).U64(seq).Bool(p.spurious)
+		w.Bool(p.spurious)
 		if p.spurious {
 			wid, ok := id(p.w)
 			if !ok {
@@ -107,8 +105,8 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 // RestoreState replaces the watch sets and counters with the checkpoint's.
 // waiter translates a checkpoint id back to the live waiter object. The
 // per-address lists must name each armed (waiter, address) pair exactly
-// once; any other section is rejected with an error and leaves the engine's
-// state unchanged. The shard must be mid-restore (the machine restore
+// once; lists that do not are rejected with an error before the engine's
+// watch sets change. The shard must be mid-restore (the machine restore
 // sequence arranges this) for the pending injections to be re-created.
 func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error)) error {
 	idOf := func(wid int64) (int32, error) {
@@ -117,6 +115,13 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 			return 0, err
 		}
 		return e.id(wt), nil
+	}
+	readWaiter := func() (Waiter, error) {
+		wid := r.I64()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		return waiter(wid)
 	}
 
 	nw := r.Len(8)
@@ -179,49 +184,11 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 	}
 	// Every listed pair is distinct and armed, so equal counts mean the lists
 	// cover the watch sets exactly.
-	if err := r.Err(); err == nil && listed != armed {
-		return fmt.Errorf("monitor: snapshot arms %d watches but lists %d", armed, listed)
-	}
-
-	wakeups, immediate, dropped := r.U64(), r.U64(), r.U64()
-	evicted, spurious, coalesced := r.U64(), r.U64(), r.U64()
-
-	type pendRec struct {
-		at  sim.Cycles
-		seq uint64
-		p   *pendingInj
-	}
-	pend := make([]pendRec, r.Len(17))
-	for i := range pend {
-		at, seq := sim.Cycles(r.I64()), r.U64()
-		p := &pendingInj{e: e, spurious: r.Bool()}
-		if p.spurious {
-			wt, err := waiter(r.I64())
-			if err != nil {
-				return err
-			}
-			p.w = wt
-		} else {
-			p.batch = make([]Waiter, r.Len(8))
-			for j := range p.batch {
-				wt, err := waiter(r.I64())
-				if err != nil {
-					return err
-				}
-				p.batch[j] = wt
-			}
-			p.addr, p.val, p.src = r.I64(), r.I64(), mem.WriteSource(r.U8())
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		pend[i] = pendRec{at, seq, p}
-	}
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if len(pend) > 0 && e.sh == nil {
-		return fmt.Errorf("monitor: snapshot has %d pending fault injections, live monitor has no fault plan (arm the same WithFaultPlan)", len(pend))
+	if listed != armed {
+		return fmt.Errorf("monitor: snapshot arms %d watches but lists %d", armed, listed)
 	}
 
 	// Fresh lists and watch sets: no watcher may keep a pointer to a list
@@ -240,16 +207,46 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 		}
 		e.ws[id] = s
 	}
-	e.wakeups, e.immediate, e.dropped = wakeups, immediate, dropped
-	e.evicted, e.spurious, e.coalesced = evicted, spurious, coalesced
-	e.pending = nil
-	for _, rec := range pend {
-		name := evCoalescedWake
-		if rec.p.spurious {
-			name = evSpuriousWake
-		}
-		rec.p.h = e.sh.AtSeq(rec.at, rec.seq, name, rec.p)
-		e.pending = append(e.pending, rec.p)
+
+	e.wakeups, e.immediate, e.dropped = r.U64(), r.U64(), r.U64()
+	e.evicted, e.spurious, e.coalesced = r.U64(), r.U64(), r.U64()
+
+	n := r.Len(17)
+	if n > 0 && e.sh == nil {
+		return fmt.Errorf("monitor: snapshot has %d pending fault injections, live monitor has no fault plan (arm the same WithFaultPlan)", n)
 	}
-	return nil
+	e.pending = nil
+	for range n {
+		p := &pendingInj{e: e}
+		h := e.sh.ReadEvent(r, evCoalescedWake, p)
+		p.spurious = r.Bool()
+		var err error
+		if p.spurious {
+			e.sh.Rename(h, evSpuriousWake)
+			p.w, err = readWaiter()
+		} else {
+			p.batch = make([]Waiter, r.Len(8))
+			for j := 0; j < len(p.batch) && err == nil; j++ {
+				p.batch[j], err = readWaiter()
+			}
+			p.addr, p.val, p.src = r.I64(), r.I64(), mem.WriteSource(r.U8())
+		}
+		if err != nil {
+			return err
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		p.h = h
+		e.pending = append(e.pending, p)
+	}
+	return r.Err()
+}
+
+// injName names a pending fault injection's event.
+func injName(spurious bool) string {
+	if spurious {
+		return evSpuriousWake
+	}
+	return evCoalescedWake
 }

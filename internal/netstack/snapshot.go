@@ -16,7 +16,7 @@ import (
 // thread itself — registers, parked-in-mwait state, armed watches — is
 // ordinary hardware-thread state captured by the core and monitor codecs.
 //
-// The stack implements machine.ComponentSnapshotter; attach it with
+// The stack implements snapshot.Codec; attach it with
 // m.AttachSnapshotter("netstack", shard, stack) on both the snapshot and the
 // restore machine. The restore target must have bound the same ports in the
 // same order. The SendAsync outbox pump is a tracked stack event, so a sender
@@ -71,82 +71,49 @@ func (s *Stack) SnapshotState(w *snapshot.W) error {
 // RestoreState replaces the stack's dynamic state with the checkpoint's. The
 // engine must be mid-restore (the machine restore sequence arranges this).
 func (s *Stack) RestoreState(r *snapshot.R) error {
-	rxHead, txSeq := r.I64(), r.I64()
-	received, dropNoSock, dropMalform, backpressure := r.U64(), r.U64(), r.U64(), r.U64()
-	sent, sendBusy, svcFaults := r.U64(), r.U64(), r.U64()
-	staged, txQueued, pumpStall := r.I64(), r.U64(), r.U64()
-	nOut := r.Len(4)
-	outbox := make([][]int64, 0, nOut)
-	for i := 0; i < nOut; i++ {
-		outbox = append(outbox, r.I64s())
-	}
-	if len(outbox) == 0 {
-		outbox = nil
+	s.rxHead, s.txSeq = r.I64(), r.I64()
+	s.received, s.dropNoSock, s.dropMalform, s.backpressure = r.U64(), r.U64(), r.U64(), r.U64()
+	s.sent, s.sendBusy, s.svcFaults = r.U64(), r.U64(), r.U64()
+	s.staged, s.txQueued, s.pumpStall = r.I64(), r.U64(), r.U64()
+	s.outbox = nil
+	for range r.Len(4) {
+		s.outbox = append(s.outbox, r.I64s())
 	}
 	nSock := r.Len(33)
-	type sockRec struct {
-		port, delivered, nacks int64
-		blocked                bool
-	}
-	socks := make([]sockRec, nSock)
-	for i := range socks {
-		socks[i] = sockRec{port: r.I64(), delivered: r.I64(), nacks: r.I64()}
-		r.I64() // retired drop count
-		socks[i].blocked = r.Bool()
-	}
-	nEv := r.Len(57)
-	type evRec struct {
-		at   sim.Cycles
-		seq  uint64
-		kind uint8
-		sock int64
-		val  int64
-		wait sim.Cycles
-	}
-	evs := make([]evRec, nEv)
-	for i := range evs {
-		evs[i] = evRec{at: sim.Cycles(r.I64()), seq: r.U64(), kind: r.U8(), sock: r.I64(), val: r.I64()}
-		r.I64() // retired back-off address
-		evs[i].wait = sim.Cycles(r.I64())
-		r.I64() // retired back-off cap
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	if nSock != len(s.order) {
+	if r.Err() == nil && nSock != len(s.order) {
 		return fmt.Errorf("netstack: snapshot has %d sockets, live stack has %d — bind the same ports before restore", nSock, len(s.order))
 	}
-	for i, rec := range socks {
-		if rec.port != s.order[i].Port {
-			return fmt.Errorf("netstack: snapshot socket %d is port %d, live stack has port %d", i, rec.port, s.order[i].Port)
-		}
-	}
-	for _, e := range evs {
-		if int(e.kind) >= len(stackEvNames) || stackEvNames[e.kind] == "" {
-			return fmt.Errorf("netstack: snapshot event has unknown kind %d", e.kind)
-		}
-		if e.kind == evSockRx && (e.sock < 0 || e.sock >= int64(len(s.order))) {
-			return fmt.Errorf("netstack: snapshot doorbell event for unknown socket %d", e.sock)
-		}
-	}
-
-	s.rxHead, s.txSeq = rxHead, txSeq
-	s.received, s.dropNoSock, s.dropMalform, s.backpressure = received, dropNoSock, dropMalform, backpressure
-	s.sent, s.sendBusy, s.svcFaults = sent, sendBusy, svcFaults
-	s.staged, s.txQueued, s.pumpStall = staged, txQueued, pumpStall
-	s.outbox = outbox
-	for i, rec := range socks {
+	for i := range nSock {
 		sock := s.order[i]
-		sock.delivered, sock.nacks, sock.blocked = rec.delivered, rec.nacks, rec.blocked
+		port := r.I64()
+		sock.delivered, sock.nacks = r.I64(), r.I64()
+		r.I64() // retired drop count
+		sock.blocked = r.Bool()
+		if r.Err() == nil && port != sock.Port {
+			return fmt.Errorf("netstack: snapshot socket %d is port %d, live stack has port %d", i, port, sock.Port)
+		}
 	}
 	s.live = s.live[:0]
 	sh := s.k.Core().Shard()
-	for _, rec := range evs {
-		e := &stackEv{st: s, idx: len(s.live), kind: rec.kind, sock: int(rec.sock),
-			val: rec.val, wait: rec.wait}
-		e.h = sh.AtSeq(rec.at, rec.seq, stackEvNames[rec.kind], e)
+	for range r.Len(57) {
+		e := &stackEv{st: s, idx: len(s.live)}
+		h := sh.ReadEvent(r, "netstack", e)
+		e.kind, e.sock, e.val = r.U8(), int(r.I64()), r.I64()
+		r.I64() // retired back-off address
+		e.wait = sim.Cycles(r.I64())
+		r.I64() // retired back-off cap
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if int(e.kind) >= len(stackEvNames) || stackEvNames[e.kind] == "" {
+			return fmt.Errorf("netstack: snapshot event has unknown kind %d", e.kind)
+		}
+		if e.kind == evSockRx && (e.sock < 0 || e.sock >= len(s.order)) {
+			return fmt.Errorf("netstack: snapshot doorbell event for unknown socket %d", e.sock)
+		}
+		sh.Rename(h, stackEvNames[e.kind])
+		e.h = h
 		s.live = append(s.live, e)
 	}
-	return nil
+	return r.Err()
 }

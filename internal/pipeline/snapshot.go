@@ -37,39 +37,26 @@ func (p *Pipeline) SnapshotState(w *snapshot.W) {
 // its order.
 func (p *Pipeline) RestoreState(r *snapshot.R) error {
 	slots := r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if int(slots) != p.slots {
+	if r.Err() == nil && int(slots) != p.slots {
 		return fmt.Errorf("pipeline: snapshot has %d slots, live pipeline has %d", slots, p.slots)
 	}
-	n := r.Len(32)
-	threads := make([]thread, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		threads[i] = thread{id: int(r.I64()), weight: int(r.I64())}
+	clear(p.pos)
+	p.threads = make([]thread, r.Len(32))
+	p.totalWeight = 0
+	for i := range p.threads {
+		t := thread{id: int(r.I64()), weight: int(r.I64())}
 		if credits, issued := r.I64(), r.U64(); credits != 0 || issued != 0 {
-			return fmt.Errorf("%w: thread %d has credits %d, issued %d", ErrIssueState, threads[i].id, credits, issued)
+			return fmt.Errorf("%w: thread %d has credits %d, issued %d", ErrIssueState, t.id, credits, issued)
 		}
-		total += threads[i].weight
+		p.threads[i] = t
+		p.setPos(t.id, i)
+		p.totalWeight += t.weight
 	}
-	cursor := r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cursor != 0 {
+	if cursor := r.I64(); cursor != 0 {
 		return fmt.Errorf("%w: cursor %d", ErrIssueState, cursor)
 	}
-	for i := range p.pos {
-		p.pos[i] = 0
-	}
-	p.threads = threads
-	for i := range threads {
-		p.setPos(threads[i].id, i)
-	}
-	p.totalWeight = total
 	// Invalidate every slowdown cache: each is recomputed deterministically
 	// from the restored occupancy.
 	p.epoch++
-	return nil
+	return r.Err()
 }

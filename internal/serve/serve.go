@@ -437,8 +437,8 @@ func New(cfg Config) (*Cluster, error) {
 	for i, a := range c.apps {
 		m.AttachSnapshotter(fmt.Sprintf("app%d/kernel", i), a.shard, a.k)
 		m.AttachSnapshotter(fmt.Sprintf("app%d/stack", i), a.shard, a.stack)
-		m.AttachSnapshotter(fmt.Sprintf("app%d/sched", i), a.shard, a.sched.(kernel.ComponentCodec))
-		m.AttachSnapshotter(fmt.Sprintf("app%d/store", i), a.shard, storeCodec{a.store})
+		m.AttachSnapshotter(fmt.Sprintf("app%d/sched", i), a.shard, a.sched.(snapshot.Codec))
+		m.AttachSnapshotter(fmt.Sprintf("app%d/store", i), a.shard, a.store)
 	}
 
 	// First arrival.
@@ -1088,11 +1088,3 @@ func (c *Cluster) Summary() string {
 		c.stor.fetchOps, c.stor.wbOps, c.stor.cursor, c.m.Core(c.cfg.AppServers+1).Retired())
 	return b.String()
 }
-
-// ---- snapshot adapters ----
-
-// storeCodec adapts a statestore (no owned events, no error on snapshot).
-type storeCodec struct{ st *statestore.Store }
-
-func (s storeCodec) SnapshotState(w *snapshot.W) error { s.st.SnapshotState(w); return nil }
-func (s storeCodec) RestoreState(r *snapshot.R) error  { return s.st.RestoreState(r) }

@@ -36,11 +36,9 @@ func (c *Cluster) SnapshotState(w *snapshot.W) error {
 	w.I64(int64(c.lastArrival))
 	w.Bool(c.arrLive)
 	if c.arrLive {
-		at, seq, ok := c.m.Shard(c.lbShard).Claim(c.arrH)
-		if !ok {
-			return fmt.Errorf("serve: arrival event handle is stale at checkpoint")
+		if err := c.m.Shard(c.lbShard).WriteEvent(w, c.arrH, "serve-arrival"); err != nil {
+			return err
 		}
-		w.I64(int64(at)).U64(seq)
 	}
 
 	// Wire sequences.
@@ -126,107 +124,73 @@ func (c *Cluster) RestoreState(r *snapshot.R) error {
 	c.pending = workload.RestoreRequest(r)
 	c.lastArrival = sim.Cycles(r.I64())
 	c.arrLive = r.Bool()
-	var arrAt sim.Cycles
-	var arrSeq uint64
 	if c.arrLive {
-		arrAt, arrSeq = sim.Cycles(r.I64()), r.U64()
+		c.arrH = c.m.Shard(c.lbShard).ReadEvent(r, "serve-arrival", &arrivalEv{c})
 	}
 
-	wireSeq := r.I64s()
-	replyWireSeq := r.I64s()
+	servers := len(c.wireSeq)
+	if c.wireSeq = r.I64s(); r.Err() == nil && len(c.wireSeq) != servers {
+		return fmt.Errorf("serve: snapshot has %d servers, cluster has %d — restore needs the same Config", len(c.wireSeq), servers)
+	}
+	c.replyWireSeq = r.I64s()
 
-	nReq := r.Len(16)
-	reqT0 := make(map[int]sim.Cycles, nReq)
-	for i := 0; i < nReq; i++ {
+	lb := &c.lb
+	n := r.Len(16)
+	lb.reqT0 = make(map[int]sim.Cycles, n)
+	for range n {
 		id, t0 := r.I64(), r.I64()
-		reqT0[int(id)] = sim.Cycles(t0)
+		lb.reqT0[int(id)] = sim.Cycles(t0)
 	}
-	nConn := r.Len(16)
-	connLeft := make(map[int]int, nConn)
-	for i := 0; i < nConn; i++ {
+	n = r.Len(16)
+	lb.connLeft = make(map[int]int, n)
+	for range n {
 		id, left := r.I64(), r.I64()
-		connLeft[int(id)] = int(left)
+		lb.connLeft[int(id)] = int(left)
 	}
-	nIF := r.Len(8)
-	inFlight := make([]int, nIF)
-	for i := range inFlight {
-		inFlight[i] = int(r.I64())
+	if n = r.Len(8); r.Err() == nil && n != len(lb.inFlight) {
+		return fmt.Errorf("serve: snapshot has %d servers, cluster has %d — restore needs the same Config", n, servers)
 	}
-	replySeen := r.I64s()
-	gen, admit, refReq, refConn, compl := r.U64(), r.U64(), r.U64(), r.U64(), r.U64()
-	open, openPeak := r.I64(), r.I64()
-	if err := c.lb.lat.RestoreState(r); err != nil {
+	for i := range n {
+		lb.inFlight[i] = int(r.I64())
+	}
+	lb.replySeen = r.I64s()
+	lb.generated, lb.admitted, lb.refusedReqs, lb.refusedConns, lb.completedReq = r.U64(), r.U64(), r.U64(), r.U64(), r.U64()
+	lb.open, lb.openPeak = int(r.I64()), int(r.I64())
+	if err := lb.lat.RestoreState(r); err != nil {
 		return err
 	}
 
-	type appState struct {
-		fed, consumed, fetchReq, fetchAck, wbReq int64
-		fetchQ                                   []int
-		lockFreeAt                               sim.Cycles
-		lockWaits, lockWaitCycles                uint64
-		sessions                                 map[int]*session
-		submitted, completed, closed             uint64
-	}
-	appStates := make([]appState, len(c.apps))
-	for i := range c.apps {
-		st := &appStates[i]
-		st.fed, st.consumed = r.I64(), r.I64()
-		st.fetchReq, st.fetchAck, st.wbReq = r.I64(), r.I64(), r.I64()
-		nQ := r.Len(8)
-		st.fetchQ = make([]int, nQ)
-		for j := range st.fetchQ {
-			st.fetchQ[j] = int(r.I64())
+	for _, a := range c.apps {
+		a.fed, a.consumed = r.I64(), r.I64()
+		a.fetchReq, a.fetchAck, a.wbReq = r.I64(), r.I64(), r.I64()
+		a.fetchQ = make([]int, r.Len(8))
+		for j := range a.fetchQ {
+			a.fetchQ[j] = int(r.I64())
 		}
-		st.lockFreeAt = sim.Cycles(r.I64())
-		st.lockWaits, st.lockWaitCycles = r.U64(), r.U64()
-		nSess := r.Len(16)
-		st.sessions = make(map[int]*session, nSess)
-		for j := 0; j < nSess; j++ {
+		a.lockFreeAt = sim.Cycles(r.I64())
+		a.lockWaits, a.lockWaitCycles = r.U64(), r.U64()
+		n := r.Len(16)
+		a.sessions = make(map[int]*session, n)
+		for range n {
 			conn := int(r.I64())
 			s := &session{ready: r.Bool(), active: int(r.I64()), seenLast: r.Bool()}
 			if waiting := r.I64s(); len(waiting) > 0 {
 				s.waiting = waiting
 			}
-			st.sessions[conn] = s
+			a.sessions[conn] = s
 		}
-		st.submitted, st.completed, st.closed = r.U64(), r.U64(), r.U64()
-		if err := c.apps[i].sojourn.RestoreState(r); err != nil {
+		a.submitted, a.completed, a.closed = r.U64(), r.U64(), r.U64()
+		if err := a.sojourn.RestoreState(r); err != nil {
 			return err
 		}
 	}
 
+	st := &c.stor
 	fetchSeen := r.I64s()
-	wbSeen := r.I64s()
-	cursor, fetchOps, wbOps := r.I64(), r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
+	if r.Err() == nil && len(fetchSeen) != len(st.fetchSeen) {
+		return fmt.Errorf("serve: snapshot has %d servers, cluster has %d — restore needs the same Config", len(fetchSeen), len(st.fetchSeen))
 	}
-
-	if len(wireSeq) != len(c.wireSeq) || nIF != len(c.lb.inFlight) || len(fetchSeen) != len(c.stor.fetchSeen) {
-		return fmt.Errorf("serve: snapshot has %d servers, cluster has %d — restore needs the same Config", len(wireSeq), len(c.wireSeq))
-	}
-
-	c.wireSeq, c.replyWireSeq = wireSeq, replyWireSeq
-	c.lb.reqT0, c.lb.connLeft = reqT0, connLeft
-	c.lb.inFlight, c.lb.replySeen = inFlight, replySeen
-	c.lb.generated, c.lb.admitted, c.lb.refusedReqs, c.lb.refusedConns, c.lb.completedReq = gen, admit, refReq, refConn, compl
-	c.lb.open, c.lb.openPeak = int(open), int(openPeak)
-	for i, a := range c.apps {
-		st := &appStates[i]
-		a.fed, a.consumed = st.fed, st.consumed
-		a.fetchReq, a.fetchAck, a.wbReq = st.fetchReq, st.fetchAck, st.wbReq
-		a.fetchQ = st.fetchQ
-		a.lockFreeAt = st.lockFreeAt
-		a.lockWaits, a.lockWaitCycles = st.lockWaits, st.lockWaitCycles
-		a.sessions = st.sessions
-		a.submitted, a.completed, a.closed = st.submitted, st.completed, st.closed
-	}
-	c.stor.fetchSeen, c.stor.wbSeen = fetchSeen, wbSeen
-	c.stor.cursor = int(cursor)
-	c.stor.fetchOps, c.stor.wbOps = fetchOps, wbOps
-
-	if c.arrLive {
-		c.arrH = c.m.Shard(c.lbShard).AtSeq(arrAt, arrSeq, "serve-arrival", &arrivalEv{c})
-	}
-	return nil
+	st.fetchSeen, st.wbSeen = fetchSeen, r.I64s()
+	st.cursor, st.fetchOps, st.wbOps = int(r.I64()), r.U64(), r.U64()
+	return r.Err()
 }

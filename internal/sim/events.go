@@ -310,9 +310,9 @@ func (e *Engine) ReserveSeqs(n int) uint64 {
 }
 
 // AtSeq schedules cb.OnEvent at absolute time t under an explicit sequence
-// number: one taken by ReserveSeqs, or a checkpointed event's original
-// number when restoring it. Scheduling in the past panics (machine restore
-// wraps the whole sequence in a recover).
+// number taken by ReserveSeqs. Scheduling in the past panics; checkpoint
+// restore re-creates events with ReadEvent, which rejects such a record
+// with ErrEventRecord instead.
 func (e *Engine) AtSeq(t Cycles, seq uint64, name string, cb Callback) Handle {
 	return e.schedule(t, seq, name, nil, cb, false)
 }

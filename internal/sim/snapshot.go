@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -17,12 +18,13 @@ import (
 //
 //   - A checkpoint pass starts with BeginSnapshot, which empties the claim
 //     set, so a pass that failed part-way leaves nothing behind.
-//   - A codec writes an event's (at, seq) from Claim, which also records
-//     that the pass owns the event. A codec that schedules pooled bodies
-//     without retaining handles (the queueing servers' completions, quantum
-//     slices and arrival streams) claims them by callback with ClaimLive.
-//     At restore time the owner re-creates each event with AtSeq, pinning
-//     the original (timestamp, sequence) pair so same-cycle tie-breaking is
+//   - A codec writes an event's record with WriteEvent, which takes its
+//     (at, seq) from Claim and so records that the pass owns the event. A
+//     codec that schedules pooled bodies without retaining handles (the
+//     queueing servers' completions, quantum slices and arrival streams)
+//     claims them by callback with ClaimLive. At restore time the owner
+//     re-creates each event with ReadEvent, pinning the original
+//     (timestamp, sequence) pair so same-cycle tie-breaking is
 //     byte-identical.
 //   - The engine owns cancelled-but-unpopped events. A cancelled entry's
 //     only observable effects are advancing the clock when popped and
@@ -34,6 +36,10 @@ import (
 //     a duplicate at restore. This is the format's documented boundary:
 //     driver-scheduled closures (bench harness glue) are not
 //     checkpointable, machine-owned state is.
+
+// ErrEventRecord reports an event record no live engine could have written:
+// one timed before the restored clock.
+var ErrEventRecord = errors.New("sim: event record before the restored clock")
 
 // EventRec is one tombstone of an engine section: a cancelled event still
 // queued at checkpoint time.
@@ -70,6 +76,43 @@ func (e *Engine) Claim(h Handle) (at Cycles, seq uint64, ok bool) {
 		}
 	}
 	return 0, 0, false
+}
+
+// WriteEvent writes the record of the live event h, its (at, seq) key, and
+// claims the event for this checkpoint pass. A stale, invalid or cancelled
+// handle is an error naming the event.
+func (e *Engine) WriteEvent(w *snapshot.W, h Handle, name string) error {
+	at, seq, ok := e.Claim(h)
+	if !ok {
+		return fmt.Errorf("sim: %s event handle is stale at checkpoint", name)
+	}
+	w.I64(int64(at)).U64(seq)
+	return nil
+}
+
+// ReadEvent reads a record written by WriteEvent (or any (at, seq) key
+// written as I64, U64) and re-creates the event at that key with cb as its
+// body. The engine must be mid-restore. It returns NoEvent, re-creating
+// nothing, when the read fails or when the record is timed before the
+// restored clock; the latter fails r with ErrEventRecord.
+func (e *Engine) ReadEvent(r *snapshot.R, name string, cb Callback) Handle {
+	at, seq := Cycles(r.I64()), r.U64()
+	if r.Err() != nil {
+		return NoEvent
+	}
+	if at < e.clock.Now() {
+		r.Fail(fmt.Errorf("%w: %q at cycle %d, clock %d", ErrEventRecord, name, at, e.clock.Now()))
+		return NoEvent
+	}
+	return e.schedule(at, seq, name, nil, cb, false)
+}
+
+// Rename renames a queued event, for a restore that learns an event's name
+// only from fields its record holds after the (at, seq) key.
+func (e *Engine) Rename(h Handle, name string) {
+	if s := e.slotOf(h); s >= 0 {
+		e.slots[s].name = name
+	}
 }
 
 func (e *Engine) claim(s int32) {
@@ -143,12 +186,17 @@ func (e *Engine) SnapshotEvents(w *snapshot.W) error {
 	return nil
 }
 
-// ReadEngineState decodes an engine section written by SnapshotEvents.
+// ReadEngineState decodes an engine section written by SnapshotEvents. A
+// tombstone timed before the section's clock is an ErrEventRecord.
 func ReadEngineState(r *snapshot.R) (EngineState, error) {
 	st := EngineState{Now: Cycles(r.I64()), Seq: r.U64(), Ran: r.U64()}
 	st.Tombstones = make([]EventRec, r.Len(17))
 	for i := range st.Tombstones {
-		st.Tombstones[i] = EventRec{At: Cycles(r.I64()), Seq: r.U64(), Name: r.String()}
+		t := EventRec{At: Cycles(r.I64()), Seq: r.U64(), Name: r.String()}
+		if r.Err() == nil && t.At < st.Now {
+			r.Fail(fmt.Errorf("%w: tombstone %q at cycle %d, clock %d", ErrEventRecord, t.Name, t.At, st.Now))
+		}
+		st.Tombstones[i] = t
 	}
 	return st, r.Err()
 }
@@ -174,7 +222,8 @@ func (e *Engine) BeginRestore(now Cycles) {
 // restore uses it to re-create a snapshot's tombstones; a component that
 // keeps events outside the heap (the core's ready queue, dispatched through
 // RunInline) uses it when it cancels one, so the heap holds the tombstone
-// the queued event would have left. Live events are restored with AtSeq.
+// the queued event would have left. Live events are restored with
+// ReadEvent.
 func (e *Engine) Tombstone(at Cycles, seq uint64, name string) {
 	e.schedule(at, seq, name, nil, nil, true)
 }
@@ -191,7 +240,7 @@ func (e *Engine) ClaimSeq(seq uint64) {
 
 // FinishRestore re-creates st's tombstones and sets the sequence and ran
 // counters to its values, after every component has restored its events
-// (AtSeq/ClaimSeq). st.Seq must be at least one past every restored sequence
+// (ReadEvent/ClaimSeq). st.Seq must be at least one past every restored sequence
 // number, or future events could collide with restored ones and break the
 // total order.
 func (e *Engine) FinishRestore(st EngineState) error {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -78,5 +79,67 @@ func TestSnapshotClaimRule(t *testing.T) {
 	}
 	if st.Seq != 4 || len(st.Tombstones) != 1 || st.Tombstones[0] != (EventRec{At: 15, Seq: 3, Name: "gone"}) {
 		t.Fatalf("engine section %+v, want seq 4 and one tombstone for gone at (15, 3)", st)
+	}
+}
+
+// TestEventRecordPair: WriteEvent claims and writes a live event's key,
+// and refuses a stale handle by name; ReadEvent re-creates the event at
+// that key, and refuses, re-creating nothing, a record before the restored
+// clock or one whose read failed. A tombstone before the engine section's
+// clock is refused the same way.
+func TestEventRecordPair(t *testing.T) {
+	e := NewEngine(nil)
+	h := e.AtCallback(40, "live", &tagEv{})
+	gone := e.AtCallback(50, "gone", &tagEv{})
+	e.Cancel(gone)
+
+	b := snapshot.NewBuilder()
+	e.BeginSnapshot()
+	if err := e.WriteEvent(b.Section("ev"), h, "live"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteEvent(b.Section("stale"), gone, "gone"); err == nil || !strings.Contains(err.Error(), "gone") {
+		t.Fatalf("stale handle: got %v", err)
+	}
+	b.Section("engine").I64(100).U64(9).U64(0).Len(1).I64(60).U64(3).String("old")
+	b.Section("short").I64(40)
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		section string
+		now     Cycles
+		ok      bool
+	}{{"ev", 40, true}, {"ev", 41, false}, {"short", 0, false}} {
+		d := NewEngine(nil)
+		d.BeginRestore(tc.now)
+		var got Handle
+		err := snap.Restore(tc.section, func(r *snapshot.R) error {
+			got = d.ReadEvent(r, "live", &tagEv{})
+			return nil
+		})
+		if tc.ok != (err == nil) || tc.ok != (got != NoEvent) || tc.ok != (d.Pending() == 1) {
+			t.Fatalf("%s at clock %d: handle %v, %d queued, err %v", tc.section, tc.now, got, d.Pending(), err)
+		}
+		if tc.now == 41 && !errors.Is(err, ErrEventRecord) {
+			t.Fatalf("record before the clock: got %v, want ErrEventRecord", err)
+		}
+		if tc.ok {
+			d.BeginSnapshot()
+			if at, seq, _ := d.Claim(got); at != 40 || seq != 0 {
+				t.Fatalf("re-created at (%d, %d), want (40, 0)", at, seq)
+			}
+		}
+	}
+
+	err = snap.Restore("engine", func(r *snapshot.R) error { _, err := ReadEngineState(r); return err })
+	if !errors.Is(err, ErrEventRecord) {
+		t.Fatalf("tombstone before the clock: got %v, want ErrEventRecord", err)
 	}
 }

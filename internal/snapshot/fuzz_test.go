@@ -3,11 +3,13 @@ package snapshot_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"nocs/internal/snapshot"
@@ -245,5 +247,74 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRestoreChecksSectionEnd: Restore runs a section's decoder and fails,
+// naming the section, when the decoder leaves bytes unread or reads past
+// the end; a decoder that reads the section exactly passes.
+func TestRestoreChecksSectionEnd(t *testing.T) {
+	s, err := snapshot.Decode(sampleSnapshot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func(r *snapshot.R) error
+		want   string // "" = no error
+	}{
+		{"exact", func(r *snapshot.R) error {
+			r.U64()
+			r.I64()
+			r.U32()
+			r.U8()
+			r.Bool()
+			return nil
+		}, ""},
+		{"unread", func(r *snapshot.R) error { r.U64(); return nil }, `section "engine": 14 bytes left unread`},
+		{"past end", func(r *snapshot.R) error {
+			for range 4 {
+				r.U64()
+			}
+			return nil
+		}, `section "engine": truncated reading u64`},
+		{"decoder error", func(r *snapshot.R) error { return errors.New("bad record") }, `section "engine": bad record`},
+	} {
+		err := s.Restore("engine", tc.decode)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	if err := s.Restore("absent", func(*snapshot.R) error { return nil }); err == nil || !strings.Contains(err.Error(), `"absent"`) {
+		t.Errorf("missing section: err = %v", err)
+	}
+}
+
+// TestBoolRejectsNonCanonicalBytes: W.Bool writes only 0 and 1, so R.Bool
+// refuses any other byte and every accepted section re-encodes to itself.
+func TestBoolRejectsNonCanonicalBytes(t *testing.T) {
+	b := snapshot.NewBuilder()
+	b.Section("b").U8(0).U8(1).U8(2)
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Section("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Bool() || !r.Bool() || r.Err() != nil {
+		t.Fatalf("0 and 1 should read as false and true, err %v", r.Err())
+	}
+	r.Bool()
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "bool byte 2") {
+		t.Fatalf("byte 2 read as a bool: err = %v", err)
 	}
 }

@@ -14,7 +14,8 @@
 // version-bumped snapshots decode to descriptive errors (FuzzSnapshotRoundTrip
 // holds that line). Section payloads are written and read through the W/R
 // cursor types below, which use sticky errors so call sites read a whole
-// layout and check once.
+// layout and check once. Restore walks a decoded section through its reader
+// and checks that the reader consumed it exactly.
 package snapshot
 
 import (
@@ -205,6 +206,42 @@ func (s *Snapshot) Sections() []string { return append([]string(nil), s.names...
 // Has reports whether a section is present.
 func (s *Snapshot) Has(name string) bool { _, ok := s.index[name]; return ok }
 
+// Codec is the checkpoint surface of a component that owns one section.
+// SnapshotState writes the component's dynamic state, including a record
+// for every live event it owns (sim.Engine.WriteEvent or ClaimLive, which
+// claims the event); RestoreState reads that state back into the live
+// component, in the order SnapshotState wrote it, and re-creates the owned
+// events at their original slots (DESIGN.md §13).
+type Codec interface {
+	SnapshotState(w *W) error
+	RestoreState(r *R) error
+}
+
+// Restore fetches the named section and runs decode over it. It fails with
+// an error naming the section when the section is missing, when decode
+// fails or reads past the section's end, and when decode leaves bytes
+// unread: a field one codec half writes and the other does not read is a
+// restore error, not a silent shift of every later field.
+func (s *Snapshot) Restore(name string, decode func(*R) error) error {
+	r, err := s.Section(name)
+	if err != nil {
+		return err
+	}
+	if err := decode(r); err != nil {
+		if err == r.err { // the reader's own error names the section
+			return err
+		}
+		return fmt.Errorf("snapshot: section %q: %w", name, err)
+	}
+	if r.err != nil {
+		return r.err
+	}
+	if n := r.Remaining(); n > 0 {
+		return fmt.Errorf("snapshot: section %q: %d bytes left unread", name, n)
+	}
+	return nil
+}
+
 // Section returns a cursor over the named section's payload.
 func (s *Snapshot) Section(name string) (*R, error) {
 	i, ok := s.index[name]
@@ -234,6 +271,15 @@ type R struct {
 func (r *R) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("snapshot: section %q: truncated reading %s at offset %d", r.name, what, r.off)
+	}
+}
+
+// Fail records err as the reader's sticky error, naming the section, unless
+// an earlier read already failed. Decoders use it for records that are well
+// formed but could not have been written (sim.ErrEventRecord).
+func (r *R) Fail(err error) {
+	if r.err == nil {
+		r.err = fmt.Errorf("snapshot: section %q: %w", r.name, err)
 	}
 }
 
@@ -276,7 +322,15 @@ func (r *R) U8() uint8 {
 	return v
 }
 
-func (r *R) Bool() bool { return r.U8() != 0 }
+// Bool reads a byte written by W.Bool. Any byte other than 0 or 1 is an
+// error, so each state has one encoding.
+func (r *R) Bool() bool {
+	v := r.U8()
+	if v > 1 && r.err == nil {
+		r.err = fmt.Errorf("snapshot: section %q: bool byte %d at offset %d", r.name, v, r.off-1)
+	}
+	return v == 1
+}
 
 // Len reads a count written by W.Len and bounds it against the remaining
 // payload assuming at least minElemBytes per element, so hostile counts fail

@@ -14,8 +14,8 @@ import (
 // fault injector is machine-owned and checkpointed separately.
 
 // SnapshotState writes every entry (sorted by id), tier occupancy, and the
-// cumulative counters.
-func (s *Store) SnapshotState(w *snapshot.W) {
+// cumulative counters. It cannot fail: the store owns no events.
+func (s *Store) SnapshotState(w *snapshot.W) error {
 	ids := make([]int, 0, len(s.entries))
 	for id := range s.entries {
 		ids = append(ids, id)
@@ -30,42 +30,35 @@ func (s *Store) SnapshotState(w *snapshot.W) {
 	w.U64(s.promotions).U64(s.demotions).U64(s.prefetches)
 	w.U64(s.prefetchHits).U64(s.dramStarts)
 	w.U64(s.xferRetries).U64(s.tierFallbacks)
+	return nil
 }
 
 // RestoreState replaces the store's entries and counters with the
-// checkpoint's, recomputing tier occupancy.
+// checkpoint's, recomputing tier occupancy. Entries must be in strictly
+// increasing id order, the only order SnapshotState writes, so one id
+// cannot be counted twice in the occupancy.
 func (s *Store) RestoreState(r *snapshot.R) error {
 	n := r.Len(20)
-	entries := make(map[int]*entry, n)
-	var used [numTiers]int
-	for i := 0; i < n; i++ {
-		e := &entry{
-			id:    int(r.I64()),
-			bytes: int(r.I64()),
-			tier:  Tier(r.U8()),
-		}
-		e.lastUse = sim.Cycles(r.I64())
-		e.prefetchReady = sim.Cycles(r.I64())
-		e.pinned = r.Bool()
-		if r.Err() != nil {
+	s.entries = make(map[int]*entry, n)
+	s.used = [numTiers]int{}
+	prev := 0
+	for i := range n {
+		e := &entry{id: int(r.I64()), bytes: int(r.I64()), tier: Tier(r.U8())}
+		e.lastUse, e.prefetchReady, e.pinned = sim.Cycles(r.I64()), sim.Cycles(r.I64()), r.Bool()
+		switch {
+		case r.Err() != nil:
 			return r.Err()
-		}
-		if e.tier < TierRF || e.tier >= numTiers {
+		case e.tier < TierRF || e.tier >= numTiers:
 			return fmt.Errorf("statestore: snapshot entry %d has invalid tier %d", e.id, e.tier)
+		case i > 0 && e.id <= prev:
+			return fmt.Errorf("statestore: snapshot entry %d follows entry %d, not in increasing id order", e.id, prev)
 		}
-		entries[e.id] = e
-		used[e.tier] += e.bytes
+		prev = e.id
+		s.entries[e.id] = e
+		s.used[e.tier] += e.bytes
 	}
-	promotions, demotions := r.U64(), r.U64()
-	prefetches, prefetchHits, dramStarts := r.U64(), r.U64(), r.U64()
-	xferRetries, tierFallbacks := r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.entries = entries
-	s.used = used
-	s.promotions, s.demotions = promotions, demotions
-	s.prefetches, s.prefetchHits, s.dramStarts = prefetches, prefetchHits, dramStarts
-	s.xferRetries, s.tierFallbacks = xferRetries, tierFallbacks
-	return nil
+	s.promotions, s.demotions = r.U64(), r.U64()
+	s.prefetches, s.prefetchHits, s.dramStarts = r.U64(), r.U64(), r.U64()
+	s.xferRetries, s.tierFallbacks = r.U64(), r.U64()
+	return r.Err()
 }

@@ -15,9 +15,12 @@
 #                        sim, machine, serve and kernel
 #   7. fuzz smoke      — 10s of coverage-guided fuzzing per fuzz target,
 #                        on top of the checked-in corpora: the assembler,
-#                        the trace and NOCSNAP1 codecs, and the memory and
+#                        the trace and NOCSNAP1 codecs, the memory and
 #                        cache restore codecs (FuzzMemoryRestore: no panic,
-#                        and whatever restores re-encodes to its own bytes)
+#                        and whatever restores re-encodes to its own bytes),
+#                        and the NIC, SSD and timer restore codecs run
+#                        through snapshot.Restore (FuzzDeviceRestore: the
+#                        same two properties, with no recover around them)
 #   8. diff sweep      — 200 fresh seeds through the engine-vs-reference
 #                        differential harness (DESIGN.md §9), each seed also
 #                        checkpointed/restored mid-run (restore-equivalence)
@@ -92,6 +95,7 @@ go test -run '^$' -fuzz '^FuzzAsmParse$' -fuzztime 10s ./internal/asm
 go test -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzSnapshotRoundTrip$' -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzMemoryRestore$' -fuzztime 10s ./internal/mem
+go test -run '^$' -fuzz '^FuzzDeviceRestore$' -fuzztime 10s ./internal/device
 
 echo "== differential sweep (200 seeds) + restore equivalence =="
 NOCS_DIFF_N=200 go test -count=1 \
