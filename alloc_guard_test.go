@@ -80,3 +80,33 @@ loop:
 		t.Fatalf("contended steady-state execution allocates: %.1f allocs per window, want 0", allocs)
 	}
 }
+
+// TestRemoteWriteZeroAlloc pins the remote-write path at zero allocations
+// in the steady state: a write between two cores of one shard (queued on
+// its engine) and a write between shards (staged, delivered at a window
+// barrier, then queued) each carry their address and value as a value and
+// run as a pooled event body, so after one warmup write neither touches the
+// heap.
+func TestRemoteWriteZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"same-shard", 1}, {"cross-shard", 2}} {
+		m := machine.New(machine.WithCores(2), machine.WithShards(tc.shards))
+		to := m.ShardOfCore(1)
+		const addr = 0x9000
+		var v int64
+		write := func() {
+			v++
+			m.RemoteWrite(0, to, addr, v, 0)
+			m.RunUntil(m.Now() + 2*m.Lookahead())
+		}
+		write() // warmup: grow the pool, outbox, in-flight set and memory
+		if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+			t.Errorf("%s: a steady-state remote write allocates %.1f times, want 0", tc.name, allocs)
+		}
+		if got := m.MemOf(to).Read(addr); got != v {
+			t.Errorf("%s: landing word %d, want %d", tc.name, got, v)
+		}
+	}
+}

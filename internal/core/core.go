@@ -273,7 +273,7 @@ func New(cfg Config, sh *sim.Shard, m *mem.Memory, mon *monitor.Engine) *Core {
 func (c *Core) ID() int { return c.id }
 
 // Shard returns the scheduler shard this core lives on. All of the core's
-// events run on this shard; cross-shard interactions go through Shard.Send
+// events run on this shard; cross-shard interactions go through Shard.Write
 // (or machine.RemoteWrite).
 func (c *Core) Shard() *sim.Shard { return c.sh }
 

@@ -151,7 +151,7 @@ func (c *Core) RestoreState(r *snapshot.R, prog func(int64) (*isa.Program, error
 		c.trOpen[i] = false
 	}
 
-	if err := c.pipe.RestoreState(r); err != nil {
+	if err := c.pipe.RestoreState(r, c.threads.Len()); err != nil {
 		return err
 	}
 	if err := c.store.RestoreState(r); err != nil {

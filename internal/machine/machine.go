@@ -18,8 +18,8 @@
 //
 // Each shard owns a contiguous block of cores plus its locally attached
 // devices, memory, monitor, and interrupt controller; shards interact only
-// through timestamped cross-shard messages (RemoteWrite, Shard.Send) whose
-// minimum latency is the lookahead. With WithShards(1) — the default —
+// through timestamped cross-shard writes (RemoteWrite) whose minimum
+// latency is the lookahead. With WithShards(1) — the default —
 // everything lands on shard 0 and the machine is indistinguishable from the
 // classic single-engine build. Attach a tracer with WithTracer to record a
 // Chrome-trace timeline of the run (see internal/trace); each shard records
@@ -66,8 +66,8 @@ type Config struct {
 	// pool). Output is byte-identical at any worker count.
 	Workers int
 	// Lookahead is the cross-shard synchronization horizon in cycles
-	// (default DefaultLookahead). RemoteWrite and Shard.Send must use
-	// delays of at least this value.
+	// (default DefaultLookahead). A cross-shard RemoteWrite must use a
+	// delay of at least this value.
 	Lookahead sim.Cycles
 	// DMAMonitorVisible controls whether device writes trigger monitor
 	// wakeups (true = the paper's hardware; false = today's x86, ablation
@@ -217,6 +217,7 @@ func New(opts ...Option) *Machine {
 	for s := 0; s < cfg.Shards; s++ {
 		sh := sched.Shard(sim.ShardID(s))
 		m := mem.NewMemory()
+		sh.SetStore(func(addr, val int64) { m.Write(addr, val, mem.SrcCPU) })
 		mon := monitor.NewEngine()
 		mon.DMAVisible = cfg.DMAMonitorVisible
 		m.AddObserver(mon)
@@ -349,27 +350,18 @@ func (m *Machine) Run(limit int) int { return m.sched.Run(limit) }
 // RunUntil executes events up to the deadline on every shard.
 func (m *Machine) RunUntil(deadline sim.Cycles) int { return m.sched.RunUntil(deadline) }
 
-// remoteWrite is the delivered body of a RemoteWrite: it runs on the target
-// shard and performs a plain CPU-visible store there, so monitors on the
-// target shard observe it exactly like a local write.
-type remoteWrite struct {
-	mem  *mem.Memory
-	addr int64
-	val  int64
-}
-
-func (rw *remoteWrite) OnEvent() { rw.mem.Write(rw.addr, rw.val, mem.SrcCPU) }
-
 // RemoteWrite performs a cross-shard memory store: after `delay` cycles
 // (>= Lookahead; 0 means exactly Lookahead) the value lands in shard `to`'s
 // memory as a CPU-visible write, waking any monitor armed on the address —
 // the sharded generalization of the paper's remote-write wakeup. From == to
-// degenerates to a local delayed store.
+// degenerates to a local delayed store. The scheduler carries the write as
+// a value (sim.Shard.Write) and checkpoints it while it is queued or in
+// flight.
 func (m *Machine) RemoteWrite(from, to sim.ShardID, addr, val int64, delay sim.Cycles) {
 	if delay <= 0 {
 		delay = m.Lookahead()
 	}
-	m.shards[from].sh.Send(to, delay, "xwrite", &remoteWrite{mem: m.shards[to].mem, addr: addr, val: val})
+	m.shards[from].sh.Write(to, delay, addr, val)
 }
 
 // Injection kinds for pendingInject.

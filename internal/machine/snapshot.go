@@ -16,9 +16,10 @@ import (
 // A machine snapshot is a container of named sections: one "machine" section
 // with the topology and driver-scheduled injections, one "programs" section
 // with every bound program (encoded whole, so snapshots are self-contained),
-// one "xmsgs" section with in-flight cross-shard messages, and then one
-// section per shard subsystem ("shard0/engine", "shard0/mem", ...), per core
-// ("core0", ...), and per attached device ("dev/nic0", ...).
+// one section per core ("core0", ...), per shard subsystem ("shard0/mem",
+// ...), per attached device ("dev/nic0", ...) and per attached component,
+// the shard engines, and last the scheduler's "xmsgs" section with every
+// remote write not yet stored.
 //
 // Snapshot must be taken at a quiescent point: between Run/RunUntil calls,
 // with no driver-closure events pending (the engine's unclaimed-event check
@@ -48,17 +49,6 @@ func waiterID(coreIdx int, p hwthread.PTID) int64 {
 // Snapshot writes a full-machine checkpoint to w.
 func (m *Machine) Snapshot(w io.Writer) error {
 	b := snapshot.NewBuilder()
-	if err := m.SnapshotTo(b); err != nil {
-		return err
-	}
-	_, err := b.WriteTo(w)
-	return err
-}
-
-// SnapshotTo appends the machine's sections to an externally owned builder,
-// so drivers can compose machine state with their own sections (workload
-// cursors, experiment progress) in one container.
-func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 	for s := range m.shards {
 		m.shards[s].sh.BeginSnapshot()
 	}
@@ -176,35 +166,25 @@ func (m *Machine) SnapshotTo(b *snapshot.Builder) error {
 		}
 	}
 
-	// Engines last: every component above has claimed the live events it
+	// Engines last: every component above, and the scheduler's xmsgs codec
+	// for the writes queued on the engines, has claimed the live events it
 	// wrote, so an unclaimed event is a driver closure — a named checkpoint
-	// error, not a silent drop.
+	// error, not a silent drop. The engine sections are created before
+	// xmsgs, which stays the last section.
+	engines := make([]*snapshot.W, len(m.shards))
 	for s := range m.shards {
-		sid := sim.ShardID(s)
-		if err := m.shards[s].sh.SnapshotEvents(b.Section(secShard(sid, "engine"))); err != nil {
+		engines[s] = b.Section(secShard(sim.ShardID(s), "engine"))
+	}
+	if err := m.sched.SnapshotState(b.Section(secXMsgs)); err != nil {
+		return err
+	}
+	for s := range m.shards {
+		if err := m.shards[s].sh.SnapshotEvents(engines[s]); err != nil {
 			return fmt.Errorf("machine: shard %d: %w", s, err)
 		}
 	}
-
-	// Cross-shard in-flight messages + send counters. The machine's only
-	// checkpointable message body is the RemoteWrite payload.
-	xw := b.Section(secXMsgs)
-	seqs := m.sched.SendSeqs()
-	xw.Len(len(seqs))
-	for _, q := range seqs {
-		xw.U64(q)
-	}
-	msgs := m.sched.SnapshotXMsgs()
-	xw.Len(len(msgs))
-	for _, x := range msgs {
-		rw, isWrite := x.CB.(*remoteWrite)
-		if !isWrite {
-			return fmt.Errorf("machine: in-flight cross-shard message %q is not checkpointable", x.Name)
-		}
-		xw.I64(int64(x.At)).I64(int64(x.Src)).U64(x.Seq).I64(int64(x.To))
-		xw.I64(rw.addr).I64(rw.val)
-	}
-	return nil
+	_, err := b.WriteTo(w)
+	return err
 }
 
 // Restore replaces the machine's dynamic state with a checkpoint read from r.
@@ -242,7 +222,6 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 			return err
 		}
 	}
-	m.sched.ClearXMsgs()
 	for si := range m.shards {
 		m.shards[si].sh.BeginRestore(engines[si].Now)
 	}
@@ -335,14 +314,14 @@ func (m *Machine) RestoreFrom(s *snapshot.Snapshot) (err error) {
 		}
 	}
 
+	if err := s.Restore(secXMsgs, m.sched.RestoreState); err != nil {
+		return err
+	}
+
 	for si := range m.shards {
 		if err := m.shards[si].sh.FinishRestore(engines[si]); err != nil {
 			return err
 		}
-	}
-
-	if err := s.Restore(secXMsgs, m.restoreXMsgs); err != nil {
-		return err
 	}
 
 	// Traces re-base: anything recorded before the restore describes the
@@ -407,37 +386,6 @@ func (m *Machine) restoreTopology(r *snapshot.R) error {
 		m.injects = append(m.injects, j)
 	}
 	return r.Err()
-}
-
-// restoreXMsgs reads the xmsgs section: the per-shard send counters and the
-// in-flight cross-shard writes, re-staged with their original identities.
-func (m *Machine) restoreXMsgs(r *snapshot.R) error {
-	seqs := make([]uint64, r.Len(8))
-	for i := range seqs {
-		seqs[i] = r.U64()
-	}
-	for range r.Len(42) {
-		at, src, seq := sim.Cycles(r.I64()), sim.ShardID(r.I64()), r.U64()
-		to := sim.ShardID(r.I64())
-		addr, val := r.I64(), r.I64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if int(to) < 0 || int(to) >= len(m.shards) {
-			return fmt.Errorf("machine: snapshot cross-shard message to unknown shard %d", to)
-		}
-		if now := m.shards[to].sh.Now(); at < now {
-			return fmt.Errorf("machine: %w: cross-shard write at cycle %d, shard %d clock %d", sim.ErrEventRecord, at, to, now)
-		}
-		m.sched.RestoreXMsg(sim.XMsgRec{
-			At: at, Src: src, Seq: seq, To: to, Name: "xwrite",
-			CB: &remoteWrite{mem: m.shards[to].mem, addr: addr, val: val},
-		})
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return m.sched.SetSendSeqs(seqs)
 }
 
 // injectName names a driver-scheduled injection's event.

@@ -151,9 +151,11 @@ func TestSnapshotRestoreMidRunRewind(t *testing.T) {
 // ringMachine builds the sharded token-ring workload: 8 cores on 4 shards,
 // each with a spinning compute thread and a pacer service thread parked in
 // monitor/mwait on a per-core mailbox. The pacer native keeps ALL its state
-// in machine-owned places (registers and per-shard memory), so the run is
-// checkpointable at any quiescent cycle. The initial token is injected as a
-// machine-owned scheduled DMA write.
+// in machine-owned places (registers and per-shard memory), and the
+// scheduler checkpoints every token write, in flight between shards or
+// queued between two cores of one shard, so the run is checkpointable at
+// any quiescent cycle (TestRingCheckpointEvery97Cycles). The initial token
+// is injected as a machine-owned scheduled DMA write.
 func ringMachine(t *testing.T, shards, workers int) *Machine {
 	t.Helper()
 	const cores = 8
@@ -282,6 +284,89 @@ func TestShardedSnapshotDeterminism(t *testing.T) {
 		}
 		if got := ringSummary(b); got != want {
 			t.Fatalf("%s restore diverged from serial straight-through:\n got: %s\nwant: %s", name, got, want)
+		}
+	}
+}
+
+// sameShardWrites counts a checkpoint's xmsgs records for token writes
+// queued between two cores of one shard (src == to).
+func sameShardWrites(t *testing.T, ckpt []byte) int {
+	t.Helper()
+	snap, err := snapshot.Decode(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := snap.Section("xmsgs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range r.Len(8) {
+		r.U64()
+	}
+	n := 0
+	for range r.Len(48) {
+		r.I64() // at
+		src := r.I64()
+		r.U64() // seq
+		if r.I64() == src {
+			n++
+		}
+		r.I64() // addr
+		r.I64() // val
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestRingCheckpointEvery97Cycles checkpoints the 8-core, 4-shard ring every
+// 97 cycles from 500 to 60,000: pairs of cores share a shard, so many
+// checkpoints hold a token write queued between two cores of one shard, and
+// every checkpoint must succeed. The first such checkpoint restores into a
+// serial and a 4-worker machine; each must re-serialize to the same bytes
+// and run to the straight-through run's summary.
+func TestRingCheckpointEvery97Cycles(t *testing.T) {
+	const horizon = 60_000
+	straight := ringMachine(t, 4, 1)
+	straight.RunUntil(horizon)
+	want := ringSummary(straight)
+
+	m := ringMachine(t, 4, 1)
+	var queued []byte
+	for at := sim.Cycles(500); at <= horizon; at += 97 {
+		m.RunUntil(at)
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf); err != nil {
+			t.Fatalf("checkpoint at cycle %d: %v", at, err)
+		}
+		if queued == nil && sameShardWrites(t, buf.Bytes()) > 0 {
+			queued = buf.Bytes()
+		}
+	}
+	m.RunUntil(horizon)
+	if got := ringSummary(m); got != want {
+		t.Fatalf("checkpointing changed the run:\n got: %s\nwant: %s", got, want)
+	}
+	if queued == nil {
+		t.Fatal("no checkpoint holds a queued same-shard write")
+	}
+
+	for name, workers := range map[string]int{"serial": 1, "sharded": 4} {
+		b := ringMachine(t, 4, workers)
+		if err := b.Restore(bytes.NewReader(queued)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var re bytes.Buffer
+		if err := b.Snapshot(&re); err != nil {
+			t.Fatalf("%s re-snapshot: %v", name, err)
+		}
+		if !bytes.Equal(queued, re.Bytes()) {
+			t.Fatalf("%s: snapshot not byte-stable across restore", name)
+		}
+		b.RunUntil(horizon)
+		if got := ringSummary(b); got != want {
+			t.Fatalf("%s restore diverged from straight-through:\n got: %s\nwant: %s", name, got, want)
 		}
 	}
 }

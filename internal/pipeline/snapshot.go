@@ -22,6 +22,10 @@ import (
 // fields are not zero.
 var ErrIssueState = errors.New("pipeline: snapshot carries round-robin issue state")
 
+// ErrThreadRecord reports a runnable-thread record no live pipeline writes:
+// an id outside the core's threads or listed twice, or a weight below 1.
+var ErrThreadRecord = errors.New("pipeline: invalid runnable-thread record")
+
 // SnapshotState writes the slot count and the runnable set in order.
 func (p *Pipeline) SnapshotState(w *snapshot.W) {
 	w.I64(int64(p.slots))
@@ -34,8 +38,9 @@ func (p *Pipeline) SnapshotState(w *snapshot.W) {
 }
 
 // RestoreState replaces the runnable set with the checkpoint's, preserving
-// its order.
-func (p *Pipeline) RestoreState(r *snapshot.R) error {
+// its order. threads is the owning core's hardware-thread count: every
+// restored id must lie in [0, threads), so the id table never grows past it.
+func (p *Pipeline) RestoreState(r *snapshot.R, threads int) error {
 	slots := r.I64()
 	if r.Err() == nil && int(slots) != p.slots {
 		return fmt.Errorf("pipeline: snapshot has %d slots, live pipeline has %d", slots, p.slots)
@@ -45,7 +50,17 @@ func (p *Pipeline) RestoreState(r *snapshot.R) error {
 	p.totalWeight = 0
 	for i := range p.threads {
 		t := thread{id: int(r.I64()), weight: int(r.I64())}
-		if credits, issued := r.I64(), r.U64(); credits != 0 || issued != 0 {
+		credits, issued := r.I64(), r.U64()
+		switch {
+		case r.Err() != nil:
+			return r.Err()
+		case t.id < 0 || t.id >= threads:
+			return fmt.Errorf("%w: thread id %d, core has %d threads", ErrThreadRecord, t.id, threads)
+		case p.posOf(t.id) >= 0:
+			return fmt.Errorf("%w: thread %d listed twice", ErrThreadRecord, t.id)
+		case t.weight < 1:
+			return fmt.Errorf("%w: thread %d has weight %d", ErrThreadRecord, t.id, t.weight)
+		case credits != 0 || issued != 0:
 			return fmt.Errorf("%w: thread %d has credits %d, issued %d", ErrIssueState, t.id, credits, issued)
 		}
 		p.threads[i] = t

@@ -41,7 +41,8 @@ func encode(t *testing.T, write func(w *snapshot.W)) []byte {
 	return buf.Bytes()
 }
 
-// decode restores a fresh 2-slot pipeline from encode's output.
+// decode restores a fresh 2-slot pipeline of a 16-thread core from
+// encode's output.
 func decode(t *testing.T, data []byte) (*Pipeline, error) {
 	t.Helper()
 	snap, err := snapshot.Decode(data)
@@ -53,7 +54,7 @@ func decode(t *testing.T, data []byte) (*Pipeline, error) {
 		t.Fatal(err)
 	}
 	p := New(2)
-	return p, p.RestoreState(r)
+	return p, p.RestoreState(r, 16)
 }
 
 func TestPipelineSectionGolden(t *testing.T) {
@@ -91,6 +92,36 @@ func TestRestoreRejectsIssueState(t *testing.T) {
 		})
 		if _, err := decode(t, data); !errors.Is(err, ErrIssueState) {
 			t.Errorf("%s: restore error %v, want ErrIssueState", name, err)
+		}
+	}
+}
+
+// TestRestoreRejectsThreadRecords: a runnable-thread record no live pipeline
+// could have written is refused with ErrThreadRecord before the id table
+// grows.
+func TestRestoreRejectsThreadRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		id, weight int64
+	}{
+		{"negative id", -1, 1},
+		{"id at thread count", 16, 1},
+		{"huge id", 1 << 26, 1},
+		{"repeated id", 4, 1},
+		{"zero weight", 5, 0},
+	} {
+		data := encode(t, func(w *snapshot.W) {
+			w.I64(2).Len(2)
+			w.I64(4).I64(1).I64(0).U64(0)
+			w.I64(tc.id).I64(tc.weight).I64(0).U64(0)
+			w.I64(0)
+		})
+		p, err := decode(t, data)
+		if !errors.Is(err, ErrThreadRecord) {
+			t.Errorf("%s: restore error %v, want ErrThreadRecord", tc.name, err)
+		}
+		if len(p.pos) > 16 {
+			t.Errorf("%s: id table grew to %d entries", tc.name, len(p.pos))
 		}
 	}
 }

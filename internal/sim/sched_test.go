@@ -17,8 +17,8 @@ func (l *schedLog) add(format string, args ...any) {
 }
 
 // pinger drives a deterministic mixed workload on one shard: a local
-// periodic event plus a cross-shard ping to the next shard every third
-// firing, with a send delay that wobbles deterministically with the count.
+// periodic event plus a cross-shard write to the next shard every third
+// firing, with a delay that wobbles deterministically with the count.
 type pinger struct {
 	sh    *Shard
 	logs  []*schedLog
@@ -36,22 +36,15 @@ func (p *pinger) OnEvent() {
 	if p.count%3 == 0 {
 		to := ShardID((id + 1) % p.n)
 		delay := p.look + Cycles(p.count%5)
-		p.sh.Send(to, delay, "ping", &pong{logs: p.logs, from: id})
+		p.sh.Write(to, delay, int64(id), int64(p.count))
 	}
 	if p.count < p.limit {
 		p.sh.AfterCallback(p.step, "tick", p)
 	}
 }
 
-type pong struct {
-	logs []*schedLog
-	from int
-	sh   *Shard
-}
-
-func (g *pong) OnEvent() {}
-
-// buildPingWorkload arms the same deterministic workload on any scheduler.
+// buildPingWorkload arms the same deterministic workload on any scheduler;
+// each shard's store logs the writes that land on it.
 func buildPingWorkload(s *Scheduler, limit int) []*schedLog {
 	n := s.Shards()
 	logs := make([]*schedLog, n)
@@ -60,6 +53,8 @@ func buildPingWorkload(s *Scheduler, limit int) []*schedLog {
 	}
 	for i := 0; i < n; i++ {
 		sh := s.Shard(ShardID(i))
+		l := logs[i]
+		sh.SetStore(func(addr, val int64) { l.add("t=%d shard=%d store %d=%d", sh.Now(), i, addr, val) })
 		p := &pinger{sh: sh, logs: logs, n: n, step: Cycles(7 + i), look: s.Lookahead(), limit: limit}
 		sh.AfterCallback(Cycles(i), "tick", p)
 	}
@@ -111,13 +106,20 @@ func TestShardSweepDeterminism(t *testing.T) {
 	}
 }
 
-// wakeLog records the single delivery time of a cross-shard message.
+// wakeLog records the cycle of each event or write it receives.
 type wakeLog struct {
 	sh *Shard
 	at []Cycles
 }
 
 func (w *wakeLog) OnEvent() { w.at = append(w.at, w.sh.Now()) }
+
+// storeTo makes a wakeLog shard sh's store.
+func storeTo(sh *Shard) *wakeLog {
+	w := &wakeLog{sh: sh}
+	sh.SetStore(func(addr, val int64) { w.OnEvent() })
+	return w
+}
 
 // busy keeps a shard's queue dense so its window execution is non-trivial.
 type busy struct {
@@ -144,9 +146,9 @@ func TestTimeZeroCrossShardDelivery(t *testing.T) {
 		// Shard 1 is busy from cycle 0; shard 0 is completely idle.
 		b := &busy{sh: s.Shard(1), left: 400}
 		s.Shard(1).AfterCallback(0, "busy", b)
-		w := &wakeLog{sh: s.Shard(0)}
-		// Construction-time send: clock 0, minimum legal delay.
-		s.Shard(1).Send(0, look, "wake", w)
+		w := storeTo(s.Shard(0))
+		// Construction-time write: clock 0, minimum legal delay.
+		s.Shard(1).Write(0, look, 0x40, 1)
 		s.RunUntil(10 * look)
 		if len(w.at) != 1 || w.at[0] != look {
 			t.Fatalf("%s: delivery times = %v, want exactly [%d]", name, w.at, look)
@@ -160,8 +162,8 @@ func TestTimeZeroCrossShardDelivery(t *testing.T) {
 func TestTimeZeroDeliveryToFullyIdleScheduler(t *testing.T) {
 	const look = Cycles(64)
 	s := NewScheduler(4, look, 4)
-	w := &wakeLog{sh: s.Shard(3)}
-	s.Shard(0).Send(3, 3*look, "wake", w)
+	w := storeTo(s.Shard(3))
+	s.Shard(0).Write(3, 3*look, 0x40, 1)
 	if n := s.RunUntil(1000); n != 1 {
 		t.Fatalf("ran %d events, want 1", n)
 	}
@@ -197,19 +199,19 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 	s := NewScheduler(2, 100, 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("cross-shard Send below lookahead did not panic")
+			t.Fatal("cross-shard Write below lookahead did not panic")
 		}
 	}()
-	s.Shard(0).Send(1, 99, "bad", &wakeLog{sh: s.Shard(1)})
+	s.Shard(0).Write(1, 99, 0x40, 1)
 }
 
 func TestSelfSendAnyDelay(t *testing.T) {
 	s := NewScheduler(2, 100, 1)
-	w := &wakeLog{sh: s.Shard(0)}
-	s.Shard(0).Send(0, 1, "self", w) // below lookahead: legal for self
+	w := storeTo(s.Shard(0))
+	s.Shard(0).Write(0, 1, 0x40, 1) // below lookahead: legal for self
 	s.RunUntil(10)
 	if len(w.at) != 1 || w.at[0] != 1 {
-		t.Fatalf("self-send delivery = %v, want [1]", w.at)
+		t.Fatalf("self-write delivery = %v, want [1]", w.at)
 	}
 }
 
@@ -219,18 +221,18 @@ func TestSoloShard(t *testing.T) {
 	if sh.ID() != 0 {
 		t.Fatalf("solo shard id = %d", sh.ID())
 	}
-	w := &wakeLog{sh: sh}
-	sh.Send(0, 5, "self", w)
+	w := storeTo(sh)
+	sh.Write(0, 5, 0x40, 1)
 	eng.Run(0)
 	if len(w.at) != 1 || w.at[0] != 5 {
-		t.Fatalf("solo self-send delivery = %v, want [5]", w.at)
+		t.Fatalf("solo self-write delivery = %v, want [5]", w.at)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("solo cross-shard Send did not panic")
+			t.Fatal("solo cross-shard Write did not panic")
 		}
 	}()
-	sh.Send(1, 5, "remote", w)
+	sh.Write(1, 5, 0x40, 1)
 }
 
 func TestMultiShardRunLimitPanics(t *testing.T) {
@@ -272,10 +274,11 @@ func TestSingleShardSchedulerMatchesEngine(t *testing.T) {
 }
 
 // TestPendingCountsInflight: Pending must include undelivered cross-shard
-// messages so "queue empty" checks cannot race ahead of a delivery.
+// writes so "queue empty" checks cannot race ahead of a delivery.
 func TestPendingCountsInflight(t *testing.T) {
 	s := NewScheduler(2, 10, 1)
-	s.Shard(0).Send(1, 10, "m", &wakeLog{sh: s.Shard(1)})
+	storeTo(s.Shard(1))
+	s.Shard(0).Write(1, 10, 0x40, 1)
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("Pending = %d, want 1 (in-flight message)", got)
 	}

@@ -18,16 +18,16 @@ import (
 // OS thread, shards interleaved deterministically). Components hold a
 // *Shard, which embeds the shard's *Engine (so every scheduling method — At,
 // After, AtCallback, Cancel, BatchHorizon, AdvanceWithin, … — works
-// unchanged) and adds the one genuinely new capability: a timestamped
-// cross-shard Send.
+// unchanged) and adds the one way to affect another shard's state: a
+// timestamped Write into its memory.
 //
 // Determinism argument, in brief. Virtual time advances in windows of
 // `lookahead` cycles. Within a window each shard executes only its own
 // events over only its own state, so shards commute and may run on any
-// worker in any real-time order. A cross-shard message sent at virtual time
+// worker in any real-time order. A cross-shard write sent at virtual time
 // τ carries delay ≥ lookahead, hence arrives at τ+delay ≥ windowStart +
 // lookahead — always in a strictly later window — and all in-flight
-// messages are delivered at the window barrier in a deterministic total
+// writes are delivered at the window barrier in a deterministic total
 // order: (arrival time, source shard, per-source sequence). Every worker
 // count executes the identical windowed protocol, so for the same inputs
 // every shard sees the identical event sequence at any worker count. That
@@ -40,54 +40,95 @@ type ShardID int32
 // shard's *Engine, so the entire pre-existing scheduling API (At, After,
 // AtCallback, AfterCallback, Cancel, Cancelled, Now, Clock, NextEventAt,
 // BatchHorizon, AdvanceWithin, …) is available on a Shard unchanged and at
-// identical cost. What a Shard adds is identity (ID) and the only legal way
-// to affect another shard's state: Send.
+// identical cost. What a Shard adds is identity (ID), its memory store
+// (SetStore) and the only legal way to affect another shard's state: Write.
 type Shard struct {
 	*Engine
 	id    ShardID
 	owner *Scheduler // nil for a solo shard (SoloShard)
+	store func(addr, val int64)
+	free  []*write // pooled bodies of the writes queued on this engine
 }
 
 // ID returns this shard's identity within its scheduler.
 func (s *Shard) ID() ShardID { return s.id }
 
-// Send schedules cb.OnEvent to run on shard `to` at Now()+delay. For a
+// SetStore gives the shard its memory store, which every write addressed to
+// the shard runs on this shard's engine at its arrival cycle. It must be set
+// before the first such write.
+func (s *Shard) SetStore(store func(addr, val int64)) { s.store = store }
+
+// Write stores val at addr in shard `to`'s memory at Now()+delay. For a
 // remote shard the delay must be at least the scheduler's lookahead — that
 // minimum cross-shard latency is exactly what lets shards run ahead of each
-// other without ever reordering a delivery. Sends to the shard itself are
-// ordinary local scheduling and accept any non-negative delay.
+// other without ever reordering a delivery. A write to the shard itself is
+// ordinary local scheduling and accepts any non-negative delay.
 //
 // Cross-shard deliveries are globally ordered by (arrival time, sending
 // shard, per-sender sequence), so identical runs produce identical
-// interleavings regardless of worker count.
-func (s *Shard) Send(to ShardID, delay Cycles, name string, cb Callback) {
-	if to == s.id {
-		s.Engine.AfterCallback(delay, name, cb)
+// interleavings regardless of worker count. A write is a value, not a
+// callback, so the scheduler checkpoints every one (SnapshotState).
+func (s *Shard) Write(to ShardID, delay Cycles, addr, val int64) {
+	w := s.owner
+	switch {
+	case to == s.id:
+		s.Engine.AfterCallback(delay, writeName, s.newWrite(addr, val))
 		return
+	case w == nil:
+		panic(fmt.Sprintf("sim: solo shard cannot Write to shard %d", to))
+	case int(to) < 0 || int(to) >= len(w.shards):
+		panic(fmt.Sprintf("sim: Write to unknown shard %d (have %d)", to, len(w.shards)))
+	case delay < w.look:
+		panic(fmt.Sprintf("sim: cross-shard write with delay %d below lookahead %d", delay, w.look))
 	}
-	if s.owner == nil {
-		panic(fmt.Sprintf("sim: solo shard cannot Send to shard %d", to))
+	msg := xmsg{at: s.Engine.Now() + delay, src: s.id, seq: w.sendSeq[s.id], to: to, addr: addr, val: val}
+	w.outbox[s.id] = append(w.outbox[s.id], msg)
+	w.sendSeq[s.id]++
+}
+
+// writeName names every write's event in traces and checkpoint errors.
+const writeName = "xwrite"
+
+// write is the pooled event body of a write queued on its target's engine,
+// so a steady-state write allocates nothing. A shard's pool is touched only
+// by the goroutine running the shard, or by the driving one between windows.
+type write struct {
+	sh        *Shard
+	addr, val int64
+}
+
+func (x *write) OnEvent() {
+	x.sh.free = append(x.sh.free, x)
+	x.sh.store(x.addr, x.val)
+}
+
+func (s *Shard) newWrite(addr, val int64) *write {
+	n := len(s.free)
+	if n == 0 {
+		return &write{sh: s, addr: addr, val: val}
 	}
-	s.owner.send(s, to, delay, name, cb)
+	x := s.free[n-1]
+	s.free = s.free[:n-1]
+	x.addr, x.val = addr, val
+	return x
 }
 
 // SoloShard wraps a standalone Engine in a single-shard handle so code
 // migrated to the Shard API can still be driven by a bare engine (tests,
-// out-of-tree harnesses). Cross-shard Send panics; self-Send schedules
-// locally.
+// out-of-tree harnesses). A Write to another shard panics; a write to the
+// shard itself schedules locally.
 func SoloShard(eng *Engine) *Shard {
 	return &Shard{Engine: eng, id: 0}
 }
 
-// xmsg is one in-flight cross-shard event. The (at, src, seq) triple is a
-// unique, deterministic total order over all messages.
+// xmsg is one cross-shard write in flight. The (at, src, seq) triple
+// is a unique, deterministic total order over all of them.
 type xmsg struct {
-	at   Cycles
-	src  ShardID
-	seq  uint64
-	to   ShardID
-	name string
-	cb   Callback
+	at        Cycles
+	src       ShardID
+	seq       uint64
+	to        ShardID
+	addr, val int64
 }
 
 func xmsgCompare(a, b xmsg) int {
@@ -214,25 +255,6 @@ func (w *Scheduler) Ran() uint64 {
 	return n
 }
 
-func (w *Scheduler) send(from *Shard, to ShardID, delay Cycles, name string, cb Callback) {
-	if int(to) < 0 || int(to) >= len(w.shards) {
-		panic(fmt.Sprintf("sim: Send to unknown shard %d (have %d)", to, len(w.shards)))
-	}
-	if delay < w.look {
-		panic(fmt.Sprintf("sim: cross-shard send %q with delay %d below lookahead %d", name, delay, w.look))
-	}
-	s := from.id
-	w.outbox[s] = append(w.outbox[s], xmsg{
-		at:   from.Engine.Now() + delay,
-		src:  s,
-		seq:  w.sendSeq[s],
-		to:   to,
-		name: name,
-		cb:   cb,
-	})
-	w.sendSeq[s]++
-}
-
 // collect moves every shard's outbox into the in-flight set. Called at
 // window barriers and at run entry (construction-time sends from the
 // driving thread are staged in outboxes too).
@@ -283,7 +305,8 @@ func (w *Scheduler) deliver(winEnd Cycles) {
 	}
 	slices.SortFunc(w.due, xmsgCompare)
 	for _, m := range w.due {
-		w.shards[m.to].Engine.AtCallback(m.at, m.name, m.cb)
+		sh := w.shards[m.to]
+		sh.Engine.AtCallback(m.at, writeName, sh.newWrite(m.addr, m.val))
 	}
 }
 

@@ -30,6 +30,8 @@ import (
 //     only observable effects are advancing the clock when popped and
 //     bounding BatchHorizon while queued; Tombstone reproduces both
 //     without needing the (long gone) owner.
+//   - The scheduler's codec (SnapshotState) writes the writes queued on
+//     the engines, so they are checkpointable on any shard layout.
 //   - SnapshotEvents, called after every codec has written, writes the
 //     engine section. A live event no codec claimed, or that two codecs
 //     claimed, is a checkpoint error naming the event, not a silent drop or
@@ -255,59 +257,71 @@ func (e *Engine) FinishRestore(st EngineState) error {
 	return nil
 }
 
-// XMsgRec describes one in-flight cross-shard message for checkpointing.
-// The callback is returned live so the machine layer can map it to a
-// serializable payload (and re-create it on restore).
-type XMsgRec struct {
-	At   Cycles
-	Src  ShardID
-	Seq  uint64
-	To   ShardID
-	Name string
-	CB   Callback
-}
-
-// SnapshotXMsgs collects every staged outbox message into the in-flight set
-// (the same normalization runWindows performs on entry, so it does not
-// change behavior) and returns the in-flight messages sorted in the
-// deterministic delivery order.
-func (w *Scheduler) SnapshotXMsgs() []XMsgRec {
+// SnapshotState writes the xmsgs section: the per-shard send counters, then
+// one (at, src, seq, to, addr, val) record per write not yet stored, in
+// (at, src, seq) order. A write in flight between shards keeps its delivery
+// identity; a write queued on its target's engine is written with src == to
+// under its engine (at, seq) and claimed, so this runs before the engines'
+// SnapshotEvents. A cross-shard record never has src == to. Collecting the
+// outboxes first is the normalization every run starts with.
+func (w *Scheduler) SnapshotState(sw *snapshot.W) error {
 	w.collect()
-	out := make([]XMsgRec, 0, len(w.inflight))
-	for _, m := range w.inflight {
-		out = append(out, XMsgRec{At: m.at, Src: m.src, Seq: m.seq, To: m.to, Name: m.name, CB: m.cb})
+	recs := slices.Clone(w.inflight)
+	for _, sh := range w.shards {
+		for _, ev := range sh.ClaimLive(isWrite) {
+			x := ev.CB.(*write)
+			recs = append(recs, xmsg{at: ev.At, src: sh.id, seq: ev.Seq, to: sh.id, addr: x.addr, val: x.val})
+		}
 	}
-	slices.SortFunc(out, func(a, b XMsgRec) int {
-		return xmsgCompare(xmsg{at: a.At, src: a.Src, seq: a.Seq}, xmsg{at: b.At, src: b.Src, seq: b.Seq})
-	})
-	return out
+	slices.SortFunc(recs, xmsgCompare)
+	sw.Len(len(w.sendSeq))
+	for _, q := range w.sendSeq {
+		sw.U64(q)
+	}
+	sw.Len(len(recs))
+	for _, m := range recs {
+		sw.I64(int64(m.at)).I64(int64(m.src)).U64(m.seq).I64(int64(m.to)).I64(m.addr).I64(m.val)
+	}
+	return nil
 }
 
-// SendSeqs returns a copy of the per-shard cross-shard send counters.
-func (w *Scheduler) SendSeqs() []uint64 { return append([]uint64(nil), w.sendSeq...) }
+func isWrite(cb Callback) bool { _, ok := cb.(*write); return ok }
 
-// ClearXMsgs discards all staged and in-flight cross-shard messages, in
-// preparation for restoring a checkpoint's message population.
-func (w *Scheduler) ClearXMsgs() {
+// RestoreState reads the xmsgs section back, re-creating each queued write
+// at its engine (at, seq). The engines must be mid-restore, so FinishRestore
+// refuses a seq counter that collides with one. A record naming an unknown
+// shard, or timed before its target's clock (ErrEventRecord), is refused.
+func (w *Scheduler) RestoreState(r *snapshot.R) error {
+	n := r.Len(8)
+	if r.Err() == nil && n != len(w.sendSeq) {
+		return fmt.Errorf("sim: restored %d send counters for %d shards", n, len(w.sendSeq))
+	}
+	for i := range n {
+		w.sendSeq[i] = r.U64()
+	}
 	w.inflight = w.inflight[:0]
 	for s := range w.outbox {
 		w.outbox[s] = w.outbox[s][:0]
 	}
-}
-
-// RestoreXMsg re-stages one in-flight message with its original identity
-// triple, so delivery order after restore is byte-identical.
-func (w *Scheduler) RestoreXMsg(m XMsgRec) {
-	w.inflight = append(w.inflight, xmsg{at: m.At, src: m.Src, seq: m.Seq, to: m.To, name: m.Name, cb: m.CB})
-}
-
-// SetSendSeqs restores the per-shard send counters.
-func (w *Scheduler) SetSendSeqs(seqs []uint64) error {
-	if len(seqs) != len(w.sendSeq) {
-		return fmt.Errorf("sim: restored %d send counters for %d shards", len(seqs), len(w.sendSeq))
+	for range r.Len(42) {
+		m := xmsg{at: Cycles(r.I64()), src: ShardID(r.I64()), seq: r.U64(), to: ShardID(r.I64()), addr: r.I64(), val: r.I64()}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		to := w.Shard(m.to)
+		if to == nil || w.Shard(m.src) == nil {
+			return fmt.Errorf("sim: write record from shard %d to shard %d, have %d shards", m.src, m.to, len(w.shards))
+		}
+		if now := to.Now(); m.at < now {
+			return fmt.Errorf("%w: write at cycle %d, shard %d clock %d", ErrEventRecord, m.at, m.to, now)
+		}
+		if m.src == m.to {
+			to.schedule(m.at, m.seq, writeName, nil, to.newWrite(m.addr, m.val), false)
+		} else {
+			w.inflight = append(w.inflight, m)
+		}
 	}
-	copy(w.sendSeq, seqs)
-	return nil
+	return r.Err()
 }
 
 // State returns the RNG's current cursor, for checkpointing a workload or

@@ -143,3 +143,107 @@ func TestEventRecordPair(t *testing.T) {
 		t.Fatalf("tombstone before the clock: got %v, want ErrEventRecord", err)
 	}
 }
+
+// TestXMsgsRestore: the scheduler's xmsgs section re-creates a write in
+// flight between shards and a write queued on its own shard's engine, and
+// re-encodes to its own bytes. It refuses a record naming an unknown shard,
+// a record timed before its target's clock, a send-counter count that is
+// not the shard count, and (at FinishRestore) a queued write whose seq is
+// not below the restored seq counter.
+func TestXMsgsRestore(t *testing.T) {
+	// rec writes one record: (at, src, seq, to, addr, val).
+	rec := func(w *snapshot.W, at, src, seq, to int64) {
+		w.I64(at).I64(src).U64(uint64(seq)).I64(to).I64(0x40).I64(at)
+	}
+	valid := func(w *snapshot.W) {
+		w.Len(2).U64(3).U64(4).Len(2)
+		rec(w, 120, 1, 5, 1) // queued on shard 1's engine
+		rec(w, 150, 0, 2, 1) // in flight from shard 0
+	}
+	for _, tc := range []struct {
+		name    string
+		write   func(w *snapshot.W)
+		seq     uint64 // restored engine seq counter
+		restore string // substring of RestoreState's error ("" = none)
+		finish  bool   // FinishRestore must fail
+		isEvent bool   // RestoreState's error is ErrEventRecord
+	}{
+		{name: "valid", write: valid, seq: 6},
+		{name: "unknown shard", seq: 6, restore: "to shard 5", write: func(w *snapshot.W) {
+			w.Len(2).U64(0).U64(0).Len(1)
+			rec(w, 150, 0, 0, 5)
+		}},
+		{name: "before clock", seq: 6, restore: "before the restored clock", isEvent: true, write: func(w *snapshot.W) {
+			w.Len(2).U64(0).U64(1).Len(1)
+			rec(w, 50, 1, 0, 0)
+		}},
+		{name: "send counters", seq: 6, restore: "3 send counters for 2 shards", write: func(w *snapshot.W) {
+			w.Len(3).U64(0).U64(0).U64(0).Len(0)
+		}},
+		{name: "queued seq at counter", write: valid, seq: 5, finish: true},
+	} {
+		b := snapshot.NewBuilder()
+		tc.write(b.Section("xmsgs"))
+		var buf bytes.Buffer
+		if _, err := b.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		s := NewScheduler(2, 10, 1)
+		logs := []*wakeLog{storeTo(s.Shard(0)), storeTo(s.Shard(1))}
+		for i := range 2 {
+			s.Shard(ShardID(i)).BeginRestore(100)
+		}
+		err = snap.Restore("xmsgs", s.RestoreState)
+		if tc.restore != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.restore) || tc.isEvent != errors.Is(err, ErrEventRecord) {
+				t.Errorf("%s: restore error %v, want %q", tc.name, err, tc.restore)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var finishErr error
+		for i := range 2 {
+			if err := s.Shard(ShardID(i)).FinishRestore(EngineState{Now: 100, Seq: tc.seq}); err != nil {
+				finishErr = err
+			}
+		}
+		if tc.finish {
+			if finishErr == nil {
+				t.Errorf("%s: FinishRestore accepted a seq counter at a queued write's seq", tc.name)
+			}
+			continue
+		}
+		if finishErr != nil {
+			t.Fatalf("%s: %v", tc.name, finishErr)
+		}
+
+		again := snapshot.NewBuilder()
+		for i := range 2 {
+			s.Shard(ShardID(i)).BeginSnapshot()
+		}
+		if err := s.SnapshotState(again.Section("xmsgs")); err != nil {
+			t.Fatal(err)
+		}
+		var rebuf bytes.Buffer
+		if _, err := again.WriteTo(&rebuf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), rebuf.Bytes()) {
+			t.Errorf("%s: restored xmsgs section does not re-encode to its own bytes", tc.name)
+		}
+		if s.Pending() != 2 {
+			t.Errorf("%s: %d writes pending after restore, want 2", tc.name, s.Pending())
+		}
+		s.RunUntil(200)
+		if len(logs[0].at) != 0 || len(logs[1].at) != 2 || logs[1].at[0] != 120 || logs[1].at[1] != 150 {
+			t.Errorf("%s: stores landed at %v and %v, want none and [120 150]", tc.name, logs[0].at, logs[1].at)
+		}
+	}
+}
