@@ -16,6 +16,7 @@ import (
 	"nocs/internal/bench"
 	"nocs/internal/machine"
 	"nocs/internal/serve"
+	"nocs/internal/sim"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -85,16 +86,15 @@ func BenchmarkServeCell(b *testing.B) {
 }
 
 // snapshotBenchMachine builds a warmed-up sharded endurance machine plus one
-// serialized checkpoint of it, the fixture both snapshot benchmarks share.
-func snapshotBenchMachine(b *testing.B) (*machine.Machine, []byte) {
+// serialized checkpoint of it, the fixture the snapshot benchmarks share:
+// cores cores on as many shards, run to cycle at of a 2·at horizon.
+func snapshotBenchMachine(b *testing.B, cores int, at sim.Cycles) (*machine.Machine, []byte) {
 	b.Helper()
-	cfg := bench.RunConfig{Seed: 1}
-	ec := bench.EnduranceConfig{Cores: 4, Shards: 4, Workers: 1, Horizon: 60_000}
-	m, err := bench.BuildEndurance(cfg, ec)
+	m, err := bench.BuildEndurance(bench.RunConfig{Seed: 1}, snapshotBenchConfig(cores, at))
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.RunUntil(30_000)
+	m.RunUntil(at)
 	var buf bytes.Buffer
 	if err := m.Snapshot(&buf); err != nil {
 		b.Fatal(err)
@@ -102,11 +102,15 @@ func snapshotBenchMachine(b *testing.B) (*machine.Machine, []byte) {
 	return m, buf.Bytes()
 }
 
-// BenchmarkSnapshotEncode measures checkpoint serialization throughput on a
-// warmed-up sharded machine: MB/s is the reported bytes-per-second, ns/op is
-// the cost of one checkpoint (scripts/bench.sh records both in BENCH_4.json).
-func BenchmarkSnapshotEncode(b *testing.B) {
-	m, ckpt := snapshotBenchMachine(b)
+func snapshotBenchConfig(cores int, at sim.Cycles) bench.EnduranceConfig {
+	return bench.EnduranceConfig{Cores: cores, Shards: cores, Workers: 1, Horizon: 2 * at}
+}
+
+// benchmarkSnapshotEncode measures one checkpoint of the fixture machine
+// into a reused buffer, as the ring workload takes them: MB/s is checkpoint
+// bytes per second, B/op what one save allocates.
+func benchmarkSnapshotEncode(b *testing.B, cores int, at sim.Cycles) {
+	m, ckpt := snapshotBenchMachine(b, cores, at)
 	var buf bytes.Buffer
 	b.SetBytes(int64(len(ckpt)))
 	b.ResetTimer()
@@ -118,12 +122,12 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotRestore measures the inverse path: decoding a checkpoint
-// and rebuilding full machine state into an existing same-topology machine.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	_, ckpt := snapshotBenchMachine(b)
-	tgt, err := bench.BuildEndurance(bench.RunConfig{Seed: 1},
-		bench.EnduranceConfig{Cores: 4, Shards: 4, Workers: 1, Horizon: 60_000})
+// benchmarkSnapshotRestore measures the inverse path: reading the fixture's
+// checkpoint and restoring it into a second machine of the same topology
+// that has not run, then into the same machine again on later iterations.
+func benchmarkSnapshotRestore(b *testing.B, cores int, at sim.Cycles) {
+	_, ckpt := snapshotBenchMachine(b, cores, at)
+	tgt, err := bench.BuildEndurance(bench.RunConfig{Seed: 1}, snapshotBenchConfig(cores, at))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -135,3 +139,16 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshotEncode and BenchmarkSnapshotRestore checkpoint a 4-core
+// machine at cycle 30,000. scripts/ci.sh gates their allocs/op against
+// scripts/alloc_baseline.txt, and scripts/bench.sh records that allocs/op
+// in each BENCH_N.json; neither keeps their ns/op or MB/s.
+func BenchmarkSnapshotEncode(b *testing.B)  { benchmarkSnapshotEncode(b, 4, 30_000) }
+func BenchmarkSnapshotRestore(b *testing.B) { benchmarkSnapshotRestore(b, 4, 30_000) }
+
+// BenchmarkRingSnapshotEncode and BenchmarkRingSnapshotRestore checkpoint
+// the ring workload's machine, 64 cores on 64 shards, at cycle 500,000: a
+// 2.47 MB checkpoint, almost all of it the caches' per-set counts.
+func BenchmarkRingSnapshotEncode(b *testing.B)  { benchmarkSnapshotEncode(b, 64, 500_000) }
+func BenchmarkRingSnapshotRestore(b *testing.B) { benchmarkSnapshotRestore(b, 64, 500_000) }

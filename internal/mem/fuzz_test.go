@@ -25,10 +25,11 @@ func sectionPayload(t testing.TB, write func(w *snapshot.W)) []byte {
 	return out
 }
 
-// restoreRoundTrip feeds payload to restore as one section's bytes. If
-// restore accepts it, snapshot must re-encode the bytes restore read, byte
-// for byte; bytes restore left unread belong to the next reader.
-func restoreRoundTrip(t *testing.T, payload []byte, restore func(*snapshot.R) error, snap func(*snapshot.W)) {
+// restoreRoundTrip feeds payload to restore as one section's bytes and
+// reports whether restore accepted it. If it did, snapshot must re-encode
+// the bytes restore read, byte for byte; bytes restore left unread belong
+// to the next reader.
+func restoreRoundTrip(t *testing.T, payload []byte, restore func(*snapshot.R) error, snap func(*snapshot.W)) bool {
 	data := encodeSection(t, "s", func(w *snapshot.W) {
 		for _, b := range payload {
 			w.U8(b)
@@ -36,12 +37,13 @@ func restoreRoundTrip(t *testing.T, payload []byte, restore func(*snapshot.R) er
 	})
 	r := sectionReader(t, data, "s")
 	if err := restore(r); err != nil {
-		return
+		return false
 	}
 	read := payload[:len(payload)-r.Remaining()]
 	if again := sectionPayload(t, snap); !bytes.Equal(again, read) {
 		t.Fatalf("accepted section re-encodes differently:\n got %x\nwant %x", again, read)
 	}
+	return true
 }
 
 // FuzzMemoryRestore holds the mem codecs to two properties on arbitrary
@@ -49,7 +51,10 @@ func restoreRoundTrip(t *testing.T, payload []byte, restore func(*snapshot.R) er
 // whatever they accept re-encodes to exactly the bytes they read. The
 // second needs restore to refuse every encoding SnapshotState would not
 // write: repeated or unordered word addresses (ErrWordOrder), impossible
-// tag and pin lists (ErrCacheState).
+// tag and pin lists (ErrCacheState). Caches restore in place, so each
+// payload also goes into churnedHierarchy: it must be accepted exactly when
+// a fresh hierarchy accepts it, and then re-encode to the same bytes, so no
+// line the target held before survives.
 func FuzzMemoryRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(sectionPayload(f, churnedSmallMemory().SnapshotState))
@@ -63,8 +68,11 @@ func FuzzMemoryRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m := NewMemory()
 		restoreRoundTrip(t, payload, m.RestoreState, m.SnapshotState)
-		h := NewHierarchy(nil, fuzzHierarchyConfig)
-		restoreRoundTrip(t, payload, h.RestoreState, h.SnapshotState)
+		h, d := NewHierarchy(nil, fuzzHierarchyConfig), churnedHierarchy()
+		fresh := restoreRoundTrip(t, payload, h.RestoreState, h.SnapshotState)
+		if inPlace := restoreRoundTrip(t, payload, d.RestoreState, d.SnapshotState); inPlace != fresh {
+			t.Fatalf("in-place restore accepted=%v, fresh restore accepted=%v", inPlace, fresh)
+		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -66,13 +67,21 @@ func (m *Memory) RestoreState(r *snapshot.R) error {
 }
 
 // SnapshotState writes the cache's geometry (validated on restore), per-set
-// tag lists in LRU order, pinned lines, and hit/miss counters.
+// tag lists in LRU order, pinned lines, and hit/miss counters. The set block
+// is most of a checkpoint's bytes, so it is reserved at its exact size and
+// each set encoded straight into it: a u32 count, then that many lines.
 func (c *Cache) SnapshotState(w *snapshot.W) {
 	w.String(c.Name)
 	w.I64(int64(c.SizeBytes)).I64(int64(c.LineBytes)).I64(int64(c.Ways))
 	w.Len(c.sets)
+	buf := w.Reserve(c.setBlockBytes())
 	for _, ways := range c.tags {
-		w.I64s(ways)
+		binary.LittleEndian.PutUint32(buf, uint32(len(ways)))
+		buf = buf[4:]
+		for _, ln := range ways {
+			binary.LittleEndian.PutUint64(buf, uint64(ln))
+			buf = buf[8:]
+		}
 	}
 	pins := make([]int64, 0, len(c.pinned))
 	for ln := range c.pinned {
@@ -83,16 +92,35 @@ func (c *Cache) SnapshotState(w *snapshot.W) {
 	w.U64(c.hits).U64(c.misses)
 }
 
-// RestoreState replaces the cache's dynamic state; the stored geometry must
-// match this cache's, and the tag and pin lists must be ones a live cache
-// could hold (ErrCacheState).
+// setBlockBytes is the encoded size of the per-set tag lists.
+func (c *Cache) setBlockBytes() int {
+	n := 4 * c.sets
+	for _, ways := range c.tags {
+		n += 8 * len(ways)
+	}
+	return n
+}
+
+// stateBytes is the encoded size of SnapshotState's output.
+func (c *Cache) stateBytes() int {
+	return 4 + len(c.Name) + 3*8 + 4 + c.setBlockBytes() + 4 + 8*len(c.pinned) + 2*8
+}
+
+// RestoreState replaces the cache's dynamic state in place: each set's tag
+// list is decoded into that set's own backing array, grown only when the
+// checkpoint's list outruns its capacity, and the pinned set is cleared and
+// refilled. The stored geometry must match this cache's, and the tag and pin
+// lists must be ones a live cache could hold (ErrCacheState): insert keeps a
+// set at Ways lines or fewer, files each line under set(line), and never
+// lists a line twice; SnapshotState writes pins sorted and pinned is a set.
+// A refused section leaves the cache unspecified.
 func (c *Cache) RestoreState(r *snapshot.R) error {
-	name := r.String()
+	name := r.StringBytes()
 	size, line, ways := r.I64(), r.I64(), r.I64()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if name != c.Name || int(size) != c.SizeBytes || int(line) != c.LineBytes || int(ways) != c.Ways {
+	if string(name) != c.Name || int(size) != c.SizeBytes || int(line) != c.LineBytes || int(ways) != c.Ways {
 		return fmt.Errorf("mem: cache %q geometry mismatch (snapshot %q %d/%d/%d, live %d/%d/%d)",
 			c.Name, name, size, line, ways, c.SizeBytes, c.LineBytes, c.Ways)
 	}
@@ -100,54 +128,54 @@ func (c *Cache) RestoreState(r *snapshot.R) error {
 	if r.Err() == nil && sets != c.sets {
 		return fmt.Errorf("mem: cache %q has %d sets, snapshot has %d", c.Name, c.sets, sets)
 	}
-	tags := make([][]int64, sets)
-	for i := 0; i < sets; i++ {
-		tags[i] = r.I64s()
+	for s := range sets {
+		if err := c.restoreSet(r, s); err != nil {
+			return err
+		}
 	}
-	pins := r.I64s()
-	hits, misses := r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := c.checkState(tags, pins); err != nil {
-		return err
-	}
-	c.tags = tags
-	c.pinned = make(map[int64]bool, len(pins))
-	for _, ln := range pins {
+	clear(c.pinned)
+	var prev int64
+	for i := range r.Len(8) {
+		ln := r.I64() // Len(8) bounded the count, so these cannot fail
+		if i > 0 && ln <= prev {
+			return fmt.Errorf("%w: cache %q pin %#x follows %#x", ErrCacheState, c.Name, ln, prev)
+		}
+		prev = ln
 		c.pinned[ln] = true
 	}
-	c.hits, c.misses = hits, misses
-	return nil
+	c.hits, c.misses = r.U64(), r.U64()
+	return r.Err()
 }
 
-// checkState rejects tag and pin lists no live cache holds: insert keeps a
-// set at Ways lines or fewer, files each line under set(line), and never
-// lists a line twice; SnapshotState writes pins sorted and pinned is a set.
-func (c *Cache) checkState(tags [][]int64, pins []int64) error {
-	for s, ways := range tags {
-		if len(ways) > c.Ways {
-			return fmt.Errorf("%w: cache %q set %d holds %d lines, %d ways", ErrCacheState, c.Name, s, len(ways), c.Ways)
-		}
-		for i, ln := range ways {
-			if c.set(ln) != s {
-				return fmt.Errorf("%w: cache %q line %#x filed under set %d", ErrCacheState, c.Name, ln, s)
-			}
-			if slices.Contains(ways[:i], ln) {
-				return fmt.Errorf("%w: cache %q line %#x listed twice in set %d", ErrCacheState, c.Name, ln, s)
-			}
-		}
+// restoreSet decodes set s's tag list into the set's backing array.
+func (c *Cache) restoreSet(r *snapshot.R, s int) error {
+	n := r.Len(8)
+	if n > c.Ways {
+		return fmt.Errorf("%w: cache %q set %d holds %d lines, %d ways", ErrCacheState, c.Name, s, n, c.Ways)
 	}
-	for i := 1; i < len(pins); i++ {
-		if pins[i] <= pins[i-1] {
-			return fmt.Errorf("%w: cache %q pin %#x follows %#x", ErrCacheState, c.Name, pins[i], pins[i-1])
-		}
+	ways := c.tags[s]
+	if cap(ways) < n {
+		ways = make([]int64, n)
 	}
-	return nil
+	ways = ways[:n]
+	c.tags[s] = ways
+	for i := range ways {
+		ln := r.I64() // Len(8) bounded n, so these cannot fail
+		if c.set(ln) != s {
+			return fmt.Errorf("%w: cache %q line %#x filed under set %d", ErrCacheState, c.Name, ln, s)
+		}
+		if slices.Contains(ways[:i], ln) {
+			return fmt.Errorf("%w: cache %q line %#x listed twice in set %d", ErrCacheState, c.Name, ln, s)
+		}
+		ways[i] = ln
+	}
+	return r.Err()
 }
 
-// SnapshotState writes all three cache levels plus the hierarchy counters.
+// SnapshotState writes all three cache levels plus the hierarchy counters,
+// into a payload grown once to hold them all.
 func (h *Hierarchy) SnapshotState(w *snapshot.W) {
+	w.Grow(h.L1.stateBytes() + h.L2.stateBytes() + h.L3.stateBytes() + 2*8)
 	h.L1.SnapshotState(w)
 	h.L2.SnapshotState(w)
 	h.L3.SnapshotState(w)

@@ -146,9 +146,25 @@ func writeCache(w *snapshot.W, set0, set1, pins []int64) {
 	w.U64(3).U64(4)
 }
 
+// dirtyCache is MustNewCache("t", 256, 64, 2, 4) already holding other
+// lines than writeCache's valid case: set 1 full (more lines than that
+// case's one) with its LRU line pinned, and set 0 with one line in an array
+// too short for that case's two.
+func dirtyCache() *Cache {
+	c := MustNewCache("t", 256, 64, 2, 4)
+	for _, a := range []int64{6 * 64, 3 * 64, 5 * 64} {
+		c.Lookup(a)
+	}
+	c.Pin(3 * 64)
+	return c
+}
+
 // TestCacheRestoreRejectsUnreachableState: every case below restored
 // without error before the check, though no live cache can hold it, and
-// cache state is timing-visible to every load and store.
+// cache state is timing-visible to every load and store. Each case restores
+// into a fresh cache and, in place, into dirtyCache: both must take the
+// same decision, and an accepted section must re-encode to its own bytes
+// and answer every probe alike in both.
 func TestCacheRestoreRejectsUnreachableState(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
@@ -156,6 +172,7 @@ func TestCacheRestoreRejectsUnreachableState(t *testing.T) {
 		err              error
 	}{
 		{"valid", []int64{4, 0}, []int64{1}, []int64{0, 7}, nil},
+		{"empty", nil, nil, nil, nil},
 		{"over ways", []int64{4, 0, 2}, nil, nil, ErrCacheState},
 		{"wrong set", []int64{0}, []int64{2}, nil, ErrCacheState},
 		{"repeated tag", []int64{2, 2}, nil, nil, ErrCacheState},
@@ -163,16 +180,85 @@ func TestCacheRestoreRejectsUnreachableState(t *testing.T) {
 		{"pins repeated", nil, nil, []int64{3, 3}, ErrCacheState},
 	} {
 		data := encodeSection(t, "cache", func(w *snapshot.W) { writeCache(w, tc.set0, tc.set1, tc.pins) })
-		c := MustNewCache("t", 256, 64, 2, 4)
-		err := c.RestoreState(sectionReader(t, data, "cache"))
-		if !errors.Is(err, tc.err) {
-			t.Errorf("%s: restore error %v, want %v", tc.name, err, tc.err)
-			continue
-		}
-		if tc.err == nil {
-			if again := encodeSection(t, "cache", c.SnapshotState); !bytes.Equal(again, data) {
-				t.Errorf("%s: restored cache re-encodes differently", tc.name)
+		fresh, dirty := MustNewCache("t", 256, 64, 2, 4), dirtyCache()
+		for _, c := range []*Cache{fresh, dirty} {
+			if err := c.RestoreState(sectionReader(t, data, "cache")); !errors.Is(err, tc.err) {
+				t.Fatalf("%s: restore error %v, want %v", tc.name, err, tc.err)
 			}
 		}
+		if tc.err == nil {
+			requireSameCache(t, tc.name, data, fresh, dirty)
+		}
+	}
+}
+
+// requireSameCache fails unless want and got, both restored from the cache
+// section in data, re-encode to data and agree on every probe: Contains
+// over a span of lines, then the hit or miss of each Lookup in a sequence
+// that evicts, followed by a second re-encode.
+func requireSameCache(t *testing.T, name string, data []byte, want, got *Cache) {
+	t.Helper()
+	for _, c := range []*Cache{want, got} {
+		if again := encodeSection(t, "cache", c.SnapshotState); !bytes.Equal(again, data) {
+			t.Fatalf("%s: restored cache re-encodes differently", name)
+		}
+	}
+	for ln := int64(-4); ln < 12; ln++ {
+		if want.Contains(ln*64) != got.Contains(ln*64) {
+			t.Fatalf("%s: Contains(line %d) = %v after an in-place restore, %v after a fresh one",
+				name, ln, got.Contains(ln*64), want.Contains(ln*64))
+		}
+	}
+	for i, ln := range []int64{3, 5, 6, 1, 0, 2, 9, 4, 3, 7, 5, 11} {
+		if w, g := want.Lookup(ln*64), got.Lookup(ln*64); w != g {
+			t.Fatalf("%s: lookup %d of line %d hit=%v after an in-place restore, %v after a fresh one", name, i, ln, g, w)
+		}
+	}
+	if !bytes.Equal(encodeSection(t, "cache", want.SnapshotState), encodeSection(t, "cache", got.SnapshotState)) {
+		t.Fatalf("%s: caches diverge after the same lookups", name)
+	}
+}
+
+// TestCacheRestoreZeroAlloc: restoring a cache into one whose sets and pin
+// set already have the room allocates nothing; the tag arrays and the pin
+// map are reused.
+func TestCacheRestoreZeroAlloc(t *testing.T) {
+	c := MustNewCache("t", 1024, 64, 4, 4)
+	for _, ln := range []int64{0, 4, 8, 1, 0, 5, -3, 2, 7, 11} {
+		c.Lookup(ln * 64)
+	}
+	c.Pin(4 * 64)
+	c.Pin(7 * 64)
+	data := encodeSection(t, "cache", c.SnapshotState)
+	// Open every run's reader up front: opening a section allocates its
+	// reader, and only the restore is measured.
+	const runs = 100
+	readers := make([]*snapshot.R, runs+2) // AllocsPerRun adds a warm-up run
+	for i := range readers {
+		readers[i] = sectionReader(t, data, "cache")
+	}
+	restore := func() {
+		r := readers[0]
+		readers = readers[1:]
+		if err := c.RestoreState(r); err != nil || r.Remaining() != 0 {
+			t.Fatalf("restore: %v, %d bytes unread", err, r.Remaining())
+		}
+	}
+	restore()
+	if n := testing.AllocsPerRun(runs, restore); n != 0 {
+		t.Fatalf("in-place cache restore allocates %v times per run, want 0", n)
+	}
+	if again := encodeSection(t, "cache", c.SnapshotState); !bytes.Equal(again, data) {
+		t.Fatal("restored cache re-encodes differently")
+	}
+}
+
+// TestHierarchyStateBytes: Hierarchy.SnapshotState grows its payload once
+// by the caches' stateBytes, which must be exactly what they write.
+func TestHierarchyStateBytes(t *testing.T) {
+	h := churnedHierarchy()
+	want := h.L1.stateBytes() + h.L2.stateBytes() + h.L3.stateBytes() + 2*8
+	if got := len(sectionPayload(t, h.SnapshotState)); got != want {
+		t.Fatalf("hierarchy section is %d bytes, stateBytes sum to %d", got, want)
 	}
 }

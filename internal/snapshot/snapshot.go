@@ -16,6 +16,16 @@
 // cursor types below, which use sticky errors so call sites read a whole
 // layout and check once. Restore walks a decoded section through its reader
 // and checks that the reader consumed it exactly.
+//
+// Buffer ownership. Each W owns its section's payload buffer, and
+// Builder.WriteTo writes every payload to its destination once, with no
+// intermediate stream buffer. A Snapshot from Decode aliases the slice it
+// was given: its payloads, and the StringBytes a reader returns, are
+// sub-slices of it, so the caller must not modify that slice while it
+// restores (Read owns the slice it reads into; `nocsim -resume` hands Decode
+// its own os.ReadFile buffer). Codecs may decode in place into the live
+// component's storage (mem.Cache reuses each set's tag array), so a failed
+// restore leaves the component unspecified.
 package snapshot
 
 import (
@@ -24,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot stream.
@@ -43,8 +54,7 @@ const (
 
 // Builder accumulates named sections and serializes the container.
 type Builder struct {
-	names    []string
-	payloads [][]byte
+	sections []*W
 }
 
 // NewBuilder returns an empty snapshot builder.
@@ -53,50 +63,76 @@ func NewBuilder() *Builder { return &Builder{} }
 // Section starts a new named section and returns its payload writer. Section
 // names must be unique; duplicates are caught at WriteTo time.
 func (b *Builder) Section(name string) *W {
-	b.names = append(b.names, name)
-	b.payloads = append(b.payloads, nil)
-	return &W{b: b, idx: len(b.payloads) - 1}
+	w := &W{name: name}
+	b.sections = append(b.sections, w)
+	return w
 }
 
-// WriteTo serializes the container: header, sections in insertion order,
-// trailing checksum.
+// WriteTo streams the container to w: header, sections in insertion order,
+// trailing checksum. Each payload goes to w once, straight from its
+// section's buffer, under a running checksum; a destination that can Grow
+// (bytes.Buffer) is first grown to the stream's exact size. Every section
+// costs w two Write calls, so a file destination wants a bufio.Writer.
 func (b *Builder) WriteTo(w io.Writer) (int64, error) {
-	seen := make(map[string]bool, len(b.names))
-	for _, n := range b.names {
-		if seen[n] {
-			return 0, fmt.Errorf("snapshot: duplicate section %q", n)
+	seen := make(map[string]bool, len(b.sections))
+	size := len(Magic) + 4 + 4 + 4
+	for _, s := range b.sections {
+		if seen[s.name] {
+			return 0, fmt.Errorf("snapshot: duplicate section %q", s.name)
 		}
-		seen[n] = true
+		seen[s.name] = true
+		size += 4 + len(s.name) + 8 + len(s.buf)
 	}
-	var buf []byte
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.names)))
-	for i, n := range b.names {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n)))
-		buf = append(buf, n...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b.payloads[i])))
-		buf = append(buf, b.payloads[i]...)
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(size)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	n, err := w.Write(buf)
-	return int64(n), err
+	cw := &crcWriter{w: w}
+	frame := append(make([]byte, 0, 64), Magic...)
+	frame = binary.LittleEndian.AppendUint32(frame, Version)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(b.sections)))
+	cw.write(frame)
+	for _, s := range b.sections {
+		frame = binary.LittleEndian.AppendUint32(frame[:0], uint32(len(s.name)))
+		frame = append(frame, s.name...)
+		frame = binary.LittleEndian.AppendUint64(frame, uint64(len(s.buf)))
+		cw.write(frame)
+		cw.write(s.buf)
+	}
+	cw.write(binary.LittleEndian.AppendUint32(frame[:0], cw.crc))
+	return cw.n, cw.err
+}
+
+// crcWriter forwards writes to w, checksumming what it forwards, with a
+// sticky error.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+	err error
+}
+
+func (cw *crcWriter) write(p []byte) {
+	if cw.err != nil {
+		return
+	}
+	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p)
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	cw.err = err
 }
 
 // W is a section payload writer. All integers are little-endian fixed width.
 type W struct {
-	b   *Builder
-	idx int
+	name string
+	buf  []byte
 }
 
-func (w *W) buf() []byte       { return w.b.payloads[w.idx] }
-func (w *W) setBuf(buf []byte) { w.b.payloads[w.idx] = buf }
-func (w *W) U64(v uint64) *W   { w.setBuf(binary.LittleEndian.AppendUint64(w.buf(), v)); return w }
-func (w *W) I64(v int64) *W    { return w.U64(uint64(v)) }
-func (w *W) U32(v uint32) *W   { w.setBuf(binary.LittleEndian.AppendUint32(w.buf(), v)); return w }
-func (w *W) U8(v uint8) *W     { w.setBuf(append(w.buf(), v)); return w }
-func (w *W) F64(v float64) *W  { return w.U64(math.Float64bits(v)) }
-func (w *W) Len(n int) *W      { return w.U32(uint32(n)) }
+func (w *W) U64(v uint64) *W  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v); return w }
+func (w *W) I64(v int64) *W   { return w.U64(uint64(v)) }
+func (w *W) U32(v uint32) *W  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v); return w }
+func (w *W) U8(v uint8) *W    { w.buf = append(w.buf, v); return w }
+func (w *W) F64(v float64) *W { return w.U64(math.Float64bits(v)) }
+func (w *W) Len(n int) *W     { return w.U32(uint32(n)) }
 
 // Bool writes a single byte 0/1.
 func (w *W) Bool(v bool) *W {
@@ -109,17 +145,33 @@ func (w *W) Bool(v bool) *W {
 // String writes a length-prefixed string.
 func (w *W) String(s string) *W {
 	w.U32(uint32(len(s)))
-	w.setBuf(append(w.buf(), s...))
+	w.buf = append(w.buf, s...)
 	return w
 }
 
 // I64s writes a length-prefixed slice of int64.
 func (w *W) I64s(vs []int64) *W {
+	w.Grow(4 + 8*len(vs))
 	w.Len(len(vs))
 	for _, v := range vs {
 		w.I64(v)
 	}
 	return w
+}
+
+// Grow makes room for n more payload bytes, so that a codec that knows its
+// encoded size writes it without the payload regrowing part-way.
+func (w *W) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
+// Reserve appends n bytes to the payload and returns them for the caller to
+// fill in place, so a codec that knows a block's encoded size writes it with
+// one grow instead of one append per field. The returned bytes hold
+// unspecified values until the caller fills them, and it must fill them all.
+func (w *W) Reserve(n int) []byte {
+	w.Grow(n)
+	start := len(w.buf)
+	w.buf = w.buf[:start+n]
+	return w.buf[start:]
 }
 
 // Snapshot is a decoded container.
@@ -134,14 +186,25 @@ type Snapshot struct {
 // Read decodes a snapshot container, verifying magic, version, framing, and
 // checksum. It never panics: malformed input yields an error.
 func Read(r io.Reader) (*Snapshot, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxSectionBytes))
+	var data []byte
+	var err error
+	if l, ok := r.(interface{ Len() int }); ok {
+		// bytes.Reader and kin know how much is left: read it in one go
+		// instead of regrowing a buffer to fit.
+		data = make([]byte, min(l.Len(), maxSectionBytes))
+		_, err = io.ReadFull(r, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(r, maxSectionBytes))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
 	return Decode(data)
 }
 
-// Decode decodes a snapshot container from a byte slice.
+// Decode decodes a snapshot container from a byte slice. The section
+// payloads alias data rather than copy it, so the caller must leave data
+// unmodified while it restores from the Snapshot.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(Magic)+4+4+4 {
 		return nil, fmt.Errorf("snapshot: truncated header (%d bytes)", len(data))
@@ -187,9 +250,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		if _, dup := s.index[name]; dup {
 			return nil, fmt.Errorf("snapshot: duplicate section %q", name)
 		}
-		payload := make([]byte, plen)
-		copy(payload, body[off:off+int(plen)])
-		off += int(plen)
+		end := off + int(plen)
+		payload := body[off:end:end]
+		off = end
 		s.index[name] = len(s.names)
 		s.names = append(s.names, name)
 		s.payloads = append(s.payloads, payload)
@@ -254,7 +317,10 @@ func (s *Snapshot) Section(name string) (*R, error) {
 // WriteTo re-encodes the snapshot (used by the round-trip fuzzer to check
 // decode→encode→decode stability).
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	b := &Builder{names: s.names, payloads: s.payloads}
+	b := &Builder{sections: make([]*W, len(s.names))}
+	for i, name := range s.names {
+		b.sections[i] = &W{name: name, buf: s.payloads[i]}
+	}
 	return b.WriteTo(w)
 }
 
@@ -350,16 +416,21 @@ func (r *R) Len(minElemBytes int) int {
 	return n
 }
 
-func (r *R) String() string {
+func (r *R) String() string { return string(r.StringBytes()) }
+
+// StringBytes reads a string written by W.String without copying it: the
+// result aliases the payload, and comparing it with a string allocates
+// nothing.
+func (r *R) StringBytes() []byte {
 	n := int(r.U32())
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n < 0 || r.off+n > len(r.buf) {
 		r.fail("string")
-		return ""
+		return nil
 	}
-	v := string(r.buf[r.off : r.off+n])
+	v := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return v
 }

@@ -34,7 +34,9 @@
 #                        internal/faultinject
 #  11. allocation gate — CoreInstructionRate + F7_TailLatency +
 #                        UncontendedLock + ServeCell + F9_PriorityScheduling
-#                        (the oversubscribed core's ready queue) allocs/op
+#                        (the oversubscribed core's ready queue) +
+#                        SnapshotEncode + SnapshotRestore (one checkpoint
+#                        save and one restore of a 4-core machine) allocs/op
 #                        must stay within 10% of scripts/alloc_baseline.txt
 #                        (the zero-alloc hot paths must not silently regrow
 #                        heap traffic)
@@ -112,7 +114,7 @@ go vet ./internal/faultinject
 go test -race -count=1 ./internal/faultinject
 
 echo "== allocation gate (allocs/op within 10% of scripts/alloc_baseline.txt) =="
-go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell|BenchmarkF9_PriorityScheduling)$' \
+go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell|BenchmarkF9_PriorityScheduling|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$' \
     -benchmem -benchtime 1x . > "$TMP/allocgate.txt"
 awk '
     NR==FNR { if ($0 !~ /^#/ && NF == 2) base[$1] = $2; next }
