@@ -10,7 +10,7 @@
 //	nocsim -all -quick        # reduced sample counts
 //	nocsim -seed 7 -exp F7    # alternate workload seed
 //	nocsim -all -parallel 8   # concurrent experiments, identical output
-//	nocsim -all -format json  # tables, notes and metrics as one JSON array
+//	nocsim -all -format json  # tables, checks, notes and metrics as one JSON array
 //	nocsim -all -cpuprofile cpu.pb.gz   # profile the simulator itself
 //	nocsim -exp F1 -trace f1.json       # cycle trace, open at ui.perfetto.dev
 //	nocsim -exp S1            # one 64-core machine, serial vs sharded
@@ -25,6 +25,10 @@
 // experiments and sweep points concurrently; the identity-checked
 // experiments also drive each sharded machine with one worker per host
 // CPU (DESIGN.md §12). Neither changes a byte of the paper suite's output.
+//
+// Each paper-suite experiment states its paper claims as checks
+// (DESIGN.md §3). A failed check is printed on stderr, naming the
+// experiment, and makes nocsim exit 1, like a failed experiment.
 package main
 
 import (
@@ -180,6 +184,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "experiment %s failed: %v\n", o.ID, o.Err)
 			failed++
 			continue
+		}
+		for _, c := range o.Res.Checks {
+			if !c.Holds {
+				fmt.Fprintf(stderr, "experiment %s: check failed: %s: %s\n", o.ID, c.Name, c.Detail)
+				failed++
+			}
 		}
 		switch *format {
 		case "csv":

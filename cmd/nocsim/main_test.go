@@ -11,6 +11,23 @@ import (
 	"nocs/internal/bench"
 )
 
+// failingExp is a test-only experiment whose one check fails.
+const failingExp = "XFAIL"
+
+func init() {
+	bench.Register(&bench.Experiment{
+		ID:    failingExp,
+		Title: "an experiment whose claim does not hold",
+		Suite: bench.SuiteSystem,
+		Run: func(bench.RunConfig) (*bench.Result, error) {
+			return &bench.Result{Checks: []bench.Check{
+				{Name: "a < b", Holds: true, Detail: "a 1, b 2"},
+				{Name: "b < a", Holds: false, Detail: "a 1, b 2"},
+			}}, nil
+		},
+	})
+}
+
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errb bytes.Buffer
@@ -46,6 +63,25 @@ func TestFormatJSON(t *testing.T) {
 	_, table, _ := runCLI(t, "-exp", "T1,E1", "-quick")
 	if got := res[0].String() + "\n" + res[1].String() + "\n"; got != table {
 		t.Fatalf("JSON results render differently from -format table:\n%s\nvs\n%s", got, table)
+	}
+	if len(res[0].Checks) == 0 || !strings.Contains(out, `"checks"`) {
+		t.Fatalf("T1's JSON carries no checks:\n%s", out)
+	}
+}
+
+// TestFailedCheckExits1: a failed check makes nocsim exit 1 and names the
+// experiment and the check on stderr, while the results still print; a
+// check that holds is not reported.
+func TestFailedCheckExits1(t *testing.T) {
+	code, out, errs := runCLI(t, "-exp", failingExp)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr %q", code, errs)
+	}
+	if want := "experiment XFAIL: check failed: b < a: a 1, b 2\n"; errs != want {
+		t.Fatalf("stderr %q, want %q", errs, want)
+	}
+	if !strings.Contains(out, "### XFAIL") || !strings.Contains(out, "check failed: b < a") {
+		t.Fatalf("stdout does not show the failed check:\n%s", out)
 	}
 }
 

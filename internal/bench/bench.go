@@ -101,8 +101,23 @@ type Result struct {
 	Title   string           `json:"title"`
 	Claim   string           `json:"claim,omitempty"`
 	Tables  []*metrics.Table `json:"tables"`
+	Checks  []Check          `json:"checks,omitempty"`
 	Notes   []string         `json:"notes,omitempty"`
 	Metrics []Metric         `json:"metrics,omitempty"`
+}
+
+// Check is one paper claim an experiment states over its own measured
+// values, evaluated on every run at every size. Name says what must hold;
+// Detail gives the values it was judged on.
+type Check struct {
+	Name   string `json:"name"`
+	Holds  bool   `json:"holds"`
+	Detail string `json:"detail"`
+}
+
+// check states one claim; detail is a format over the compared values.
+func (r *Result) check(name string, holds bool, detail string, args ...any) {
+	r.Checks = append(r.Checks, Check{Name: name, Holds: holds, Detail: fmt.Sprintf(detail, args...)})
 }
 
 // Metric is one named scalar an experiment reports beside its tables.
@@ -112,7 +127,8 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// String renders the result for terminal output.
+// String renders the result for terminal output. A check that holds prints
+// nothing; a failed one prints one "check failed" line after the tables.
 func (r *Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n", r.ID, r.Title)
@@ -122,6 +138,11 @@ func (r *Result) String() string {
 	for _, t := range r.Tables {
 		b.WriteString(t.String())
 		b.WriteByte('\n')
+	}
+	for _, c := range r.Checks {
+		if !c.Holds {
+			fmt.Fprintf(&b, "check failed: %s: %s\n", c.Name, c.Detail)
+		}
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -213,15 +234,6 @@ func Run(id string, cfg RunConfig) (*Result, error) {
 	}
 	res.ID, res.Title, res.Claim = e.ID, e.Title, e.Claim
 	return res, nil
-}
-
-// MustRun is Run but panics on error; for benchmarks.
-func MustRun(id string, cfg RunConfig) *Result {
-	r, err := Run(id, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // shardedWorkers is the worker count of the sharded pass in every

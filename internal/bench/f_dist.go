@@ -155,6 +155,7 @@ func runF10(cfg RunConfig) (*Result, error) {
 	t.Row("software threads on 2 cores (legacy)", p50l, p99l, meanl, f10Shards)
 
 	res := &Result{Tables: []*metrics.Table{t}}
+	res.check("nocs fan-out p50 < legacy fan-out p50", p50 < p50l, "nocs p50 %d, legacy p50 %d", p50, p50l)
 	res.Notes = append(res.Notes,
 		"both models block per-RPC; the legacy side pays a wake-up chain (IRQ + scheduler + context switch) per response",
 		"the nocs completion time is gated by network skew plus cheap hw-thread wakes")

@@ -105,9 +105,9 @@ loop:
 	t.Row("direct hw-thread mailbox (XPC-like)", directPer, "hardware thread")
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if directPer >= ipcPer {
-		res.Notes = append(res.Notes, "WARNING: direct IPC not faster than scheduler IPC")
-	}
+	res.check("direct IPC < scheduler IPC", directPer < ipcPer, "direct %.1f, scheduler %.1f cycles/call", directPer, ipcPer)
+	res.check("scheduler IPC ≥ monolithic syscall", ipcPer >= monoPer, "scheduler %.1f, monolithic %.1f cycles/call", ipcPer, monoPer)
+	res.check("direct IPC ≥ the 800-cycle service body", directPer >= 800, "direct %.1f cycles/call", directPer)
 	res.Notes = append(res.Notes,
 		"direct hw-thread IPC delivers microkernel isolation below monolithic cost — the §2 claim")
 	return res, nil

@@ -227,9 +227,9 @@ poll:
 		return nil, fmt.Errorf("F1: empty histogram (mwait=%d irq=%d poll=%d)",
 			mwaitHist.Count(), irqHist.Count(), pollHist.Count())
 	}
-	if mwaitHist.Quantile(0.5) >= irqHist.Quantile(0.5) {
-		res.Notes = append(res.Notes, "WARNING: mwait not faster than IRQ — cost model violated")
-	}
+	mwait, irqP50, poll := mwaitHist.Quantile(0.5), irqHist.Quantile(0.5), pollHist.Quantile(0.5)
+	res.check("IRQ p50 ≥ 5× mwait p50", irqP50 >= 5*mwait, "IRQ p50 %d, mwait p50 %d", irqP50, mwait)
+	res.check("polling p50 ≤ 3× mwait p50", poll <= 3*mwait, "polling p50 %d, mwait p50 %d", poll, mwait)
 	return res, nil
 }
 
@@ -258,6 +258,7 @@ func runF8(cfg RunConfig) (*Result, error) {
 		statestore.TierL3:   "+10–50 cycles (3–16ns)",
 		statestore.TierDRAM: "\"severe performance losses\"",
 	}
+	cost := map[statestore.Tier]sim.Cycles{}
 	for _, r := range reps {
 		tier, ok := s.TierOf(r.id)
 		if !ok || tier != r.tier {
@@ -267,9 +268,16 @@ func runF8(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		cost[tier] = c
 		t.Row(tier.String(), int64(c), c.Nanos(0), paper[tier])
 	}
-	return &Result{Tables: []*metrics.Table{t}}, nil
+	res := &Result{Tables: []*metrics.Table{t}}
+	rf, l2, l3, dram := cost[statestore.TierRF], cost[statestore.TierL2], cost[statestore.TierL3], cost[statestore.TierDRAM]
+	res.check("RF start = 20 cycles", rf == 20, "RF start %d", rf)
+	res.check("L2 and L3 add 10–50 cycles to an RF start", l2-rf >= 10 && l2-rf <= 50 && l3-rf >= 10 && l3-rf <= 50,
+		"RF %d, L2 %d, L3 %d", rf, l2, l3)
+	res.check("DRAM start = 420 cycles", dram == 420, "DRAM start %d", dram)
+	return res, nil
 }
 
 func runA3(cfg RunConfig) (*Result, error) {
@@ -292,6 +300,7 @@ func runA3(cfg RunConfig) (*Result, error) {
 
 	t := metrics.NewTable("L3-resident thread: wake → start cost",
 		"prefetch", "sched gap (cycles)", "start cycles")
+	var onAt50 sim.Cycles
 	for _, gap := range []sim.Cycles{0, 25, 50, 100} {
 		off, err := run(false, gap)
 		if err != nil {
@@ -301,15 +310,20 @@ func runA3(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		if gap == 50 {
+			onAt50 = on
+		}
 		t.Row("off", int64(gap), int64(off))
 		t.Row("on", int64(gap), int64(on))
 	}
-	return &Result{
+	res := &Result{
 		Tables: []*metrics.Table{t},
 		Notes: []string{
 			"with prefetch, any scheduling gap ≥ the transfer latency hides it entirely",
 		},
-	}, nil
+	}
+	res.check("prefetch at a 50-cycle gap starts in 20 cycles", onAt50 == 20, "start %d cycles", onAt50)
+	return res, nil
 }
 
 // F9 workload shape: one critical thread woken by a periodic mailbox write,
@@ -409,8 +423,7 @@ func runF9(cfg RunConfig) (*Result, error) {
 		t.Row(row.name, p50, p99, mean)
 	}
 	res := &Result{Tables: []*metrics.Table{t}}
-	if hi.Quantile(0.5) >= lo.Quantile(0.5) {
-		res.Notes = append(res.Notes, "WARNING: priority did not reduce latency")
-	}
+	crit, fair := hi.Quantile(0.5), lo.Quantile(0.5)
+	res.check("time-critical p50 < fair p50", crit < fair, "time-critical p50 %d, fair p50 %d", crit, fair)
 	return res, nil
 }

@@ -167,9 +167,7 @@ next:
 	if faultNote != "" {
 		res.Notes = append(res.Notes, faultNote)
 	}
-	if nocsHist.Quantile(0.5) >= legacyHist.Quantile(0.5) {
-		res.Notes = append(res.Notes, "WARNING: nocs echo path not faster")
-	}
+	res.check("nocs echo p50 < legacy echo p50", p50 < p50l, "nocs p50 %d, legacy p50 %d", p50, p50l)
 	res.Notes = append(res.Notes,
 		"the nocs path is measured on the real simulated stack (3 hardware threads, 4 wakes); the legacy path composes the same cost table the other baselines use")
 	return res, nil

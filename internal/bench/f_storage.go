@@ -207,9 +207,10 @@ loop:
 	t.Row("legacy IRQ + scheduler", legacyPer, legacyPer-float64(devLat))
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if nocsPer >= legacyPer {
-		res.Notes = append(res.Notes, "WARNING: nocs storage path not cheaper")
-	}
+	nocsOv, legacyOv := nocsPer-float64(devLat), legacyPer-float64(devLat)
+	res.check("nocs IO < legacy IO", nocsPer < legacyPer, "nocs %.1f, legacy %.1f cycles/IO", nocsPer, legacyPer)
+	res.check("5× nocs overhead ≤ legacy overhead", 5*nocsOv <= legacyOv,
+		"nocs %.1f, legacy %.1f cycles of software overhead", nocsOv, legacyOv)
 	res.Notes = append(res.Notes,
 		"one driver hardware thread watches the request mailbox AND the completion queue — the multi-address monitor of §3.1",
 		"the legacy path pays syscall + deschedule on submit and IRQ + scheduler + context switch on completion")
@@ -292,9 +293,7 @@ func runF13(cfg RunConfig) (*Result, error) {
 	t.Row("IPI + scheduler + switch (legacy)", p50i, meani, sim.Cycles(p50i).Nanos(0))
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if monHist.Quantile(0.5) >= ipiHist.Quantile(0.5) {
-		res.Notes = append(res.Notes, "WARNING: monitor wake not cheaper than IPI chain")
-	}
+	res.check("10× monitor-wake p50 ≤ IPI-chain p50", 10*p50 <= p50i, "monitor p50 %d, IPI chain p50 %d", p50, p50i)
 	res.Notes = append(res.Notes,
 		"the §1 wake-up story (interrupt, scheduler, IPI, cache misses) collapses to one store")
 	return res, nil
@@ -346,9 +345,8 @@ func runA4(cfg RunConfig) (*Result, error) {
 	t.Row("pinned in RF", int64(pinned))
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if pinned >= unpinned {
-		res.Notes = append(res.Notes, "WARNING: pinning did not help")
-	}
+	res.check("pinned start = 20 cycles", pinned == 20, "pinned start %d", pinned)
+	res.check("unpinned start > pinned start", unpinned > pinned, "unpinned %d, pinned %d", unpinned, pinned)
 	res.Notes = append(res.Notes,
 		"pinning trades RF capacity for a guaranteed 20-cycle start — §4's criticality-based placement")
 	return res, nil

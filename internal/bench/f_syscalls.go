@@ -169,9 +169,8 @@ spin:
 	t.Row("dedicated syscall hw thread", nocsPer, nocsPer/3, "one parked hw thread")
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if nocsPer >= syncPer {
-		res.Notes = append(res.Notes, "WARNING: hw-thread syscalls not cheaper than mode switches")
-	}
+	res.check("hw-thread syscall < in-thread mode switch", nocsPer < syncPer,
+		"hw thread %.1f, mode switch %.1f cycles/call", nocsPer, syncPer)
 	res.Notes = append(res.Notes,
 		"the hw-thread path keeps the synchronous blocking API — FlexSC's asynchronous batching API is what §2 calls 'complex asynchronous APIs'")
 	return res, nil
@@ -241,9 +240,8 @@ loop:
 	t.Row("hypervisor hardware thread", nocsPer, nocsPer/3)
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if nocsPer >= legacyPer {
-		res.Notes = append(res.Notes, "WARNING: hw-thread exits not cheaper")
-	}
+	res.check("hw-thread VM exit < in-thread VM exit", nocsPer < legacyPer,
+		"hw thread %.1f, in-thread %.1f cycles/exit", nocsPer, legacyPer)
 	return res, nil
 }
 
@@ -314,9 +312,8 @@ loop:
 	t.Row("nocs, kernel in own hw thread", nocsPer, "yes, for free")
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if withFP <= intOnly {
-		res.Notes = append(res.Notes, "WARNING: FP save/restore penalty missing")
-	}
+	res.check("FP-using kernel > integer-only kernel", withFP > intOnly,
+		"FP-using %.1f, integer-only %.1f cycles/call", withFP, intOnly)
 	return res, nil
 }
 
@@ -386,9 +383,10 @@ loop:
 	t.Row("nocs, hypervisor + kernel hw threads", "user hw thread", nocsPer)
 
 	res := &Result{Tables: []*metrics.Table{t}}
-	if nocsPer >= untrusted {
-		res.Notes = append(res.Notes, "WARNING: deprivileged hw-thread chain not cheaper than deprivileged legacy")
-	}
+	res.check("deprivileged legacy > in-kernel legacy", untrusted > trusted,
+		"deprivileged %.1f, in-kernel %.1f cycles/exit", untrusted, trusted)
+	res.check("nocs hw-thread chain < deprivileged legacy", nocsPer < untrusted,
+		"nocs %.1f, deprivileged %.1f cycles/exit", nocsPer, untrusted)
 	res.Notes = append(res.Notes,
 		"the nocs hypervisor keeps isolation (user-mode thread) at near-trusted cost — the paper's 'same performance without privileged access'")
 	return res, nil

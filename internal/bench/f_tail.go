@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"nocs/internal/kernel"
 	"nocs/internal/metrics"
@@ -140,6 +141,10 @@ func runF7(cfg RunConfig) (*Result, error) {
 	}
 
 	res := &Result{Tables: tables}
+	// Bimodal service at load 0.8; disciplines[0] is FCFS and [2] is PS.
+	at08 := rows[slices.Index(dists, "bimodal")*len(loads)+slices.Index(loads, 0.8)]
+	fcfs, ps := at08[0].p99, at08[2].p99
+	res.check("bimodal FCFS p99 ≥ 3× PS p99 at load 0.8", fcfs >= 3*ps, "FCFS p99 %d, PS p99 %d", fcfs, ps)
 	res.Notes = append(res.Notes,
 		"for exponential service the disciplines are close; under the 99:1 bimodal, FCFS p99 explodes from head-of-line blocking while PS thread-per-request holds — the §4 claim",
 		"timeslicing approximates PS but pays a context switch per quantum")
@@ -203,6 +208,8 @@ func runA1(cfg RunConfig) (*Result, error) {
 	}
 
 	res := &Result{Tables: []*metrics.Table{slotsT, poolT}}
+	small, large := poolH[0].Quantile(0.99), poolH[len(pools)-1].Quantile(0.99)
+	res.check("1024-thread pool p99 < 4-thread pool p99", large < small, "1024 threads %d, 4 threads %d", large, small)
 	res.Notes = append(res.Notes,
 		"with few hardware threads the pool saturates behind long requests and FCFS-style blocking returns — the paper's case for 10s–1000s of threads per core",
 		"more SMT slots shorten the tail by serving long requests concurrently with shorts")

@@ -47,29 +47,38 @@ func runT1(cfg RunConfig) (*Result, error) {
 		hwthread.WriteTDTEntry(m, caller.Regs.TDT, r.vtid, hwthread.Entry{PTID: r.ptid, Perm: r.perm})
 	}
 
-	probe := func(vtid hwthread.VTID) (start, stop, modSome, modMost string) {
-		yn := func(f *hwthread.Fault) string {
-			if f == nil {
-				return "yes"
-			}
-			return "no"
-		}
+	// probe reports which of start, stop, modify-some and modify-most the
+	// caller may apply to vtid, in permission-bit order.
+	probe := func(vtid hwthread.VTID) [4]bool {
 		_, fs := mgr.Start(caller, vtid)
 		_, fp := mgr.Stop(caller, vtid)
 		fsome := mgr.Rpush(caller, vtid, isa.R1, 0)
 		fmost := mgr.Rpush(caller, vtid, isa.PC, 0)
-		return yn(fs), yn(fp), yn(fsome), yn(fmost)
+		return [4]bool{fs == nil, fp == nil, fsome == nil, fmost == nil}
 	}
+	yn := func(ok bool) string {
+		if ok {
+			return "yes"
+		}
+		return "no"
+	}
+	bits := []hwthread.Perm{hwthread.PermStart, hwthread.PermStop, hwthread.PermModifySome, hwthread.PermModifyMost}
 
 	t := metrics.NewTable("Table 1 reproduction: effective rights per TDT row",
 		"vtid", "ptid", "perm", "start", "stop", "mod-some", "mod-most")
+	wrong := 0 // rights that differ from their row's permission bit
 	for _, r := range rows {
 		// Targets must be disabled for the rpush probes; stop may have
 		// disabled them already, which is fine.
 		mgr.Context(r.ptid).State = hwthread.Disabled
-		s, p, ms, mm := probe(r.vtid)
+		got := probe(r.vtid)
+		for i, bit := range bits {
+			if got[i] != r.perm.Has(bit) {
+				wrong++
+			}
+		}
 		t.Row(fmt.Sprintf("%#x", int64(r.vtid)), fmt.Sprintf("%#x", int64(r.ptid)),
-			r.perm.String(), s, p, ms, mm)
+			r.perm.String(), yn(got[0]), yn(got[1]), yn(got[2]), yn(got[3]))
 	}
 
 	// Non-hierarchical privilege probe (§3.2's B-over-A, C-over-B example).
@@ -91,9 +100,10 @@ func runT1(cfg RunConfig) (*Result, error) {
 	nh.Row("C stops A", f3 == nil)
 
 	res := &Result{Tables: []*metrics.Table{t, nh}}
-	if f1 != nil || f2 != nil || f3 == nil {
-		return nil, fmt.Errorf("T1: non-hierarchical privilege probe failed: %v %v %v", f1, f2, f3)
-	}
+	res.check("each TDT row grants exactly its permission bits", wrong == 0,
+		"%d of %d rights differ from their bit", wrong, len(bits)*len(rows))
+	res.check("B stops A and C stops B, but C cannot stop A", f1 == nil && f2 == nil && f3 != nil,
+		"B stops A: %v, C stops B: %v, C stops A: %v", f1 == nil, f2 == nil, f3 == nil)
 	res.Notes = append(res.Notes,
 		"such a configuration is impossible in protection-ring designs (§3.2)")
 	return res, nil
@@ -126,6 +136,8 @@ func runT2(cfg RunConfig) (*Result, error) {
 		fmt.Sprintf("%.1fMB", float64(100*c.RFBytes)/(1<<20)), "6.4MB")
 
 	res := &Result{Tables: []*metrics.Table{t, agg}}
+	res.check("a 64KB RF holds 83 vector and 240 base contexts", vec[statestore.TierRF] == 83 && base[statestore.TierRF] == 240,
+		"vector %d, base %d", vec[statestore.TierRF], base[statestore.TierRF])
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("paper: \"the 64KByte register file ... can store the state for 83 to 224 x86-64 threads\"; we compute %d (vector) to %d (base)", vec[statestore.TierRF], base[statestore.TierRF]),
 		"combining tiers supports hundreds to thousands of threads per core (§4)")

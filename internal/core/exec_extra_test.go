@@ -164,8 +164,8 @@ func TestTraceBuffer(t *testing.T) {
 	r.c.BindProgram(0, prog, "main")
 	r.c.BootStart(0)
 	r.run(t, 100)
-	if len(tb.Entries) != 3 || tb.Dropped() != 2 {
-		t.Fatalf("trace: %d entries, %d dropped", len(tb.Entries), tb.Dropped())
+	if len(tb.Entries) != 3 || tb.dropped != 2 {
+		t.Fatalf("trace: %d entries, %d dropped", len(tb.Entries), tb.dropped)
 	}
 	s := tb.String()
 	for _, want := range []string{"movi r1, 1", "add r3, r1, r2", "dropped"} {
@@ -186,8 +186,8 @@ func TestTraceUnboundedKeepsAll(t *testing.T) {
 	r.c.BindProgram(0, prog, "main")
 	r.c.BootStart(0)
 	r.run(t, 100)
-	if len(tb.Entries) != 3 || tb.Dropped() != 0 {
-		t.Fatalf("trace: %d/%d", len(tb.Entries), tb.Dropped())
+	if len(tb.Entries) != 3 || tb.dropped != 0 {
+		t.Fatalf("trace: %d/%d", len(tb.Entries), tb.dropped)
 	}
 }
 

@@ -41,9 +41,6 @@ func (tb *TraceBuffer) Hook() func(p hwthread.PTID, pc int64, in isa.Instr, at s
 	}
 }
 
-// Dropped reports entries discarded after the buffer filled.
-func (tb *TraceBuffer) Dropped() uint64 { return tb.dropped }
-
 // String renders the whole trace.
 func (tb *TraceBuffer) String() string {
 	var b strings.Builder

@@ -183,14 +183,6 @@ func New(p Plan) *Injector {
 	return &Injector{plan: p, rng: sim.NewRNG(p.Seed)}
 }
 
-// Plan returns the effective plan (zero value on a nil injector).
-func (i *Injector) Plan() Plan {
-	if i == nil {
-		return Plan{}
-	}
-	return i.plan
-}
-
 // Stats returns the per-class injection counters.
 func (i *Injector) Stats() Stats {
 	if i == nil {

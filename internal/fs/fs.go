@@ -240,6 +240,3 @@ func (f *FS) SetupClientRegs(t *hwthread.Context, slot int) {
 func (f *FS) Stats() (creates, writes, reads, stats, errs uint64) {
 	return f.creates, f.writes, f.reads, f.stats, f.errs
 }
-
-// Files returns the number of allocated files.
-func (f *FS) Files() int { return len(f.files) }

@@ -116,8 +116,8 @@ func TestCreateIsIdempotentPerName(t *testing.T) {
 	if got[0] != 0 || got[1] != 1 || got[2] != 0 {
 		t.Fatalf("fids: %v", got)
 	}
-	if f.Files() != 2 {
-		t.Fatalf("files = %d", f.Files())
+	if len(f.files) != 2 {
+		t.Fatalf("files = %d", len(f.files))
 	}
 }
 
@@ -162,8 +162,8 @@ func TestConcurrentClientsSerializeOnDriver(t *testing.T) {
 	if bdWrites != 2 || inFlight != 0 {
 		t.Fatalf("driver writes=%d inflight=%d", bdWrites, inFlight)
 	}
-	if f.Files() != 2 {
-		t.Fatalf("files=%d", f.Files())
+	if len(f.files) != 2 {
+		t.Fatalf("files=%d", len(f.files))
 	}
 }
 

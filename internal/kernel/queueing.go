@@ -304,9 +304,6 @@ func (s *FCFSServer) arrive(r workload.Request) {
 	s.dispatch()
 }
 
-// Completed returns the number of finished requests.
-func (s *FCFSServer) Completed() uint64 { return s.done }
-
 // pollFault decides whether request r faults this dispatch (at most once
 // per request ID across requeues).
 func (s *FCFSServer) pollFault(r workload.Request) (sim.Cycles, bool) {
@@ -453,9 +450,6 @@ func (s *PSServer) EnableTrace(tr *trace.Tracer, process string) {
 func (s *PSServer) traceActive() {
 	s.tr.Count(s.activeTk, "active", int64(s.eng.Now()), int64(len(s.active)))
 }
-
-// Completed returns the number of finished requests.
-func (s *PSServer) Completed() uint64 { return s.done }
 
 // Submit queues the arrival on the server's arrival stream.
 func (s *PSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
@@ -700,9 +694,6 @@ func (s *TimesliceServer) EnableTrace(tr *trace.Tracer, process string) {
 		s.lanes = &laneSet{tr: tr, process: process}
 	}
 }
-
-// Completed returns the number of finished requests.
-func (s *TimesliceServer) Completed() uint64 { return s.done }
 
 // Submit queues the arrival on the server's arrival stream.
 func (s *TimesliceServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }

@@ -42,7 +42,7 @@ func TestFCFSMatchesMM1Theory(t *testing.T) {
 	if math.Abs(got-want)/want > 0.06 {
 		t.Fatalf("M/M/1 FCFS mean %v, theory %v", got, want)
 	}
-	if srv.Completed() != n {
+	if srv.done != n {
 		t.Fatal("completion count")
 	}
 }
@@ -155,8 +155,8 @@ func TestTimesliceCountsSwitches(t *testing.T) {
 	// One request of demand 250 = 3 slices.
 	reqs := []workload.Request{{ID: 0, Arrival: 1, Demand: 250}}
 	RunOpenLoop(eng, srv, reqs)
-	if srv.sswaps != 3 || srv.Completed() != 1 {
-		t.Fatalf("switches=%d completed=%d", srv.sswaps, srv.Completed())
+	if srv.sswaps != 3 || srv.done != 1 {
+		t.Fatalf("switches=%d completed=%d", srv.sswaps, srv.done)
 	}
 }
 

@@ -106,7 +106,11 @@ func (c *Cache) Contains(addr int64) bool {
 func (c *Cache) insert(s int, ln int64) {
 	ways := c.tags[s]
 	if len(ways) < c.Ways {
-		c.tags[s] = append([]int64{ln}, ways...)
+		// Insert in place: the set's array grows only when it is full.
+		ways = append(ways, 0)
+		copy(ways[1:], ways)
+		ways[0] = ln
+		c.tags[s] = ways
 		return
 	}
 	// Evict the least-recently-used non-pinned line.

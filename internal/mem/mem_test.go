@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +205,26 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if !c.Contains(4 * 64) {
 		t.Fatal("new line not inserted")
+	}
+}
+
+// TestCacheFillZeroAlloc: a miss into a set that is not yet full inserts in
+// the set's own array, most recent first, so once the array has room a
+// fill allocates nothing.
+func TestCacheFillZeroAlloc(t *testing.T) {
+	c := MustNewCache("t", 1024, 64, 4, 4) // 4 sets, 4 ways
+	fill := func() {
+		c.tags[0] = c.tags[0][:0]
+		for _, ln := range []int64{0, 4, 8, 12} { // all in set 0
+			c.Lookup(ln * 64)
+		}
+	}
+	fill()
+	if n := testing.AllocsPerRun(100, fill); n != 0 {
+		t.Fatalf("filling a set with room allocates %v times per run, want 0", n)
+	}
+	if got, want := c.tags[0], []int64{12, 8, 4, 0}; !slices.Equal(got, want) {
+		t.Fatalf("set 0 holds %v, want %v in LRU order", got, want)
 	}
 }
 

@@ -421,9 +421,6 @@ func (e *Engine) Stats() (wakeups, immediate, dropped uint64) {
 	return e.wakeups, e.immediate, e.dropped
 }
 
-// Evicted returns the number of watches displaced by the MaxWatches budget.
-func (e *Engine) Evicted() uint64 { return e.evicted }
-
 // InjectedWakes returns (spurious wakes delivered, wake batches delivered
 // late by injected coalescing). Both are zero without a fault plan.
 func (e *Engine) InjectedWakes() (spurious, coalesced uint64) {

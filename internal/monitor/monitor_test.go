@@ -294,8 +294,8 @@ func TestMaxWatchesEvictsOldest(t *testing.T) {
 	if e.Armed(w) != 2 {
 		t.Fatalf("armed = %d", e.Armed(w))
 	}
-	if e.Evicted() != 1 {
-		t.Fatalf("evicted = %d", e.Evicted())
+	if e.evicted != 1 {
+		t.Fatalf("evicted = %d", e.evicted)
 	}
 	e.Wait(w)
 	e.ObserveWrite(0x100, 1, mem.SrcCPU) // evicted: no wake
@@ -315,8 +315,8 @@ func TestMaxWatchesRearmDoesNotEvict(t *testing.T) {
 	e.Arm(w, 0x100)
 	e.Arm(w, 0x200)
 	e.Arm(w, 0x100) // duplicate: no eviction
-	if e.Armed(w) != 2 || e.Evicted() != 0 {
-		t.Fatalf("armed=%d evicted=%d", e.Armed(w), e.Evicted())
+	if e.Armed(w) != 2 || e.evicted != 0 {
+		t.Fatalf("armed=%d evicted=%d", e.Armed(w), e.evicted)
 	}
 }
 

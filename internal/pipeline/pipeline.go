@@ -114,9 +114,6 @@ func (p *Pipeline) Slots() int { return p.slots }
 // Len returns the number of runnable threads.
 func (p *Pipeline) Len() int { return len(p.threads) }
 
-// TotalWeight returns the sum of runnable thread weights.
-func (p *Pipeline) TotalWeight() int { return p.totalWeight }
-
 // Add makes thread id runnable with the given weight (min 1).
 // Adding an existing id updates its weight.
 func (p *Pipeline) Add(id, weight int) {

@@ -16,15 +16,15 @@ func TestAddRemoveContains(t *testing.T) {
 	if !p.Contains(1) || !p.Contains(2) || p.Contains(3) {
 		t.Fatal("Contains")
 	}
-	if p.Len() != 2 || p.TotalWeight() != 4 {
-		t.Fatalf("len=%d weight=%d", p.Len(), p.TotalWeight())
+	if p.Len() != 2 || p.totalWeight != 4 {
+		t.Fatalf("len=%d weight=%d", p.Len(), p.totalWeight)
 	}
 	p.Add(2, 5) // weight update
-	if p.TotalWeight() != 6 || p.Weight(2) != 5 {
-		t.Fatalf("after update weight=%d", p.TotalWeight())
+	if p.totalWeight != 6 || p.Weight(2) != 5 {
+		t.Fatalf("after update weight=%d", p.totalWeight)
 	}
 	p.Remove(1)
-	if p.Contains(1) || p.Len() != 1 || p.TotalWeight() != 5 {
+	if p.Contains(1) || p.Len() != 1 || p.totalWeight != 5 {
 		t.Fatal("Remove")
 	}
 	p.Remove(1) // idempotent

@@ -63,6 +63,10 @@
 #                        committed results_full.txt (skip with SKIP_GOLDEN=1
 #                        when the caller performs its own golden run)
 #
+#  The `nocsim -all` runs of steps 15 and 16 also fail on a failed paper
+#  claim: each paper experiment states its claims as checks, and nocsim
+#  exits 1 when one fails (DESIGN.md §3).
+#
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
