@@ -269,9 +269,6 @@ func New(cfg Config, sh *sim.Shard, m *mem.Memory, mon *monitor.Engine) *Core {
 
 // Accessors.
 
-// ID returns the core number.
-func (c *Core) ID() int { return c.id }
-
 // Shard returns the scheduler shard this core lives on. All of the core's
 // events run on this shard; cross-shard interactions go through Shard.Write
 // (or machine.RemoteWrite).

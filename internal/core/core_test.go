@@ -789,10 +789,10 @@ func TestRegisterNativeDuplicatePanics(t *testing.T) {
 func TestAccessorsAndStats(t *testing.T) {
 	r := newRig(4, 2)
 	c := r.c
-	if c.ID() != 0 || c.Shard() != r.eng || c.Mem() != r.mem || c.Monitor() != r.mon {
+	if c.id != 0 || c.Shard() != r.eng || c.Mem() != r.mem || c.Monitor() != r.mon {
 		t.Fatal("accessors")
 	}
-	if c.Threads().Len() != 4 || c.Pipeline().Slots() != 2 {
+	if c.Threads().Len() != 4 || c.Pipeline() != c.pipe {
 		t.Fatal("config")
 	}
 	if c.StateStore().Live() != 4 {

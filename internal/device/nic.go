@@ -137,19 +137,26 @@ type NIC struct {
 	txTail      int64 // last doorbell value
 	transmitted uint64
 	// OnTransmit, if set, observes each transmitted payload (the "wire").
+	// The payload is valid only during the call: the NIC reuses its array
+	// for the next packet, so an observer that keeps words copies them.
 	OnTransmit func(payload []int64)
+	txBuf      []int64 // the payload OnTransmit sees
 
 	// rx and tx track in-flight DMA operations so they remain checkpointable
-	// (DESIGN.md §13).
-	rx []*nicRX
-	tx []*nicTX
+	// (DESIGN.md §13), in the order they were started; rxFree and txFree
+	// recycle their bodies.
+	rx     []*nicRX
+	tx     []*nicTX
+	rxFree sim.FreeList[nicRX]
+	txFree sim.FreeList[nicTX]
 
 	// inj injects delayed/reordered/dropped DMA completions (nil = off).
 	inj *faultinject.Injector
 }
 
 // nicRX is one in-flight packet arrival: after the DMA latency it writes the
-// payload, descriptor, and RX tail (doorbell-last).
+// payload, descriptor, and RX tail (doorbell-last). payload is the body's
+// own copy of the packet, kept across reuse.
 type nicRX struct {
 	n       *NIC
 	h       sim.Handle
@@ -166,6 +173,7 @@ func (rx *nicRX) OnEvent() {
 		}
 	}
 	n.landRX(rx.payload)
+	n.rxFree.Put(rx)
 }
 
 // nicTX is one in-flight transmit: after the wire latency it marks the
@@ -179,14 +187,15 @@ type nicTX struct {
 
 // OnEvent completes the transmit.
 func (tx *nicTX) OnEvent() {
-	n := tx.n
+	n, slot, seq := tx.n, tx.slot, tx.seq
 	for i, q := range n.tx {
 		if q == tx {
 			n.tx = append(n.tx[:i], n.tx[i+1:]...)
 			break
 		}
 	}
-	n.completeTX(tx.slot, tx.seq)
+	n.txFree.Put(tx)
+	n.completeTX(slot, seq)
 }
 
 // SetFaultInjector arms DMA-completion fault injection (machine wiring).
@@ -213,6 +222,8 @@ func (n *NIC) TailAddr() int64 { return n.cfg.TailAddr }
 // After the DMA latency the device writes payload, descriptor, and finally
 // the RX tail (doorbell-last ordering), then raises the legacy vector if
 // configured. It returns the simulated time at which the tail write lands.
+// The NIC copies payload, so the caller may reuse it as soon as Deliver
+// returns.
 func (n *NIC) Deliver(payload []int64) sim.Cycles {
 	d := n.cfg.DMACycles
 	// Fault injection: a delayed completion lands late (and may overtake or
@@ -224,7 +235,8 @@ func (n *NIC) Deliver(payload []int64) sim.Cycles {
 		d += extra
 	}
 	at := n.eng.Now() + d
-	rx := &nicRX{n: n, payload: payload}
+	rx := n.rxFree.Get()
+	rx.n, rx.payload = n, append(rx.payload[:0], payload...)
 	rx.h = n.eng.AfterCallback(d, "nic-rx", rx)
 	n.rx = append(n.rx, rx)
 	return at
@@ -297,7 +309,8 @@ func (n *NIC) MMIOWrite(addr int64, val int64) {
 		if extra, _ := n.inj.DMADelivery("nic-tx"); extra > 0 {
 			lat += extra
 		}
-		tx := &nicTX{n: n, slot: slot, seq: seq}
+		tx := n.txFree.Get()
+		*tx = nicTX{n: n, slot: slot, seq: seq}
 		tx.h = n.eng.AfterCallback(lat, "nic-tx", tx)
 		n.tx = append(n.tx, tx)
 	}
@@ -310,11 +323,11 @@ func (n *NIC) completeTX(slot, seq int64) {
 	if n.OnTransmit != nil {
 		buf := n.dma.Read(desc + txDescBuf)
 		length := n.dma.Read(desc + txDescLen)
-		payload := make([]int64, length)
-		for i := range payload {
-			payload[i] = n.dma.Read(buf + int64(i*8))
+		n.txBuf = n.txBuf[:0]
+		for i := range length {
+			n.txBuf = append(n.txBuf, n.dma.Read(buf+i*8))
 		}
-		n.OnTransmit(payload)
+		n.OnTransmit(n.txBuf)
 	}
 	n.dma.Write(desc+txDescDone, 1)
 	if n.cfg.TXCompAddr != 0 {

@@ -74,16 +74,24 @@ func (n *NIC) SnapshotState(w *snapshot.W) error {
 func (n *NIC) RestoreState(r *snapshot.R) error {
 	n.delivered, n.dropped = r.U64(), r.U64()
 	n.txHead, n.txTail, n.transmitted = r.I64(), r.I64(), r.U64()
+	for _, rx := range n.rx {
+		n.rxFree.Put(rx)
+	}
 	n.rx = n.rx[:0]
 	for range r.Len(20) {
-		rx := &nicRX{n: n}
+		rx := n.rxFree.Get()
+		rx.n = n
 		rx.h = n.eng.ReadEvent(r, "nic-rx", rx)
-		rx.payload = r.I64s()
+		rx.payload = append(rx.payload[:0], r.I64s()...)
 		n.rx = append(n.rx, rx)
+	}
+	for _, tx := range n.tx {
+		n.txFree.Put(tx)
 	}
 	n.tx = n.tx[:0]
 	for range r.Len(32) {
-		tx := &nicTX{n: n}
+		tx := n.txFree.Get()
+		tx.n = n
 		tx.h = n.eng.ReadEvent(r, "nic-tx", tx)
 		tx.slot, tx.seq = r.I64(), r.I64()
 		n.tx = append(n.tx, tx)

@@ -14,7 +14,7 @@
 //
 // Addresses are byte-granular; data accesses are 8-byte words, and every
 // int64 address names its own word (the ISA has no alignment rule). Words
-// live in an insert-only open-addressed table (words.go), because every
+// live in an insert-only open-addressed Table (words.go), because every
 // simulated load, store, doorbell and DMA write indexes it; checkpoints list
 // words in address order, so the table's layout never reaches any output.
 package mem
@@ -71,12 +71,12 @@ type mmioRegion struct {
 
 // Memory is the physical memory of the simulated machine: a sparse word
 // store plus MMIO regions and write observers. The word store is a
-// wordTable: a word exists from its first write on (a written zero
+// Table: a word exists from its first write on (a written zero
 // included), unwritten words read as zero, and no word is ever removed. It
 // is deliberately functional-only — timing is charged by the cache
 // hierarchy, not here.
 type Memory struct {
-	words     wordTable
+	words     Table[int64]
 	regions   []mmioRegion
 	observers []WriteObserver
 	writes    uint64
@@ -85,7 +85,7 @@ type Memory struct {
 
 // NewMemory returns an empty physical memory.
 func NewMemory() *Memory {
-	return &Memory{words: newWordTable(0)}
+	return &Memory{words: NewTable[int64](0)}
 }
 
 // AddObserver registers o to see every subsequent write.
@@ -126,7 +126,7 @@ func (m *Memory) Read(addr int64) int64 {
 	if r := m.region(addr); r != nil {
 		return r.h.MMIORead(addr)
 	}
-	return m.words.get(addr)
+	return m.words.Get(addr)
 }
 
 // Write stores val at addr on behalf of src and notifies observers.
@@ -140,7 +140,7 @@ func (m *Memory) Write(addr int64, val int64, src WriteSource) {
 	if r := m.region(addr); r != nil {
 		r.h.MMIOWrite(addr, val)
 	} else {
-		m.words.set(addr, val)
+		m.words.Set(addr, val)
 	}
 	for _, o := range m.observers {
 		o.ObserveWrite(addr, val, src)

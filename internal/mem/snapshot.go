@@ -33,10 +33,10 @@ var ErrCacheState = errors.New("mem: snapshot cache state is not reachable")
 // SnapshotState writes the word store (sorted by address for deterministic
 // bytes) and write counters.
 func (m *Memory) SnapshotState(w *snapshot.W) {
-	words := m.words.sorted()
+	words := m.words.Sorted()
 	w.Len(len(words))
 	for _, s := range words {
-		w.I64(s.addr).I64(s.val)
+		w.I64(s.Addr).I64(s.Val)
 	}
 	w.U64(m.writes).U64(m.dmaWrites)
 }
@@ -45,7 +45,7 @@ func (m *Memory) SnapshotState(w *snapshot.W) {
 // Addresses must be strictly increasing (ErrWordOrder).
 func (m *Memory) RestoreState(r *snapshot.R) error {
 	n := r.Len(16)
-	words := newWordTable(n)
+	words := NewTable[int64](n)
 	var prev int64
 	for i := 0; i < n; i++ {
 		a, v := r.I64(), r.I64() // Len(16) bounded n, so these cannot fail
@@ -53,7 +53,7 @@ func (m *Memory) RestoreState(r *snapshot.R) error {
 			return fmt.Errorf("%w: word %d at %#x follows %#x", ErrWordOrder, i, a, prev)
 		}
 		prev = a
-		words.set(a, v)
+		words.Set(a, v)
 	}
 	writes := r.U64()
 	dma := r.U64()

@@ -26,7 +26,7 @@ func collidingAddrs(n int) []int64 {
 func TestWordTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	colliding := collidingAddrs(200)
-	big := wordTable{shift: 64 - 20} // home() of a 2^20-slot table
+	big := Table[int64]{shift: 64 - 20} // home() of a 2^20-slot table
 	for _, a := range colliding {
 		if big.home(a) != 0 {
 			t.Fatalf("colliding address %#x starts at slot %d, want 0", a, big.home(a))
@@ -45,7 +45,7 @@ func TestWordTableMatchesMap(t *testing.T) {
 		}
 		return int64(rng.Uint64())
 	}
-	tb := newWordTable(0)
+	tb := NewTable[int64](0)
 	ref := map[int64]int64{}
 	for op := 0; op < 100000; op++ {
 		a := pick()
@@ -54,25 +54,25 @@ func TestWordTableMatchesMap(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				v = int64(rng.Uint64())
 			}
-			tb.set(a, v)
+			tb.Set(a, v)
 			ref[a] = v
-		} else if got, want := tb.get(a), ref[a]; got != want {
+		} else if got, want := tb.Get(a), ref[a]; got != want {
 			t.Fatalf("op %d: get(%#x) = %d, want %d", op, a, got, want)
 		}
-		if op%10000 == 0 && tb.len() != len(ref) {
-			t.Fatalf("op %d: len %d, want %d", op, tb.len(), len(ref))
+		if op%10000 == 0 && tb.Len() != len(ref) {
+			t.Fatalf("op %d: len %d, want %d", op, tb.Len(), len(ref))
 		}
 	}
-	words := tb.sorted()
+	words := tb.Sorted()
 	if len(words) != len(ref) {
 		t.Fatalf("sorted() has %d words, want %d", len(words), len(ref))
 	}
 	for i, w := range words {
-		if i > 0 && w.addr <= words[i-1].addr {
-			t.Fatalf("sorted() out of order at %d: %#x after %#x", i, w.addr, words[i-1].addr)
+		if i > 0 && w.Addr <= words[i-1].Addr {
+			t.Fatalf("sorted() out of order at %d: %#x after %#x", i, w.Addr, words[i-1].Addr)
 		}
-		if v, ok := ref[w.addr]; !ok || v != w.val {
-			t.Fatalf("sorted() word %#x = %d, map has %d (present %v)", w.addr, w.val, v, ok)
+		if v, ok := ref[w.Addr]; !ok || v != w.Val {
+			t.Fatalf("sorted() word %#x = %d, map has %d (present %v)", w.Addr, w.Val, v, ok)
 		}
 	}
 	if n := len(tb.slots); n < 16 || n&(n-1) != 0 || tb.used*4 > n*3 {
@@ -84,13 +84,13 @@ func TestWordTableMatchesMap(t *testing.T) {
 // growing, which is what RestoreState relies on.
 func TestNewWordTablePresized(t *testing.T) {
 	for _, n := range []int{0, 1, 12, 13, 1000} {
-		tb := newWordTable(n)
+		tb := NewTable[int64](n)
 		size := len(tb.slots)
 		for i := 1; i <= n; i++ {
-			tb.set(int64(i)*8, 1)
+			tb.Set(int64(i)*8, 1)
 		}
 		if len(tb.slots) != size {
-			t.Errorf("newWordTable(%d): grew from %d to %d slots", n, size, len(tb.slots))
+			t.Errorf("NewTable(%d): grew from %d to %d slots", n, size, len(tb.slots))
 		}
 	}
 }

@@ -101,7 +101,9 @@ type Engine struct {
 	lastW  Waiter
 	lastID int32
 
-	byAddr map[int64]*addrList
+	// byAddr holds every address's waiter list, in the table that backs
+	// Memory's words: the lookup runs on every write in the machine.
+	byAddr mem.Table[*addrList]
 	// woken is the stack of wake batches being delivered: a wake handler
 	// may write memory and start a nested batch above its caller's.
 	woken []int32
@@ -137,7 +139,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		DMAVisible: true,
 		ids:        make(map[Waiter]int32),
-		byAddr:     make(map[int64]*addrList),
+		byAddr:     mem.NewTable[*addrList](0),
 	}
 }
 
@@ -252,9 +254,9 @@ func (e *Engine) Arm(w Waiter, addr int64) {
 		l = s.watches[:k+1][k].list
 	}
 	if l == nil {
-		if l = e.byAddr[addr]; l == nil {
+		if l = e.byAddr.Get(addr); l == nil {
 			l = &addrList{}
-			e.byAddr[addr] = l
+			e.byAddr.Set(addr, l)
 		}
 	}
 	l.ids = append(l.ids, id)
@@ -368,7 +370,7 @@ func (e *Engine) wakeIfWaiting(id int32, addr, val int64, src mem.WriteSource) {
 // ObserveWrite implements mem.WriteObserver: the engine is attached to
 // physical memory and sees every write in the machine.
 func (e *Engine) ObserveWrite(addr, val int64, src mem.WriteSource) {
-	l := e.byAddr[addr]
+	l := e.byAddr.Get(addr)
 	if l == nil || len(l.ids) == 0 {
 		return
 	}

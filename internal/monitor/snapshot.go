@@ -56,18 +56,12 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 		w.I64(s.pAddr).I64(s.pVal).U8(uint8(s.pSrc))
 	}
 
-	addrs := make([]int64, 0, len(e.byAddr))
-	for a, l := range e.byAddr {
-		if len(l.ids) > 0 {
-			addrs = append(addrs, a)
-		}
-	}
-	slices.Sort(addrs)
-	w.Len(len(addrs))
-	for _, a := range addrs {
-		ids := e.byAddr[a].ids
-		w.I64(a).Len(len(ids))
-		for _, i := range ids {
+	lists := e.byAddr.Sorted()
+	lists = slices.DeleteFunc(lists, func(s mem.Slot[*addrList]) bool { return len(s.Val.ids) == 0 })
+	w.Len(len(lists))
+	for _, s := range lists {
+		w.I64(s.Addr).Len(len(s.Val.ids))
+		for _, i := range s.Val.ids {
 			w.I64(cid[i])
 		}
 	}
@@ -153,7 +147,7 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 	}
 
 	na := r.Len(12)
-	lists := make(map[int64][]int32, na)
+	lists := mem.NewTable[*addrList](na)
 	listed := 0
 	for i := 0; i < na; i++ {
 		a := r.I64()
@@ -176,10 +170,10 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 		if n == 0 {
 			continue
 		}
-		if _, dup := lists[a]; dup {
+		if lists.Get(a) != nil {
 			return fmt.Errorf("monitor: address %#x listed twice in snapshot", a)
 		}
-		lists[a] = ids
+		lists.Set(a, &addrList{ids: ids})
 		listed += n
 	}
 	// Every listed pair is distinct and armed, so equal counts mean the lists
@@ -191,19 +185,16 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 		return fmt.Errorf("monitor: snapshot arms %d watches but lists %d", armed, listed)
 	}
 
-	// Fresh lists and watch sets: no watcher may keep a pointer to a list
-	// of the replaced map.
-	clear(e.byAddr)
-	for a, ids := range lists {
-		e.byAddr[a] = &addrList{ids: ids}
-	}
+	// A fresh table and watch sets: no watcher may keep a pointer to a list
+	// of the replaced table.
+	e.byAddr = lists
 	for i := range e.ws {
 		e.ws[i] = watcher{w: e.ws[i].w}
 	}
 	for id, s := range watchers {
 		s.w = e.ws[id].w
 		for k := range s.watches {
-			s.watches[k].list = e.byAddr[s.watches[k].addr]
+			s.watches[k].list = e.byAddr.Get(s.watches[k].addr)
 		}
 		e.ws[id] = s
 	}

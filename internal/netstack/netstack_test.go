@@ -440,3 +440,34 @@ func TestSendRetrySurvivesCheckpoint(t *testing.T) {
 		t.Fatalf("restore of a kind-2 stack event: %v, want the unknown-kind error", err)
 	}
 }
+
+// TestSendAsyncRoundTripAllocFree: once warm, a SendAsync that posts at
+// once plus one that waits for the pump, carried through the NIC's TX ring
+// to OnTransmit, allocate nothing: the outbox copies each payload into a
+// slot array it keeps, stack events and NIC transmits are recycled bodies,
+// and OnTransmit sees the NIC's reused buffer.
+func TestSendAsyncRoundTripAllocFree(t *testing.T) {
+	m, nic, st := asyncRig(t)
+	var sum int64
+	nic.OnTransmit = func(p []int64) { sum += p[2] }
+	round := func() {
+		p := [...]int64{100, 7, 1}
+		st.SendAsync(p[:])
+		p[2] = 2 // the outbox holds its own copy
+		st.SendAsync(p[:])
+		m.Run(0)
+	}
+	for range 32 { // warm every stage slot and grow the recycled bodies
+		round()
+	}
+	sum = 0
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("SendAsync round trip allocates %v times", n)
+	}
+	if sum != 101*3 {
+		t.Fatalf("OnTransmit saw payload sum %d over 101 rounds, want %d", sum, 101*3)
+	}
+	if _, backlog, _ := st.TxQueue(); backlog != 0 {
+		t.Fatalf("backlog %d after drain", backlog)
+	}
+}

@@ -108,9 +108,6 @@ func (p *Pipeline) traceCounters() {
 	p.tr.Count(p.trCounters, "slots-busy", at, int64(busy))
 }
 
-// Slots returns the SMT slot count.
-func (p *Pipeline) Slots() int { return p.slots }
-
 // Len returns the number of runnable threads.
 func (p *Pipeline) Len() int { return len(p.threads) }
 

@@ -40,7 +40,7 @@ func TestWeightClamp(t *testing.T) {
 	if p.Weight(1) != 1 || p.Weight(2) != 1 {
 		t.Fatal("weights not clamped to 1")
 	}
-	if New(0).Slots() != 2 {
+	if New(0).slots != 2 {
 		t.Fatal("default slots")
 	}
 }

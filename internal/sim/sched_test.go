@@ -30,7 +30,7 @@ type pinger struct {
 }
 
 func (p *pinger) OnEvent() {
-	id := int(p.sh.ID())
+	id := int(p.sh.id)
 	p.logs[id].add("t=%d shard=%d tick=%d", p.sh.Now(), id, p.count)
 	p.count++
 	if p.count%3 == 0 {
@@ -218,8 +218,8 @@ func TestSelfSendAnyDelay(t *testing.T) {
 func TestSoloShard(t *testing.T) {
 	eng := NewEngine(nil)
 	sh := SoloShard(eng)
-	if sh.ID() != 0 {
-		t.Fatalf("solo shard id = %d", sh.ID())
+	if sh.id != 0 {
+		t.Fatalf("solo shard id = %d", sh.id)
 	}
 	w := storeTo(sh)
 	sh.Write(0, 5, 0x40, 1)

@@ -40,18 +40,15 @@ type ShardID int32
 // shard's *Engine, so the entire pre-existing scheduling API (At, After,
 // AtCallback, AfterCallback, Cancel, Cancelled, Now, Clock, NextEventAt,
 // BatchHorizon, AdvanceWithin, …) is available on a Shard unchanged and at
-// identical cost. What a Shard adds is identity (ID), its memory store
+// identical cost. What a Shard adds is identity, its memory store
 // (SetStore) and the only legal way to affect another shard's state: Write.
 type Shard struct {
 	*Engine
 	id    ShardID
 	owner *Scheduler // nil for a solo shard (SoloShard)
 	store func(addr, val int64)
-	free  []*write // pooled bodies of the writes queued on this engine
+	free  FreeList[write] // bodies of the writes queued on this engine
 }
-
-// ID returns this shard's identity within its scheduler.
-func (s *Shard) ID() ShardID { return s.id }
 
 // SetStore gives the shard its memory store, which every write addressed to
 // the shard runs on this shard's engine at its arrival cycle. It must be set
@@ -72,7 +69,9 @@ func (s *Shard) Write(to ShardID, delay Cycles, addr, val int64) {
 	w := s.owner
 	switch {
 	case to == s.id:
-		s.Engine.AfterCallback(delay, writeName, s.newWrite(addr, val))
+		x := s.free.Get()
+		*x = write{sh: s, addr: addr, val: val}
+		s.Engine.AfterCallback(delay, writeName, x)
 		return
 	case w == nil:
 		panic(fmt.Sprintf("sim: solo shard cannot Write to shard %d", to))
@@ -89,28 +88,17 @@ func (s *Shard) Write(to ShardID, delay Cycles, addr, val int64) {
 // writeName names every write's event in traces and checkpoint errors.
 const writeName = "xwrite"
 
-// write is the pooled event body of a write queued on its target's engine,
-// so a steady-state write allocates nothing. A shard's pool is touched only
-// by the goroutine running the shard, or by the driving one between windows.
+// write is the event body of a write queued on its target's engine, taken
+// from the shard's free list, so a steady-state write allocates nothing.
 type write struct {
 	sh        *Shard
 	addr, val int64
 }
 
 func (x *write) OnEvent() {
-	x.sh.free = append(x.sh.free, x)
-	x.sh.store(x.addr, x.val)
-}
-
-func (s *Shard) newWrite(addr, val int64) *write {
-	n := len(s.free)
-	if n == 0 {
-		return &write{sh: s, addr: addr, val: val}
-	}
-	x := s.free[n-1]
-	s.free = s.free[:n-1]
-	x.addr, x.val = addr, val
-	return x
+	sh, addr, val := x.sh, x.addr, x.val
+	sh.free.Put(x)
+	sh.store(addr, val)
 }
 
 // SoloShard wraps a standalone Engine in a single-shard handle so code
@@ -306,7 +294,9 @@ func (w *Scheduler) deliver(winEnd Cycles) {
 	slices.SortFunc(w.due, xmsgCompare)
 	for _, m := range w.due {
 		sh := w.shards[m.to]
-		sh.Engine.AtCallback(m.at, writeName, sh.newWrite(m.addr, m.val))
+		x := sh.free.Get()
+		*x = write{sh: sh, addr: m.addr, val: m.val}
+		sh.Engine.AtCallback(m.at, writeName, x)
 	}
 }
 

@@ -316,7 +316,9 @@ func (w *Scheduler) RestoreState(r *snapshot.R) error {
 			return fmt.Errorf("%w: write at cycle %d, shard %d clock %d", ErrEventRecord, m.at, m.to, now)
 		}
 		if m.src == m.to {
-			to.schedule(m.at, m.seq, writeName, nil, to.newWrite(m.addr, m.val), false)
+			x := to.free.Get()
+			*x = write{sh: to, addr: m.addr, val: m.val}
+			to.schedule(m.at, m.seq, writeName, nil, x, false)
 		} else {
 			w.inflight = append(w.inflight, m)
 		}

@@ -291,13 +291,13 @@ func (s *Snapshot) Restore(name string, decode func(*R) error) error {
 		return err
 	}
 	if err := decode(r); err != nil {
-		if err == r.err { // the reader's own error names the section
+		if err == r.Err() { // the reader's own error names the section
 			return err
 		}
 		return fmt.Errorf("snapshot: section %q: %w", name, err)
 	}
-	if r.err != nil {
-		return r.err
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if n := r.Remaining(); n > 0 {
 		return fmt.Errorf("snapshot: section %q: %d bytes left unread", name, n)
@@ -311,7 +311,7 @@ func (s *Snapshot) Section(name string) (*R, error) {
 	if !ok {
 		return nil, fmt.Errorf("snapshot: missing section %q", name)
 	}
-	return &R{name: name, buf: s.payloads[i]}, nil
+	return &R{name: name, data: s.payloads[i], buf: s.payloads[i]}, nil
 }
 
 // WriteTo re-encodes the snapshot (used by the round-trip fuzzer to check
@@ -327,93 +327,125 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 // R is a section payload cursor with a sticky error: after the first
 // out-of-bounds read every further read returns zero values, and Err reports
 // the failure once at the end.
+//
+// The fixed-width reads inline into the codecs' loops (a checkpoint restore
+// makes millions of them), so each is a bounds check and a load. A read past
+// the end only records what it was reading and cuts buf back to the
+// offset, which makes every later read fail the same bounds check; Err
+// formats the error from that record, out of line.
 type R struct {
 	name string
-	buf  []byte
+	data []byte // the whole payload
+	buf  []byte // data, cut back to off by the first failed read
 	off  int
 	err  error
+	// short names what the first read past the end was reading; min is
+	// the element size of a count that failed Len's bound.
+	short string
+	min   int
 }
 
-func (r *R) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snapshot: section %q: truncated reading %s at offset %d", r.name, what, r.off)
+// stop records a read of what past the end, unless an earlier one failed,
+// and ends reading at the current offset.
+func (r *R) stop(what string, min int) {
+	if r.short == "" && r.err == nil {
+		r.short, r.min = what, min
 	}
+	r.buf = r.buf[:r.off]
+}
+
+// truncated builds the error for the read stop recorded.
+//
+//go:noinline
+func (r *R) truncated() error {
+	what, off := r.short, r.off
+	if what == "length" {
+		// Len failed on a count, or on reading one.
+		rest := r.data[off:]
+		if len(rest) < 4 {
+			what = "u32"
+		} else {
+			off += 4
+			what = fmt.Sprintf("length %d (× %dB exceeds %dB remaining)",
+				binary.LittleEndian.Uint32(rest), r.min, len(rest)-4)
+		}
+	}
+	return fmt.Errorf("snapshot: section %q: truncated reading %s at offset %d", r.name, what, off)
 }
 
 // Fail records err as the reader's sticky error, naming the section, unless
 // an earlier read already failed. Decoders use it for records that are well
 // formed but could not have been written (sim.ErrEventRecord).
 func (r *R) Fail(err error) {
-	if r.err == nil {
+	if r.Err() == nil {
 		r.err = fmt.Errorf("snapshot: section %q: %w", r.name, err)
 	}
+	r.buf = r.buf[:r.off]
 }
 
 // Err returns the first read error, if any.
-func (r *R) Err() error { return r.err }
+func (r *R) Err() error {
+	if r.err == nil && r.short != "" {
+		r.err = r.truncated()
+	}
+	return r.err
+}
 
 // Remaining returns the number of unread payload bytes.
 func (r *R) Remaining() int { return len(r.buf) - r.off }
 
 func (r *R) U64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail("u64")
-		return 0
+	if b := r.buf[r.off:]; len(b) >= 8 {
+		r.off += 8
+		return binary.LittleEndian.Uint64(b)
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
+	r.stop("u64", 0)
+	return 0
 }
 
 func (r *R) I64() int64   { return int64(r.U64()) }
 func (r *R) F64() float64 { return math.Float64frombits(r.U64()) }
 
 func (r *R) U32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail("u32")
-		return 0
+	if b := r.buf[r.off:]; len(b) >= 4 {
+		r.off += 4
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
+	r.stop("u32", 0)
+	return 0
 }
 
 func (r *R) U8() uint8 {
-	if r.err != nil || r.off+1 > len(r.buf) {
-		r.fail("u8")
-		return 0
+	if r.off < len(r.buf) {
+		r.off++
+		return r.buf[r.off-1]
 	}
-	v := r.buf[r.off]
-	r.off++
-	return v
+	r.stop("u8", 0)
+	return 0
 }
 
 // Bool reads a byte written by W.Bool. Any byte other than 0 or 1 is an
 // error, so each state has one encoding.
 func (r *R) Bool() bool {
 	v := r.U8()
-	if v > 1 && r.err == nil {
-		r.err = fmt.Errorf("snapshot: section %q: bool byte %d at offset %d", r.name, v, r.off-1)
+	if v > 1 {
+		r.Fail(fmt.Errorf("bool byte %d at offset %d", v, r.off-1))
 	}
 	return v == 1
 }
 
 // Len reads a count written by W.Len and bounds it against the remaining
-// payload assuming at least minElemBytes per element, so hostile counts fail
-// before any allocation.
+// payload assuming at least minElemBytes (which must be at least 1) per
+// element, so hostile counts fail before any allocation.
 func (r *R) Len(minElemBytes int) int {
-	n := int(r.U32())
-	if r.err != nil {
-		return 0
+	if b := r.buf[r.off:]; len(b) >= 4 {
+		if n := int(binary.LittleEndian.Uint32(b)); n*minElemBytes <= len(b)-4 {
+			r.off += 4
+			return n
+		}
 	}
-	if minElemBytes < 1 {
-		minElemBytes = 1
-	}
-	if n < 0 || n*minElemBytes > r.Remaining() {
-		r.fail(fmt.Sprintf("length %d (× %dB exceeds %dB remaining)", n, minElemBytes, r.Remaining()))
-		return 0
-	}
-	return n
+	r.stop("length", minElemBytes)
+	return 0
 }
 
 func (r *R) String() string { return string(r.StringBytes()) }
@@ -423,11 +455,11 @@ func (r *R) String() string { return string(r.StringBytes()) }
 // nothing.
 func (r *R) StringBytes() []byte {
 	n := int(r.U32())
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.fail("string")
+	if r.off+n > len(r.buf) {
+		r.stop("string", 0)
 		return nil
 	}
 	v := r.buf[r.off : r.off+n : r.off+n]
@@ -438,7 +470,7 @@ func (r *R) StringBytes() []byte {
 // I64s reads a slice written by W.I64s.
 func (r *R) I64s() []int64 {
 	n := r.Len(8)
-	if r.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
 	vs := make([]int64, n)

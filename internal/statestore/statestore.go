@@ -118,6 +118,7 @@ type entry struct {
 type Store struct {
 	cfg     Config
 	entries map[int]*entry
+	free    sim.FreeList[entry] // recycles removed entries
 	used    [numTiers]int
 	caps    [numTiers]int
 
@@ -156,7 +157,8 @@ func (s *Store) Register(id, bytes int) error {
 	if _, ok := s.entries[id]; ok {
 		return fmt.Errorf("statestore: thread %d already registered", id)
 	}
-	e := &entry{id: id, bytes: bytes, tier: TierDRAM}
+	e := s.free.Get()
+	*e = entry{id: id, bytes: bytes, tier: TierDRAM}
 	for t := TierRF; t < numTiers; t++ {
 		if s.used[t]+bytes <= s.caps[t] {
 			e.tier = t
@@ -173,6 +175,7 @@ func (s *Store) Remove(id int) {
 	if e, ok := s.entries[id]; ok {
 		s.used[e.tier] -= e.bytes
 		delete(s.entries, id)
+		s.free.Put(e)
 	}
 }
 

@@ -33,13 +33,16 @@ go build "${flags[@]}" -o "$TMP/bin/" $mains > "$TMP/deps.txt" 2>&1 ||
 nbin=$(grep -c '^# ' "$TMP/deps.txt" || true)
 
 # Every nocs/internal symbol named on either side of an edge, brackets gone.
+# The brackets go first: a generic instantiated with a struct shape has
+# spaces inside them.
 awk '
     {
-        for (i = 1; i <= NF; i++) {
-            s = $i
-            if (index(s, "nocs/internal/") != 1) continue
-            while (gsub(/\[[^][]*\]/, "", s) > 0) {}
-            print substr(s, 15)
+        line = $0
+        while (gsub(/\[[^][]*\]/, "", line) > 0) {}
+        n = split(line, f, /[ \t]+/)
+        for (i = 1; i <= n; i++) {
+            if (index(f[i], "nocs/internal/") != 1) continue
+            print substr(f[i], 15)
         }
     }
 ' "$TMP/deps.txt" | sort -u > "$TMP/reached.txt"
