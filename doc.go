@@ -15,7 +15,7 @@
 //   - internal/pipeline   — SMT slots, hardware RR/PS, priorities
 //   - internal/core       — the core model (+ legacy mode)
 //   - internal/machine    — multicore machines and device wiring
-//   - internal/device     — NIC, timer, SSD
+//   - internal/device     — NIC, SSD
 //   - internal/irq        — legacy interrupts and IPIs
 //   - internal/kernel     — legacy & nocs kernel personalities
 //   - internal/hypervisor — VM-exit handling, trusted to fully untrusted

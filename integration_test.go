@@ -135,46 +135,6 @@ main:
 	}
 }
 
-// TestTimerDrivenScheduler is §3.1's APIC example end-to-end: "each core's
-// APIC timer can increment a counter every time a timer interrupt is
-// triggered. In turn, the hardware thread hosting the kernel scheduler can
-// monitor/mwait on that memory location."
-func TestTimerDrivenScheduler(t *testing.T) {
-	m := machine.New()
-	c := m.Core(0)
-	tm, err := m.NewTimer(device.TimerConfig{CounterAddr: 0x100, Period: 5000}, device.Signal{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	k := kernel.NewNocs(c)
-	ticks := 0
-	if _, err := k.SpawnService("scheduler", func() []int64 { return []int64{0x100} },
-		func(tc *hwthread.Context) sim.Cycles {
-			if c.ReadWord(0x100) == 0 {
-				return 0
-			}
-			// The scheduler body: rebalance, set priorities — modeled cost.
-			ticks++
-			if ticks >= 10 {
-				tm.Stop()
-			}
-			c.WriteWord(0x100, 0)
-			return 300
-		}); err != nil {
-		t.Fatal(err)
-	}
-	tm.Start()
-	m.RunUntil(200000)
-	if ticks != 10 {
-		t.Fatalf("scheduler ran %d times, want 10", ticks)
-	}
-	raised, _, _, _ := m.IRQ().Stats()
-	if raised != 0 {
-		t.Fatal("timer used interrupts on the nocs path")
-	}
-}
-
 // TestMixedPersonalityMachine runs a legacy kernel on core 0 and a nocs
 // kernel on core 1 of the same machine, simultaneously, sharing memory.
 func TestMixedPersonalityMachine(t *testing.T) {

@@ -1,14 +1,13 @@
 // Package device models the I/O devices the experiments need: a NIC with an
-// RX descriptor ring filled by DMA, an APIC-style timer, and an NVMe-style
-// SSD queue pair with MMIO doorbells.
+// RX descriptor ring filled by DMA and a TX ring behind an MMIO doorbell,
+// and an NVMe-style SSD queue pair with MMIO doorbells.
 //
 // Every device signals completions the same two ways the paper contrasts:
 //
 //   - Memory writes: payload and queue-tail updates are DMA writes to
 //     simulated physical memory, visible to the generalized monitor engine.
 //     This is the nocs path — "a network thread can wait on the RX queue
-//     tail until packet arrival" (§3.1) — and it also covers MSI-style
-//     interrupt-to-memory translation for legacy devices (§4).
+//     tail until packet arrival" (§3.1).
 //   - Legacy vectors: when a device is bound to the IRQ controller, each
 //     completion additionally raises its interrupt vector.
 //

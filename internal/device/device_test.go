@@ -137,45 +137,6 @@ func TestNICLegacyVector(t *testing.T) {
 	}
 }
 
-func TestTimerPeriodicTicks(t *testing.T) {
-	eng := sim.SoloShard(sim.NewEngine(nil))
-	m := mem.NewMemory()
-	tm := mustTimer(TimerConfig{CounterAddr: 0x100, Period: 1000}, eng,
-		mem.NewDMA(m, mem.SrcMSI), Signal{})
-	tm.Start()
-	tm.Start() // idempotent
-	if !tm.Running() {
-		t.Fatal("not running")
-	}
-	eng.RunUntil(5500)
-	if tm.Ticks() != 5 || m.Read(0x100) != 5 {
-		t.Fatalf("ticks=%d counter=%d", tm.Ticks(), m.Read(0x100))
-	}
-	tm.Stop()
-	eng.RunUntil(20000)
-	if tm.Ticks() != 5 {
-		t.Fatal("ticked after stop")
-	}
-	if tm.Running() {
-		t.Fatal("running after stop")
-	}
-}
-
-func TestTimerTickIsMSIWrite(t *testing.T) {
-	eng := sim.SoloShard(sim.NewEngine(nil))
-	m := mem.NewMemory()
-	var src mem.WriteSource
-	m.AddObserver(observerFunc(func(addr, val int64, s mem.WriteSource) { src = s }))
-	tm := mustTimer(TimerConfig{CounterAddr: 0x100}, eng, mem.NewDMA(m, mem.SrcMSI), Signal{})
-	tm.FireOnce()
-	if src != mem.SrcMSI {
-		t.Fatalf("tick source %v", src)
-	}
-	if tm.Config().Period != 30000 {
-		t.Fatal("default period")
-	}
-}
-
 func ssdRig() (*sim.Shard, *mem.Memory, *SSD) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	m := mem.NewMemory()

@@ -231,7 +231,7 @@ func (n *NIC) Deliver(payload []int64) sim.Cycles {
 	// memory path and redelivered by the device's recovery logic. Either way
 	// the packet eventually arrives — the ring state is read at fire time,
 	// so reordered completions still write consistent descriptors.
-	if extra, _ := n.inj.DMADelivery("nic-rx"); extra > 0 {
+	if extra := n.inj.DMADelivery("nic-rx"); extra > 0 {
 		d += extra
 	}
 	at := n.eng.Now() + d
@@ -306,7 +306,7 @@ func (n *NIC) MMIOWrite(addr int64, val int64) {
 		n.txHead++
 		seq := n.txHead
 		lat := n.cfg.TXCycles
-		if extra, _ := n.inj.DMADelivery("nic-tx"); extra > 0 {
+		if extra := n.inj.DMADelivery("nic-tx"); extra > 0 {
 			lat += extra
 		}
 		tx := n.txFree.Get()

@@ -1,9 +1,6 @@
 package device
 
-import (
-	"nocs/internal/sim"
-	"nocs/internal/snapshot"
-)
+import "nocs/internal/snapshot"
 
 // Checkpoint support (DESIGN.md §13). Each device serializes its counters
 // plus every in-flight operation with the original (cycle, sequence) slot of
@@ -11,41 +8,6 @@ import (
 // order — including fault-reordered deliveries — is byte-identical.
 // Device geometry (configs, DMA ports, signals, MMIO windows) is machine
 // wiring, re-created when the restore target is constructed.
-
-// SnapshotState writes the timer's tick state and in-flight MSI writes.
-func (t *Timer) SnapshotState(w *snapshot.W) error {
-	w.Bool(t.running).U64(t.ticks)
-	w.Bool(t.ev != sim.NoEvent)
-	if t.ev != sim.NoEvent {
-		if err := t.eng.WriteEvent(w, t.ev, "timer"); err != nil {
-			return err
-		}
-	}
-	w.Len(len(t.msis))
-	for _, m := range t.msis {
-		if err := t.eng.WriteEvent(w, m.h, "fault-msi"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreState replaces the timer's state, re-creating the periodic tick and
-// any in-flight MSI writes at their original event slots.
-func (t *Timer) RestoreState(r *snapshot.R) error {
-	t.running, t.ticks = r.Bool(), r.U64()
-	t.ev = sim.NoEvent
-	if r.Bool() {
-		t.ev = t.eng.ReadEvent(r, "timer", t)
-	}
-	t.msis = t.msis[:0]
-	for range r.Len(16) {
-		m := &timerMSI{t: t}
-		m.h = t.eng.ReadEvent(r, "fault-msi", m)
-		t.msis = append(t.msis, m)
-	}
-	return r.Err()
-}
 
 // SnapshotState writes the NIC's ring cursors, counters, and in-flight RX/TX
 // operations (RX payloads inline).

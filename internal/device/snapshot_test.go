@@ -14,14 +14,18 @@ import (
 // checkpointClock is the cycle the device rigs are checkpointed at.
 const checkpointClock = 2100
 
-// deviceRig is one NIC, SSD and timer on a shared engine.
+// deviceRig is one NIC and one SSD on a shared engine, both polling one
+// fault injector for their DMA completions.
 type deviceRig struct {
-	eng   *sim.Shard
-	m     *mem.Memory
-	nic   *NIC
-	ssd   *SSD
-	timer *Timer
-	inj   *faultinject.Injector // the timer's
+	eng *sim.Shard
+	m   *mem.Memory
+	nic *NIC
+	ssd *SSD
+	inj *faultinject.Injector
+
+	// lateRX counts the RX completions the injector delayed that are
+	// still in flight at checkpointClock (busyDeviceRig).
+	lateRX int
 }
 
 func newDeviceRig() *deviceRig {
@@ -38,9 +42,9 @@ func newDeviceRig() *deviceRig {
 		DoorbellAddr: 0x9000_0000, CQTailAddr: 0x60000,
 		BaseLatency: 1000, PerWord: 2,
 	}, eng, dma, Signal{})
-	d.timer = mustTimer(TimerConfig{CounterAddr: 0x100, Period: 700}, eng, mem.NewDMA(m, mem.SrcMSI), Signal{})
 	d.inj = faultinject.New(faultinject.Plan{Seed: 7, DMADelayP: 0.9, DMADelayMax: 3000})
-	d.timer.SetFaultInjector(d.inj)
+	d.nic.SetFaultInjector(d.inj)
+	d.ssd.SetFaultInjector(d.inj)
 	for addr, h := range map[int64]mem.MMIOHandler{0x9000_0000: d.ssd, 0x9100_0000: d.nic} {
 		if err := m.MapMMIO(addr, 8, h); err != nil {
 			panic(err)
@@ -50,20 +54,25 @@ func newDeviceRig() *deviceRig {
 }
 
 // deviceSections names the rig's sections in a fixed order.
-var deviceSections = []string{"dev/nic0", "dev/ssd0", "dev/timer0"}
+var deviceSections = []string{"dev/nic0", "dev/ssd0"}
 
 // sections maps each section name to its device.
 func (d *deviceRig) sections() map[string]snapshot.Codec {
-	return map[string]snapshot.Codec{"dev/nic0": d.nic, "dev/ssd0": d.ssd, "dev/timer0": d.timer}
+	return map[string]snapshot.Codec{"dev/nic0": d.nic, "dev/ssd0": d.ssd}
 }
 
-// busyDeviceRig runs a rig to checkpointClock with RX and TX DMA, an SSD
-// command and delayed timer MSIs in flight.
+// busyDeviceRig runs a rig to checkpointClock with RX and TX DMA and an SSD
+// command in flight. A packet arrives every 300 cycles before that, and the
+// injector delays most RX completions by up to 3000 cycles, so some land
+// out of order and some are still in flight at the checkpoint.
 func busyDeviceRig() *deviceRig {
 	d := newDeviceRig()
-	d.timer.Start()
+	for at := sim.Cycles(0); at < checkpointClock-100; at += 300 {
+		d.eng.RunUntil(at)
+		d.deliver([]int64{int64(at)})
+	}
 	d.eng.RunUntil(checkpointClock - 100)
-	d.nic.Deliver([]int64{42, 43})
+	d.deliver([]int64{42, 43})
 	d.nic.WriteTXDesc(d.m, 0, 0x20000, 2)
 	d.m.Write(0x9100_0000, 1, mem.SrcCPU)
 	d.ssd.WriteSQE(d.m, 0, OpRead, 1234, 8, 77)
@@ -72,8 +81,17 @@ func busyDeviceRig() *deviceRig {
 	return d
 }
 
-// encodeDevices checkpoints every device of d, the timer's fault injector
-// and the engine into one container.
+// deliver hands the NIC one packet and counts it in lateRX if the injector
+// delayed it past checkpointClock.
+func (d *deviceRig) deliver(payload []int64) {
+	now := d.eng.Now()
+	if at := d.nic.Deliver(payload); at > now+d.nic.Config().DMACycles && at > checkpointClock {
+		d.lateRX++
+	}
+}
+
+// encodeDevices checkpoints every device of d, their fault injector and the
+// engine into one container.
 func encodeDevices(t testing.TB, d *deviceRig) *snapshot.Snapshot {
 	t.Helper()
 	b := snapshot.NewBuilder()
@@ -131,8 +149,12 @@ func rawSection(t testing.TB, name string, payload []byte) *snapshot.Snapshot {
 
 // TestDeviceSnapshotRoundTrip: each device restores its section whole, the
 // restored devices re-encode the same bytes, and both rigs then run alike.
+// The checkpoint holds at least one fault-delayed DMA completion.
 func TestDeviceSnapshotRoundTrip(t *testing.T) {
 	src := busyDeviceRig()
+	if src.lateRX == 0 {
+		t.Fatal("no fault-delayed RX completion in flight at the checkpoint")
+	}
 	snap := encodeDevices(t, src)
 	dst := newDeviceRig()
 	var st sim.EngineState
@@ -162,8 +184,13 @@ func TestDeviceSnapshotRoundTrip(t *testing.T) {
 	}
 	src.eng.RunUntil(20_000)
 	dst.eng.RunUntil(20_000)
-	if src.eng.Ran() != dst.eng.Ran() || src.timer.Ticks() != dst.timer.Ticks() || src.nic.Transmitted() != dst.nic.Transmitted() {
-		t.Fatalf("restored rig diverged: ran %d/%d", src.eng.Ran(), dst.eng.Ran())
+	srcRX, _ := src.nic.Stats()
+	dstRX, _ := dst.nic.Stats()
+	srcSSD, _ := src.ssd.Stats()
+	dstSSD, _ := dst.ssd.Stats()
+	if src.eng.Ran() != dst.eng.Ran() || src.nic.Transmitted() != dst.nic.Transmitted() || srcRX != dstRX || srcSSD != dstSSD {
+		t.Fatalf("restored rig diverged: ran %d/%d, transmitted %d/%d, received %d/%d, ssd completed %d/%d",
+			src.eng.Ran(), dst.eng.Ran(), src.nic.Transmitted(), dst.nic.Transmitted(), srcRX, dstRX, srcSSD, dstSSD)
 	}
 }
 
@@ -172,11 +199,6 @@ func TestDeviceSnapshotRoundTrip(t *testing.T) {
 func TestDeviceRestoreRejectsEventBeforeClock(t *testing.T) {
 	past := func(w *snapshot.W) { w.I64(-3242591731706754320).U64(9) }
 	for name, write := range map[string]func(w *snapshot.W){
-		"dev/timer0": func(w *snapshot.W) {
-			w.Bool(true).U64(3).Bool(true)
-			past(w)
-			w.Len(0)
-		},
 		"dev/nic0": func(w *snapshot.W) {
 			w.U64(1).U64(0).I64(0).I64(0).U64(0).Len(1)
 			past(w)
@@ -206,7 +228,7 @@ func TestDeviceRestoreRejectsEventBeforeClock(t *testing.T) {
 	}
 }
 
-// FuzzDeviceRestore holds the NIC, SSD and timer restore halves, run
+// FuzzDeviceRestore holds the NIC and SSD restore halves, run
 // through snapshot.Restore without the machine's recover, to two
 // properties on arbitrary section bytes: they never panic, and a section
 // they accept re-encodes to exactly its own bytes.

@@ -191,7 +191,7 @@ func (s *SSD) consume() {
 		// Fault injection: completions can land late or be dropped and
 		// redelivered; the CQ tail is an increment so reordered completions
 		// keep it consistent.
-		if extra, _ := s.inj.DMADelivery("ssd-done"); extra > 0 {
+		if extra := s.inj.DMADelivery("ssd-done"); extra > 0 {
 			lat += extra
 		}
 		completionSlot := s.sqHead - 1 // preserves submission order slots

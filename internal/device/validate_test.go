@@ -19,14 +19,6 @@ func mustNIC(cfg NICConfig, eng *sim.Shard, dma *mem.DMA, sig Signal) *NIC {
 	return n
 }
 
-func mustTimer(cfg TimerConfig, eng *sim.Shard, dma *mem.DMA, sig Signal) *Timer {
-	t, err := NewTimer(cfg, eng, dma, sig)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 func mustSSD(cfg SSDConfig, eng *sim.Shard, dma *mem.DMA, sig Signal) *SSD {
 	s, err := NewSSD(cfg, eng, dma, sig)
 	if err != nil {
@@ -74,22 +66,6 @@ func TestNICConfigRejections(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want mention of %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-func TestTimerConfigRejections(t *testing.T) {
-	eng := sim.SoloShard(sim.NewEngine(nil))
-	dma := mem.NewDMA(mem.NewMemory(), mem.SrcMSI)
-	if _, err := NewTimer(TimerConfig{CounterAddr: 0x100}, eng, dma, Signal{}); err != nil {
-		t.Fatalf("good config rejected: %v", err)
-	}
-	if _, err := NewTimer(TimerConfig{}, eng, dma, Signal{}); err == nil ||
-		!strings.Contains(err.Error(), "CounterAddr") {
-		t.Errorf("missing counter: error %v", err)
-	}
-	if _, err := NewTimer(TimerConfig{CounterAddr: 0x100, Period: -5}, eng, dma, Signal{}); err == nil ||
-		!strings.Contains(err.Error(), "Period") {
-		t.Errorf("negative period: error %v", err)
 	}
 }
 

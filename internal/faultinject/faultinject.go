@@ -4,8 +4,7 @@
 // switches *even when the world misbehaves* (§4 "Exceptions become memory
 // writes"); this package supplies the misbehavior:
 //
-//   - delayed, reordered, and dropped DMA completions and MSI doorbell
-//     writes in internal/device;
+//   - delayed, reordered, and dropped DMA completions in internal/device;
 //   - spurious and coalesced monitor wakeups in internal/monitor;
 //   - transient (retryable, ECC-style) state-transfer errors in
 //     internal/statestore;
@@ -37,7 +36,7 @@ type Plan struct {
 	// equal event sequences draw identical fault schedules.
 	Seed uint64
 
-	// DMADelayP is the probability that one DMA/MSI completion is delayed
+	// DMADelayP is the probability that one DMA completion is delayed
 	// by a uniform extra latency in [1, DMADelayMax]. Independently delayed
 	// completions overtake each other, so this also produces reordering.
 	DMADelayP   float64
@@ -209,26 +208,26 @@ func (i *Injector) event(name, arg string) {
 	}
 }
 
-// DMADelivery is polled once per scheduled DMA/MSI completion. It returns
-// either an extra delay to add to the delivery latency, or drop=true with
-// the redelivery latency the device must apply after losing the first
-// attempt. what names the completion for the trace ("nic-rx", "msi", ...).
-func (i *Injector) DMADelivery(what string) (extra sim.Cycles, drop bool) {
+// DMADelivery is polled once per scheduled DMA completion. It returns the
+// extra latency to add to the delivery: a delay, or the redelivery latency
+// the device applies after losing the first attempt. what names the
+// completion for the trace ("nic-rx", "ssd-done", ...).
+func (i *Injector) DMADelivery(what string) (extra sim.Cycles) {
 	if i == nil {
-		return 0, false
+		return 0
 	}
 	if i.plan.DMADropP > 0 && i.rng.Float64() < i.plan.DMADropP {
 		i.stats.DMADropped++
 		i.event("dma-drop", what)
-		return i.plan.DMARedeliver, true
+		return i.plan.DMARedeliver
 	}
 	if i.plan.DMADelayP > 0 && i.rng.Float64() < i.plan.DMADelayP {
 		d := 1 + sim.Cycles(i.rng.Intn(int(i.plan.DMADelayMax)))
 		i.stats.DMADelayed++
 		i.event("dma-delay", what)
-		return d, false
+		return d
 	}
-	return 0, false
+	return 0
 }
 
 // SpuriousWake is polled when a waiter blocks in mwait. When it fires, the

@@ -21,7 +21,7 @@ func TestZeroPlanYieldsNilInjector(t *testing.T) {
 // possibly-nil pointer and call unconditionally.
 func TestNilInjectorIsInert(t *testing.T) {
 	var i *Injector
-	if d, drop := i.DMADelivery("x"); d != 0 || drop {
+	if d := i.DMADelivery("x"); d != 0 {
 		t.Fatal("nil DMADelivery injected")
 	}
 	if _, ok := i.SpuriousWake(); ok {
@@ -54,12 +54,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		for n := 0; n < 500; n++ {
 			switch n % 4 {
 			case 0:
-				d, drop := i.DMADelivery("nic-rx")
-				b := int64(0)
-				if drop {
-					b = 1
-				}
-				log = append(log, int64(d), b)
+				log = append(log, int64(i.DMADelivery("nic-rx")))
 			case 1:
 				d, ok := i.SpuriousWake()
 				if ok {

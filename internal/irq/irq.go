@@ -12,10 +12,10 @@
 //	→ registered handler runs (its cost is declared by the handler)
 //	→ IRQExit
 //
-// The controller also supports MSI translation: when a platform runs the
-// nocs personality, devices do not raise vectors at all — they write memory
-// (mem.SrcMSI) and the monitor engine does the rest. The ablation experiment
-// A2 uses exactly this split.
+// On the nocs personality devices raise no vectors at all: they write
+// memory and the monitor engine does the rest. The ablation experiment A2
+// turns off the monitor's view of device writes (DMAVisible) and shows the
+// platform falling back to this controller.
 package irq
 
 import (

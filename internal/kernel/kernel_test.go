@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,34 +104,62 @@ loop:
 	}
 }
 
-func TestFlexSCEndToEnd(t *testing.T) {
+// flexscRig builds a legacy kernel with a FlexSC page of the given size at
+// 0x70000, its worker on supervisor ptid 1, and a user thread on ptid 0
+// that posts syscall num(arg) into the given slot the way F3's user program
+// does: three stores (number, argument, status posted), a spin on the
+// status word, a load of the result into r1, and a store that frees the
+// slot.
+func flexscRig(t *testing.T, entries, slot int, num, arg int64) (*machine.Machine, *Legacy, *FlexSC) {
+	t.Helper()
 	m := machine.New()
-	k := NewLegacy(m.Core(0))
+	c := m.Core(0)
+	k := NewLegacy(c)
+	f := NewFlexSC(k, 0x70000, entries)
+	worker := asm.MustAssemble("w", f.WorkerProgramSource())
+	c.BindProgram(1, worker, "worker")
+	c.Threads().Context(1).Regs.Mode = 1
+	user := asm.MustAssemble("u", fmt.Sprintf(`
+main:
+	movi r5, %d
+	st [r10+8], r5      ; num
+	movi r5, %d
+	st [r10+16], r5     ; arg
+	movi r5, 1
+	st [r10+0], r5      ; status = posted
+spin:
+	ld r6, [r10+0]
+	movi r5, 2
+	bne r6, r5, spin
+	ld r1, [r10+24]     ; result
+	movi r5, 0
+	st [r10+0], r5      ; free slot
+	halt
+`, num, arg))
+	c.BindProgram(0, user, "main")
+	c.Threads().Context(0).Regs.GPR[10] = 0x70000 + int64(slot)*flexscEntryBytes
+	c.BootStart(1)
+	c.BootStart(0)
+	return m, k, f
+}
+
+func TestFlexSCEndToEnd(t *testing.T) {
+	m, k, f := flexscRig(t, 8, 2, 1, 21)
 	k.RegisterSyscall(1, func(tc *hwthread.Context, args [4]int64) (int64, sim.Cycles) {
 		return args[0] * 2, 100
 	})
-	f := NewFlexSC(k, 0x70000, 8)
-	// Kernel worker on ptid 1 (dedicated polling thread, supervisor).
-	worker := asm.MustAssemble("w", f.WorkerProgramSource())
-	m.Core(0).BindProgram(1, worker, "worker")
-	m.Core(0).Threads().Context(1).Regs.Mode = 1
-	m.Core(0).BootStart(1)
-
-	f.Post(2, 1, 21)
 	m.RunUntil(20000)
-	done, res := f.Poll(2)
-	if !done || res != 42 {
-		t.Fatalf("flexsc result %v/%d", done, res)
+	user := m.Core(0).Threads().Context(0)
+	if user.State != hwthread.Disabled || user.Regs.GPR[1] != 42 {
+		t.Fatalf("flexsc user thread %v, result %d", user.State, user.Regs.GPR[1])
 	}
+	// The freed slot is not executed again by later scans.
+	m.RunUntil(40000)
 	if f.Executed() != 1 {
-		t.Fatal("executed count")
+		t.Fatalf("executed %d calls, want 1", f.Executed())
 	}
-	// Slot is recycled.
-	if done, _ := f.Poll(2); done {
-		t.Fatal("slot not cleared")
-	}
-	if f.StatusAddr(2) != 0x70000+2*32 {
-		t.Fatal("status addr")
+	if st := m.Mem().Read(0x70000 + 2*flexscEntryBytes + flexscStatus); st != flexscFree {
+		t.Fatalf("slot status %d after the user freed it", st)
 	}
 	handled, _ := k.Syscalls()
 	if handled != 1 {
@@ -139,18 +168,14 @@ func TestFlexSCEndToEnd(t *testing.T) {
 }
 
 func TestFlexSCUnknownSyscall(t *testing.T) {
-	m := machine.New()
-	k := NewLegacy(m.Core(0))
-	f := NewFlexSC(k, 0x70000, 4)
-	worker := asm.MustAssemble("w", f.WorkerProgramSource())
-	m.Core(0).BindProgram(1, worker, "worker")
-	m.Core(0).Threads().Context(1).Regs.Mode = 1
-	m.Core(0).BootStart(1)
-	f.Post(0, 99, 5)
+	m, _, f := flexscRig(t, 4, 0, 99, 5)
 	m.RunUntil(20000)
-	done, res := f.Poll(0)
-	if !done || res != -1 {
-		t.Fatalf("unknown flexsc syscall: %v/%d", done, res)
+	user := m.Core(0).Threads().Context(0)
+	if user.State != hwthread.Disabled || user.Regs.GPR[1] != -1 {
+		t.Fatalf("unknown flexsc syscall: user thread %v, result %d", user.State, user.Regs.GPR[1])
+	}
+	if f.Executed() != 1 {
+		t.Fatalf("executed %d calls, want 1", f.Executed())
 	}
 }
 

@@ -94,27 +94,29 @@ func (k *Legacy) ServeNICWithIRQ(ctrl *irq.Controller, vector irq.Vector,
 // pages and dedicated kernel threads execute them in batches, trading mode
 // switches for polling latency and a dedicated core.
 //
-// Syscall page layout (32 bytes per entry at PageBase + 32*i):
+// Syscall page layout (32 bytes per entry at pageBase + 32*i):
 //
 //	+0:  status (0 free, 1 posted, 2 done)
 //	+8:  syscall number
 //	+16: argument
 //	+24: result
+//
+// User code posts a call with three stores (number, argument, then status
+// 1) and spins on the status word until it reads 2.
 type FlexSC struct {
-	k *Legacy
-	// PageBase is the shared syscall page address.
-	PageBase int64
-	// Entries is the page capacity.
-	Entries int
-	// ScanCost is charged per scan pass; EntryCost per executed call
-	// (on top of the syscall's own cost).
-	ScanCost  sim.Cycles
-	EntryCost sim.Cycles
+	k        *Legacy
+	pageBase int64 // the shared syscall page address
+	entries  int   // the page capacity
 
 	executed uint64
 }
 
 const (
+	// flexscScanCost is charged per scan pass; flexscEntryCost per executed
+	// call (on top of the syscall's own cost).
+	flexscScanCost  = sim.Cycles(60)
+	flexscEntryCost = sim.Cycles(40)
+
 	flexscEntryBytes = 32
 	flexscStatus     = 0
 	flexscNum        = 8
@@ -132,7 +134,7 @@ const (
 // that loops `native flexsc.scan; jmp` on a dedicated supervisor ptid to run
 // it — that thread is the "dedicated kernel core" FlexSC burns.
 func NewFlexSC(k *Legacy, pageBase int64, entries int) *FlexSC {
-	f := &FlexSC{k: k, PageBase: pageBase, Entries: entries, ScanCost: 60, EntryCost: 40}
+	f := &FlexSC{k: k, pageBase: pageBase, entries: entries}
 	k.c.RegisterNative("flexsc.scan", f.scan)
 	return f
 }
@@ -152,37 +154,11 @@ func (f *FlexSC) WorkerProgramSource() string {
 // Executed returns the number of syscalls executed through the page.
 func (f *FlexSC) Executed() uint64 { return f.executed }
 
-// Post writes a syscall into entry slot i (user-side helper; the costs of
-// the three stores are charged by the ST instructions or the caller).
-func (f *FlexSC) Post(slot int, num, arg int64) {
-	base := f.PageBase + int64(slot)*flexscEntryBytes
-	f.k.c.WriteWord(base+flexscNum, num)
-	f.k.c.WriteWord(base+flexscArg, arg)
-	f.k.c.WriteWord(base+flexscStatus, flexscPosted)
-}
-
-// Poll reports whether slot i is done and returns its result, clearing the
-// entry when done.
-func (f *FlexSC) Poll(slot int) (done bool, result int64) {
-	base := f.PageBase + int64(slot)*flexscEntryBytes
-	if f.k.c.ReadWord(base+flexscStatus) != flexscDone {
-		return false, 0
-	}
-	res := f.k.c.ReadWord(base + flexscRes)
-	f.k.c.WriteWord(base+flexscStatus, flexscFree)
-	return true, res
-}
-
-// StatusAddr returns the monitorable status address of a slot.
-func (f *FlexSC) StatusAddr(slot int) int64 {
-	return f.PageBase + int64(slot)*flexscEntryBytes + flexscStatus
-}
-
 // scan is the kernel worker body: execute every posted entry in the page.
 func (f *FlexSC) scan(c *core.Core, t *hwthread.Context) sim.Cycles {
-	cost := f.ScanCost
-	for i := 0; i < f.Entries; i++ {
-		base := f.PageBase + int64(i)*flexscEntryBytes
+	cost := flexscScanCost
+	for i := 0; i < f.entries; i++ {
+		base := f.pageBase + int64(i)*flexscEntryBytes
 		if c.ReadWord(base+flexscStatus) != flexscPosted {
 			continue
 		}
@@ -198,7 +174,7 @@ func (f *FlexSC) scan(c *core.Core, t *hwthread.Context) sim.Cycles {
 		} else {
 			f.k.unknown++
 		}
-		cost += f.EntryCost
+		cost += flexscEntryCost
 		c.WriteWord(base+flexscRes, ret)
 		c.WriteWord(base+flexscStatus, flexscDone)
 		f.executed++

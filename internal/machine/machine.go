@@ -83,7 +83,7 @@ type Config struct {
 	// so several machines can share one tracer without colliding.
 	Name string
 	// FaultPlan, when enabled, arms deterministic fault injection across
-	// every layer of the machine: delayed/reordered/dropped DMA and MSI
+	// every layer of the machine: delayed/reordered/dropped DMA
 	// completions, spurious and coalesced monitor wakeups, transient
 	// state-transfer errors, and mid-request thread faults (see
 	// internal/faultinject). The zero plan injects nothing. On a sharded
@@ -148,7 +148,7 @@ type shardState struct {
 }
 
 // machDevice is one registered device: its stable checkpoint name ("nic0",
-// "timer1", ...), owning shard, and snapshot surface.
+// "ssd1", ...), owning shard, and snapshot surface.
 type machDevice struct {
 	name  string
 	shard sim.ShardID
@@ -180,8 +180,8 @@ type Machine struct {
 	tr   *trace.Tracer
 	name string
 	// Per-kind device counters, used only to name trace tracks
-	// ("nic0", "timer1", ...).
-	nNIC, nTimer, nSSD int
+	// ("nic0", "ssd1", ...).
+	nNIC, nSSD int
 }
 
 // New builds a machine from the paper defaults (one core, one shard,
@@ -487,27 +487,6 @@ func (m *Machine) NewNICOn(s sim.ShardID, cfg device.NICConfig, sig device.Signa
 	m.devices = append(m.devices, machDevice{name: fmt.Sprintf("nic%d", m.nNIC), shard: s, dev: n})
 	m.nNIC++
 	return n, nil
-}
-
-// NewTimer attaches a timer to shard 0 whose ticks are MSI-style memory
-// writes.
-func (m *Machine) NewTimer(cfg device.TimerConfig, sig device.Signal) (*device.Timer, error) {
-	return m.NewTimerOn(0, cfg, sig)
-}
-
-// NewTimerOn attaches a timer to shard s.
-func (m *Machine) NewTimerOn(s sim.ShardID, cfg device.TimerConfig, sig device.Signal) (*device.Timer, error) {
-	st := &m.shards[s]
-	dma := mem.NewDMA(st.mem, mem.SrcMSI)
-	t, err := device.NewTimer(cfg, st.sh, dma, sig)
-	if err != nil {
-		return nil, err
-	}
-	t.SetFaultInjector(st.inj)
-	m.wireDMA(s, dma, fmt.Sprintf("timer%d", m.nTimer))
-	m.devices = append(m.devices, machDevice{name: fmt.Sprintf("timer%d", m.nTimer), shard: s, dev: t})
-	m.nTimer++
-	return t, nil
 }
 
 // NewSSD attaches an SSD to shard 0 and maps its doorbell MMIO window.

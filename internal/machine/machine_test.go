@@ -6,7 +6,6 @@ import (
 
 	"nocs/internal/asm"
 	"nocs/internal/device"
-	"nocs/internal/hwthread"
 	"nocs/internal/irq"
 	"nocs/internal/mem"
 	"nocs/internal/sim"
@@ -147,38 +146,6 @@ main:
 	if got := m.Core(0).Threads().Context(0).Regs.GPR[2]; got != 1 {
 		t.Fatalf("rx tail read %d", got)
 	}
-}
-
-func TestMachineTimerWakesSchedulerThread(t *testing.T) {
-	m := New()
-	tm, err := m.NewTimer(device.TimerConfig{CounterAddr: 0x100, Period: 500}, device.Signal{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := asm.MustAssemble("sched", `
-main:
-	movi r1, 0x100
-	movi r3, 0
-loop:
-	monitor r1
-	mwait
-	addi r3, r3, 1
-	movi r4, 3
-	blt r3, r4, loop
-	halt
-`)
-	m.Core(0).BindProgram(0, prog, "main")
-	m.Core(0).BootStart(0)
-	tm.Start()
-	m.RunUntil(500 * 10)
-	ctx := m.Core(0).Threads().Context(0)
-	if ctx.Regs.GPR[3] != 3 {
-		t.Fatalf("scheduler thread woke %d times, want 3", ctx.Regs.GPR[3])
-	}
-	if ctx.State != hwthread.Disabled {
-		t.Fatalf("state %v", ctx.State)
-	}
-	tm.Stop()
 }
 
 func TestMachineSSDAttachAndDoorbellViaStore(t *testing.T) {

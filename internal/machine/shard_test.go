@@ -10,27 +10,29 @@ import (
 
 // TestTimeZeroDeviceCrossShardDelivery is the machine-level lookahead-horizon
 // edge case (the crafted-spec companion of the sim-level tests and of
-// TestBatchBoundaries in refmodel/diff): a device on shard 1 schedules its
-// first MSI tick before any core has run, and the tick forwards a remote
+// TestBatchBoundaries in refmodel/diff): a device on shard 1 lands its
+// first DMA write before any core has run, and shard 1 forwards a remote
 // write toward shard 0 — which has no local events at all. Shard 0 must not
 // be advanced past the undelivered cross-shard event; the write must land
 // exactly once.
 func TestTimeZeroDeviceCrossShardDelivery(t *testing.T) {
-	const counter = 0x7000
+	const tail = 0x7000
 	const landing = 0x7100
 	for name, workers := range map[string]int{"serial": 1, "sharded": 2} {
 		m := New(WithCores(2), WithShards(2), WithWorkers(workers),
 			WithLookahead(500))
-		// Timer attached to shard 1, first tick at cycle 40 — well inside
-		// the first lookahead window, scheduled at construction time.
-		tm, err := m.NewTimerOn(1, device.TimerConfig{CounterAddr: counter, Period: 40}, device.Signal{})
+		// A NIC on shard 1 whose first packet lands at cycle 40 — well
+		// inside the first lookahead window, scheduled before the run starts.
+		nic, err := m.NewNICOn(1, device.NICConfig{
+			RingBase: 0x10000, BufBase: 0x20000, TailAddr: tail, DMACycles: 40,
+		}, device.Signal{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm.Start()
-		// Forward the first tick to shard 0 as a remote write. The send
-		// happens at cycle 40 on shard 1; arrival is 40+lookahead on a shard
-		// whose queue is empty.
+		nic.Deliver([]int64{1})
+		// Forward a write to shard 0 as the packet lands. The send happens
+		// at cycle 40 on shard 1; arrival is 40+lookahead on a shard whose
+		// queue is empty.
 		var arrived []sim.Cycles
 		m.MonitorOf(1).DMAVisible = true
 		m.Shard(1).At(40, "fwd", func() {
@@ -43,8 +45,8 @@ func TestTimeZeroDeviceCrossShardDelivery(t *testing.T) {
 		if got := m.MemOf(0).Read(landing); got != 40 {
 			t.Fatalf("%s: landing word = %d, want 40 (remote write lost or reordered)", name, got)
 		}
-		if got := m.MemOf(1).Read(counter); got == 0 {
-			t.Fatalf("%s: timer never ticked", name)
+		if got := m.MemOf(1).Read(tail); got != 1 {
+			t.Fatalf("%s: RX tail = %d, want 1 (the packet never landed)", name, got)
 		}
 		if len(arrived) != 1 || arrived[0] != 540 {
 			t.Fatalf("%s: probe at %v, want [540]", name, arrived)

@@ -18,16 +18,12 @@ import (
 	"nocs/internal/snapshot"
 )
 
-// deviceMachine builds a single-core machine with a running timer, a NIC,
-// and an SSD, plus a program that counts monitor wakeups on the timer
-// counter — a workload with device events in flight at any checkpoint cycle.
+// deviceMachine builds a single-core machine with a NIC and an SSD, plus a
+// program that counts monitor wakeups on the NIC's RX tail. Tests put
+// device events in flight by delivering packets and ringing the SSD.
 func deviceMachine(t *testing.T) (*Machine, *device.NIC, *device.SSD) {
 	t.Helper()
 	m := New(WithThreads(4))
-	tm, err := m.NewTimer(device.TimerConfig{CounterAddr: 0x100, Period: 700}, device.Signal{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	nic, err := m.NewNIC(device.NICConfig{
 		RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000,
 	}, device.Signal{})
@@ -42,9 +38,9 @@ func deviceMachine(t *testing.T) (*Machine, *device.NIC, *device.SSD) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := asm.MustAssemble("ticker", `
+	prog := asm.MustAssemble("rx-waiter", `
 main:
-	movi r1, 0x100
+	movi r1, 0x30000
 	movi r3, 0
 loop:
 	monitor r1
@@ -58,7 +54,6 @@ loop:
 	if err := m.Core(0).BootStart(0); err != nil {
 		t.Fatal(err)
 	}
-	tm.Start()
 	return m, nic, ssd
 }
 
@@ -66,8 +61,8 @@ loop:
 func deviceFingerprint(m *Machine, nic *device.NIC, ssd *device.SSD) string {
 	var b strings.Builder
 	ctx := m.Core(0).Threads().Context(0)
-	fmt.Fprintf(&b, "now=%d ticks=%d wakes=%d state=%d retired=%d\n",
-		m.Now(), m.Mem().Read(0x100), ctx.Regs.GPR[3], ctx.State, m.Core(0).Retired())
+	fmt.Fprintf(&b, "now=%d wakes=%d state=%d retired=%d\n",
+		m.Now(), ctx.Regs.GPR[3], ctx.State, m.Core(0).Retired())
 	d, dr := nic.Stats()
 	fmt.Fprintf(&b, "nic delivered=%d dropped=%d tail=%d\n", d, dr, m.Mem().Read(0x30000))
 	cid, status, ready := ssd.ReadCQE(0)
@@ -79,10 +74,10 @@ func deviceFingerprint(m *Machine, nic *device.NIC, ssd *device.SSD) string {
 }
 
 // TestSnapshotRoundTripWithDevices checkpoints a machine with a pending NIC
-// RX DMA, an in-flight SSD completion, and a live periodic timer, restores
-// it into a freshly built machine, and requires (a) the restored machine to
-// re-serialize to the identical bytes and (b) restore + run-to-end to land
-// on the identical final state as running straight through.
+// RX DMA and an in-flight SSD completion, restores it into a freshly built
+// machine, and requires (a) the restored machine to re-serialize to the
+// identical bytes and (b) restore + run-to-end to land on the identical
+// final state as running straight through.
 func TestSnapshotRoundTripWithDevices(t *testing.T) {
 	const checkpoint, horizon = 2000, 20_000
 
@@ -125,9 +120,17 @@ func TestSnapshotRoundTripWithDevices(t *testing.T) {
 
 // TestSnapshotRestoreMidRunRewind restores a checkpoint into the SAME
 // machine after it has run past the checkpoint — the warm-start fork shape:
-// one warmed machine re-dispatched from a saved cycle.
+// one warmed machine re-dispatched from a saved cycle. One packet has woken
+// the RX waiter before the checkpoint; another and an SSD command are in
+// flight at it.
 func TestSnapshotRestoreMidRunRewind(t *testing.T) {
 	m, nic, ssd := deviceMachine(t)
+	m.RunUntil(1000)
+	nic.Deliver([]int64{7})
+	m.RunUntil(2900)
+	nic.Deliver([]int64{42, 43})
+	ssd.WriteSQE(m.Mem(), 0, device.OpRead, 0, 0, 9)
+	m.Mem().Write(0x9000_0000, 1, 1) // ring doorbell (SrcCPU)
 	m.RunUntil(3000)
 	var buf bytes.Buffer
 	if err := m.Snapshot(&buf); err != nil {
@@ -135,6 +138,9 @@ func TestSnapshotRestoreMidRunRewind(t *testing.T) {
 	}
 	m.RunUntil(15_000)
 	want := deviceFingerprint(m, nic, ssd)
+	if !strings.Contains(want, "wakes=2 ") {
+		t.Fatalf("the RX waiter should wake once per packet:\n%s", want)
+	}
 
 	if err := m.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ type Cache struct {
 	tags   [][]int64 // per set, LRU order: front = most recent
 	hits   uint64
 	misses uint64
-	pinned map[int64]bool // pinned lines are never evicted (§4 fine-grain partitioning)
 }
 
 // NewCache builds a cache. sizeBytes must be a multiple of lineBytes*ways.
@@ -38,7 +37,7 @@ func NewCache(name string, sizeBytes, lineBytes, ways int, hit sim.Cycles) (*Cac
 	}
 	c := &Cache{
 		Name: name, SizeBytes: sizeBytes, LineBytes: lineBytes, Ways: ways,
-		HitCycles: hit, sets: sets, pinned: make(map[int64]bool),
+		HitCycles: hit, sets: sets,
 	}
 	c.tags = make([][]int64, sets)
 	return c, nil
@@ -73,23 +72,32 @@ func (c *Cache) set(line int64) int {
 }
 
 // Lookup probes the cache for addr, updating LRU state and inserting on
-// miss. It reports whether the access hit.
+// miss (evicting the set's least-recently-used line when it is full). It
+// reports whether the access hit.
 func (c *Cache) Lookup(addr int64) bool {
 	ln := c.line(addr)
 	s := c.set(ln)
 	ways := c.tags[s]
-	for i, tag := range ways {
-		if tag == ln {
-			// Move to front (most recently used).
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = ln
-			c.hits++
-			return true
-		}
+	i := 0
+	for i < len(ways) && ways[i] != ln {
+		i++
 	}
-	c.misses++
-	c.insert(s, ln)
-	return false
+	hit := i < len(ways)
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+		if len(ways) < c.Ways {
+			// Fill a free way; append reallocates only at capacity.
+			ways = append(ways, 0)
+			c.tags[s] = ways
+		}
+		i = len(ways) - 1
+	}
+	// Move to front (most recently used).
+	copy(ways[1:i+1], ways[:i])
+	ways[0] = ln
+	return hit
 }
 
 // Contains probes without updating LRU or stats.
@@ -101,48 +109,6 @@ func (c *Cache) Contains(addr int64) bool {
 		}
 	}
 	return false
-}
-
-func (c *Cache) insert(s int, ln int64) {
-	ways := c.tags[s]
-	if len(ways) < c.Ways {
-		// Insert in place: the set's array grows only when it is full.
-		ways = append(ways, 0)
-		copy(ways[1:], ways)
-		ways[0] = ln
-		c.tags[s] = ways
-		return
-	}
-	// Evict the least-recently-used non-pinned line.
-	victim := -1
-	for i := len(ways) - 1; i >= 0; i-- {
-		if !c.pinned[ways[i]] {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		// Fully pinned set: the new line bypasses the cache.
-		return
-	}
-	copy(ways[1:victim+1], ways[:victim])
-	ways[0] = ln
-}
-
-// Pin marks the line containing addr as unevictable, inserting it if absent.
-// This models §4's "pin the most critical instructions/data/translations
-// ... in caches, using fine-grain cache partitioning".
-func (c *Cache) Pin(addr int64) {
-	ln := c.line(addr)
-	if !c.Contains(addr) {
-		c.insert(c.set(ln), ln)
-	}
-	c.pinned[ln] = true
-}
-
-// Unpin releases a pinned line.
-func (c *Cache) Unpin(addr int64) {
-	delete(c.pinned, c.line(addr))
 }
 
 // Hierarchy is a three-level cache stack over DRAM with an uncacheable MMIO

@@ -51,7 +51,7 @@ func restoreRoundTrip(t *testing.T, payload []byte, restore func(*snapshot.R) er
 // whatever they accept re-encodes to exactly the bytes they read. The
 // second needs restore to refuse every encoding SnapshotState would not
 // write: repeated or unordered word addresses (ErrWordOrder), impossible
-// tag and pin lists (ErrCacheState). Caches restore in place, so each
+// tag lists and any pin (ErrCacheState). Caches restore in place, so each
 // payload also goes into churnedHierarchy: it must be accepted exactly when
 // a fresh hierarchy accepts it, and then re-encode to the same bytes, so no
 // line the target held before survives.
@@ -86,15 +86,12 @@ func churnedSmallMemory() *Memory {
 	return m
 }
 
-// churnedHierarchy has lines at every level, LRU orders that differ from
-// insertion order, and pins.
+// churnedHierarchy has lines at every level and LRU orders that differ
+// from insertion order.
 func churnedHierarchy() *Hierarchy {
 	h := NewHierarchy(nil, fuzzHierarchyConfig)
 	for _, a := range []int64{0, 64, 128, 192, 256, 0, 320, 64, 512, 1024, 128} {
 		h.AccessCycles(a)
 	}
-	h.L2.Pin(192)
-	h.L3.Pin(0)
-	h.L3.Pin(1024)
 	return h
 }

@@ -228,30 +228,6 @@ func TestCacheFillZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestCachePinning(t *testing.T) {
-	c := MustNewCache("t", 256, 64, 2, 4) // 2 sets, 2 ways
-	c.Pin(0 * 64)
-	c.Pin(2 * 64)
-	// Set 0 fully pinned: further lines bypass.
-	c.Lookup(4 * 64)
-	if c.Contains(4 * 64) {
-		t.Fatal("line inserted into fully pinned set")
-	}
-	if !c.Contains(0*64) || !c.Contains(2*64) {
-		t.Fatal("pinned lines evicted")
-	}
-	c.Unpin(2 * 64)
-	c.Lookup(4 * 64)
-	if !c.Contains(4 * 64) {
-		t.Fatal("line not inserted after unpin")
-	}
-	if !c.Contains(0 * 64) {
-		t.Fatal("still-pinned line evicted")
-	}
-	c.Unpin(0 * 64) // double-unpin is fine
-	c.Unpin(0 * 64)
-}
-
 // LRU stack property: any address that hits in a k-way cache also hits in a
 // (k+n)-way cache of proportionally larger size, given the same trace.
 func TestCacheInclusionProperty(t *testing.T) {

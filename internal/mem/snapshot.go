@@ -27,7 +27,7 @@ var ErrWordOrder = errors.New("mem: snapshot words not in strictly increasing ad
 // ErrCacheState is returned when a cache section's tag or pin lists could
 // not have been written by a live cache: a set holding more than Ways
 // lines, a line filed under another set, a line listed twice in its set, or
-// pins not in strictly increasing order.
+// a pin list that is not empty (no cache pins a line).
 var ErrCacheState = errors.New("mem: snapshot cache state is not reachable")
 
 // SnapshotState writes the word store (sorted by address for deterministic
@@ -67,9 +67,11 @@ func (m *Memory) RestoreState(r *snapshot.R) error {
 }
 
 // SnapshotState writes the cache's geometry (validated on restore), per-set
-// tag lists in LRU order, pinned lines, and hit/miss counters. The set block
-// is most of a checkpoint's bytes, so it is reserved at its exact size and
-// each set encoded straight into it: a u32 count, then that many lines.
+// tag lists in LRU order, an empty pin list, and hit/miss counters. No
+// cache pins a line, but the pin list stays in the section so checkpoints
+// keep their bytes. The set block is most of a checkpoint's bytes, so it is
+// reserved at its exact size and each set encoded straight into it: a u32
+// count, then that many lines.
 func (c *Cache) SnapshotState(w *snapshot.W) {
 	w.String(c.Name)
 	w.I64(int64(c.SizeBytes)).I64(int64(c.LineBytes)).I64(int64(c.Ways))
@@ -83,12 +85,7 @@ func (c *Cache) SnapshotState(w *snapshot.W) {
 			buf = buf[8:]
 		}
 	}
-	pins := make([]int64, 0, len(c.pinned))
-	for ln := range c.pinned {
-		pins = append(pins, ln)
-	}
-	slices.Sort(pins)
-	w.I64s(pins)
+	w.Len(0) // the pin list
 	w.U64(c.hits).U64(c.misses)
 }
 
@@ -103,17 +100,16 @@ func (c *Cache) setBlockBytes() int {
 
 // stateBytes is the encoded size of SnapshotState's output.
 func (c *Cache) stateBytes() int {
-	return 4 + len(c.Name) + 3*8 + 4 + c.setBlockBytes() + 4 + 8*len(c.pinned) + 2*8
+	return 4 + len(c.Name) + 3*8 + 4 + c.setBlockBytes() + 4 + 2*8
 }
 
 // RestoreState replaces the cache's dynamic state in place: each set's tag
 // list is decoded into that set's own backing array, grown only when the
-// checkpoint's list outruns its capacity, and the pinned set is cleared and
-// refilled. The stored geometry must match this cache's, and the tag and pin
-// lists must be ones a live cache could hold (ErrCacheState): insert keeps a
-// set at Ways lines or fewer, files each line under set(line), and never
-// lists a line twice; SnapshotState writes pins sorted and pinned is a set.
-// A refused section leaves the cache unspecified.
+// checkpoint's list outruns its capacity. The stored geometry must match
+// this cache's, and the tag and pin lists must be ones a live cache could
+// hold (ErrCacheState): Lookup keeps a set at Ways lines or fewer, files
+// each line under set(line), and never lists a line twice, and no cache
+// pins a line. A refused section leaves the cache unspecified.
 func (c *Cache) RestoreState(r *snapshot.R) error {
 	name := r.StringBytes()
 	size, line, ways := r.I64(), r.I64(), r.I64()
@@ -133,15 +129,8 @@ func (c *Cache) RestoreState(r *snapshot.R) error {
 			return err
 		}
 	}
-	clear(c.pinned)
-	var prev int64
-	for i := range r.Len(8) {
-		ln := r.I64() // Len(8) bounded the count, so these cannot fail
-		if i > 0 && ln <= prev {
-			return fmt.Errorf("%w: cache %q pin %#x follows %#x", ErrCacheState, c.Name, ln, prev)
-		}
-		prev = ln
-		c.pinned[ln] = true
+	if n := r.Len(8); n != 0 {
+		return fmt.Errorf("%w: cache %q pins %d lines", ErrCacheState, c.Name, n)
 	}
 	c.hits, c.misses = r.U64(), r.U64()
 	return r.Err()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
 	"nocs/internal/snapshot"
@@ -148,14 +149,13 @@ func writeCache(w *snapshot.W, set0, set1, pins []int64) {
 
 // dirtyCache is MustNewCache("t", 256, 64, 2, 4) already holding other
 // lines than writeCache's valid case: set 1 full (more lines than that
-// case's one) with its LRU line pinned, and set 0 with one line in an array
-// too short for that case's two.
+// case's one), and set 0 with one line in an array too short for that
+// case's two.
 func dirtyCache() *Cache {
 	c := MustNewCache("t", 256, 64, 2, 4)
 	for _, a := range []int64{6 * 64, 3 * 64, 5 * 64} {
 		c.Lookup(a)
 	}
-	c.Pin(3 * 64)
 	return c
 }
 
@@ -171,19 +171,22 @@ func TestCacheRestoreRejectsUnreachableState(t *testing.T) {
 		set0, set1, pins []int64
 		err              error
 	}{
-		{"valid", []int64{4, 0}, []int64{1}, []int64{0, 7}, nil},
+		{"valid", []int64{4, 0}, []int64{1}, nil, nil},
 		{"empty", nil, nil, nil, nil},
 		{"over ways", []int64{4, 0, 2}, nil, nil, ErrCacheState},
 		{"wrong set", []int64{0}, []int64{2}, nil, ErrCacheState},
 		{"repeated tag", []int64{2, 2}, nil, nil, ErrCacheState},
-		{"pins descending", nil, nil, []int64{7, 0}, ErrCacheState},
-		{"pins repeated", nil, nil, []int64{3, 3}, ErrCacheState},
+		{"pinned lines", []int64{4, 0}, []int64{1}, []int64{0, 7}, ErrCacheState},
 	} {
 		data := encodeSection(t, "cache", func(w *snapshot.W) { writeCache(w, tc.set0, tc.set1, tc.pins) })
 		fresh, dirty := MustNewCache("t", 256, 64, 2, 4), dirtyCache()
 		for _, c := range []*Cache{fresh, dirty} {
-			if err := c.RestoreState(sectionReader(t, data, "cache")); !errors.Is(err, tc.err) {
+			err := c.RestoreState(sectionReader(t, data, "cache"))
+			if !errors.Is(err, tc.err) {
 				t.Fatalf("%s: restore error %v, want %v", tc.name, err, tc.err)
+			}
+			if err != nil && !strings.Contains(err.Error(), `cache "t"`) {
+				t.Fatalf("%s: restore error %v does not name the cache", tc.name, err)
 			}
 		}
 		if tc.err == nil {
@@ -219,16 +222,13 @@ func requireSameCache(t *testing.T, name string, data []byte, want, got *Cache) 
 	}
 }
 
-// TestCacheRestoreZeroAlloc: restoring a cache into one whose sets and pin
-// set already have the room allocates nothing; the tag arrays and the pin
-// map are reused.
+// TestCacheRestoreZeroAlloc: restoring a cache into one whose sets already
+// have the room allocates nothing; the tag arrays are reused.
 func TestCacheRestoreZeroAlloc(t *testing.T) {
 	c := MustNewCache("t", 1024, 64, 4, 4)
 	for _, ln := range []int64{0, 4, 8, 1, 0, 5, -3, 2, 7, 11} {
 		c.Lookup(ln * 64)
 	}
-	c.Pin(4 * 64)
-	c.Pin(7 * 64)
 	data := encodeSection(t, "cache", c.SnapshotState)
 	// Open every run's reader up front: opening a section allocates its
 	// reader, and only the restore is measured.

@@ -18,7 +18,7 @@
 #                        the trace and NOCSNAP1 codecs, the memory and
 #                        cache restore codecs (FuzzMemoryRestore: no panic,
 #                        and whatever restores re-encodes to its own bytes),
-#                        and the NIC, SSD and timer restore codecs run
+#                        and the NIC and SSD restore codecs run
 #                        through snapshot.Restore (FuzzDeviceRestore: the
 #                        same two properties, with no recover around them)
 #   8. diff sweep      — 200 fresh seeds through the engine-vs-reference
