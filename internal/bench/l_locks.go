@@ -269,7 +269,7 @@ func condProgSources(cv nsync.CondVar) (waiter, signaler string) {
 	s.Label("entry")
 	delayLoop(s, "r6", 20_000)
 	s.I("native %s", l1Release)
-	cv.EmitSignal(s, r, true)
+	cv.EmitSignal(s, r)
 	s.I("halt")
 	return w.Source(), s.Source()
 }

@@ -35,9 +35,9 @@ import (
 	"nocs/internal/trace"
 )
 
-// CostConfig parameterizes the architectural transition costs. Defaults
-// follow DESIGN.md's calibration table (each value is tied to a paper claim
-// or citation there).
+// CostConfig holds the architectural transition costs. Every core charges
+// defaultCosts, which follow DESIGN.md's calibration table (each value is
+// tied to a paper claim or citation there).
 type CostConfig struct {
 	// SyscallEntry/SyscallExit: same-thread privilege mode switch, each way
 	// (§1/§2 "hundreds of cycles", FlexSC).
@@ -62,40 +62,19 @@ type CostConfig struct {
 	ThreadOp sim.Cycles
 }
 
-func (c *CostConfig) setDefaults() {
-	if c.SyscallEntry == 0 {
-		c.SyscallEntry = 150
-	}
-	if c.SyscallExit == 0 {
-		c.SyscallExit = 150
-	}
-	if c.VMExit == 0 {
-		c.VMExit = 1200
-	}
-	if c.VMEntry == 0 {
-		c.VMEntry = 800
-	}
-	if c.IRQEntry == 0 {
-		c.IRQEntry = 600
-	}
-	if c.IRQExit == 0 {
-		c.IRQExit = 300
-	}
-	if c.IPISend == 0 {
-		c.IPISend = 400
-	}
-	if c.IPIReceive == 0 {
-		c.IPIReceive = 700
-	}
-	if c.ContextSwitch == 0 {
-		c.ContextSwitch = 1200
-	}
-	if c.FPSaveRestore == 0 {
-		c.FPSaveRestore = 300
-	}
-	if c.ThreadOp == 0 {
-		c.ThreadOp = 4
-	}
+// defaultCosts are the transition costs every core charges.
+var defaultCosts = CostConfig{
+	SyscallEntry:  150,
+	SyscallExit:   150,
+	VMExit:        1200,
+	VMEntry:       800,
+	IRQEntry:      600,
+	IRQExit:       300,
+	IPISend:       400,
+	IPIReceive:    700,
+	ContextSwitch: 1200,
+	FPSaveRestore: 300,
+	ThreadOp:      4,
 }
 
 // Config describes one core.
@@ -107,12 +86,6 @@ type Config struct {
 	Threads int
 	// Slots is the SMT issue width shared by runnable ptids (default 2).
 	Slots int
-	// Costs are the transition costs (defaults per DESIGN.md).
-	Costs CostConfig
-	// Store configures the thread-state storage hierarchy.
-	Store statestore.Config
-	// Hier configures the data cache hierarchy.
-	Hier mem.HierarchyConfig
 	// Tracer, when non-nil, records per-ptid state spans, exec batch spans,
 	// syscall/VM-exit spans, and pipeline occupancy counters. It must be
 	// written only from this core's shard. TraceName prefixes this core's
@@ -175,8 +148,6 @@ type Core struct {
 	// OnExec, if set, observes every issued instruction (tracing; see
 	// TraceBuffer). Faulting instructions are traced before they fault.
 	OnExec func(p hwthread.PTID, pc int64, in isa.Instr, at sim.Cycles)
-	// OnFatal, if set, observes unrecoverable faults (§3.2 triple-fault).
-	OnFatal func(p hwthread.PTID, f *hwthread.Fault)
 
 	guests map[hwthread.PTID]bool
 	halted map[hwthread.PTID]bool // parked by legacy HLT, not monitor
@@ -225,18 +196,17 @@ func New(cfg Config, sh *sim.Shard, m *mem.Memory, mon *monitor.Engine) *Core {
 	if cfg.Slots <= 0 {
 		cfg.Slots = 2
 	}
-	cfg.Costs.setDefaults()
 	c := &Core{
 		id:      cfg.ID,
 		sh:      sh,
 		eng:     sh.Engine,
 		mem:     m,
-		hier:    mem.NewHierarchy(m, cfg.Hier),
+		hier:    mem.NewHierarchy(m, mem.HierarchyConfig{}),
 		mon:     mon,
 		threads: hwthread.NewManager(m, cfg.Threads),
-		store:   statestore.New(cfg.Store),
+		store:   statestore.New(statestore.Config{}),
 		pipe:    pipeline.New(cfg.Slots),
-		costs:   cfg.Costs,
+		costs:   defaultCosts,
 		natives: make(map[string]NativeFunc),
 		guests:  make(map[hwthread.PTID]bool),
 		halted:  make(map[hwthread.PTID]bool),
@@ -495,15 +465,11 @@ func (c *Core) SetFatal(p hwthread.PTID, f *hwthread.Fault) {
 		c.fatalPTID = p
 		c.fatalFault = f
 	}
-	if c.OnFatal != nil {
-		c.OnFatal(p, f)
-	}
 }
 
 // FatalInfo returns the structured form of the first fatal fault: the ptid
-// that raised it and the fault itself (nil while healthy). State-based
-// harnesses use this instead of an OnFatal callback, which a restored run
-// cannot replay.
+// that raised it and the fault itself (nil while healthy). Checkpoints carry
+// it, so a restored run reports the fault its source run raised.
 func (c *Core) FatalInfo() (hwthread.PTID, *hwthread.Fault) {
 	return c.fatalPTID, c.fatalFault
 }

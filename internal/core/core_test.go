@@ -349,8 +349,6 @@ func TestNoHandlerIsFatal(t *testing.T) {
 	r := newRig(2, 2)
 	prog := asm.MustAssemble("f", "main:\n\tmovi r1, 1\n\tmovi r2, 0\n\tdiv r3, r1, r2\n\thalt")
 	r.c.BindProgram(0, prog, "main")
-	var fatalP hwthread.PTID = -1
-	r.c.OnFatal = func(p hwthread.PTID, f *hwthread.Fault) { fatalP = p }
 	r.c.BootStart(0)
 	r.run(t, 1000)
 	if r.c.Fatal() == nil {
@@ -359,8 +357,8 @@ func TestNoHandlerIsFatal(t *testing.T) {
 	if !strings.Contains(r.c.Fatal().Error(), "no-handler") {
 		t.Fatalf("fatal: %v", r.c.Fatal())
 	}
-	if fatalP != 0 {
-		t.Fatalf("OnFatal ptid %d", fatalP)
+	if p, f := r.c.FatalInfo(); p != 0 || f == nil {
+		t.Fatalf("FatalInfo = ptid %d, fault %v", p, f)
 	}
 }
 

@@ -17,7 +17,7 @@ func (f *fakeCore) WakeFromHalt(p hwthread.PTID)              {}
 func nicRig() (*sim.Shard, *mem.Memory, *NIC) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	m := mem.NewMemory()
-	dma := mem.NewDMA(m, mem.SrcDMA)
+	dma := mem.NewDMA(m)
 	nic := mustNIC(NICConfig{
 		RingBase: 0x10000,
 		BufBase:  0x20000,
@@ -77,7 +77,7 @@ func (f observerFunc) ObserveWrite(addr, val int64, src mem.WriteSource) { f(add
 func TestNICRingOverrunDrops(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	m := mem.NewMemory()
-	dma := mem.NewDMA(m, mem.SrcDMA)
+	dma := mem.NewDMA(m)
 	nic := mustNIC(NICConfig{
 		RingBase: 0x10000, BufBase: 0x20000,
 		TailAddr: 0x30000, HeadAddr: 0x30008,
@@ -107,7 +107,7 @@ func TestNICNoOverrunCheckWithoutHeadAddr(t *testing.T) {
 	nic := mustNIC(NICConfig{
 		RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000,
 		RingEntries: 2,
-	}, eng, mem.NewDMA(m, mem.SrcDMA), Signal{})
+	}, eng, mem.NewDMA(m), Signal{})
 	for i := 0; i < 5; i++ {
 		nic.Deliver([]int64{1})
 	}
@@ -129,7 +129,7 @@ func TestNICLegacyVector(t *testing.T) {
 		return 0
 	})
 	nic := mustNIC(NICConfig{RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000},
-		eng, mem.NewDMA(m, mem.SrcDMA), Signal{IRQ: ctrl, Vector: 33})
+		eng, mem.NewDMA(m), Signal{IRQ: ctrl, Vector: 33})
 	nic.Deliver([]int64{1})
 	eng.Run(0)
 	if fired != 1 {
@@ -144,7 +144,7 @@ func ssdRig() (*sim.Shard, *mem.Memory, *SSD) {
 		SQBase: 0x40000, CQBase: 0x50000,
 		DoorbellAddr: 0x9000_0000, CQTailAddr: 0x60000,
 		BaseLatency: 1000, PerWord: 2,
-	}, eng, mem.NewDMA(m, mem.SrcDMA), Signal{})
+	}, eng, mem.NewDMA(m), Signal{})
 	if err := m.MapMMIO(0x9000_0000, 8, ssd); err != nil {
 		panic(err)
 	}
@@ -250,7 +250,7 @@ func TestSSDLegacyVector(t *testing.T) {
 	ssd := mustSSD(SSDConfig{
 		SQBase: 0x40000, CQBase: 0x50000,
 		DoorbellAddr: 0x9000_0000, CQTailAddr: 0x60000,
-	}, eng, mem.NewDMA(m, mem.SrcDMA), Signal{IRQ: ctrl, Vector: 40})
+	}, eng, mem.NewDMA(m), Signal{IRQ: ctrl, Vector: 40})
 	m.MapMMIO(0x9000_0000, 8, ssd)
 	ssd.WriteSQE(m, 0, OpRead, 0, 0, 1)
 	m.Write(0x9000_0000, 1, mem.SrcCPU)
@@ -269,7 +269,7 @@ func TestNICDeliverAllocFree(t *testing.T) {
 	nic := mustNIC(NICConfig{
 		RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000, HeadAddr: 0x30008,
 		RingEntries: 4,
-	}, eng, mem.NewDMA(m, mem.SrcDMA), Signal{})
+	}, eng, mem.NewDMA(m), Signal{})
 	var seq int64
 	deliver := func() {
 		p := [...]int64{7, 8, seq}

@@ -15,7 +15,7 @@ func txRig() (*sim.Shard, *mem.Memory, *NIC) {
 		RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000,
 		TXRingBase: 0x40000, TXDoorbell: 0x9100_0000, TXCompAddr: 0x50000,
 		TXEntries: 4, TXCycles: 100,
-	}, eng, mem.NewDMA(m, mem.SrcDMA), Signal{})
+	}, eng, mem.NewDMA(m), Signal{})
 	if err := m.MapMMIO(0x9100_0000, 8, nic); err != nil {
 		panic(err)
 	}
@@ -95,7 +95,7 @@ func TestTXDisabledWithoutDoorbell(t *testing.T) {
 	m := mem.NewMemory()
 	nic := mustNIC(NICConfig{
 		RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000,
-	}, eng, mem.NewDMA(m, mem.SrcDMA), Signal{})
+	}, eng, mem.NewDMA(m), Signal{})
 	nic.MMIOWrite(0x1234, 5) // no-op
 	if nic.MMIORead(0x1234) != 0 {
 		t.Fatal("disabled TX register read")

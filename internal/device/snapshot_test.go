@@ -31,7 +31,7 @@ type deviceRig struct {
 func newDeviceRig() *deviceRig {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	m := mem.NewMemory()
-	dma := mem.NewDMA(m, mem.SrcDMA)
+	dma := mem.NewDMA(m)
 	d := &deviceRig{eng: eng, m: m}
 	d.nic = mustNIC(NICConfig{
 		RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000, HeadAddr: 0x30008,

@@ -33,7 +33,7 @@ func mustSSD(cfg SSDConfig, eng *sim.Shard, dma *mem.DMA, sig Signal) *SSD {
 
 func TestNICConfigRejections(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	dma := mem.NewDMA(mem.NewMemory(), mem.SrcDMA)
+	dma := mem.NewDMA(mem.NewMemory())
 	good := NICConfig{RingBase: 0x10000, BufBase: 0x20000, TailAddr: 0x30000}
 	if _, err := NewNIC(good, eng, dma, Signal{}); err != nil {
 		t.Fatalf("good config rejected: %v", err)
@@ -71,7 +71,7 @@ func TestNICConfigRejections(t *testing.T) {
 
 func TestSSDConfigRejections(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
-	dma := mem.NewDMA(mem.NewMemory(), mem.SrcDMA)
+	dma := mem.NewDMA(mem.NewMemory())
 	good := SSDConfig{
 		SQBase: 0x40000, CQBase: 0x50000,
 		DoorbellAddr: 0x9000_0000, CQTailAddr: 0x60000,

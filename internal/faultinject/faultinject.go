@@ -8,7 +8,7 @@
 //   - spurious and coalesced monitor wakeups in internal/monitor;
 //   - transient (retryable, ECC-style) state-transfer errors in
 //     internal/statestore;
-//   - thread faults injected mid-request in internal/kernel.
+//   - thread faults injected mid-packet in internal/netstack.
 //
 // A Plan is pure data: probabilities and latencies plus a seed. An Injector
 // is the runtime half — one per machine, created by machine.New when the
@@ -73,10 +73,10 @@ type Plan struct {
 	TransferRetries   int
 	TransferRetryCost sim.Cycles
 
-	// RequestFaultP is the per-request probability that a served request
-	// faults mid-service. The queueing server accounts an exception
-	// descriptor and requeues the request with RequestFaultPenalty extra
-	// demand; the request still completes (degraded, never lost).
+	// RequestFaultP is the per-packet probability that the netstack RX
+	// service faults mid-packet. The service redoes the packet's protocol
+	// processing after RequestFaultPenalty extra cycles; the packet is still
+	// delivered (degraded, never lost).
 	RequestFaultP       float64
 	RequestFaultPenalty sim.Cycles
 }
@@ -288,9 +288,9 @@ func (i *Injector) TransferRetryCost() sim.Cycles {
 	return i.plan.TransferRetryCost
 }
 
-// RequestFault is polled once per admitted request. When it fires, the
-// request faults mid-service: the server accounts an exception descriptor
-// and requeues it with penalty extra demand.
+// RequestFault is polled once per packet the netstack RX service delivers.
+// When it fires, the packet faults mid-service: the service pays penalty
+// and redoes the packet's protocol processing.
 func (i *Injector) RequestFault() (penalty sim.Cycles, ok bool) {
 	if i == nil || i.plan.RequestFaultP <= 0 {
 		return 0, false

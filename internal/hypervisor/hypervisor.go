@@ -28,7 +28,8 @@ import (
 )
 
 // ExitKind classifies an exit by the work it needs. The guest passes it in
-// r1 when executing VMCALL (privileged instructions are classified as CPU).
+// r1 when executing VMCALL. Privileged instructions, and any value other
+// than ExitIO, are priced as ExitCPU.
 type ExitKind int64
 
 const (
@@ -36,15 +37,6 @@ const (
 	ExitCPU ExitKind = iota + 1
 	// ExitIO needs kernel help (device access, page fault I/O).
 	ExitIO
-	// ExitSetVTID is the thread-management hypercall: the guest asks for a
-	// TDT row mapping one of its vtids (r2) to another of its OWN vcpus
-	// (r3, guest-local index) with permissions r4. This is §3's reason
-	// vtids exist at all — "To facilitate virtualization, instruction
-	// operands specify virtual thread identifiers, transparently mapped to
-	// ptids": the guest never sees a physical ptid; the hypervisor
-	// translates and installs the row, and thereafter the guest runs
-	// start/stop/rpull/rpush at full hardware speed with no further exits.
-	ExitSetVTID
 )
 
 // Config prices the hypervisor's own work.
@@ -53,10 +45,6 @@ type Config struct {
 	EmulateCost sim.Cycles
 	// IOCost is the kernel-side work for I/O exits (default 2000).
 	IOCost sim.Cycles
-	// GuestTDTBase, when non-zero, enables guest thread management
-	// (ExitSetVTID): each guest vcpu gets a hypervisor-managed TDT at
-	// GuestTDTBase + 0x1000*i, and the hypercall installs rows into it.
-	GuestTDTBase int64
 }
 
 func (c *Config) setDefaults() {
@@ -151,11 +139,6 @@ func ServeGuests(k *kernel.Nocs, guests []hwthread.PTID, descBase int64,
 		t.Regs.EDP = edp
 		c.MarkGuest(g, true)
 		doorbells[i] = edp + hwthread.DescCauseOff
-		if cfg.GuestTDTBase != 0 {
-			// The guest's TDT lives in hypervisor-owned memory; the guest
-			// populates it only through the ExitSetVTID hypercall.
-			t.Regs.TDT = cfg.GuestTDTBase + int64(i)*0x1000
-		}
 	}
 
 	if kernelMailbox != 0 {
@@ -197,21 +180,6 @@ func ServeGuests(k *kernel.Nocs, guests []hwthread.PTID, descBase int64,
 				cost += cfg.EmulateCost
 				guest := c.Threads().Context(g)
 				kind := ExitKind(guest.Regs.GPR[1])
-				if kind == ExitSetVTID {
-					// Thread-management hypercall: translate the guest's
-					// vcpu index to a physical ptid and install the row.
-					vtid := hwthread.VTID(guest.Regs.GPR[2])
-					vcpu := guest.Regs.GPR[3]
-					perm := hwthread.Perm(guest.Regs.GPR[4])
-					if cfg.GuestTDTBase == 0 || vcpu < 0 || vcpu >= int64(len(guests)) || vtid < 0 {
-						guest.Regs.GPR[1] = -1
-					} else {
-						hwthread.WriteTDTEntry(c.Mem(), guest.Regs.TDT, vtid,
-							hwthread.Entry{PTID: guests[vcpu], Perm: perm})
-						guest.InvalidateVTID(vtid) // invtid on the guest's behalf
-						guest.Regs.GPR[1] = 0
-					}
-				}
 				if kind == ExitIO && kernelMailbox != 0 {
 					// Hand off to the kernel hardware thread once the
 					// hypervisor-side work is done; the kernel thread

@@ -275,90 +275,3 @@ func TestNocsChainFasterThanLegacyUntrusted(t *testing.T) {
 		t.Fatalf("nocs chain %v not faster than legacy untrusted %v", nocs, legacy)
 	}
 }
-
-func TestGuestThreadManagementHypercall(t *testing.T) {
-	// §3's virtualization story: vcpu0 asks the hypervisor to map vtid 5 to
-	// its own vcpu1, then starts vcpu1 NATIVELY — no further exits.
-	m := machine.New()
-	k := kernel.NewNocs(m.Core(0))
-	vcpu0 := asm.MustAssemble("vcpu0", `
-main:
-	movi r1, 3      ; ExitSetVTID
-	movi r2, 5      ; vtid to install
-	movi r3, 1      ; guest-local vcpu index
-	movi r4, 8      ; perms 0b1000 = start only
-	vmcall
-	movi r9, 0
-	bne r1, r9, fail
-	movi r5, 5
-	start r5        ; native start through the installed mapping: NO exit
-	movi r9, 1
-	halt
-fail:
-	halt
-`)
-	vcpu1 := asm.MustAssemble("vcpu1", "main:\n\tmovi r8, 77\n\thalt")
-	m.Core(0).BindProgram(0, vcpu0, "main")
-	m.Core(0).BindProgram(1, vcpu1, "main")
-	h, err := ServeGuests(k, []hwthread.PTID{0, 1}, 0x900000, 0,
-		Config{GuestTDTBase: 0xD00000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Run(0)
-	m.Core(0).BootStart(0)
-	m.Run(0)
-	if m.Fatal() != nil {
-		t.Fatal(m.Fatal())
-	}
-	g0 := m.Core(0).Threads().Context(0)
-	if g0.Regs.GPR[9] != 1 {
-		t.Fatalf("vcpu0 failed the hypercall path (r9=%d r1=%d)", g0.Regs.GPR[9], g0.Regs.GPR[1])
-	}
-	if got := m.Core(0).Threads().Context(1).Regs.GPR[8]; got != 77 {
-		t.Fatalf("vcpu1 did not run (r8=%d)", got)
-	}
-	// Exactly ONE exit: the hypercall. The start was pure hardware.
-	if h.Exits() != 1 {
-		t.Fatalf("exits = %d, want 1", h.Exits())
-	}
-}
-
-func TestGuestHypercallValidation(t *testing.T) {
-	m := machine.New()
-	k := kernel.NewNocs(m.Core(0))
-	guest := asm.MustAssemble("g", `
-main:
-	movi r1, 3
-	movi r2, 5
-	movi r3, 9      ; out-of-range vcpu
-	movi r4, 8
-	vmcall
-	mov r9, r1      ; expect -1
-	halt
-`)
-	m.Core(0).BindProgram(0, guest, "main")
-	if _, err := ServeGuests(k, []hwthread.PTID{0}, 0x900000, 0,
-		Config{GuestTDTBase: 0xD00000}); err != nil {
-		t.Fatal(err)
-	}
-	m.Run(0)
-	m.Core(0).BootStart(0)
-	m.Run(0)
-	if got := m.Core(0).Threads().Context(0).Regs.GPR[9]; got != -1 {
-		t.Fatalf("bad hypercall returned %d, want -1", got)
-	}
-	// Without GuestTDTBase the hypercall is refused too.
-	m2 := machine.New()
-	k2 := kernel.NewNocs(m2.Core(0))
-	m2.Core(0).BindProgram(0, guest, "main")
-	if _, err := ServeGuests(k2, []hwthread.PTID{0}, 0x900000, 0, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	m2.Run(0)
-	m2.Core(0).BootStart(0)
-	m2.Run(0)
-	if got := m2.Core(0).Threads().Context(0).Regs.GPR[9]; got != -1 {
-		t.Fatalf("hypercall without TDT base returned %d, want -1", got)
-	}
-}

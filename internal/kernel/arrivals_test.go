@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"nocs/internal/faultinject"
 	"nocs/internal/sim"
 	"nocs/internal/workload"
 )
@@ -26,8 +25,7 @@ type orderServer interface {
 }
 
 // orderServers builds each discipline and variant under test on eng,
-// reporting completions to out. Fault injectors are rebuilt per call from
-// one seed, so every submission mode sees the same fault draws.
+// reporting completions to out.
 var orderServers = []struct {
 	name  string
 	build func(eng *sim.Shard, out func(Completion)) (orderServer, string)
@@ -35,22 +33,12 @@ var orderServers = []struct {
 	{"fcfs", func(eng *sim.Shard, out func(Completion)) (orderServer, string) {
 		return NewFCFS(eng, 2, 100, out), "fcfs-arrival"
 	}},
-	{"fcfs-faulted", func(eng *sim.Shard, out func(Completion)) (orderServer, string) {
-		s := NewFCFS(eng, 2, 100, out)
-		s.Faults = faultinject.New(faultinject.Plan{Seed: 7, RequestFaultP: 0.1, RequestFaultPenalty: 300})
-		return s, "fcfs-arrival"
-	}},
 	{"ps", func(eng *sim.Shard, out func(Completion)) (orderServer, string) {
 		return NewPS(eng, 2, 100, out), "ps-arrival"
 	}},
 	{"ps-maxactive", func(eng *sim.Shard, out func(Completion)) (orderServer, string) {
 		s := NewPS(eng, 2, 100, out)
 		s.MaxActive = 3
-		return s, "ps-arrival"
-	}},
-	{"ps-faulted", func(eng *sim.Shard, out func(Completion)) (orderServer, string) {
-		s := NewPS(eng, 2, 100, out)
-		s.Faults = faultinject.New(faultinject.Plan{Seed: 7, RequestFaultP: 0.1, RequestFaultPenalty: 300})
 		return s, "ps-arrival"
 	}},
 	{"timeslice", func(eng *sim.Shard, out func(Completion)) (orderServer, string) {

@@ -25,7 +25,6 @@ import (
 	"slices"
 	"strconv"
 
-	"nocs/internal/faultinject"
 	"nocs/internal/sim"
 	"nocs/internal/trace"
 	"nocs/internal/workload"
@@ -200,32 +199,22 @@ type FCFSServer struct {
 	K          int
 	Overhead   sim.Cycles
 	OnComplete func(Completion)
-	// Faults injects mid-request thread faults (nil = off). A faulted
-	// request runs half its service, writes an exception descriptor, and is
-	// requeued with its full demand plus the fault penalty — degraded
-	// latency, guaranteed completion. Each request faults at most once, so
-	// liveness is deterministic, not probabilistic.
-	Faults *faultinject.Injector
 
-	arr         arrivals
-	queue       sim.Ring[workload.Request]
-	busy        int
-	done        uint64
-	faulted     uint64
-	faultedOnce map[int]bool
-	lanes       *laneSet
+	arr   arrivals
+	queue sim.Ring[workload.Request]
+	busy  int
+	done  uint64
+	lanes *laneSet
 	// free recycles completion-event bodies: at most K are in flight, so the
 	// steady state schedules completions with zero allocations.
 	free sim.FreeList[fcfsDone]
 }
 
-// fcfsDone is a completion/fault event body: one per busy server.
+// fcfsDone is a completion event body: one per busy server.
 type fcfsDone struct {
 	s     *FCFSServer
 	r     workload.Request
-	total sim.Cycles // charged service time (halved service for faults)
-	pen   sim.Cycles
-	fault bool
+	total sim.Cycles // charged service time, overhead included
 }
 
 // NewFCFS builds an FCFS server pool.
@@ -264,63 +253,19 @@ func (s *FCFSServer) arrive(r workload.Request) {
 	s.dispatch()
 }
 
-// pollFault decides whether request r faults this dispatch (at most once
-// per request ID across requeues).
-func (s *FCFSServer) pollFault(r workload.Request) (sim.Cycles, bool) {
-	if s.Faults == nil || s.faultedOnce[r.ID] {
-		return 0, false
-	}
-	pen, ok := s.Faults.RequestFault()
-	if ok {
-		if s.faultedOnce == nil {
-			s.faultedOnce = make(map[int]bool)
-		}
-		s.faultedOnce[r.ID] = true
-	}
-	return pen, ok
-}
-
 func (s *FCFSServer) dispatch() {
 	for s.busy < s.K && s.queue.Len() > 0 {
 		r := s.queue.Pop()
 		s.busy++
-		total := s.Overhead + r.Demand
 		d := s.free.Get()
-		d.s, d.r = s, r
-		if pen, ok := s.pollFault(r); ok {
-			// The request faults mid-service: the hardware writes an
-			// exception descriptor and disables the thread; the kernel's
-			// response is to requeue the request (with the descriptor-
-			// handling penalty folded into its demand) rather than lose it.
-			partial := total / 2
-			if partial < 1 {
-				partial = 1
-			}
-			s.faulted++
-			d.total, d.pen, d.fault = partial, pen, true
-			s.eng.AfterCallback(partial, "fcfs-fault", d)
-			continue
-		}
-		d.total, d.pen, d.fault = total, 0, false
-		s.eng.AfterCallback(total, "fcfs-done", d)
+		d.s, d.r, d.total = s, r, s.Overhead+r.Demand
+		s.eng.AfterCallback(d.total, "fcfs-done", d)
 	}
 }
 
 func (d *fcfsDone) OnEvent() {
 	s := d.s
 	s.busy--
-	if d.fault {
-		if s.lanes != nil {
-			now := int64(s.eng.Now())
-			s.lanes.span("fault", "req"+strconv.Itoa(d.r.ID), now-int64(d.total), now)
-		}
-		r2 := d.r
-		r2.Demand += d.pen
-		s.free.Put(d)
-		s.queue.Push(r2)
-		s.dispatch()
-		return
-	}
 	s.done++
 	if s.lanes != nil {
 		now := int64(s.eng.Now())
@@ -350,11 +295,6 @@ type PSServer struct {
 	// models a finite hardware-thread pool: arrivals beyond the cap queue
 	// FCFS until a thread frees up (ablation A1).
 	MaxActive int
-	// Faults injects mid-request thread faults (nil = off). A faulted
-	// request reaches half its service, takes an exception descriptor, and
-	// restarts on the same hardware thread with full demand plus the fault
-	// penalty. At most one fault per request: completion is guaranteed.
-	Faults *faultinject.Injector
 
 	arr        arrivals
 	active     []*psReq
@@ -363,7 +303,6 @@ type PSServer struct {
 	nextEv     sim.Handle
 	nextTarget *psReq
 	done       uint64
-	faulted    uint64
 	// free recycles psReq bodies; finBuf is the reused simultaneous-finisher
 	// buffer (replaces a fresh slice + sort.Slice closure per completion).
 	free   sim.FreeList[psReq]
@@ -377,9 +316,6 @@ type PSServer struct {
 type psReq struct {
 	r         workload.Request
 	remaining float64
-	// faultPen > 0 marks a request that will fault when its (halved)
-	// remaining drains; the value is the requeue penalty.
-	faultPen sim.Cycles
 }
 
 // NewPS builds a processor-sharing server of capacity c.
@@ -435,17 +371,6 @@ func (s *PSServer) arrive(r workload.Request) {
 func (s *PSServer) admit(r workload.Request) {
 	a := s.free.Get()
 	*a = psReq{r: r, remaining: float64(s.Overhead + r.Demand)}
-	if s.Faults != nil {
-		if pen, ok := s.Faults.RequestFault(); ok {
-			// Fault halfway through service; the requeue happens in OnEvent
-			// when the halved remaining drains.
-			a.remaining /= 2
-			if a.remaining < 1 {
-				a.remaining = 1
-			}
-			a.faultPen = pen
-		}
-	}
 	s.active = append(s.active, a)
 }
 
@@ -514,17 +439,6 @@ func (s *PSServer) OnEvent() {
 	kept := s.active[:0]
 	for _, a := range s.active {
 		if a.remaining <= 1e-9 || a == target {
-			if a.faultPen > 0 {
-				// Mid-request fault: exception descriptor written, thread
-				// restarted on the same hardware thread with full demand
-				// plus the penalty. The request stays active — degraded,
-				// never lost.
-				a.remaining = float64(s.Overhead + a.r.Demand + a.faultPen)
-				a.faultPen = 0
-				s.faulted++
-				kept = append(kept, a)
-				continue
-			}
 			finished = append(finished, a)
 			continue
 		}

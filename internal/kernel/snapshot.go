@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"nocs/internal/hwthread"
 	"nocs/internal/sim"
@@ -28,6 +27,18 @@ import (
 //
 // Trace lanes (EnableTrace) are wiring and re-base like every other tracer;
 // OnComplete callbacks are re-attached by the restore target's driver.
+//
+// The FCFS and PS sections keep slots for the request faults the servers
+// once injected: FCFS's fault count, its list of requests that had faulted
+// and each completion record's penalty and fault flag, and PS's fault count
+// and each active request's penalty. No server faults a request, so the
+// slots are written as zeros and empty lists, which keeps NOCSNAP1 bytes
+// unchanged, and a checkpoint with any of them set is refused with
+// ErrFaultState.
+
+// ErrFaultState reports an FCFS or PS section that carries request-fault
+// state.
+var ErrFaultState = errors.New("snapshot carries request-fault state")
 
 // ErrBusyCount reports a server checkpoint whose busy count a live server
 // could not have written: each busy server has exactly one in-flight
@@ -142,15 +153,7 @@ func (a *arrivals) restoreState(r *snapshot.R) error {
 // SnapshotState writes the FCFS server's dynamic state.
 func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 	snapshotRequests(w, s.queue.Items())
-	w.U64(uint64(s.busy)).U64(s.done).U64(s.faulted)
-	once := make([]int64, 0, len(s.faultedOnce))
-	for id, v := range s.faultedOnce {
-		if v {
-			once = append(once, int64(id))
-		}
-	}
-	sort.Slice(once, func(i, j int) bool { return once[i] < once[j] })
-	w.I64s(once)
+	w.U64(uint64(s.busy)).U64(s.done).U64(0).Len(0)
 
 	dones := s.eng.ClaimLive(func(cb sim.Callback) bool {
 		v, ok := cb.(*fcfsDone)
@@ -162,7 +165,7 @@ func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 		d := ev.CB.(*fcfsDone)
 		w.I64(int64(ev.At)).U64(ev.Seq)
 		d.r.SnapshotState(w)
-		w.I64(int64(d.total)).I64(int64(d.pen)).Bool(d.fault)
+		w.I64(int64(d.total)).I64(0).Bool(false)
 	}
 	return nil
 }
@@ -173,13 +176,9 @@ func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 	restoreRequests(r, &s.queue)
 	busy := r.U64()
-	s.done, s.faulted = r.U64(), r.U64()
-	s.faultedOnce = nil
-	if once := r.I64s(); len(once) > 0 {
-		s.faultedOnce = make(map[int]bool, len(once))
-		for _, id := range once {
-			s.faultedOnce[int(id)] = true
-		}
+	s.done = r.U64()
+	if faulted, once := r.U64(), r.Len(8); faulted != 0 || once != 0 {
+		return fmt.Errorf("kernel: fcfs: %w: %d faulted, %d faulted once", ErrFaultState, faulted, once)
 	}
 	if err := s.arr.restoreState(r); err != nil {
 		return err
@@ -192,11 +191,11 @@ func (s *FCFSServer) RestoreState(r *snapshot.R) error {
 	for range nd {
 		d := s.free.Get()
 		d.s = s
-		h := s.eng.ReadEvent(r, "fcfs-done", d)
+		s.eng.ReadEvent(r, "fcfs-done", d)
 		d.r = workload.RestoreRequest(r)
-		d.total, d.pen, d.fault = sim.Cycles(r.I64()), sim.Cycles(r.I64()), r.Bool()
-		if d.fault {
-			s.eng.Rename(h, "fcfs-fault")
+		d.total = sim.Cycles(r.I64())
+		if pen, fault := r.I64(), r.Bool(); pen != 0 || fault {
+			return fmt.Errorf("kernel: fcfs: %w: request %d has penalty %d, fault %v", ErrFaultState, d.r.ID, pen, fault)
 		}
 	}
 	return r.Err()
@@ -214,10 +213,10 @@ func (s *PSServer) SnapshotState(w *snapshot.W) error {
 	w.Len(len(active))
 	for _, a := range active {
 		a.r.SnapshotState(w)
-		w.F64(a.remaining).I64(int64(a.faultPen))
+		w.F64(a.remaining).I64(0)
 	}
 	snapshotRequests(w, s.pending.Items())
-	w.I64(int64(s.lastUpdate)).U64(s.done).U64(s.faulted)
+	w.I64(int64(s.lastUpdate)).U64(s.done).U64(0)
 
 	w.Bool(s.nextEv != sim.NoEvent)
 	if s.nextEv != sim.NoEvent {
@@ -236,11 +235,17 @@ func (s *PSServer) RestoreState(r *snapshot.R) error {
 	s.active = s.active[:0]
 	for range r.Len(40) {
 		a := s.free.Get()
-		*a = psReq{r: workload.RestoreRequest(r), remaining: r.F64(), faultPen: sim.Cycles(r.I64())}
+		*a = psReq{r: workload.RestoreRequest(r), remaining: r.F64()}
 		s.active = append(s.active, a)
+		if pen := r.I64(); pen != 0 {
+			return fmt.Errorf("kernel: ps: %w: request %d has penalty %d", ErrFaultState, a.r.ID, pen)
+		}
 	}
 	restoreRequests(r, &s.pending)
-	s.lastUpdate, s.done, s.faulted = sim.Cycles(r.I64()), r.U64(), r.U64()
+	s.lastUpdate, s.done = sim.Cycles(r.I64()), r.U64()
+	if faulted := r.U64(); faulted != 0 {
+		return fmt.Errorf("kernel: ps: %w: %d faulted", ErrFaultState, faulted)
+	}
 	s.finBuf = s.finBuf[:0]
 	s.nextEv, s.nextTarget = sim.NoEvent, nil
 	if r.Bool() {

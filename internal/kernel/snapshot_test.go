@@ -3,14 +3,15 @@ package kernel
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"nocs/internal/faultinject"
 	"nocs/internal/sim"
 	"nocs/internal/snapshot"
 	"nocs/internal/workload"
@@ -24,32 +25,18 @@ type compRec struct {
 
 // buildQueueCase constructs one discipline on a fresh engine with a
 // completion collector, plus the checkpoint components for it.
-func buildQueueCase(kind string, eng *sim.Shard, faults bool, out *[]compRec) (QueueServer, []Component) {
+func buildQueueCase(kind string, eng *sim.Shard, out *[]compRec) (QueueServer, []Component) {
 	collect := func(c Completion) {
 		*out = append(*out, compRec{c.Req.ID, c.Finish, c.Latency})
-	}
-	var inj *faultinject.Injector
-	if faults {
-		inj = faultinject.New(faultinject.Plan{Seed: 0xfa017, RequestFaultP: 0.05, RequestFaultPenalty: 1500})
 	}
 	switch kind {
 	case "fcfs":
 		s := NewFCFS(eng, 2, 120, collect)
-		s.Faults = inj
-		comps := []Component{{Name: "fcfs", C: s}}
-		if inj != nil {
-			comps = append(comps, Component{Name: "faults", C: inj})
-		}
-		return s, comps
+		return s, []Component{{Name: "fcfs", C: s}}
 	case "ps":
 		s := NewPS(eng, 2, 60, collect)
 		s.MaxActive = 6
-		s.Faults = inj
-		comps := []Component{{Name: "ps", C: s}}
-		if inj != nil {
-			comps = append(comps, Component{Name: "faults", C: inj})
-		}
-		return s, comps
+		return s, []Component{{Name: "ps", C: s}}
 	case "ts":
 		s := NewTimeslice(eng, 2, 400, 90, collect)
 		return s, []Component{{Name: "ts", C: s}}
@@ -64,18 +51,8 @@ func queueReqs() []workload.Request {
 	return workload.Generate(300, 0, arr, svc)
 }
 
-// queueCases lists the discipline variants the checkpoint tests cover.
-var queueCases = []struct {
-	kind   string
-	faults bool
-}{{"fcfs", false}, {"fcfs", true}, {"ps", false}, {"ps", true}, {"ts", false}}
-
-func queueCaseName(kind string, faults bool) string {
-	if faults {
-		return kind + "-faulted"
-	}
-	return kind
-}
+// queueCases lists the disciplines the checkpoint tests cover.
+var queueCases = []string{"fcfs", "ps", "ts"}
 
 // submitQueue hands reqs to srv in one SubmitAll, or one Submit per request.
 func submitQueue(srv QueueServer, reqs []workload.Request, each bool) {
@@ -94,21 +71,21 @@ func submitQueue(srv QueueServer, reqs []workload.Request, each bool) {
 // the straight-through run's. Re-serializing the restored shard must give
 // the original bytes (tombstones from PS's cancel-heavy rescheduling
 // included).
-func checkQueueRoundTrip(t *testing.T, kind string, faults bool, checkpoint sim.Cycles, each bool) {
+func checkQueueRoundTrip(t *testing.T, kind string, checkpoint sim.Cycles, each bool) {
 	t.Helper()
 	reqs := queueReqs()
 
 	// Straight-through reference stream.
 	var full []compRec
 	engR := sim.SoloShard(sim.NewEngine(nil))
-	srvR, _ := buildQueueCase(kind, engR, faults, &full)
+	srvR, _ := buildQueueCase(kind, engR, &full)
 	submitQueue(srvR, reqs, each)
 	engR.Run(0)
 
 	// Checkpointed run: prefix on A, snapshot, suffix on B.
 	var prefix []compRec
 	engA := sim.SoloShard(sim.NewEngine(nil))
-	srvA, compsA := buildQueueCase(kind, engA, faults, &prefix)
+	srvA, compsA := buildQueueCase(kind, engA, &prefix)
 	submitQueue(srvA, reqs, each)
 	engA.RunUntil(checkpoint)
 
@@ -127,7 +104,7 @@ func checkQueueRoundTrip(t *testing.T, kind string, faults bool, checkpoint sim.
 
 	var suffix []compRec
 	engB := sim.SoloShard(sim.NewEngine(nil))
-	_, compsB := buildQueueCase(kind, engB, faults, &suffix)
+	_, compsB := buildQueueCase(kind, engB, &suffix)
 	if err := RestoreShard(snap, engB, compsB...); err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +134,12 @@ func checkQueueRoundTrip(t *testing.T, kind string, faults bool, checkpoint sim.
 }
 
 // TestQueueServerSnapshotRoundTrip checkpoints each discipline mid-run —
-// requests queued, in service, and still arriving; for the faulted variants
-// the injector RNG cursor mid-stream — and requires restore + run to equal
-// the straight-through run.
+// requests queued, in service, and still arriving — and requires restore +
+// run to equal the straight-through run.
 func TestQueueServerSnapshotRoundTrip(t *testing.T) {
-	for _, c := range queueCases {
-		t.Run(queueCaseName(c.kind, c.faults), func(t *testing.T) {
-			checkQueueRoundTrip(t, c.kind, c.faults, 120_000, false)
+	for _, kind := range queueCases {
+		t.Run(kind, func(t *testing.T) {
+			checkQueueRoundTrip(t, kind, 120_000, false)
 		})
 	}
 }
@@ -173,12 +149,12 @@ func TestQueueServerSnapshotRoundTrip(t *testing.T) {
 // batch still queued), early, and with only the tail left — for bulk and
 // per-request submission alike.
 func TestQueueServerSnapshotMidStream(t *testing.T) {
-	for _, c := range queueCases {
+	for _, kind := range queueCases {
 		for _, checkpoint := range []sim.Cycles{0, 40_000, 250_000} {
 			for _, each := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%d/each=%v", queueCaseName(c.kind, c.faults), checkpoint, each)
+				name := fmt.Sprintf("%s/%d/each=%v", kind, checkpoint, each)
 				t.Run(name, func(t *testing.T) {
-					checkQueueRoundTrip(t, c.kind, c.faults, checkpoint, each)
+					checkQueueRoundTrip(t, kind, checkpoint, each)
 				})
 			}
 		}
@@ -190,7 +166,7 @@ func TestQueueServerSnapshotMidStream(t *testing.T) {
 func TestSnapshotShardUnclaimedEvent(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	var sink []compRec
-	_, comps := buildQueueCase("fcfs", eng, false, &sink)
+	_, comps := buildQueueCase("fcfs", eng, &sink)
 	eng.After(10, "bench-glue", func() {})
 	err := SnapshotShard(snapshot.NewBuilder(), eng, comps...)
 	if err == nil || !strings.Contains(err.Error(), "bench-glue") {
@@ -205,22 +181,19 @@ func TestSnapshotShardUnclaimedEvent(t *testing.T) {
 // records however the server holds them internally, so a change to the
 // arrival bookkeeping must leave these hashes alone.
 var queueSnapshotGolden = map[string]string{
-	"fcfs":         "892a801127f13491be05ff89a910afd50bb89866ea441d1661623a17aac872b6", // 7088 bytes
-	"fcfs-faulted": "68ee6183bbbc34d3315ad0091ef49be2563a6a407f91fcba19bbd1180149a8b9", // 7439 bytes
-	"ps":           "37eb456128e74fd5a0e1718f0eaf456af87d717c7f054a0e2b5022a6f1d347c2", // 7173 bytes
-	"ps-faulted":   "be2debace7dd323c150a9e071b9b91cddfd52fea557a5bfce207ed952c35750b", // 7184 bytes
-	"ts":           "84bffb761f49ab83b9e205492cd1ef472406597621f35a6a03b279736e71ac10", // 7256 bytes
+	"fcfs": "892a801127f13491be05ff89a910afd50bb89866ea441d1661623a17aac872b6", // 7088 bytes
+	"ps":   "37eb456128e74fd5a0e1718f0eaf456af87d717c7f054a0e2b5022a6f1d347c2", // 7173 bytes
+	"ts":   "84bffb761f49ab83b9e205492cd1ef472406597621f35a6a03b279736e71ac10", // 7256 bytes
 }
 
 func TestQueueServerSnapshotGolden(t *testing.T) {
-	for _, c := range queueCases {
+	for _, name := range queueCases {
 		// Per-request Submit reserves the same sequence numbers as one
 		// SubmitAll, so both must write the pinned bytes.
 		for _, each := range []bool{false, true} {
-			name := queueCaseName(c.kind, c.faults)
 			var sink []compRec
 			eng := sim.SoloShard(sim.NewEngine(nil))
-			srv, comps := buildQueueCase(c.kind, eng, c.faults, &sink)
+			srv, comps := buildQueueCase(name, eng, &sink)
 			submitQueue(srv, queueReqs(), each)
 			eng.RunUntil(120_000)
 			b := snapshot.NewBuilder()
@@ -313,7 +286,7 @@ func encodeShard(t *testing.T, eng *sim.Shard, comps ...Component) []byte {
 func TestSnapshotShardEventWrittenTwice(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	var sink []compRec
-	srv, comps := buildQueueCase("fcfs", eng, false, &sink)
+	srv, comps := buildQueueCase("fcfs", eng, &sink)
 	srv.SubmitAll(queueReqs())
 	eng.RunUntil(120_000)
 	comps = append(comps, Component{Name: "fcfs-again", C: comps[0].C})
@@ -341,12 +314,12 @@ func (f *flakyCodec) RestoreState(*snapshot.R) error { return nil }
 // set, so a snapshot that failed part-way and is then retried succeeds and
 // writes the bytes of a pass that never failed.
 func TestSnapshotShardRetryAfterFailure(t *testing.T) {
-	for _, c := range queueCases {
-		t.Run(queueCaseName(c.kind, c.faults), func(t *testing.T) {
+	for _, kind := range queueCases {
+		t.Run(kind, func(t *testing.T) {
 			snap := func(failFirst bool) []byte {
 				eng := sim.SoloShard(sim.NewEngine(nil))
 				var sink []compRec
-				srv, comps := buildQueueCase(c.kind, eng, c.faults, &sink)
+				srv, comps := buildQueueCase(kind, eng, &sink)
 				srv.SubmitAll(queueReqs())
 				eng.RunUntil(120_000)
 				comps = append(comps, Component{Name: "flaky", C: &flakyCodec{failed: !failFirst}})
@@ -394,7 +367,7 @@ func TestRestoreRejectsBadBusyCount(t *testing.T) {
 			t.Run(kind+"/"+tc.name, func(t *testing.T) {
 				var sink []compRec
 				eng := sim.SoloShard(sim.NewEngine(nil))
-				srv, comps := buildQueueCase(kind, eng, false, &sink)
+				srv, comps := buildQueueCase(kind, eng, &sink)
 				srv.SubmitAll(queueReqs())
 				eng.RunUntil(120_000)
 				busy, _ := busyAndK(srv)
@@ -408,7 +381,7 @@ func TestRestoreRejectsBadBusyCount(t *testing.T) {
 				}
 
 				dstEng := sim.SoloShard(sim.NewEngine(nil))
-				dst, dstComps := buildQueueCase(kind, dstEng, false, &sink)
+				dst, dstComps := buildQueueCase(kind, dstEng, &sink)
 				if tc.k > 0 {
 					_, k := busyAndK(dst)
 					*k = tc.k
@@ -425,5 +398,103 @@ func TestRestoreRejectsBadBusyCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// splicedCodec writes srv's section with the bytes [off, off+del) replaced
+// by ins; a negative off counts from the section's end.
+type splicedCodec struct {
+	srv      snapshot.Codec
+	off, del int
+	ins      []byte
+}
+
+func (c splicedCodec) SnapshotState(w *snapshot.W) error {
+	b := snapshot.NewBuilder()
+	if err := c.srv.SnapshotState(b.Section("s")); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		return err
+	}
+	snap, err := snapshot.Decode(buf.Bytes())
+	if err != nil {
+		return err
+	}
+	r, err := snap.Section("s")
+	if err != nil {
+		return err
+	}
+	raw := make([]byte, r.Remaining())
+	for i := range raw {
+		raw[i] = r.U8()
+	}
+	off := c.off
+	if off < 0 {
+		off += len(raw)
+	}
+	raw = slices.Concat(raw[:off], c.ins, raw[off+c.del:])
+	copy(w.Reserve(len(raw)), raw)
+	return nil
+}
+
+func (c splicedCodec) RestoreState(r *snapshot.R) error { return c.srv.RestoreState(r) }
+
+// TestRestoreRejectsFaultState: no FCFS or PS server faults a request, so a
+// section whose kept fault slots are set must fail restore with
+// ErrFaultState, naming the section. Each slot is set in a checkpoint taken
+// at cycle 120000 of the queueReqs batch, where both FCFS servers are busy
+// and PS has active requests.
+func TestRestoreRejectsFaultState(t *testing.T) {
+	const req = 24 // bytes per encoded request: ID, arrival, demand
+	u64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	for _, tc := range []struct {
+		kind, name string
+		// splice returns where to splice what into srv's section.
+		splice func(srv QueueServer) (off, del int, ins []byte)
+	}{
+		{"fcfs", "valid", func(QueueServer) (int, int, []byte) { return 0, 0, nil }},
+		{"fcfs", "faulted", func(srv QueueServer) (int, int, []byte) {
+			return 4 + req*srv.(*FCFSServer).queue.Len() + 16, 8, u64(1)
+		}},
+		{"fcfs", "faulted once", func(srv QueueServer) (int, int, []byte) {
+			// A one-entry list: its length, then request ID 5.
+			return 4 + req*srv.(*FCFSServer).queue.Len() + 24, 4, append([]byte{1, 0, 0, 0}, u64(5)...)
+		}},
+		{"fcfs", "record penalty", func(QueueServer) (int, int, []byte) { return -9, 8, u64(300) }},
+		{"fcfs", "record fault", func(QueueServer) (int, int, []byte) { return -1, 1, []byte{1} }},
+		{"ps", "valid", func(QueueServer) (int, int, []byte) { return 0, 0, nil }},
+		{"ps", "faulted", func(srv QueueServer) (int, int, []byte) {
+			s := srv.(*PSServer)
+			return 4 + (req+16)*len(s.active) + 4 + req*s.pending.Len() + 16, 8, u64(1)
+		}},
+		{"ps", "record penalty", func(QueueServer) (int, int, []byte) { return 4 + req + 8, 8, u64(300) }},
+	} {
+		t.Run(tc.kind+"/"+tc.name, func(t *testing.T) {
+			var sink []compRec
+			eng := sim.SoloShard(sim.NewEngine(nil))
+			srv, comps := buildQueueCase(tc.kind, eng, &sink)
+			srv.SubmitAll(queueReqs())
+			eng.RunUntil(120_000)
+			sc := splicedCodec{srv: comps[0].C}
+			sc.off, sc.del, sc.ins = tc.splice(srv)
+			snap, err := snapshot.Decode(encodeShard(t, eng, Component{Name: comps[0].Name, C: sc}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dstEng := sim.SoloShard(sim.NewEngine(nil))
+			_, dstComps := buildQueueCase(tc.kind, dstEng, &sink)
+			err = RestoreShard(snap, dstEng, dstComps...)
+			if tc.name == "valid" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrFaultState) || !strings.Contains(err.Error(), `section "srv/`+tc.kind+`"`) {
+				t.Fatalf("restore returned %v, want ErrFaultState naming section srv/%s", err, tc.kind)
+			}
+		})
 	}
 }

@@ -472,7 +472,7 @@ func (m *Machine) NewNIC(cfg device.NICConfig, sig device.Signal) (*device.NIC, 
 // window all live on that shard, so it must signal cores of the same shard.
 func (m *Machine) NewNICOn(s sim.ShardID, cfg device.NICConfig, sig device.Signal) (*device.NIC, error) {
 	st := &m.shards[s]
-	dma := mem.NewDMA(st.mem, mem.SrcDMA)
+	dma := mem.NewDMA(st.mem)
 	n, err := device.NewNIC(cfg, st.sh, dma, sig)
 	if err != nil {
 		return nil, err
@@ -497,7 +497,7 @@ func (m *Machine) NewSSD(cfg device.SSDConfig, sig device.Signal) (*device.SSD, 
 // NewSSDOn attaches an SSD to shard s.
 func (m *Machine) NewSSDOn(s sim.ShardID, cfg device.SSDConfig, sig device.Signal) (*device.SSD, error) {
 	st := &m.shards[s]
-	dma := mem.NewDMA(st.mem, mem.SrcDMA)
+	dma := mem.NewDMA(st.mem)
 	ssd, err := device.NewSSD(cfg, st.sh, dma, sig)
 	if err != nil {
 		return nil, err

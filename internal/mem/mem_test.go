@@ -116,7 +116,7 @@ func TestDMAPort(t *testing.T) {
 	m := NewMemory()
 	var obs recordingObserver
 	m.AddObserver(&obs)
-	d := NewDMA(m, SrcDMA)
+	d := NewDMA(m)
 	d.Write(64, 5)
 	if d.Read(64) != 5 {
 		t.Fatal("DMA read/write")

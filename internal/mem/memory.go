@@ -156,19 +156,17 @@ func (m *Memory) Writes() (total, nonCPU uint64) { return m.writes, m.dmaWrites 
 // cannot see CPU-side structure) and lets experiments disable DMA visibility.
 type DMA struct {
 	mem *Memory
-	src WriteSource
 
-	// Tracing (nil tr = off): every write through this port emits an
-	// instant — "dma-write" for SrcDMA ports, "msi-write" for SrcMSI ones —
-	// on the device's track.
+	// Tracing (nil tr = off): every write through this port emits a
+	// "dma-write" instant on the device's track.
 	tr      *trace.Tracer
 	trNow   func() int64
 	trTrack trace.TrackID
 }
 
-// NewDMA returns a DMA port writing with the given source tag.
-func NewDMA(mem *Memory, src WriteSource) *DMA {
-	return &DMA{mem: mem, src: src}
+// NewDMA returns a DMA port; its writes carry the SrcDMA tag.
+func NewDMA(mem *Memory) *DMA {
+	return &DMA{mem: mem}
 }
 
 // SetTracer attaches a tracer to this port; now supplies the current cycle
@@ -182,14 +180,10 @@ func (d *DMA) SetTracer(tr *trace.Tracer, now func() int64, track trace.TrackID)
 // Write performs a device write to physical memory.
 func (d *DMA) Write(addr, val int64) {
 	if d.tr != nil {
-		name := "dma-write"
-		if d.src == SrcMSI {
-			name = "msi-write"
-		}
-		d.tr.InstantArg(d.trTrack, name,
+		d.tr.InstantArg(d.trTrack, "dma-write",
 			"0x"+strconv.FormatInt(addr, 16)+"="+strconv.FormatInt(val, 10), d.trNow())
 	}
-	d.mem.Write(addr, val, d.src)
+	d.mem.Write(addr, val, SrcDMA)
 }
 
 // Read performs a device read from physical memory.

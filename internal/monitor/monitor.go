@@ -37,10 +37,9 @@ type Waiter interface {
 // arm, wait and wake allocates nothing once its slices have grown.
 type watcher struct {
 	w Waiter
-	// watches is the watch set in arm order; MaxWatches evicts watches[0].
-	// A wake truncates it but keeps the backing array, so re-arming the
-	// previous cycle's set in the same order finds each address's list in
-	// place instead of looking it up.
+	// watches is the watch set in arm order. A wake truncates it but keeps
+	// the backing array, so re-arming the previous cycle's set in the same
+	// order finds each address's list in place instead of looking it up.
 	watches []watch
 	waiting bool // blocked in mwait
 	pending bool // a watched write arrived after arm, before (or instead of) wait
@@ -85,13 +84,6 @@ type addrList struct {
 // silently do not wake waiters and the platform must fall back to interrupts.
 type Engine struct {
 	DMAVisible bool
-	// MaxWatches caps the number of addresses one waiter may have armed
-	// (0 = unlimited). Real hardware has a finite watch-entry budget; when
-	// exceeded, the OLDEST watch is silently evicted — the §4 hardware-cost
-	// knob ("if the number of hardware threads is sufficiently high, we can
-	// avoid the ... complexities associated with having threads each busy
-	// poll multiple memory locations").
-	MaxWatches int
 
 	// ids gives every waiter the engine has seen a dense index into ws;
 	// entries are never removed. lastW/lastID cache the latest lookup, since
@@ -129,7 +121,6 @@ type Engine struct {
 	wakeups   uint64
 	immediate uint64 // mwait completed without blocking (pending write)
 	dropped   uint64 // writes invisible due to DMAVisible=false
-	evicted   uint64 // watches displaced by the MaxWatches budget
 	spurious  uint64 // injected spurious wakes actually delivered
 	coalesced uint64 // wake batches delivered late by injected coalescing
 }
@@ -236,18 +227,12 @@ func (e *Engine) id(w Waiter) int32 {
 }
 
 // Arm adds addr to w's watch set (MONITOR). Multiple addresses may be armed
-// before a single Wait; any of them triggers the wake. With MaxWatches set,
-// arming beyond the budget evicts the waiter's oldest watch.
+// before a single Wait; any of them triggers the wake.
 func (e *Engine) Arm(w Waiter, addr int64) {
 	id := e.id(w)
 	s := &e.ws[id]
 	if s.armed(addr) {
 		return
-	}
-	if e.MaxWatches > 0 && len(s.watches) >= e.MaxWatches {
-		s.watches[0].list.remove(id)
-		s.watches = append(s.watches[:0], s.watches[1:]...)
-		e.evicted++
 	}
 	var l *addrList
 	if k := len(s.watches); k < cap(s.watches) && s.watches[:k+1][k].addr == addr {

@@ -224,7 +224,7 @@ func TestEngineAsMemoryObserver(t *testing.T) {
 	w := &fakeWaiter{}
 	e.Arm(w, 4096)
 	e.Wait(w)
-	d := mem.NewDMA(m, mem.SrcDMA)
+	d := mem.NewDMA(m)
 	d.Write(4096, 77)
 	if len(w.wakes) != 1 || w.wakes[0].val != 77 || w.wakes[0].src != mem.SrcDMA {
 		t.Fatalf("wakes: %+v", w.wakes)
@@ -281,56 +281,6 @@ func TestFanoutWakeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaxWatchesEvictsOldest(t *testing.T) {
-	e := NewEngine()
-	e.MaxWatches = 2
-	w := &fakeWaiter{}
-	e.Arm(w, 0x100)
-	e.Arm(w, 0x200)
-	e.Arm(w, 0x300) // evicts 0x100
-	if e.Armed(w) != 2 {
-		t.Fatalf("armed = %d", e.Armed(w))
-	}
-	if e.evicted != 1 {
-		t.Fatalf("evicted = %d", e.evicted)
-	}
-	e.Wait(w)
-	e.ObserveWrite(0x100, 1, mem.SrcCPU) // evicted: no wake
-	if len(w.wakes) != 0 {
-		t.Fatal("evicted watch fired")
-	}
-	e.ObserveWrite(0x300, 2, mem.SrcCPU)
-	if len(w.wakes) != 1 {
-		t.Fatal("surviving watch did not fire")
-	}
-}
-
-func TestMaxWatchesRearmDoesNotEvict(t *testing.T) {
-	e := NewEngine()
-	e.MaxWatches = 2
-	w := &fakeWaiter{}
-	e.Arm(w, 0x100)
-	e.Arm(w, 0x200)
-	e.Arm(w, 0x100) // duplicate: no eviction
-	if e.Armed(w) != 2 || e.evicted != 0 {
-		t.Fatalf("armed=%d evicted=%d", e.Armed(w), e.evicted)
-	}
-}
-
-func TestMaxWatchesIndependentPerWaiter(t *testing.T) {
-	e := NewEngine()
-	e.MaxWatches = 1
-	w1, w2 := &fakeWaiter{}, &fakeWaiter{}
-	e.Arm(w1, 0x100)
-	e.Arm(w2, 0x100)
-	e.Arm(w1, 0x200) // evicts w1's 0x100, not w2's
-	e.Wait(w2)
-	e.ObserveWrite(0x100, 1, mem.SrcCPU)
-	if len(w2.wakes) != 1 {
-		t.Fatal("w2's watch was wrongly evicted")
 	}
 }
 
@@ -648,8 +598,9 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 }
 
 // monitorSection hand-encodes a monitor section: watchers as (id, addrs,
-// waiting) and per-address lists as (addr, ids), counters zero.
-func monitorSection(t *testing.T, watchers [][]int64, waiting []bool, lists [][]int64) *snapshot.R {
+// waiting), per-address lists as (addr, ids), and the counters, zero but
+// for the evicted-watch count.
+func monitorSection(t *testing.T, watchers [][]int64, waiting []bool, lists [][]int64, evicted uint64) *snapshot.Snapshot {
 	t.Helper()
 	b := snapshot.NewBuilder()
 	w := b.Section("monitor")
@@ -662,9 +613,8 @@ func monitorSection(t *testing.T, watchers [][]int64, waiting []bool, lists [][]
 	for _, l := range lists {
 		w.I64(l[0]).I64s(l[1:])
 	}
-	for range 6 {
-		w.U64(0)
-	}
+	w.U64(0).U64(0).U64(0).U64(evicted).U64(0).U64(0)
+	w.Len(0) // no pending fault injections
 	var buf bytes.Buffer
 	if _, err := b.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -673,30 +623,29 @@ func monitorSection(t *testing.T, watchers [][]int64, waiting []bool, lists [][]
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Section("monitor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return s
 }
 
 // TestRestoreRejectsInconsistentLists: the per-address lists must name each
-// armed (waiter, address) pair exactly once. A section that breaks this is
-// refused with a named error and the live engine keeps its state.
+// armed (waiter, address) pair exactly once, and no engine evicts a watch.
+// A section that breaks either is refused with an error naming the section,
+// and the live engine keeps its state.
 func TestRestoreRejectsInconsistentLists(t *testing.T) {
 	cases := []struct {
 		name     string
 		watchers [][]int64
 		waiting  []bool
 		lists    [][]int64
+		evicted  uint64
 		want     string
 	}{
-		{"unarmed pair", [][]int64{{0x40}}, []bool{true}, [][]int64{{0x80, 0}}, "has not armed"},
-		{"missing pair", [][]int64{{0x40, 0x80}}, []bool{true}, [][]int64{{0x40, 0}}, "arms 2 watches but lists 1"},
-		{"repeated pair", [][]int64{{0x40}}, []bool{false}, [][]int64{{0x40, 0, 0}}, "has not armed"},
-		{"repeated address", [][]int64{{0x40}, {0x40}}, []bool{false, false}, [][]int64{{0x40, 0}, {0x40, 1}}, "listed twice"},
-		{"duplicate waiter", [][]int64{{0x40}, {0x40}}, []bool{false, false}, nil, "duplicate waiter"},
-		{"wait without watch", [][]int64{{}}, []bool{true}, nil, "no armed address"},
+		{"unarmed pair", [][]int64{{0x40}}, []bool{true}, [][]int64{{0x80, 0}}, 0, "has not armed"},
+		{"missing pair", [][]int64{{0x40, 0x80}}, []bool{true}, [][]int64{{0x40, 0}}, 0, "arms 2 watches but lists 1"},
+		{"repeated pair", [][]int64{{0x40}}, []bool{false}, [][]int64{{0x40, 0, 0}}, 0, "has not armed"},
+		{"repeated address", [][]int64{{0x40}, {0x40}}, []bool{false, false}, [][]int64{{0x40, 0}, {0x40, 1}}, 0, "listed twice"},
+		{"duplicate waiter", [][]int64{{0x40}, {0x40}}, []bool{false, false}, nil, 0, "duplicate waiter"},
+		{"wait without watch", [][]int64{{}}, []bool{true}, nil, 0, "no armed address"},
+		{"evicted watches", [][]int64{{0x40}}, []bool{true}, [][]int64{{0x40, 0}}, 1, ErrEvictedWatches.Error()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -708,9 +657,10 @@ func TestRestoreRejectsInconsistentLists(t *testing.T) {
 			e := NewEngine()
 			e.Arm(w, 0x500)
 			e.Wait(w)
-			err := e.RestoreState(monitorSection(t, tc.watchers, tc.waiting, tc.lists), waiterOf(ws))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			snap := monitorSection(t, tc.watchers, tc.waiting, tc.lists, tc.evicted)
+			err := snap.Restore("monitor", func(r *snapshot.R) error { return e.RestoreState(r, waiterOf(ws)) })
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), `section "monitor"`) {
+				t.Fatalf("err = %v, want one naming the section and containing %q", err, tc.want)
 			}
 			e.ObserveWrite(0x500, 1, mem.SrcCPU)
 			if len(w.wakes) != 1 {

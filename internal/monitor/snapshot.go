@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -23,6 +24,14 @@ import (
 //   - the scheduled-but-undelivered fault injections, in scheduling order.
 //     Each is an event on the monitor's shard: writing its record claims the
 //     event, and restore re-creates it at its original (cycle, sequence).
+//
+// The counters keep a slot for evicted watches, from when a per-waiter
+// watch budget could evict one. No engine evicts a watch, so the slot is
+// written as zero, which keeps NOCSNAP1 bytes unchanged, and a checkpoint
+// with a non-zero count is refused with ErrEvictedWatches.
+
+// ErrEvictedWatches reports a monitor section that counts evicted watches.
+var ErrEvictedWatches = errors.New("monitor: snapshot counts evicted watches")
 
 // SnapshotState writes the watch sets, per-address arm orders, counters and
 // pending fault injections. id translates a live waiter to its stable
@@ -67,7 +76,7 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 	}
 
 	w.U64(e.wakeups).U64(e.immediate).U64(e.dropped)
-	w.U64(e.evicted).U64(e.spurious).U64(e.coalesced)
+	w.U64(0).U64(e.spurious).U64(e.coalesced)
 
 	w.Len(len(e.pending))
 	for _, p := range e.pending {
@@ -99,8 +108,9 @@ func (e *Engine) SnapshotState(w *snapshot.W, id func(Waiter) (int64, bool)) err
 // RestoreState replaces the watch sets and counters with the checkpoint's.
 // waiter translates a checkpoint id back to the live waiter object. The
 // per-address lists must name each armed (waiter, address) pair exactly
-// once; lists that do not are rejected with an error before the engine's
-// watch sets change. The shard must be mid-restore (the machine restore
+// once; lists that do not, and a non-zero evicted-watch count
+// (ErrEvictedWatches), are rejected with an error before the engine's watch
+// sets change. The shard must be mid-restore (the machine restore
 // sequence arranges this) for the pending injections to be re-created.
 func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error)) error {
 	idOf := func(wid int64) (int32, error) {
@@ -184,6 +194,10 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 	if listed != armed {
 		return fmt.Errorf("monitor: snapshot arms %d watches but lists %d", armed, listed)
 	}
+	wakeups, immediate, dropped := r.U64(), r.U64(), r.U64()
+	if evicted := r.U64(); evicted != 0 {
+		return fmt.Errorf("%w: %d", ErrEvictedWatches, evicted)
+	}
 
 	// A fresh table and watch sets: no watcher may keep a pointer to a list
 	// of the replaced table.
@@ -199,8 +213,8 @@ func (e *Engine) RestoreState(r *snapshot.R, waiter func(int64) (Waiter, error))
 		e.ws[id] = s
 	}
 
-	e.wakeups, e.immediate, e.dropped = r.U64(), r.U64(), r.U64()
-	e.evicted, e.spurious, e.coalesced = r.U64(), r.U64(), r.U64()
+	e.wakeups, e.immediate, e.dropped = wakeups, immediate, dropped
+	e.spurious, e.coalesced = r.U64(), r.U64()
 
 	n := r.Len(17)
 	if n > 0 && e.sh == nil {

@@ -237,7 +237,7 @@ func (g *gen) emitCondProgram(flavor nsync.Flavor) {
 			delayLoop(sg, "r9", lead)
 			sg.I("movi r5, %d", 1+g.rng.Intn(99))
 			sg.I("st [r11+%d], r5", lockLogOff)
-			cv.EmitSignal(sg, r, true)
+			cv.EmitSignal(sg, r)
 		} else {
 			cv.EmitSnapshot(sg, r)
 			if missed {

@@ -375,7 +375,7 @@ func TestNegativeAddressesAgree(t *testing.T) {
 		src += fmt.Sprintf("\tmovi r2, %d\n\tld r1, [r2+0]\n\tst [r2+0], r1\n", addr)
 	}
 	s := craftSpec(t, "negative-addresses", src+"\thalt\n", 1, 2, 15000)
-	eng, cfg, err := runEngine(s, nil)
+	eng, cfg, err := runEngine(s)
 	if err != nil {
 		t.Fatal(err)
 	}

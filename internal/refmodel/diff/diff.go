@@ -24,9 +24,6 @@ import (
 
 // Options tune one differential run.
 type Options struct {
-	// Tracer, when non-nil, is attached to the engine side (and its event
-	// nesting is the caller's to check afterwards).
-	Tracer *trace.Tracer
 	// DropPendingWakeups enables the reference model's documented wakeup-
 	// dropping mutation (DESIGN.md §9); the run must then diverge on
 	// programs that exercise the monitor-before-mwait race.
@@ -96,7 +93,7 @@ type threadOut struct {
 
 // Run executes s on both sides and compares.
 func Run(s *progen.Spec, opt Options) (*Result, error) {
-	eng, cfg, err := runEngine(s, opt.Tracer)
+	eng, cfg, err := runEngine(s)
 	if err != nil {
 		return nil, err
 	}
@@ -112,8 +109,8 @@ func Run(s *progen.Spec, opt Options) (*Result, error) {
 
 // runEngine sets up and runs the optimized engine, returning its outcome and
 // the refmodel configuration matching its effective timing parameters.
-func runEngine(s *progen.Spec, tr *trace.Tracer) (*outcome, refmodel.Config, error) {
-	return runEngineHook(s, tr, true)
+func runEngine(s *progen.Spec) (*outcome, refmodel.Config, error) {
+	return runEngineHook(s, nil, true)
 }
 
 // runEngineHook is runEngine with the per-instruction invariant hook made
@@ -222,10 +219,9 @@ func setupEngine(s *progen.Spec, tr *trace.Tracer) (*machine.Machine, *core.Core
 }
 
 // captureOutcome reads the engine machine's architectural outcome at its
-// current simulated time. It is pure observation — state-based, using
-// core.FatalInfo rather than an OnFatal callback — so it works identically on
-// a straight-through machine and on one rebuilt from a snapshot (a restored
-// run cannot replay callbacks that fired before the checkpoint).
+// current simulated time. It is pure observation of state (core.FatalInfo
+// for the fatal fault), so it works identically on a straight-through
+// machine and on one rebuilt from a snapshot.
 func captureOutcome(s *progen.Spec, m *machine.Machine, c *core.Core) *outcome {
 	out := &outcome{fatalPTID: -1, mem: make(map[int64]int64)}
 	if p, f := c.FatalInfo(); f != nil {

@@ -68,11 +68,11 @@ func TestSweepDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		a, _, err := runEngine(s, nil)
+		a, _, err := runEngine(s)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		b, _, err := runEngine(s, nil)
+		b, _, err := runEngine(s)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

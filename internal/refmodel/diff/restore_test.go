@@ -42,7 +42,7 @@ func checkpointCycles(seed uint64, deadline int64) []sim.Cycles {
 // checkpoint cycle.
 func checkRestoreEquivalence(t *testing.T, s *progen.Spec) {
 	t.Helper()
-	straight, _, err := runEngine(s, nil)
+	straight, _, err := runEngine(s)
 	if err != nil {
 		t.Fatalf("seed %d: %v", s.Seed, err)
 	}

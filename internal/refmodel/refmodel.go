@@ -170,14 +170,11 @@ type Thread struct {
 	armed   map[int64]bool
 	armTick map[int64]uint64
 	pending bool
-	pAddr   int64
-	pVal    int64
 	// shadowPending tracks what pending WOULD be without the
 	// DropPendingWakeups mutation, so the first architecturally visible
 	// effect of the mutation (an mwait that blocks instead of completing
 	// immediately) can be pinned to an exact cycle.
 	shadowPending bool
-	waitStart     int64 // when the current mwait began
 
 	// TDT translation cache: rows are cached even when invalid.
 	tdtCache map[int64]tdtEntry
@@ -511,7 +508,6 @@ func (it *Interp) write(addr, val int64) {
 			toWake = append(toWake, p)
 		} else if !it.cfg.DropPendingWakeups {
 			t.pending = true
-			t.pAddr, t.pVal = addr, val
 		} else {
 			t.shadowPending = true
 		}
@@ -865,7 +861,6 @@ func (it *Interp) step(t *Thread) {
 			t.shadowPending = false
 		}
 		t.State = StWaiting
-		t.waitStart = it.now
 		it.suspend(t)
 		return
 

@@ -7,10 +7,7 @@ package sync
 // protocol makes the missed-signal race structurally impossible as long
 // as signals happen while the snapshot is still current — the property
 // the differential sweep's missed-signal bias hammers on.
-type CondVar struct {
-	F        Flavor
-	UseFutex bool
-}
+type CondVar struct{ F Flavor }
 
 // EmitSnapshot captures the current sequence into T4. Call while holding
 // the mutex that guards the condition.
@@ -23,37 +20,14 @@ func (c CondVar) EmitSnapshot(g *Gen, r Regs) {
 // re-arms the monitor before every re-check (a wake consumes the watch
 // set), so injected spurious wakes can cost a lap but never a signal.
 func (c CondVar) EmitWaitChanged(g *Gen, r Regs) {
-	if c.UseFutex {
-		loop := g.L("cwait")
-		done := g.L("csignal")
-		g.Label(loop)
-		g.I("ld %s, [%s+0]", r.T1, r.Base)
-		g.I("bne %s, %s, %s", r.T1, r.T4, done)
-		g.I("mov r2, %s", r.Base)
-		g.I("mov r3, %s", r.T4)
-		g.I("native %s", NativeFutexWait)
-		g.I("jmp %s", loop)
-		g.Label(done)
-		return
-	}
 	g.waitWhileEq(c.F, r.Base, r.T4, r.T1)
 }
 
-// EmitSignal advances the sequence, waking waiters. broadcast selects
-// wake-all for the futex-backed flavor (the store-based flavors always
-// wake every parked waiter — monitor wakeups have no selectivity).
-func (c CondVar) EmitSignal(g *Gen, r Regs, broadcast bool) {
+// EmitSignal advances the sequence, waking every parked waiter (monitor
+// wakeups have no selectivity).
+func (c CondVar) EmitSignal(g *Gen, r Regs) {
 	g.I("movi %s, 1", r.T1)
 	g.I("faa %s, [%s+0], %s", r.T2, r.Base, r.T1)
-	if c.UseFutex {
-		n := 1
-		if broadcast {
-			n = 1 << 30
-		}
-		g.I("mov r2, %s", r.Base)
-		g.I("movi r3, %d", n)
-		g.I("native %s", NativeFutexWake)
-	}
 }
 
 // SyncBarrier is an n-thread generation barrier: an arrival counter at

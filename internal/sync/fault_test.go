@@ -63,7 +63,7 @@ func TestCondVarSurvivesSpuriousWakes(t *testing.T) {
 	prod.I("movi r5, 77")
 	prod.I("st [r14+0], r5")
 	prod.I("mov r10, r13")
-	cv.EmitSignal(prod, r, true)
+	cv.EmitSignal(prod, r)
 	prod.I("mov r10, r15")
 	mu.EmitRelease(prod, r)
 	prod.I("halt")

@@ -33,7 +33,6 @@ const (
 //     a ContextSwitch before the waiter runs again.
 type FutexService struct {
 	c *core.Core
-	k *kernel.Nocs // set by InstallNocs; parked callers resume through it
 
 	waiters map[int64][]hwthread.PTID // FIFO per futex word
 	waits   uint64                    // calls that actually slept
@@ -73,7 +72,6 @@ func (f *FutexService) pop(addr int64, n int64) []hwthread.PTID {
 // InstallNocs registers the futex syscalls on the nocs kernel. The caller
 // still spawns the descriptor service via k.ServeSyscalls.
 func (f *FutexService) InstallNocs(k *kernel.Nocs) {
-	f.k = k
 	k.RegisterBlockingSyscall(SysFutexWait,
 		func(t *hwthread.Context, args [4]int64) (park bool, ret int64, cost sim.Cycles) {
 			addr, expected := args[0], args[1]

@@ -9,7 +9,13 @@
 #                        internal/ that none of the 12 binaries reaches
 #                        (linker reachability, inlining off) must be listed,
 #                        with its reason, in scripts/unreachable_baseline.txt
-#   5. go test -race   — the full suite under the race detector
+#   5. go test -race   — the full suite under the race detector. It includes
+#                        the field-level dead-code gate,
+#                        TestEveryExportedFieldIsSet (knob_gate_test.go):
+#                        every exported field of an exported struct under
+#                        internal/ that no non-test code writes must be
+#                        listed, with its reason, in
+#                        scripts/knob_baseline.txt (~1.5 s, ~8 s under -race)
 #   6. benchmark module — go vet + go test in benchmark/, its own Go module
 #                        (the root ./... never compiles it), which drives
 #                        sim, machine, serve and kernel
