@@ -85,6 +85,22 @@ func BenchmarkServeCell(b *testing.B) {
 	}
 }
 
+// BenchmarkServeNew builds, without running, one nocs serving cell of the
+// benchmark's size (5,000 connections, Poisson arrivals, load 0.8). Its
+// allocs/op, gated in scripts/ci.sh, catches construction quietly
+// regrowing: every core's caches, contexts and tables.
+func BenchmarkServeNew(b *testing.B) {
+	cfg := serve.Config{
+		Conns: 5000, Load: 0.8, Arrival: serve.ArrivalPoisson, Flavor: serve.FlavorNocs,
+		Seed: bench.DefaultConfig().Seed, Workers: 1,
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // snapshotBenchMachine builds a warmed-up sharded endurance machine plus one
 // serialized checkpoint of it, the fixture the snapshot benchmarks share:
 // cores cores on as many shards, run to cycle at of a 2·at horizon.

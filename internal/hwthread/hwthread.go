@@ -246,7 +246,8 @@ type Context struct {
 	// of the tracing layer.
 	Track int32
 
-	// Supervisor convenience accessor mirrors Regs.Mode.
+	// tdtCache is the hardware TDT translation cache, made on the first
+	// translation it caches (reads and deletes of a nil map are safe).
 	tdtCache map[VTID]Entry
 
 	// Statistics.
@@ -258,11 +259,6 @@ type Context struct {
 	// LastHalt records when the thread executed HALT (program completion
 	// timestamp for benchmarks).
 	LastHalt sim.Cycles
-}
-
-// NewContext returns a disabled context for ptid.
-func NewContext(ptid PTID) *Context {
-	return &Context{PTID: ptid, State: Disabled, tdtCache: make(map[VTID]Entry)}
 }
 
 // Supervisor reports whether the context runs in supervisor mode (§3.2).
@@ -301,14 +297,15 @@ func (f *Fault) Error() string { return fmt.Sprintf("hwthread: %s fault: %s", f.
 // here; the Manager is purely functional.
 type Manager struct {
 	mem      *mem.Memory
-	contexts []*Context
+	contexts []Context
 }
 
-// NewManager creates n disabled contexts backed by physical memory m.
+// NewManager creates n disabled contexts backed by physical memory m, in
+// one slab.
 func NewManager(m *mem.Memory, n int) *Manager {
-	mgr := &Manager{mem: m, contexts: make([]*Context, n)}
+	mgr := &Manager{mem: m, contexts: make([]Context, n)}
 	for i := range mgr.contexts {
-		mgr.contexts[i] = NewContext(PTID(i))
+		mgr.contexts[i].PTID = PTID(i)
 	}
 	return mgr
 }
@@ -321,11 +318,11 @@ func (m *Manager) Context(p PTID) *Context {
 	if p < 0 || int(p) >= len(m.contexts) {
 		return nil
 	}
-	return m.contexts[p]
+	return &m.contexts[p]
 }
 
-// Contexts returns the backing slice (shared, not a copy).
-func (m *Manager) Contexts() []*Context { return m.contexts }
+// Contexts returns the backing slab (shared, not a copy).
+func (m *Manager) Contexts() []Context { return m.contexts }
 
 // Translate resolves vtid through caller's TDT, consulting the hardware
 // translation cache first. A caller with TDT base 0 has no table and every
@@ -355,6 +352,9 @@ func (m *Manager) Translate(caller *Context, vtid VTID) (Entry, *Fault) {
 	e := ReadTDTEntry(m.mem, base, vtid)
 	// Hardware caches even invalid rows: that is what makes invtid
 	// architecturally required after a table update.
+	if caller.tdtCache == nil {
+		caller.tdtCache = make(map[VTID]Entry)
+	}
 	caller.tdtCache[vtid] = e
 	if !e.Valid() {
 		return Entry{}, &Fault{Cause: ExcTDTFault, Info: int64(vtid), Msg: fmt.Sprintf("invalid vtid %#x", int64(vtid))}
@@ -393,7 +393,7 @@ func (m *Manager) Start(caller *Context, vtid VTID) (*Context, *Fault) {
 	if f := authorize(caller, e, PermStart); f != nil {
 		return nil, f
 	}
-	t := m.contexts[e.PTID]
+	t := &m.contexts[e.PTID]
 	if t.State == Disabled {
 		t.State = Runnable
 		t.Starts++
@@ -411,7 +411,7 @@ func (m *Manager) Stop(caller *Context, vtid VTID) (*Context, *Fault) {
 	if f := authorize(caller, e, PermStop); f != nil {
 		return nil, f
 	}
-	t := m.contexts[e.PTID]
+	t := &m.contexts[e.PTID]
 	if t.State != Disabled {
 		t.State = Disabled
 		t.Stops++
@@ -465,7 +465,7 @@ func (m *Manager) remoteTarget(caller *Context, vtid VTID, r isa.Reg) (*Context,
 	if f := authorize(caller, e, permForReg(r)); f != nil {
 		return nil, f
 	}
-	t := m.contexts[e.PTID]
+	t := &m.contexts[e.PTID]
 	if t.State != Disabled {
 		return nil, &Fault{Cause: ExcTDTFault, Info: int64(vtid), Msg: fmt.Sprintf("remote register access to %v ptid %d", t.State, t.PTID)}
 	}

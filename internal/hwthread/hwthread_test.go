@@ -444,7 +444,7 @@ type observerFunc func(addr, val int64, src mem.WriteSource)
 func (f observerFunc) ObserveWrite(addr, val int64, src mem.WriteSource) { f(addr, val, src) }
 
 func TestContextWeight(t *testing.T) {
-	c := NewContext(0)
+	c := &Context{}
 	if c.Weight() != 1 {
 		t.Fatal("default weight")
 	}
@@ -487,7 +487,7 @@ func TestExcCauseStrings(t *testing.T) {
 func TestPermissionMaskProperty(t *testing.T) {
 	f := func(granted, need uint8) bool {
 		g, n := Perm(granted&0xf), Perm(need&0xf)
-		caller := NewContext(0)
+		caller := &Context{}
 		fault := authorize(caller, Entry{PTID: 1, Perm: g}, n)
 		return (fault == nil) == g.Has(n)
 	}

@@ -2,7 +2,7 @@ package hwthread
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nocs/internal/sim"
 	"nocs/internal/snapshot"
@@ -35,7 +35,7 @@ func (c *Context) SnapshotState(w *snapshot.W, progID int64) {
 	for v := range c.tdtCache {
 		vtids = append(vtids, int64(v))
 	}
-	sort.Slice(vtids, func(i, j int) bool { return vtids[i] < vtids[j] })
+	slices.Sort(vtids)
 	w.Len(len(vtids))
 	for _, v := range vtids {
 		e := c.tdtCache[VTID(v)]
@@ -48,7 +48,9 @@ func (c *Context) SnapshotState(w *snapshot.W, progID int64) {
 
 // RestoreState replaces the context's architectural state with the
 // checkpoint's and returns the bound program id for the machine layer to
-// resolve. The trace track is reset (restored runs re-base their traces).
+// resolve. The TDT cache is cleared in place, so a context that never
+// cached a translation still has no map unless the checkpoint lists one.
+// The trace track is reset (restored runs re-base their traces).
 func (c *Context) RestoreState(r *snapshot.R) (progID int64, err error) {
 	c.State = State(r.U8())
 	if r.Err() == nil && c.State > Waiting {
@@ -66,7 +68,10 @@ func (c *Context) RestoreState(r *snapshot.R) (progID int64, err error) {
 	progID = r.I64()
 
 	n := r.Len(17)
-	c.tdtCache = make(map[VTID]Entry, n)
+	clear(c.tdtCache)
+	if n > 0 && c.tdtCache == nil {
+		c.tdtCache = make(map[VTID]Entry, n)
+	}
 	for range n {
 		v := VTID(r.I64())
 		c.tdtCache[v] = Entry{PTID: PTID(r.I64()), Perm: Perm(r.U8())}

@@ -182,7 +182,9 @@ main:
 		t.Fatal(err)
 	}
 	services := 0 // kernel services are the supervisor-mode threads
-	for _, ctx := range m.Core(0).Threads().Contexts() {
+	ctxs := m.Core(0).Threads().Contexts()
+	for i := range ctxs {
+		ctx := &ctxs[i]
 		if ctx.Regs.Mode == 1 {
 			services++
 		}

@@ -1,7 +1,10 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"nocs/internal/sim"
 )
@@ -9,6 +12,13 @@ import (
 // Cache is a set-associative LRU cache model used for timing (and for the
 // thread-state capacity accounting in internal/statestore). It tracks tags
 // only; data always lives in Memory.
+//
+// The tags live in pointer-free arrays that fill as the cache is used. The
+// arena is a run of Ways-line blocks; set s holds fill[s] lines, most
+// recent first, at the front of block block[s]-1, or has no block while
+// block[s] is 0. A set gets its block on its first fill, and fill and block
+// are made on the cache's first fill, so a cache nobody touches costs only
+// its header.
 type Cache struct {
 	Name      string
 	SizeBytes int
@@ -17,10 +27,17 @@ type Cache struct {
 	HitCycles sim.Cycles
 
 	sets   int
-	tags   [][]int64 // per set, LRU order: front = most recent
+	fill   []uint8 // per set: lines held, at most Ways
+	block  []int32 // per set: 1 + index of its block in arena, 0 = none
+	arena  []int64 // Ways-line blocks, each in LRU order
 	hits   uint64
 	misses uint64
 }
+
+// ErrCacheGeometry is returned by NewCache for a geometry the tag store's
+// counters cannot hold: more ways than a set's uint8 fill count, or more
+// sets than an int32 block index.
+var ErrCacheGeometry = errors.New("mem: cache geometry exceeds the tag store's counters")
 
 // NewCache builds a cache. sizeBytes must be a multiple of lineBytes*ways.
 func NewCache(name string, sizeBytes, lineBytes, ways int, hit sim.Cycles) (*Cache, error) {
@@ -35,12 +52,13 @@ func NewCache(name string, sizeBytes, lineBytes, ways int, hit sim.Cycles) (*Cac
 	if sets == 0 || sets*ways != lines {
 		return nil, fmt.Errorf("mem: cache %q: %d lines not divisible into %d ways", name, lines, ways)
 	}
-	c := &Cache{
+	if ways > math.MaxUint8 || sets > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: cache %q has %d sets of %d ways", ErrCacheGeometry, name, sets, ways)
+	}
+	return &Cache{
 		Name: name, SizeBytes: sizeBytes, LineBytes: lineBytes, Ways: ways,
 		HitCycles: hit, sets: sets,
-	}
-	c.tags = make([][]int64, sets)
-	return c, nil
+	}, nil
 }
 
 // MustNewCache panics on a bad geometry; for fixed configurations.
@@ -71,13 +89,47 @@ func (c *Cache) set(line int64) int {
 	return int(s)
 }
 
+// setLines returns the lines set s holds, most recent first, aliasing its
+// block.
+func (c *Cache) setLines(s int) []int64 {
+	if c.fill == nil || c.fill[s] == 0 {
+		return nil
+	}
+	off := int(c.block[s]-1) * c.Ways
+	return c.arena[off : off+int(c.fill[s])]
+}
+
+// resize sets set s to hold n lines and returns them, giving the set its
+// block (and the cache its per-set arrays) first if it has none. Lines past
+// the set's old fill hold unspecified values.
+func (c *Cache) resize(s, n int) []int64 {
+	if c.fill == nil {
+		c.fill = make([]uint8, c.sets)
+		c.block = make([]int32, c.sets)
+	}
+	if c.block[s] == 0 {
+		c.arena = append(c.arena, make([]int64, c.Ways)...)
+		c.block[s] = int32(len(c.arena) / c.Ways)
+	}
+	c.fill[s] = uint8(n)
+	off := int(c.block[s]-1) * c.Ways
+	return c.arena[off : off+n]
+}
+
+// emptySets empties sets lo..hi-1, keeping their blocks.
+func (c *Cache) emptySets(lo, hi int) {
+	if c.fill != nil {
+		clear(c.fill[lo:hi])
+	}
+}
+
 // Lookup probes the cache for addr, updating LRU state and inserting on
 // miss (evicting the set's least-recently-used line when it is full). It
 // reports whether the access hit.
 func (c *Cache) Lookup(addr int64) bool {
 	ln := c.line(addr)
 	s := c.set(ln)
-	ways := c.tags[s]
+	ways := c.setLines(s)
 	i := 0
 	for i < len(ways) && ways[i] != ln {
 		i++
@@ -88,9 +140,8 @@ func (c *Cache) Lookup(addr int64) bool {
 	} else {
 		c.misses++
 		if len(ways) < c.Ways {
-			// Fill a free way; append reallocates only at capacity.
-			ways = append(ways, 0)
-			c.tags[s] = ways
+			// Fill a free way; only a set's first fill allocates.
+			ways = c.resize(s, len(ways)+1)
 		}
 		i = len(ways) - 1
 	}
@@ -103,12 +154,7 @@ func (c *Cache) Lookup(addr int64) bool {
 // Contains probes without updating LRU or stats.
 func (c *Cache) Contains(addr int64) bool {
 	ln := c.line(addr)
-	for _, tag := range c.tags[c.set(ln)] {
-		if tag == ln {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.setLines(c.set(ln)), ln)
 }
 
 // Hierarchy is a three-level cache stack over DRAM with an uncacheable MMIO

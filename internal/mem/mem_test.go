@@ -1,11 +1,14 @@
 package mem
 
 import (
+	"bytes"
+	"errors"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"nocs/internal/sim"
+	"nocs/internal/snapshot"
 )
 
 type recordingObserver struct {
@@ -209,12 +212,12 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheFillZeroAlloc: a miss into a set that is not yet full inserts in
-// the set's own array, most recent first, so once the array has room a
+// the set's own block, most recent first, so once the set has its block a
 // fill allocates nothing.
 func TestCacheFillZeroAlloc(t *testing.T) {
 	c := MustNewCache("t", 1024, 64, 4, 4) // 4 sets, 4 ways
 	fill := func() {
-		c.tags[0] = c.tags[0][:0]
+		c.emptySets(0, 1)
 		for _, ln := range []int64{0, 4, 8, 12} { // all in set 0
 			c.Lookup(ln * 64)
 		}
@@ -223,8 +226,55 @@ func TestCacheFillZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, fill); n != 0 {
 		t.Fatalf("filling a set with room allocates %v times per run, want 0", n)
 	}
-	if got, want := c.tags[0], []int64{12, 8, 4, 0}; !slices.Equal(got, want) {
+	if got, want := c.setLines(0), []int64{12, 8, 4, 0}; !slices.Equal(got, want) {
 		t.Fatalf("set 0 holds %v, want %v in LRU order", got, want)
+	}
+}
+
+// TestCacheUntouchedCostsItsHeader: building the default 8 MiB, 16-way L3
+// (8,192 sets) allocates the Cache and nothing else. An untouched cache's
+// section must still be what checkpoints hold for an empty cache: its
+// geometry, one zero count per set, the empty pin list and zero counters.
+// Snapshotting it leaves it untouched.
+func TestCacheUntouchedCostsItsHeader(t *testing.T) {
+	var c *Cache
+	if n := testing.AllocsPerRun(10, func() { c = MustNewCache("L3", 8<<20, 64, 16, 40) }); n != 1 {
+		t.Fatalf("NewCache of an 8 MiB, 16-way cache allocates %v times, want 1 (the header)", n)
+	}
+	want := encodeSection(t, "cache", func(w *snapshot.W) {
+		w.String("L3").I64(8 << 20).I64(64).I64(16).Len(8192)
+		for range 8192 {
+			w.Len(0)
+		}
+		w.Len(0).U64(0).U64(0)
+	})
+	if got := encodeSection(t, "cache", c.SnapshotState); !bytes.Equal(got, want) {
+		t.Fatal("an untouched cache encodes differently from an empty one")
+	}
+	if c.fill != nil || c.block != nil || c.arena != nil {
+		t.Fatal("snapshotting an untouched cache gave it tag arrays")
+	}
+}
+
+// TestCacheGeometryOutgrowsCounters: a set's fill count is a uint8, so a
+// cache of more than 255 ways is refused by name, never built to count
+// wrong; 255 ways still fill and evict as LRU.
+func TestCacheGeometryOutgrowsCounters(t *testing.T) {
+	if _, err := NewCache("x", 2*256*64, 64, 256, 1); !errors.Is(err, ErrCacheGeometry) {
+		t.Fatalf("256 ways: error %v, want ErrCacheGeometry", err)
+	}
+	c, err := NewCache("x", 255*64, 64, 255, 1) // one set of 255 ways
+	if err != nil {
+		t.Fatalf("255 ways rejected: %v", err)
+	}
+	for ln := range int64(256) {
+		c.Lookup(ln * 64)
+	}
+	if got := len(c.setLines(0)); got != 255 {
+		t.Fatalf("a full 255-way set holds %d lines", got)
+	}
+	if c.Contains(0) || !c.Contains(1*64) || !c.Contains(255*64) {
+		t.Fatal("the 256th fill did not evict exactly the LRU line")
 	}
 }
 

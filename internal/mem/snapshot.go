@@ -71,16 +71,20 @@ func (m *Memory) RestoreState(r *snapshot.R) error {
 // cache pins a line, but the pin list stays in the section so checkpoints
 // keep their bytes. The set block is most of a checkpoint's bytes, so it is
 // reserved at its exact size and each set encoded straight into it: a u32
-// count, then that many lines.
+// count, then that many lines. An untouched cache's block is all zero
+// counts, cleared in one step.
 func (c *Cache) SnapshotState(w *snapshot.W) {
 	w.String(c.Name)
 	w.I64(int64(c.SizeBytes)).I64(int64(c.LineBytes)).I64(int64(c.Ways))
 	w.Len(c.sets)
 	buf := w.Reserve(c.setBlockBytes())
-	for _, ways := range c.tags {
-		binary.LittleEndian.PutUint32(buf, uint32(len(ways)))
+	if c.fill == nil {
+		clear(buf)
+	}
+	for s, n := range c.fill {
+		binary.LittleEndian.PutUint32(buf, uint32(n))
 		buf = buf[4:]
-		for _, ln := range ways {
+		for _, ln := range c.setLines(s) {
 			binary.LittleEndian.PutUint64(buf, uint64(ln))
 			buf = buf[8:]
 		}
@@ -92,8 +96,8 @@ func (c *Cache) SnapshotState(w *snapshot.W) {
 // setBlockBytes is the encoded size of the per-set tag lists.
 func (c *Cache) setBlockBytes() int {
 	n := 4 * c.sets
-	for _, ways := range c.tags {
-		n += 8 * len(ways)
+	for _, f := range c.fill {
+		n += 8 * int(f)
 	}
 	return n
 }
@@ -104,12 +108,13 @@ func (c *Cache) stateBytes() int {
 }
 
 // RestoreState replaces the cache's dynamic state in place: each set's tag
-// list is decoded into that set's own backing array, grown only when the
-// checkpoint's list outruns its capacity. The stored geometry must match
-// this cache's, and the tag and pin lists must be ones a live cache could
-// hold (ErrCacheState): Lookup keeps a set at Ways lines or fewer, files
-// each line under set(line), and never lists a line twice, and no cache
-// pins a line. A refused section leaves the cache unspecified.
+// list is decoded into that set's existing block, and only a non-empty set
+// without one gets a block, so restoring empty sets allocates nothing. Runs
+// of empty sets are skipped eight bytes at a time. The stored geometry must
+// match this cache's, and the tag and pin lists must be ones a live cache
+// could hold (ErrCacheState): Lookup keeps a set at Ways lines or fewer,
+// files each line under set(line), and never lists a line twice, and no
+// cache pins a line. A refused section leaves the cache unspecified.
 func (c *Cache) RestoreState(r *snapshot.R) error {
 	name := r.StringBytes()
 	size, line, ways := r.I64(), r.I64(), r.I64()
@@ -124,10 +129,16 @@ func (c *Cache) RestoreState(r *snapshot.R) error {
 	if r.Err() == nil && sets != c.sets {
 		return fmt.Errorf("mem: cache %q has %d sets, snapshot has %d", c.Name, c.sets, sets)
 	}
-	for s := range sets {
+	for s := 0; s < sets; {
+		if z := r.SkipZeroU32s(sets - s); z > 0 {
+			c.emptySets(s, s+z)
+			s += z
+			continue
+		}
 		if err := c.restoreSet(r, s); err != nil {
 			return err
 		}
+		s++
 	}
 	if n := r.Len(8); n != 0 {
 		return fmt.Errorf("%w: cache %q pins %d lines", ErrCacheState, c.Name, n)
@@ -136,18 +147,17 @@ func (c *Cache) RestoreState(r *snapshot.R) error {
 	return r.Err()
 }
 
-// restoreSet decodes set s's tag list into the set's backing array.
+// restoreSet decodes set s's tag list into the set's block.
 func (c *Cache) restoreSet(r *snapshot.R, s int) error {
 	n := r.Len(8)
 	if n > c.Ways {
 		return fmt.Errorf("%w: cache %q set %d holds %d lines, %d ways", ErrCacheState, c.Name, s, n, c.Ways)
 	}
-	ways := c.tags[s]
-	if cap(ways) < n {
-		ways = make([]int64, n)
+	if n == 0 { // a failed read: SkipZeroU32s takes every zero count
+		c.emptySets(s, s+1)
+		return r.Err()
 	}
-	ways = ways[:n]
-	c.tags[s] = ways
+	ways := c.resize(s, n)
 	for i := range ways {
 		ln := r.I64() // Len(8) bounded n, so these cannot fail
 		if c.set(ln) != s {

@@ -223,7 +223,7 @@ func requireSameCache(t *testing.T, name string, data []byte, want, got *Cache) 
 }
 
 // TestCacheRestoreZeroAlloc: restoring a cache into one whose sets already
-// have the room allocates nothing; the tag arrays are reused.
+// have their blocks allocates nothing; the blocks are reused.
 func TestCacheRestoreZeroAlloc(t *testing.T) {
 	c := MustNewCache("t", 1024, 64, 4, 4)
 	for _, ln := range []int64{0, 4, 8, 1, 0, 5, -3, 2, 7, 11} {
@@ -251,6 +251,42 @@ func TestCacheRestoreZeroAlloc(t *testing.T) {
 	if again := encodeSection(t, "cache", c.SnapshotState); !bytes.Equal(again, data) {
 		t.Fatal("restored cache re-encodes differently")
 	}
+}
+
+// TestCacheRestoreEmptySetsZeroAlloc: a checkpoint whose sets are all
+// empty restores into a fresh 8 MiB, 16-way cache without allocating and
+// without giving it tag arrays, and re-encodes to its own bytes. Restored
+// into a cache that holds lines, the same bytes empty every set.
+func TestCacheRestoreEmptySetsZeroAlloc(t *testing.T) {
+	c := MustNewCache("L3", 8<<20, 64, 16, 40)
+	data := encodeSection(t, "cache", c.SnapshotState)
+	const runs = 100
+	readers := make([]*snapshot.R, runs+2) // AllocsPerRun adds a warm-up run
+	for i := range readers {
+		readers[i] = sectionReader(t, data, "cache")
+	}
+	restore := func() {
+		r := readers[0]
+		readers = readers[1:]
+		if err := c.RestoreState(r); err != nil || r.Remaining() != 0 {
+			t.Fatalf("restore: %v, %d bytes unread", err, r.Remaining())
+		}
+	}
+	restore()
+	if n := testing.AllocsPerRun(runs, restore); n != 0 {
+		t.Fatalf("restoring empty sets into a fresh cache allocates %v times per run, want 0", n)
+	}
+	if c.fill != nil || c.block != nil || c.arena != nil {
+		t.Fatal("restoring empty sets gave the cache tag arrays")
+	}
+	used := MustNewCache("L3", 8<<20, 64, 16, 40)
+	for ln := range int64(3 * 8192) {
+		used.Lookup(ln * 64 * 7)
+	}
+	if err := used.RestoreState(sectionReader(t, data, "cache")); err != nil {
+		t.Fatal(err)
+	}
+	requireSameCache(t, "empty sets", data, c, used)
 }
 
 // TestHierarchyStateBytes: Hierarchy.SnapshotState grows its payload once

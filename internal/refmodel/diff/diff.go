@@ -133,7 +133,9 @@ func runEngineHook(s *progen.Spec, tr *trace.Tracer, invariant bool) (*outcome, 
 			if invErr != nil || execs%64 != 0 {
 				return
 			}
-			for _, ctx := range c.Threads().Contexts() {
+			ctxs := c.Threads().Contexts()
+			for i := range ctxs {
+				ctx := &ctxs[i]
 				in := c.Pipeline().Contains(int(ctx.PTID))
 				want := ctx.State == hwthread.Runnable
 				if in != want {
@@ -229,7 +231,9 @@ func captureOutcome(s *progen.Spec, m *machine.Machine, c *core.Core) *outcome {
 		out.fatalPTID = int(p)
 		out.fatalInfo = f.Info
 	}
-	for _, ctx := range c.Threads().Contexts() {
+	ctxs := c.Threads().Contexts()
+	for i := range ctxs {
+		ctx := &ctxs[i]
 		var st uint8
 		switch ctx.State {
 		case hwthread.Disabled:

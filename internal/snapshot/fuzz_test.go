@@ -318,3 +318,57 @@ func TestBoolRejectsNonCanonicalBytes(t *testing.T) {
 		t.Fatalf("byte 2 read as a bool: err = %v", err)
 	}
 }
+
+// TestSkipZeroU32s: SkipZeroU32s reads exactly the leading zero u32s, odd
+// runs and a zero beside a non-zero in one eight-byte word included, no more
+// than the limit, and none of a truncated one, leaving the next read to
+// see what follows.
+func TestSkipZeroU32s(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		vals   []uint32
+		tail   int // bytes after vals: a truncated u32
+		limit  int
+		want   int
+		thenOK bool // the next U32 reads the value after the run
+	}{
+		{"none", []uint32{7, 0}, 0, 2, 0, true},
+		{"odd run", []uint32{0, 0, 0, 9}, 0, 4, 3, true},
+		{"even run", []uint32{0, 0, 0, 0, 5, 0}, 0, 6, 4, true},
+		{"bounded by the limit", []uint32{0, 0, 0, 0, 0}, 0, 3, 3, true},
+		{"all zero", []uint32{0, 0, 0}, 0, 3, 3, false},
+		{"truncated tail", []uint32{0, 0, 0}, 2, 4, 3, false},
+	} {
+		b := snapshot.NewBuilder()
+		w := b.Section("z")
+		for _, v := range tc.vals {
+			w.U32(v)
+		}
+		for range tc.tail {
+			w.U8(0)
+		}
+		var buf bytes.Buffer
+		if _, err := b.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s, err := snapshot.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Section("z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.SkipZeroU32s(tc.limit); got != tc.want {
+			t.Fatalf("%s: skipped %d, want %d", tc.name, got, tc.want)
+		}
+		if got, want := r.Remaining(), 4*(len(tc.vals)-tc.want)+tc.tail; got != want {
+			t.Fatalf("%s: %d bytes remain, want %d", tc.name, got, want)
+		}
+		if tc.thenOK {
+			if v := r.U32(); r.Err() != nil || v != tc.vals[tc.want] {
+				t.Fatalf("%s: next read %d (err %v), want %d", tc.name, v, r.Err(), tc.vals[tc.want])
+			}
+		}
+	}
+}

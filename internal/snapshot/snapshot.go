@@ -24,8 +24,8 @@
 // sub-slices of it, so the caller must not modify that slice while it
 // restores (Read owns the slice it reads into; `nocsim -resume` hands Decode
 // its own os.ReadFile buffer). Codecs may decode in place into the live
-// component's storage (mem.Cache reuses each set's tag array), so a failed
-// restore leaves the component unspecified.
+// component's storage (mem.Cache reuses each set's block of lines), so a
+// failed restore leaves the component unspecified.
 package snapshot
 
 import (
@@ -413,6 +413,24 @@ func (r *R) U32() uint32 {
 	}
 	r.stop("u32", 0)
 	return 0
+}
+
+// SkipZeroU32s reads past the zero u32 values that come next, at most limit
+// of them, eight bytes at a time, and returns how many it read. It stops at
+// the first non-zero value or short read and leaves that to the caller, so
+// a codec whose counts are mostly zero reads only the others one by one.
+func (r *R) SkipZeroU32s(limit int) int {
+	b := r.buf[r.off:]
+	n := 0
+	for limit-n >= 2 && len(b) >= 8 && binary.LittleEndian.Uint64(b) == 0 {
+		b = b[8:]
+		n += 2
+	}
+	if n < limit && len(b) >= 4 && binary.LittleEndian.Uint32(b) == 0 {
+		n++
+	}
+	r.off += 4 * n
+	return n
 }
 
 func (r *R) U8() uint8 {

@@ -42,7 +42,8 @@
 #                        UncontendedLock + ServeCell + F9_PriorityScheduling
 #                        (the oversubscribed core's ready queue) +
 #                        SnapshotEncode + SnapshotRestore (one checkpoint
-#                        save and one restore of a 4-core machine) allocs/op
+#                        save and one restore of a 4-core machine) +
+#                        ServeNew (building a 5,000-connection cell) allocs/op
 #                        must stay within 10% of scripts/alloc_baseline.txt
 #                        (the zero-alloc hot paths must not silently regrow
 #                        heap traffic)
@@ -124,7 +125,7 @@ go vet ./internal/faultinject
 go test -race -count=1 ./internal/faultinject
 
 echo "== allocation gate (allocs/op within 10% of scripts/alloc_baseline.txt) =="
-go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell|BenchmarkF9_PriorityScheduling|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$' \
+go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell|BenchmarkF9_PriorityScheduling|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkServeNew)$' \
     -benchmem -benchtime 1x . > "$TMP/allocgate.txt"
 awk '
     NR==FNR { if ($0 !~ /^#/ && NF == 2) base[$1] = $2; next }
