@@ -191,7 +191,8 @@ func TestF6Shape(t *testing.T) {
 }
 
 func TestF7Shape(t *testing.T) {
-	claimsHold(t, "F7", "bimodal FCFS p99 ≥ 3× PS p99 at load 0.8")
+	claimsHold(t, "F7", "bimodal FCFS short-request p99 ≥ 3× PS short-request p99 at load 0.8",
+		"bimodal PS short-request p99 ≤ 20× short service at load 0.8")
 }
 
 func TestF8Shape(t *testing.T) {
@@ -232,7 +233,7 @@ func TestF16Shape(t *testing.T) {
 }
 
 func TestA1Shape(t *testing.T) {
-	claimsHold(t, "A1", "1024-thread pool p99 < 4-thread pool p99")
+	claimsHold(t, "A1", "1024-thread pool short-request p99 < 4-thread pool short-request p99")
 }
 
 func TestA2Shape(t *testing.T) {

@@ -149,6 +149,14 @@ func spanConcurrency(t *testing.T, tr *trace.Tracer, proc, name string) int {
 	return peak
 }
 
+// burst is a request train of equal requests that all arrive on cycle 100.
+type burst struct{ n int }
+
+func (b *burst) Next() workload.Request {
+	b.n++
+	return workload.Request{ID: b.n - 1, Arrival: 100, Demand: 10000}
+}
+
 // TestF7TraceInterleaving is the §4 discipline contrast, asserted from the
 // trace itself: on 2 servers under a burst of 8 equal requests, PS serves
 // all 8 interleaved (sojourn spans stack 8 deep), while FCFS never has more
@@ -157,19 +165,12 @@ func TestF7TraceInterleaving(t *testing.T) {
 	tr := trace.New()
 	cfg := DefaultConfig()
 	cfg.Tracer = tr
-	burst := func() []workload.Request {
-		reqs := make([]workload.Request, 8)
-		for i := range reqs {
-			reqs[i] = workload.Request{ID: i, Arrival: 100, Demand: 10000}
-		}
-		return reqs
-	}
 	runDiscipline(cfg, "ps", func(eng *sim.Shard) kernel.QueueServer {
 		return kernel.NewPS(eng, 2, 0, nil)
-	}, burst())
+	}, &burst{}, 8)
 	runDiscipline(cfg, "fcfs", func(eng *sim.Shard) kernel.QueueServer {
 		return kernel.NewFCFS(eng, 2, 0, nil)
-	}, burst())
+	}, &burst{}, 8)
 
 	if err := tr.CheckNesting(); err != nil {
 		t.Fatalf("F7 trace malformed: %v", err)

@@ -1,14 +1,15 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 
 	"nocs/internal/sim"
 	"nocs/internal/workload"
 )
 
-// steadyBatch submits one deterministic batch of n requests via SubmitAll and
-// drains the engine. Arrival times advance from the engine's current time so
+// steadyBatch submits one deterministic batch of n requests, one Submit
+// each, and drains the engine. Arrival times advance from the engine's current time so
 // successive batches replay the same pattern.
 func steadyBatch(eng *sim.Shard, srv QueueServer, reqs []workload.Request, n int) {
 	base := eng.Now() + 1
@@ -19,7 +20,9 @@ func steadyBatch(eng *sim.Shard, srv QueueServer, reqs []workload.Request, n int
 			Demand:  sim.Cycles(50 + (i%7)*100),
 		}
 	}
-	srv.SubmitAll(reqs[:n])
+	for _, r := range reqs[:n] {
+		srv.Submit(r)
+	}
 	eng.Run(0)
 }
 
@@ -61,25 +64,38 @@ func TestServersSteadyStateAllocBound(t *testing.T) {
 	}
 }
 
-// TestSubmitAllAllocsIndependentOfBatchSize: queueing a batch on a fresh
-// server costs the same allocations for 10^3 requests as for 10^5 — one
-// queue buffer, not an event or arena entry per request.
-func TestSubmitAllAllocsIndependentOfBatchSize(t *testing.T) {
-	const small, large = 1_000, 100_000
-	reqs := make([]workload.Request, large)
-	for i := range reqs {
-		reqs[i] = workload.Request{ID: i, Arrival: sim.Cycles(i * 37), Demand: 100}
-	}
+// steadyTrain is a request train that keeps every server's queues short:
+// one arrival every 200 cycles, demands of 50 to 650 on 4 servers.
+type steadyTrain struct{ n int }
+
+func (s *steadyTrain) Next() workload.Request {
+	s.n++
+	return workload.Request{ID: s.n, Arrival: sim.Cycles(s.n * 200), Demand: sim.Cycles(50 + (s.n%7)*100)}
+}
+
+// TestStreamAllocsIndependentOfLength: running a request train through a
+// fresh server costs the same allocations and bytes for 10^3 requests as
+// for 4·10^4. The train holds one request at a time, so a materialized
+// request slice, arrival queue or completion slice would show as bytes
+// that grow with the train.
+func TestStreamAllocsIndependentOfLength(t *testing.T) {
+	const small, large = 1_000, 40_000
 	for _, tc := range allocCases {
 		t.Run(tc.name, func(t *testing.T) {
-			submit := func(n int) float64 {
-				return testing.AllocsPerRun(3, func() {
-					tc.build(sim.SoloShard(sim.NewEngine(nil))).SubmitAll(reqs[:n])
-				})
+			run := func(n int) (allocs, bytes uint64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				eng := sim.SoloShard(sim.NewEngine(nil))
+				RunStream(eng, tc.build(eng), &steadyTrain{}, n, func(Completion) {})
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 			}
-			if a, b := submit(small), submit(large); a != b {
-				t.Fatalf("SubmitAll on a fresh server allocates %.0f for %d requests but %.0f for %d",
-					a, small, b, large)
+			run(small) // warm up anything allocated once per process
+			sa, sb := run(small)
+			la, lb := run(large)
+			if la != sa || lb != sb {
+				t.Fatalf("a train of %d requests allocates %d objects, %d bytes; one of %d allocates %d objects, %d bytes",
+					small, sa, sb, large, la, lb)
 			}
 		})
 	}

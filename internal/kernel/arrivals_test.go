@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nocs/internal/sim"
@@ -102,31 +104,38 @@ type orderOutcome struct {
 	now   sim.Cycles
 }
 
-// runOrder submits the batch in one of three modes — "upfront" (the
-// oracle), "all" (SubmitAll per wave) or "each" (Submit per request) — and
-// drains the engine.
+// runOrder submits the batch in one of four modes — "upfront" (the
+// oracle), "each" (Submit per request), "stream" (the first wave as one
+// request train, the second by Submit, so its requests sort in ahead of the
+// train's drawn one) or "openloop" (a one-wave batch through RunOpenLoop,
+// which sorts it into a train) — and drains the engine.
 func runOrder(build func(*sim.Shard, func(Completion)) (orderServer, string), b orderBatch, mode string) orderOutcome {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	var out orderOutcome
 	srv, name := build(eng, func(c Completion) { out.comps = append(out.comps, c) })
-	submit := func(reqs []workload.Request) {
-		switch mode {
-		case "upfront":
+	submit := func(reqs []workload.Request, wave int) {
+		switch {
+		case mode == "upfront":
 			for _, r := range reqs {
 				eng.AtCallback(r.Arrival, name, &upfrontArrival{s: srv, r: r})
 			}
-		case "all":
-			srv.SubmitAll(reqs)
-		case "each":
+		case mode == "stream" && wave == 0:
+			arr, _ := srv.feed()
+			arr.stream(&sliceSource{reqs}, len(reqs))
+		case mode == "openloop":
+			if got := RunOpenLoop(eng, srv, reqs); len(got) != len(reqs) {
+				panic(fmt.Sprintf("RunOpenLoop returned %d of %d completions", len(got), len(reqs)))
+			}
+		default:
 			for _, r := range reqs {
 				srv.Submit(r)
 			}
 		}
 	}
-	submit(b.first)
+	submit(b.first, 0)
 	if b.second != nil {
 		eng.RunUntil(b.split)
-		submit(b.second)
+		submit(b.second, 1)
 	}
 	eng.Run(0)
 	out.ran, out.now = eng.Ran(), eng.Now()
@@ -137,7 +146,9 @@ func runOrder(build func(*sim.Shard, func(Completion)) (orderServer, string), b 
 // heap entry must not change anything observable — completion sequence
 // (IDs, finish cycles, latencies), events run, and the final clock — for
 // every discipline, for in-order, same-cycle, shuffled and second-wave
-// submissions, whether submitted in bulk or one request at a time.
+// submissions, whether submitted one request at a time, drawn one request
+// at a time from a train (where the first wave is in arrival order), or run
+// through RunOpenLoop (where there is one wave).
 func TestArrivalStreamsMatchUpfrontScheduling(t *testing.T) {
 	for _, b := range orderBatches() {
 		for _, srv := range orderServers {
@@ -149,7 +160,14 @@ func TestArrivalStreamsMatchUpfrontScheduling(t *testing.T) {
 				if b.ties {
 					checkTies(t, b.first, want.comps)
 				}
-				for _, mode := range []string{"all", "each"} {
+				modes := []string{"each"}
+				if slices.IsSortedFunc(b.first, func(x, y workload.Request) int { return cmp.Compare(x.Arrival, y.Arrival) }) {
+					modes = append(modes, "stream")
+				}
+				if b.second == nil {
+					modes = append(modes, "openloop")
+				}
+				for _, mode := range modes {
 					got := runOrder(srv.build, b, mode)
 					if got.ran != want.ran || got.now != want.now {
 						t.Errorf("%s: ran %d events ending at %d, upfront ran %d ending at %d",
@@ -193,18 +211,22 @@ func checkTies(t *testing.T, reqs []workload.Request, comps []Completion) {
 	}
 }
 
-// TestArrivalStreamKeepsOneHeapEntry: a batch held in the stream occupies
-// one heap entry, not one per request.
+// TestArrivalStreamKeepsOneHeapEntry: a request train occupies one heap
+// entry and one queue entry, not one per request.
 func TestArrivalStreamKeepsOneHeapEntry(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	s := NewPS(eng, 2, 100, nil)
-	s.SubmitAll(queueReqs())
+	reqs := queueReqs()
+	s.arr.stream(&sliceSource{reqs}, len(reqs))
 	if got := eng.Pending(); got != 1 {
-		t.Fatalf("%d heap entries after SubmitAll, want 1", got)
+		t.Fatalf("%d heap entries after attaching the train, want 1", got)
 	}
 	peak := 0
 	for eng.Step() {
 		peak = max(peak, eng.Pending())
+		if len(s.arr.q) > 1 {
+			t.Fatalf("arrival queue grew to %d entries at cycle %d", len(s.arr.q), eng.Now())
+		}
 	}
 	// The next arrival, the armed next-finisher, and the cancelled
 	// finishers still awaiting their pop: bounded by the active set, not by

@@ -51,14 +51,24 @@ type arrivalSink interface {
 	arrive(r workload.Request)
 }
 
-// arrivals is a queueing server's open-loop arrival stream. Submitted
-// requests wait in one queue sorted by (arrival time, reserved seq), and
-// only a prefix of it — normally just the head — sits in the engine's heap,
-// each entry under the key it would have had if it had been scheduled at
+// RequestSource yields an open-loop request train one request at a time, in
+// nondecreasing arrival order. *workload.Source is one.
+type RequestSource interface {
+	Next() workload.Request
+}
+
+// arrivals is a queueing server's open-loop arrival stream. Queued requests
+// wait in one queue sorted by (arrival time, reserved seq), and only a
+// prefix of it — normally just the head — sits in the engine's heap, each
+// entry under the key it would have had if it had been scheduled at
 // submission (sim.Engine.ReserveSeqs). When the head fires it arms the next
 // entry and then delivers its request, so the dispatch order, Ran and the
-// batch horizon match scheduling every arrival up front, while a 40k-request
-// batch costs one heap entry instead of 40k.
+// batch horizon match scheduling every arrival up front.
+//
+// A request train attached with stream is not queued at all: it holds one
+// drawn request in the queue and draws the next when that one fires, under
+// the next of the sequence numbers it reserved when attached, so a
+// 40k-request train costs one queue entry and one heap entry.
 type arrivals struct {
 	eng  *sim.Shard
 	name string
@@ -67,54 +77,59 @@ type arrivals struct {
 	head int
 	// armed counts the entries q[head:head+armed] that are in the heap.
 	armed int
+	// src is the attached train while it has requests left to draw: left
+	// of them, the next under sequence number seq.
+	src  RequestSource
+	left int
+	seq  uint64
 }
 
-// add queues reqs under consecutive reserved sequence numbers. In-order
-// requests (every batch workload.Generate builds, every serve submission)
-// are a plain append; an out-of-order one is sorted into place, and armed
-// at once if it lands ahead of an entry already in the heap, which keeps
-// the armed entries a prefix of the queue.
-func (a *arrivals) add(reqs []workload.Request) {
-	if len(reqs) == 0 {
-		return
+// add queues r under a freshly reserved sequence number.
+func (a *arrivals) add(r workload.Request) {
+	a.insert(arrival{seq: a.eng.ReserveSeqs(1), r: r})
+}
+
+// stream attaches a train of n requests drawn from src. It panics if a train
+// is already attached.
+func (a *arrivals) stream(src RequestSource, n int) {
+	if a.src != nil {
+		panic("kernel: a request train is already streaming into " + a.name)
 	}
-	base := a.eng.ReserveSeqs(len(reqs))
-	var last arrival
-	if a.armed > 0 {
-		last = a.q[a.head+a.armed-1]
-	}
-	start := a.grow(len(reqs))
-	for i, r := range reqs {
-		a.q = append(a.q, arrival{seq: base + uint64(i), r: r})
-	}
-	if !slices.IsSortedFunc(a.q[max(a.head, start-1):], compareArrivals) {
-		slices.SortFunc(a.q[a.head:], compareArrivals)
-	}
-	if a.armed == 0 {
-		a.arm(a.head)
-		return
-	}
-	for i := a.head; i < len(a.q) && compareArrivals(a.q[i], last) < 0; i++ {
-		if a.q[i].seq >= base {
-			a.arm(i)
-		}
+	if n > 0 {
+		a.src, a.left, a.seq = src, n, a.eng.ReserveSeqs(n)
+		a.pull()
 	}
 }
 
-// grow makes room for n more entries with at most one allocation, whatever
-// n is, and returns the index the first of them will take.
-func (a *arrivals) grow(n int) int {
-	if cap(a.q)-len(a.q) < n && a.head > 0 {
-		live := copy(a.q, a.q[a.head:])
-		a.q = a.q[:live]
+// pull draws the train's next request and queues it under its reserved
+// sequence number.
+func (a *arrivals) pull() {
+	a.insert(arrival{seq: a.seq, r: a.src.Next()})
+	a.seq++
+	a.left--
+	if a.left == 0 {
+		a.src = nil
+	}
+}
+
+// insert sorts e into the queue. It arms e if the queue was empty or e sorts
+// ahead of an entry already in the heap, which keeps the armed entries a
+// prefix of the queue. In-order entries (every Source train, every serve
+// submission) are a plain append.
+func (a *arrivals) insert(e arrival) {
+	if len(a.q) == cap(a.q) && a.head > 0 {
+		a.q = a.q[:copy(a.q, a.q[a.head:])]
 		a.head = 0
 	}
-	if cap(a.q)-len(a.q) < n {
-		q := make([]arrival, len(a.q), max(2*cap(a.q), len(a.q)+n))
-		copy(q, a.q)
-		a.q = q
+	a.q = append(a.q, e)
+	i := len(a.q) - 1
+	for ; i > a.head && compareArrivals(a.q[i-1], e) > 0; i-- {
+		a.q[i] = a.q[i-1]
 	}
-	return len(a.q)
+	a.q[i] = e
+	if a.armed == 0 || i < a.head+a.armed {
+		a.arm(i)
+	}
 }
 
 func (a *arrivals) arm(i int) {
@@ -123,9 +138,11 @@ func (a *arrivals) arm(i int) {
 }
 
 // OnEvent delivers the head arrival (sim.Callback): the head's key is the
-// smallest armed one, so it is always the event that fired.
+// smallest armed one, so it is always the event that fired. If it was the
+// train's drawn request, the train draws its next one, after the queue has
+// been reset or its new head armed.
 func (a *arrivals) OnEvent() {
-	r := a.q[a.head].r
+	e := a.q[a.head]
 	a.head++
 	a.armed--
 	if a.head == len(a.q) {
@@ -133,7 +150,10 @@ func (a *arrivals) OnEvent() {
 	} else if a.armed == 0 {
 		a.arm(a.head)
 	}
-	a.sink.arrive(r)
+	if a.src != nil && e.seq == a.seq-1 {
+		a.pull()
+	}
+	a.sink.arrive(e.r)
 }
 
 // laneSet places request spans onto "req-lane-N" tracks. Requests overlap
@@ -182,13 +202,12 @@ type Completion struct {
 type QueueServer interface {
 	// Submit queues a request's arrival (Req.Arrival must be ≥ now).
 	Submit(r workload.Request)
-	// SubmitAll queues a batch of arrivals, each as if by Submit in order.
-	SubmitAll(reqs []workload.Request)
 	// Name identifies the discipline in reports.
 	Name() string
-	// completion returns the server's OnComplete field, so RunOpenLoop can
-	// chain its collector onto any discipline.
-	completion() *func(Completion)
+	// feed returns the server's arrival stream and OnComplete field, so
+	// RunStream can attach a request train to any discipline and chain its
+	// collector on.
+	feed() (*arrivals, *func(Completion))
 }
 
 // FCFSServer is run-to-completion first-come-first-served on K servers —
@@ -240,13 +259,9 @@ func (s *FCFSServer) EnableTrace(tr *trace.Tracer, process string) {
 }
 
 // Submit queues the arrival on the server's arrival stream.
-func (s *FCFSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
+func (s *FCFSServer) Submit(r workload.Request) { s.arr.add(r) }
 
-// SubmitAll queues every arrival with at most one allocation, however many
-// there are.
-func (s *FCFSServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
-
-func (s *FCFSServer) completion() *func(Completion) { return &s.OnComplete }
+func (s *FCFSServer) feed() (*arrivals, *func(Completion)) { return &s.arr, &s.OnComplete }
 
 func (s *FCFSServer) arrive(r workload.Request) {
 	s.queue.Push(r)
@@ -348,13 +363,9 @@ func (s *PSServer) traceActive() {
 }
 
 // Submit queues the arrival on the server's arrival stream.
-func (s *PSServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
+func (s *PSServer) Submit(r workload.Request) { s.arr.add(r) }
 
-// SubmitAll queues every arrival with at most one allocation, however many
-// there are.
-func (s *PSServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
-
-func (s *PSServer) completion() *func(Completion) { return &s.OnComplete }
+func (s *PSServer) feed() (*arrivals, *func(Completion)) { return &s.arr, &s.OnComplete }
 
 // arrive is the arrival-event body.
 func (s *PSServer) arrive(r workload.Request) {
@@ -540,13 +551,9 @@ func (s *TimesliceServer) EnableTrace(tr *trace.Tracer, process string) {
 }
 
 // Submit queues the arrival on the server's arrival stream.
-func (s *TimesliceServer) Submit(r workload.Request) { s.arr.add([]workload.Request{r}) }
+func (s *TimesliceServer) Submit(r workload.Request) { s.arr.add(r) }
 
-// SubmitAll queues every arrival with at most one allocation, however many
-// there are.
-func (s *TimesliceServer) SubmitAll(reqs []workload.Request) { s.arr.add(reqs) }
-
-func (s *TimesliceServer) completion() *func(Completion) { return &s.OnComplete }
+func (s *TimesliceServer) feed() (*arrivals, *func(Completion)) { return &s.arr, &s.OnComplete }
 
 func (s *TimesliceServer) arrive(r workload.Request) {
 	req := s.free.Get()
@@ -601,20 +608,47 @@ func (e *tsSlice) OnEvent() {
 	s.dispatch()
 }
 
-// RunOpenLoop submits requests to a server and runs the engine to
-// completion, returning the completions in finish order. All requests must
-// have arrival times at or after the engine's current time.
-func RunOpenLoop(eng *sim.Shard, srv QueueServer, reqs []workload.Request) []Completion {
-	out := make([]Completion, 0, len(reqs))
-	cb := srv.completion()
+// RunStream feeds srv a train of n requests drawn from src, runs the engine
+// to completion and hands each completion to record, in finish order, after
+// srv's own OnComplete. Only one request of the train is held at a time: the
+// train reserves n engine sequence numbers when it is attached and draws
+// request i, under the i-th, when request i-1's arrival fires, so every
+// arrival keeps the (time, seq) key it would have had if the whole train had
+// been submitted up front. src must yield no arrival before the engine's
+// clock or before its previous one (scheduling in the past panics).
+func RunStream(eng *sim.Shard, srv QueueServer, src RequestSource, n int, record func(Completion)) {
+	arr, cb := srv.feed()
 	prev := *cb
 	*cb = func(c Completion) {
 		if prev != nil {
 			prev(c)
 		}
-		out = append(out, c)
+		record(c)
 	}
-	srv.SubmitAll(reqs)
+	defer func() { *cb = prev }()
+	arr.stream(src, n)
 	eng.Run(0)
+}
+
+// RunOpenLoop runs reqs through srv as one RunStream train and returns the
+// completions in finish order. Requests may come in any order: they arrive
+// sorted by arrival time, requests on one cycle in their order in reqs.
+func RunOpenLoop(eng *sim.Shard, srv QueueServer, reqs []workload.Request) []Completion {
+	byArrival := func(a, b workload.Request) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	if !slices.IsSortedFunc(reqs, byArrival) {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, byArrival)
+	}
+	out := make([]Completion, 0, len(reqs))
+	RunStream(eng, srv, &sliceSource{reqs}, len(reqs), func(c Completion) { out = append(out, c) })
 	return out
+}
+
+// sliceSource streams a materialized request train.
+type sliceSource struct{ reqs []workload.Request }
+
+func (s *sliceSource) Next() workload.Request {
+	r := s.reqs[0]
+	s.reqs = s.reqs[1:]
+	return r
 }

@@ -40,6 +40,10 @@ import (
 // state.
 var ErrFaultState = errors.New("snapshot carries request-fault state")
 
+// ErrTrainPending reports a checkpoint of a server whose request train
+// (RunStream) still has requests to draw.
+var ErrTrainPending = errors.New("request train has requests left to draw")
+
 // ErrBusyCount reports a server checkpoint whose busy count a live server
 // could not have written: each busy server has exactly one in-flight
 // completion or quantum-slice record, and at most K are busy.
@@ -110,8 +114,13 @@ func restoreRequests(r *snapshot.R, q *sim.Ring[workload.Request]) {
 }
 
 // snapshotArrivals writes the stream's pending arrivals and claims its armed
-// ones, the stream's only live events.
-func snapshotArrivals(w *snapshot.W, a *arrivals) {
+// ones, the stream's only live events. A request train with requests left to
+// draw is refused: its source is not server state, and the queue alone would
+// be a truncated train.
+func snapshotArrivals(w *snapshot.W, a *arrivals) error {
+	if a.src != nil {
+		return fmt.Errorf("kernel: %s: %w: %d requests left", a.name, ErrTrainPending, a.left)
+	}
 	a.eng.ClaimLive(func(cb sim.Callback) bool { return cb == a })
 	q := a.q[a.head:]
 	w.Len(len(q))
@@ -119,6 +128,7 @@ func snapshotArrivals(w *snapshot.W, a *arrivals) {
 		w.I64(int64(e.r.Arrival)).U64(e.seq)
 		e.r.SnapshotState(w)
 	}
+	return nil
 }
 
 // restoreState reads the records snapshotArrivals wrote into the stream and
@@ -127,7 +137,7 @@ func snapshotArrivals(w *snapshot.W, a *arrivals) {
 // its request, or that is out of (at, seq) order, is corrupt; one before the
 // restored clock is a sim.ErrEventRecord.
 func (a *arrivals) restoreState(r *snapshot.R) error {
-	a.q, a.head, a.armed = make([]arrival, r.Len(40)), 0, 0
+	a.q, a.head, a.armed, a.src, a.left = make([]arrival, r.Len(40)), 0, 0, nil, 0
 	for i := range a.q {
 		at, seq := sim.Cycles(r.I64()), r.U64()
 		a.q[i] = arrival{seq: seq, r: workload.RestoreRequest(r)}
@@ -159,7 +169,9 @@ func (s *FCFSServer) SnapshotState(w *snapshot.W) error {
 		v, ok := cb.(*fcfsDone)
 		return ok && v.s == s
 	})
-	snapshotArrivals(w, &s.arr)
+	if err := snapshotArrivals(w, &s.arr); err != nil {
+		return err
+	}
 	w.Len(len(dones))
 	for _, ev := range dones {
 		d := ev.CB.(*fcfsDone)
@@ -226,8 +238,7 @@ func (s *PSServer) SnapshotState(w *snapshot.W) error {
 		w.I64(int64(s.nextTarget.r.ID))
 	}
 
-	snapshotArrivals(w, &s.arr)
-	return nil
+	return snapshotArrivals(w, &s.arr)
 }
 
 // RestoreState replaces the PS server's dynamic state with the checkpoint's.
@@ -278,7 +289,9 @@ func (s *TimesliceServer) SnapshotState(w *snapshot.W) error {
 		v, ok := cb.(*tsSlice)
 		return ok && v.s == s
 	})
-	snapshotArrivals(w, &s.arr)
+	if err := snapshotArrivals(w, &s.arr); err != nil {
+		return err
+	}
 	w.Len(len(slices))
 	for _, ev := range slices {
 		e := ev.CB.(*tsSlice)

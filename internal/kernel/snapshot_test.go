@@ -54,14 +54,15 @@ func queueReqs() []workload.Request {
 // queueCases lists the disciplines the checkpoint tests cover.
 var queueCases = []string{"fcfs", "ps", "ts"}
 
-// submitQueue hands reqs to srv in one SubmitAll, or one Submit per request.
+// submitQueue hands reqs to srv one Submit per request: in arrival order
+// when each is set, otherwise from last to first, so that every request
+// after the first sorts in ahead of the whole queue and is armed at once.
 func submitQueue(srv QueueServer, reqs []workload.Request, each bool) {
-	if !each {
-		srv.SubmitAll(reqs)
-		return
-	}
-	for _, r := range reqs {
-		srv.Submit(r)
+	for i := range reqs {
+		if !each {
+			i = len(reqs) - 1 - i
+		}
+		srv.Submit(reqs[i])
 	}
 }
 
@@ -146,8 +147,8 @@ func TestQueueServerSnapshotRoundTrip(t *testing.T) {
 
 // TestQueueServerSnapshotMidStream checkpoints each discipline at other
 // points of its arrival stream — before the first arrival fires (the whole
-// batch still queued), early, and with only the tail left — for bulk and
-// per-request submission alike.
+// batch still queued), early, and with only the tail left — for a batch
+// submitted in arrival order and one submitted last to first.
 func TestQueueServerSnapshotMidStream(t *testing.T) {
 	for _, kind := range queueCases {
 		for _, checkpoint := range []sim.Cycles{0, 40_000, 250_000} {
@@ -158,6 +159,31 @@ func TestQueueServerSnapshotMidStream(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSnapshotRefusesPendingTrain: a server whose request train still has
+// requests to draw refuses a checkpoint with ErrTrainPending, since its
+// queue alone would be a truncated train; once the train is drawn, the same
+// server checkpoints.
+func TestSnapshotRefusesPendingTrain(t *testing.T) {
+	for _, kind := range queueCases {
+		t.Run(kind, func(t *testing.T) {
+			var sink []compRec
+			eng := sim.SoloShard(sim.NewEngine(nil))
+			srv, comps := buildQueueCase(kind, eng, &sink)
+			reqs := queueReqs()
+			arr, _ := srv.feed()
+			arr.stream(&sliceSource{reqs}, len(reqs))
+			eng.RunUntil(120_000)
+			if err := SnapshotShard(snapshot.NewBuilder(), eng, comps...); !errors.Is(err, ErrTrainPending) {
+				t.Fatalf("checkpoint mid-train: got %v, want ErrTrainPending", err)
+			}
+			eng.RunUntil(reqs[len(reqs)-1].Arrival)
+			if err := SnapshotShard(snapshot.NewBuilder(), eng, comps...); err != nil {
+				t.Fatalf("checkpoint once the train is drawn: %v", err)
+			}
+		})
 	}
 }
 
@@ -188,26 +214,22 @@ var queueSnapshotGolden = map[string]string{
 
 func TestQueueServerSnapshotGolden(t *testing.T) {
 	for _, name := range queueCases {
-		// Per-request Submit reserves the same sequence numbers as one
-		// SubmitAll, so both must write the pinned bytes.
-		for _, each := range []bool{false, true} {
-			var sink []compRec
-			eng := sim.SoloShard(sim.NewEngine(nil))
-			srv, comps := buildQueueCase(name, eng, &sink)
-			submitQueue(srv, queueReqs(), each)
-			eng.RunUntil(120_000)
-			b := snapshot.NewBuilder()
-			if err := SnapshotShard(b, eng, comps...); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := b.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != queueSnapshotGolden[name] {
-				t.Errorf("%s (each=%v): NOCSNAP1 checkpoint hash %s, want %s", name, each, got, queueSnapshotGolden[name])
-			}
+		var sink []compRec
+		eng := sim.SoloShard(sim.NewEngine(nil))
+		srv, comps := buildQueueCase(name, eng, &sink)
+		submitQueue(srv, queueReqs(), true)
+		eng.RunUntil(120_000)
+		b := snapshot.NewBuilder()
+		if err := SnapshotShard(b, eng, comps...); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := b.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != queueSnapshotGolden[name] {
+			t.Errorf("%s: NOCSNAP1 checkpoint hash %s, want %s", name, got, queueSnapshotGolden[name])
 		}
 	}
 }
@@ -287,7 +309,7 @@ func TestSnapshotShardEventWrittenTwice(t *testing.T) {
 	eng := sim.SoloShard(sim.NewEngine(nil))
 	var sink []compRec
 	srv, comps := buildQueueCase("fcfs", eng, &sink)
-	srv.SubmitAll(queueReqs())
+	submitQueue(srv, queueReqs(), true)
 	eng.RunUntil(120_000)
 	comps = append(comps, Component{Name: "fcfs-again", C: comps[0].C})
 	err := SnapshotShard(snapshot.NewBuilder(), eng, comps...)
@@ -320,7 +342,7 @@ func TestSnapshotShardRetryAfterFailure(t *testing.T) {
 				eng := sim.SoloShard(sim.NewEngine(nil))
 				var sink []compRec
 				srv, comps := buildQueueCase(kind, eng, &sink)
-				srv.SubmitAll(queueReqs())
+				submitQueue(srv, queueReqs(), true)
 				eng.RunUntil(120_000)
 				comps = append(comps, Component{Name: "flaky", C: &flakyCodec{failed: !failFirst}})
 				if failFirst {
@@ -368,7 +390,7 @@ func TestRestoreRejectsBadBusyCount(t *testing.T) {
 				var sink []compRec
 				eng := sim.SoloShard(sim.NewEngine(nil))
 				srv, comps := buildQueueCase(kind, eng, &sink)
-				srv.SubmitAll(queueReqs())
+				submitQueue(srv, queueReqs(), true)
 				eng.RunUntil(120_000)
 				busy, _ := busyAndK(srv)
 				if *busy != 2 {
@@ -475,7 +497,7 @@ func TestRestoreRejectsFaultState(t *testing.T) {
 			var sink []compRec
 			eng := sim.SoloShard(sim.NewEngine(nil))
 			srv, comps := buildQueueCase(tc.kind, eng, &sink)
-			srv.SubmitAll(queueReqs())
+			submitQueue(srv, queueReqs(), true)
 			eng.RunUntil(120_000)
 			sc := splicedCodec{srv: comps[0].C}
 			sc.off, sc.del, sc.ins = tc.splice(srv)

@@ -194,9 +194,9 @@ type Request struct {
 
 // Generate produces n requests from the arrival process and service
 // distribution, with arrival times starting at base. It materializes the
-// whole train — fine for the F-suite's request counts, an O(n) memory spike
-// at 10^5–10^6 connections. The serving scenarios stream from a Source
-// instead; the two are draw-for-draw identical.
+// whole train, an O(n) slice, so only tests and the benchmark's queueing
+// probes use it: the experiments (F7, A1) and the serving scenarios stream
+// from a Source instead. The two are draw-for-draw identical.
 func Generate(n int, base sim.Cycles, arr Arrivals, svc Service) []Request {
 	reqs := make([]Request, n)
 	at := base

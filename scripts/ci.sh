@@ -46,7 +46,10 @@
 #                        ServeNew (building a 5,000-connection cell) allocs/op
 #                        must stay within 10% of scripts/alloc_baseline.txt
 #                        (the zero-alloc hot paths must not silently regrow
-#                        heap traffic)
+#                        heap traffic); so must B/op where the baseline has
+#                        a third column (F7_TailLatency: a request train
+#                        materialized again is a few allocations but
+#                        megabytes)
 #  12. system suite    — `nocsim -exp S1,L1,SV1 -quick`; the exit status is
 #                        the check. S1, L1 and SV1 each fail unless their
 #                        sharded pass is byte-identical to the serial
@@ -54,23 +57,26 @@
 #                        lost wakeup, SV1 on a conservation break or if no
 #                        overload cell refused a request (DESIGN.md §12,
 #                        §14, §15)
-#  13. lock ordering   — a 60-seed lock-ordering differential sweep with the
+#  13. seed sweep      — `nocsim -all -quick -parallel 2 -seed N` for N =
+#                        1..20 (~10 s): every paper claim must hold at every
+#                        seed, not only at the golden one
+#  14. lock ordering   — a 60-seed lock-ordering differential sweep with the
 #                        planted LIFO-handoff mutation that the sweep must
 #                        catch (DESIGN.md §14)
-#  14. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
+#  15. snapshot golden — `nocsim -exp E1 -quick` checkpointed to a file, then
 #                        resumed from the last checkpoint: one plain diff of
 #                        the two outputs (DESIGN.md §13)
-#  15. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
+#  16. trace gate      — `nocsim -exp E1 -quick -trace` must print exactly
 #                        the untraced run's output, and its trace file must
 #                        be byte-identical to a second traced run under
 #                        GOMAXPROCS=1 (sharded vs serial oracle, DESIGN.md §8);
 #                        `nocsim -all -quick -trace` must write the same file
 #                        at the default GOMAXPROCS and at GOMAXPROCS=1
-#  16. golden diff     — `nocsim -all` must be byte-identical to the
+#  17. golden diff     — `nocsim -all` must be byte-identical to the
 #                        committed results_full.txt (skip with SKIP_GOLDEN=1
 #                        when the caller performs its own golden run)
 #
-#  The `nocsim -all` runs of steps 15 and 16 also fail on a failed paper
+#  The `nocsim -all` runs of steps 16 and 17 also fail on a failed paper
 #  claim: each paper experiment states its claims as checks, and nocsim
 #  exits 1 when one fails (DESIGN.md §3).
 #
@@ -124,19 +130,27 @@ echo "== fault-injection package (vet + race) =="
 go vet ./internal/faultinject
 go test -race -count=1 ./internal/faultinject
 
-echo "== allocation gate (allocs/op within 10% of scripts/alloc_baseline.txt) =="
+echo "== allocation gate (allocs/op and B/op within 10% of scripts/alloc_baseline.txt) =="
 go test -run '^$' -bench '^(BenchmarkCoreInstructionRate|BenchmarkF7_TailLatency|BenchmarkUncontendedLock|BenchmarkServeCell|BenchmarkF9_PriorityScheduling|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkServeNew)$' \
     -benchmem -benchtime 1x . > "$TMP/allocgate.txt"
 awk '
-    NR==FNR { if ($0 !~ /^#/ && NF == 2) base[$1] = $2; next }
+    NR==FNR { if ($0 !~ /^#/ && NF >= 2) { base[$1] = $2; if (NF >= 3) bbase[$1] = $3 }; next }
     /^Benchmark/ && /allocs\/op/ {
         name = $1; sub(/-[0-9]+$/, "", name); sub(/^Benchmark/, "", name)
-        a = ""
-        for (i = 2; i <= NF; i++) if ($i == "allocs/op") a = $(i-1)
+        a = ""; by = ""
+        for (i = 2; i <= NF; i++) {
+            if ($i == "allocs/op") a = $(i-1)
+            if ($i == "B/op") by = $(i-1)
+        }
         if (!(name in base)) { printf "FAIL: no baseline for %s in scripts/alloc_baseline.txt\n", name; bad = 1; next }
         lim = base[name] * 1.10
         printf "   %-22s %8d allocs/op (baseline %d, limit %.0f)\n", name, a, base[name], lim
         if (a + 0 > lim) { printf "FAIL: %s allocs/op regressed: %d > %.0f\n", name, a, lim; bad = 1 }
+        if (name in bbase) {
+            blim = bbase[name] * 1.10
+            printf "   %-22s %8d B/op      (baseline %d, limit %.0f)\n", name, by, bbase[name], blim
+            if (by + 0 > blim) { printf "FAIL: %s B/op regressed: %d > %.0f\n", name, by, blim; bad = 1 }
+        }
         seen[name] = 1
     }
     END {
@@ -149,6 +163,16 @@ echo "== system suite: nocsim -exp S1,L1,SV1 -quick (self-verifying) =="
 go build -o "$TMP/nocsim" ./cmd/nocsim
 "$TMP/nocsim" -exp S1,L1,SV1 -quick > "$TMP/system.txt"
 sed -n 's/^note: /   /p' "$TMP/system.txt"
+
+echo "== seed sweep: nocsim -all -quick -parallel 2 at seeds 1..20 =="
+for seed in $(seq 1 20); do
+    if ! "$TMP/nocsim" -all -quick -parallel 2 -seed "$seed" > /dev/null 2> "$TMP/seed.txt"; then
+        echo "FAIL: nocsim -all -quick fails at seed $seed:" >&2
+        cat "$TMP/seed.txt" >&2
+        exit 1
+    fi
+done
+echo "   every paper claim holds at seeds 1..20"
 
 echo "== lock-ordering differential sweep (60 seeds) + planted mutation =="
 NOCS_DIFF_N=60 go test -count=1 \
